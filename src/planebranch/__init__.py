@@ -32,7 +32,6 @@ from .semigroup import (
 from .series import (
     EXACT,
     BivarPoly,
-    Coefficient,
     Order,
     TSeries,
     invert_unit,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BivarPoly",
     "CharData",
-    "Coefficient",
     "ContactOrder",
     "EXACT",
     "ExpansionResult",

@@ -352,7 +352,18 @@ def cmd_convert(session) -> None:
 
 # -- argument parsing ------------------------------------------------------------
 
-def _add_common(parser, branch_slots: int) -> None:
+def _positive_int(text: str) -> int:
+    """A working truncation: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _add_common(parser) -> None:
     parser.add_argument(
         "branches",
         nargs="*",
@@ -367,7 +378,7 @@ def _add_common(parser, branch_slots: int) -> None:
     )
     parser.add_argument(
         "--precision",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="T",
         help="working truncation for series computations (default: kernel-chosen)",
@@ -393,11 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="characteristic and semigroup data")
-    _add_common(p, 1)
+    _add_common(p)
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("zariski", help="Zariski invariant, witness and move log")
-    _add_common(p, 1)
+    _add_common(p)
     p.set_defaults(func=cmd_zariski)
 
     p = sub.add_parser("pair", help="two-branch quantities")
@@ -406,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("intersect", "contact", "infer"),
         metavar="{intersect,contact,infer}",
     )
-    _add_common(p, 2)
+    _add_common(p)
     p.add_argument(
         "--known-lambda",
         type=int,
@@ -417,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pair)
 
     p = sub.add_parser("expand", help="decompose f along a witness branch")
-    _add_common(p, 2)
+    _add_common(p)
     p.add_argument(
         "--known-lambda",
         type=int,
@@ -433,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("implicitize", "puiseux"),
         metavar="{implicitize,puiseux}",
     )
-    _add_common(p, 1)
+    _add_common(p)
     p.set_defaults(func=cmd_convert)
 
     return parser

@@ -22,8 +22,6 @@ from .errors import (
     TagMismatch,
 )
 
-Coefficient = Fraction
-
 #: truncation bound of a series that is exactly known (a polynomial)
 EXACT = math.inf
 
@@ -261,30 +259,6 @@ class TSeries:
         if bound >= self.trunc:
             return self
         return TSeries(self.var, self.terms, bound)
-
-    def derivative(self) -> "TSeries":
-        terms = {e - 1: e * c for e, c in self.terms.items() if e > 0}
-        trunc = EXACT if self.trunc == EXACT else max(self.trunc - 1, 1)
-        return TSeries(self.var, terms, trunc)
-
-
-# -- free-function forms of the core operations --------------------------------
-
-def series_order(s: TSeries) -> Order:
-    """Order of a truncated series (Known or AtLeast the truncation)."""
-    return s.order()
-
-
-def add(a: TSeries, b: TSeries) -> TSeries:
-    return a + b
-
-
-def mul(a: TSeries, b: TSeries) -> TSeries:
-    return a * b
-
-
-def pow_int(a: TSeries, k: int) -> TSeries:
-    return a ** k
 
 
 def invert_unit(s: TSeries) -> TSeries:
@@ -602,11 +576,6 @@ class BivarPoly:
 
     def swap_xy(self) -> "BivarPoly":
         return BivarPoly({(j, i): c for (i, j), c in self.terms.items()})
-
-    def derivative_y(self) -> "BivarPoly":
-        return BivarPoly(
-            {(i, j - 1): j * c for (i, j), c in self.terms.items() if j > 0}
-        )
 
     def divmod_monic_y(self, divisor: "BivarPoly"):
         """Euclidean division in y by a divisor monic in y; exact in Q[x][y]."""

@@ -255,6 +255,13 @@ class TestErrors:
         code, _, err = run(capsys, "invariants", path)
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_precision_is_a_parse_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["invariants", "--fixture", "k61417-poly", "--precision", value])
+        assert exc.value.code == 2
+        assert "--precision" in capsys.readouterr().err
+
     def test_decreasing_exponents_rejected(self, capsys, tmp_path):
         path = write_branch(
             tmp_path,

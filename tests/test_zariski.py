@@ -5,7 +5,6 @@ from fractions import Fraction as F
 
 import pytest
 
-import planebranch.zariski as zariski_mod
 from planebranch.errors import (
     DegenerateMove,
     HypothesisNotMet,
@@ -91,14 +90,27 @@ class TestEliminateTerm:
         with pytest.raises(NotRemovable):
             eliminate_term(phi, 13)
 
-    def test_affine_verification_mode(self):
-        phi = Parametrization.from_pairs(4, [(7, 1), (10, 1)]).with_trunc(30)
-        zariski_mod.VERIFY_AFFINE = True
-        try:
-            new, _ = eliminate_term(phi, 10)
-            assert 10 not in new.y.terms
-        finally:
-            zariski_mod.VERIFY_AFFINE = False
+    @pytest.mark.parametrize(
+        "j,kind,b", [(11, "q", 1), (14, "q", 2), (21, "q", 3), (10, "p", 2), (17, "p", 3)]
+    )
+    def test_closed_form_slope_matches_the_probed_response(self, j, kind, b):
+        # a move of size c shifts the coefficient at j by c * L**b (q-move)
+        # or -c * (m/n) * L**b (p-move); probe the response at c = 1 and 0
+        rng = random.Random(j)
+        lead = F(rng.choice([-3, -2, 2, 3]), rng.choice([1, 5, 7]))
+        pairs = [(7, lead)] + [(e, F(rng.randint(1, 9), rng.randint(1, 4))) for e in range(8, 30)]
+        phi = Parametrization.from_pairs(4, pairs).with_trunc(30)
+        _, rec = eliminate_term(phi, j)
+        assert (rec.kind, rec.b) == (kind, b)
+        if kind == "q":
+            moved = [apply_qmove(phi, rec.a, b, c) for c in (0, 1)]
+            closed = lead ** b
+        else:
+            moved = [apply_pmove(phi, b, c)[0] for c in (0, 1)]
+            closed = -F(7, 4) * lead ** b
+        probed = moved[1].y.coeff(j) - moved[0].y.coeff(j)
+        assert probed == closed
+        assert rec.c == -phi.y.coeff(j) / probed
 
 
 class TestGenus1Reduce:
