@@ -6,7 +6,8 @@ fixtures via --fixture); results print as text or, with --json, as a single
 JSON document with every rational serialized as a string.
 
 Exit codes: 0 ok, 2 parse error, 3 violated precondition, 4 precision
-exhausted, 5 inference hypothesis not met, 6 internal cross-check failure.
+exhausted, 5 inference hypothesis not met, 6 internal cross-check failure
+or any other unexpected exception.
 """
 
 from __future__ import annotations
@@ -465,6 +466,10 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         return code
+    except Exception as exc:
+        # a defect, not a domain failure: report it without a traceback
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_OK
 
 

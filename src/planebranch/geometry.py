@@ -1,11 +1,11 @@
 """Conversions between branch representations and pairwise invariants.
 
-Implicitization goes through the resultant in t of (x - t**n, y - p(t)),
-computed as a fraction-free determinant of the Sylvester matrix; the inverse
-direction is a Newton-polygon iteration that stays inside Q.  Intersection
-multiplicities are orders of substitutions, and the contact order is tied to
-them by the classical one-parameter correspondence on each characteristic
-interval.
+Implicitization builds the conjugate product prod (y - p(zeta*t)) over the
+n-th roots of unity from the power sums of the conjugates by Newton's
+identities, all in Q[x]; the inverse direction is a Newton-polygon
+iteration that stays inside Q.  Intersection multiplicities are orders of
+substitutions, and the contact order is tied to them by the classical
+one-parameter correspondence on each characteristic interval.
 """
 
 from __future__ import annotations
@@ -124,7 +124,10 @@ def bareiss_determinant(matrix: list) -> BivarPoly:
     """Determinant of a square matrix of BivarPoly by Bareiss elimination.
 
     Every division is exact (by the previous pivot), so intermediate entries
-    stay polynomial minors instead of blowing up.
+    stay polynomial minors instead of blowing up.  Nothing in the package
+    calls it: the tests build the Sylvester resultant on it as an
+    independent oracle for `implicitize`, and the benchmark tracer wraps it
+    by name.
     """
     m = [row[:] for row in matrix]
     size = len(m)
@@ -151,30 +154,17 @@ def bareiss_determinant(matrix: list) -> BivarPoly:
     return -det if sign < 0 else det
 
 
-def _sylvester(acoeffs: dict, adeg: int, bcoeffs: dict, bdeg: int) -> list:
-    """Sylvester matrix of two polynomials in t with BivarPoly coefficients."""
-    size = adeg + bdeg
-    zero = BivarPoly.zero()
-    rows = []
-    for r in range(bdeg):
-        row = [zero] * size
-        for k in range(adeg + 1):
-            row[r + k] = acoeffs.get(adeg - k, zero)
-        rows.append(row)
-    for r in range(adeg):
-        row = [zero] * size
-        for k in range(bdeg + 1):
-            row[r + k] = bcoeffs.get(bdeg - k, zero)
-        rows.append(row)
-    return rows
-
-
 def implicitize(phi: Parametrization) -> BivarPoly:
     """Monic-in-y polynomial of y-degree n vanishing on the branch.
 
-    Resultant in t of (t**n - x) and (p(t) - y) for the polynomial y-series
-    p; the input must be exact (truncate inexact branches deliberately
-    before implicitizing, see `intersection`).
+    The conjugate product f = prod over zeta**n = 1 of (y - p(zeta*t)) with
+    x = t**n, for the polynomial y-series p.  Its y-coefficients are the
+    signed elementary symmetric functions e_k of the conjugates, which
+    Newton's identities k*e_k = sum_{i=1..k} (-1)**(i-1) * e_(k-i) * P_i give
+    from the power sums P_r(x) = n * sum_{n | e} [t**e] p**r * x**(e/n); all
+    of it stays in Q[x] (Casas-Alvero, Singularities of Plane Curves, 2000).
+    The input must be exact (truncate inexact branches deliberately before
+    implicitizing, see `intersection`).
     """
     if not phi.exact:
         raise NonPolynomialInput(
@@ -184,15 +174,30 @@ def implicitize(phi: Parametrization) -> BivarPoly:
     if not p:
         raise NonPolynomialInput("cannot implicitize the zero branch")
     n = phi.n
-    d = max(p)
-    acoeffs = {n: BivarPoly.one(), 0: BivarPoly.monomial(1, 0, -1)}
-    bcoeffs = {e: BivarPoly.monomial(0, 0, c) for e, c in p.items()}
-    bcoeffs[0] = bcoeffs.get(0, BivarPoly.zero()) - BivarPoly.monomial(0, 1)
-    det = bareiss_determinant(_sylvester(acoeffs, n, bcoeffs, d))
-    top = det.coeff(0, n)
-    if top not in (1, -1):
-        raise CrossCheckFailed(f"resultant not monic in y (top coefficient {top})")
-    poly = det if top == 1 else -det
+    sums = [None]  # sums[r] = P_r as a map x-degree -> coefficient
+    power = {0: Fraction(1)}
+    for _ in range(n):
+        nxt: dict = {}
+        for e1, c1 in power.items():
+            for e2, c2 in p.items():
+                e = e1 + e2
+                nxt[e] = nxt.get(e, 0) + c1 * c2
+        power = nxt
+        sums.append({e // n: n * c for e, c in power.items() if c and not e % n})
+    elementary = [{0: Fraction(1)}]
+    for k in range(1, n + 1):
+        acc: dict = {}
+        for i in range(1, k + 1):
+            sign = 1 if i % 2 else -1
+            for d1, c1 in elementary[k - i].items():
+                for d2, c2 in sums[i].items():
+                    acc[d1 + d2] = acc.get(d1 + d2, 0) + sign * c1 * c2
+        elementary.append({d: c / k for d, c in acc.items() if c})
+    poly = BivarPoly({
+        (d, n - k): -c if k % 2 else c
+        for k, ek in enumerate(elementary)
+        for d, c in ek.items()
+    })
     check = substitute(poly, phi.x_series(), phi.y)
     if not check.is_zero_below_trunc():
         raise CrossCheckFailed("implicit equation does not vanish on the branch")
@@ -422,8 +427,9 @@ def _implicitize_for_intersection(phi: Parametrization):
 def intersection(phi1: Parametrization, phi2: Parametrization) -> int:
     """Intersection multiplicity of two distinct branches.
 
-    Implicitizes the branch with smaller multiplicity (smaller Sylvester
-    matrix) and takes the order of the substitution into the other one.
+    Implicitizes the branch with smaller multiplicity (fewer power sums,
+    a smaller equation) and takes the order of the substitution into the
+    other one.
     """
     a, b = (phi1, phi2) if phi1.n <= phi2.n else (phi2, phi1)
     fa, cut = _implicitize_for_intersection(a)

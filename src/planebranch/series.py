@@ -4,8 +4,8 @@ All coefficients are `fractions.Fraction`; nothing is ever rounded.  A
 `TSeries` knows its variable tag, a finite map exponent -> coefficient and a
 truncation bound `trunc`: coefficients at exponents >= trunc are unknown and
 no operation ever reports information there.  Exactly known polynomials
-(user input, resultants) carry the infinite truncation `EXACT`, in which
-case the term map is the whole series.
+(user input, implicit equations) carry the infinite truncation `EXACT`, in
+which case the term map is the whole series.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .errors import (
     ConstantTermNotOne,
+    CrossCheckFailed,
     InvalidParameterChange,
     NotAUnit,
     NotMonic,
@@ -596,7 +597,7 @@ class BivarPoly:
     def divexact(self, divisor: "BivarPoly") -> "BivarPoly":
         """Exact division (the divisor is known to divide self)."""
         if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
+            raise CrossCheckFailed("polynomial division by zero")
         if divisor.terms == {(0, 0): _ONE}:
             return self
         quotient: dict = {}
@@ -607,7 +608,7 @@ class BivarPoly:
             lt_r = max(rem.terms)
             di, dj = lt_r[0] - lt_d[0], lt_r[1] - lt_d[1]
             if di < 0 or dj < 0:
-                raise ArithmeticError("division is not exact")
+                raise CrossCheckFailed("polynomial division is not exact")
             c = rem.terms[lt_r] / cd
             quotient[(di, dj)] = c
             rem = rem - BivarPoly.monomial(di, dj, c) * divisor

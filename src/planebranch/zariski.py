@@ -165,6 +165,10 @@ def eliminate_term(phi: Parametrization, j: int, log_reparam: bool = True):
     new, w = record.apply(phi)
     if w is not None and log_reparam:
         record = replace(record, reparametrization=inverse_parameter(w))
+    if j >= new.trunc:
+        raise PrecisionExhausted(
+            f"move at {j} leaves the series known only below {new.trunc}"
+        )
     if new.y.terms.get(j):
         raise CrossCheckFailed(f"move failed to kill the coefficient at {j}")
     if not new.y.agrees_with(y, below=j):
@@ -185,13 +189,16 @@ def _first_offgrid_exponent(phi: Parametrization) -> int:
     return m
 
 
-def _sweep(phi: Parametrization, n: int, m: int, bound: int, log_reparam: bool = True):
-    """Normalize at m, then eliminate every removable exponent below bound."""
+def _sweep(
+    phi: Parametrization, n: int, m: int, bound: int, log_reparam: bool = True, below=None
+):
+    """Normalize at m, then eliminate every removable exponent below `below`
+    (default: bound) at the working truncation bound."""
     work = phi.with_trunc(bound)
     scale = 1 / work.y.coeff(m)
     cur = Parametrization(n, work.y.scale(scale))
     moves = []
-    for j in range(n + 1, bound):
+    for j in range(n + 1, bound if below is None else below):
         if j == m or not cur.y.terms.get(j):
             continue
         if _rep_nm(j + n, n, m) is None:
@@ -245,9 +252,9 @@ def _force_into_b(phi: Parametrization, n: int, m: int, bound: int) -> Parametri
     Each surviving slot responds affinely and triangularly to its own
     coefficient, with slope equal to the normalization scale; the final
     sweep verifies the construction outright.  The coefficient at slot s
-    depends only on the moves below s, and only the b = 2 p-move loses
-    precision (n - 1 orders, once per sweep), so a sweep to s + 2n still
-    knows s.
+    depends only on the moves below s, so the slot's sweep makes only those;
+    and only the b = 2 p-move loses precision (n - 1 orders, once per
+    sweep), so a sweep at truncation s + 2n still knows s.
     """
     mu = (n - 1) * (m - 1)
     slots = [
@@ -257,7 +264,9 @@ def _force_into_b(phi: Parametrization, n: int, m: int, bound: int) -> Parametri
     response = 1 / phi.y.coeff(m)
     for s in slots:
         depth = min(bound, s + 2 * n)
-        reduced, _, _ = _sweep(Parametrization(n, wy), n, m, depth, log_reparam=False)
+        reduced, _, _ = _sweep(
+            Parametrization(n, wy), n, m, depth, log_reparam=False, below=s
+        )
         coeff = reduced.y.coeff(s)
         if not coeff:
             continue

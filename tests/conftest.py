@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from planebranch.series import BivarPoly
-from planebranch.geometry import Parametrization
+from planebranch.geometry import Parametrization, bareiss_determinant
 
 
 # -- independent oracles -------------------------------------------------------
@@ -58,6 +58,40 @@ def eval_poly_on_series(poly_terms: dict, n: int, yterms: dict, bound) -> dict:
 def dict_order(d: dict):
     live = [e for e, c in d.items() if c]
     return min(live) if live else None
+
+
+def _sylvester(acoeffs: dict, adeg: int, bcoeffs: dict, bdeg: int) -> list:
+    """Sylvester matrix of two polynomials in t with BivarPoly coefficients."""
+    size = adeg + bdeg
+    zero = BivarPoly.zero()
+    rows = []
+    for r in range(bdeg):
+        row = [zero] * size
+        for k in range(adeg + 1):
+            row[r + k] = acoeffs.get(adeg - k, zero)
+        rows.append(row)
+    for r in range(adeg):
+        row = [zero] * size
+        for k in range(bdeg + 1):
+            row[r + k] = bcoeffs.get(bdeg - k, zero)
+        rows.append(row)
+    return rows
+
+
+def resultant_implicitize(phi: Parametrization) -> BivarPoly:
+    """Implicit equation of an exact branch as the resultant in t of
+    (t**n - x) and (p(t) - y), by fraction-free Bareiss elimination of the
+    Sylvester matrix, with its sign fixed so that it is monic in y."""
+    p = phi.y.terms
+    n = phi.n
+    d = max(p)
+    acoeffs = {n: BivarPoly.one(), 0: BivarPoly.monomial(1, 0, -1)}
+    bcoeffs = {e: BivarPoly.monomial(0, 0, c) for e, c in p.items()}
+    bcoeffs[0] = bcoeffs.get(0, BivarPoly.zero()) - BivarPoly.monomial(0, 1)
+    det = bareiss_determinant(_sylvester(acoeffs, n, bcoeffs, d))
+    top = det.coeff(0, n)
+    assert top in (1, -1), f"resultant not monic in y (top coefficient {top})"
+    return det if top == 1 else -det
 
 
 def binomial_coefficient(alpha: F, k: int) -> F:

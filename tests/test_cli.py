@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from planebranch import cli
 from planebranch.cli import main
 
 
@@ -261,6 +262,16 @@ class TestErrors:
             main(["invariants", "--fixture", "k61417-poly", "--precision", value])
         assert exc.value.code == 2
         assert "--precision" in capsys.readouterr().err
+
+    def test_unexpected_exception_exits_internal(self, capsys, monkeypatch):
+        def broken(session):
+            raise ValueError("planted defect")
+
+        monkeypatch.setattr(cli, "cmd_invariants", broken)
+        code, out, err = run(capsys, "invariants", "--fixture", "k37-branch")
+        assert code == cli.EXIT_INTERNAL == 6
+        assert out == ""
+        assert err == "error: internal: ValueError: planted defect\n"
 
     def test_decreasing_exponents_rejected(self, capsys, tmp_path):
         path = write_branch(

@@ -13,6 +13,8 @@ from planebranch.errors import (
     PrecisionExhausted,
     ThetaOutOfRange,
 )
+from planebranch import geometry
+from planebranch.fixtures import FIXTURES, load_fixture
 from planebranch.geometry import (
     ContactOrder,
     Parametrization,
@@ -27,7 +29,27 @@ from planebranch.geometry import (
 )
 from planebranch.semigroup import CharData, char_sequence
 from planebranch.series import BivarPoly, TSeries, substitute
-from conftest import dict_order, eval_poly_on_series
+from conftest import dict_order, eval_poly_on_series, resultant_implicitize
+
+
+def _seeded(seed, n, exponents):
+    """(t^n, y) with a seeded nonzero rational at every listed exponent."""
+    rng = random.Random(seed)
+    return Parametrization.from_pairs(
+        n, [(e, F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))) for e in exponents]
+    )
+
+
+# dense branches of multiplicity 2 to 9, one with terms below n, and sparser
+# ones up to n = 12 at degree 31; the fully dense n = 12, degree-31 branch is
+# left out only because the Bareiss oracle takes seconds on it
+ORACLE_BRANCHES = [
+    *(_seeded(n, n, range(n + 1, 2 * n + 4)) for n in range(2, 9)),
+    _seeded(9, 9, range(2, 14)),
+    _seeded(10, 10, range(11, 24, 3)),
+    _seeded(11, 11, [12, 15, 20, 23]),
+    _seeded(12, 12, range(13, 32, 3)),
+]
 
 
 class TestImplicitize:
@@ -59,6 +81,38 @@ class TestImplicitize:
         assert poly.deg_y() == n and poly.is_monic_in_y()
         value = substitute(poly, phi.x_series(), phi.y)
         assert value.is_zero_below_trunc() and value.exact
+
+    @pytest.mark.parametrize(
+        "name", [k for k, v in FIXTURES.items() if v["kind"] == "parametrization"]
+    )
+    def test_fixtures_match_the_resultant_oracle(self, name):
+        phi, _ = load_fixture(name)
+        assert implicitize(phi) == resultant_implicitize(phi)
+
+    @pytest.mark.parametrize(
+        "phi", ORACLE_BRANCHES, ids=[f"n{phi.n}-deg{phi.y.max_exponent()}" for phi in ORACLE_BRANCHES]
+    )
+    def test_seeded_branches_match_the_resultant_oracle(self, phi):
+        assert implicitize(phi) == resultant_implicitize(phi)
+
+    def test_matches_the_sympy_resultant(self):
+        sympy = pytest.importorskip("sympy")
+        t, x, y = sympy.symbols("t x y")
+        phi = _seeded(5, 5, [3, 6, 7, 9, 11, 12])
+        p = sum(sympy.Rational(c.numerator, c.denominator) * t**e for e, c in phi.y.terms.items())
+        res = sympy.Poly(sympy.resultant(t**phi.n - x, p - y, t), x, y)
+        res = res * (1 / res.coeff_monomial(y**phi.n))
+        expected = BivarPoly({ij: F(int(c.p), int(c.q)) for ij, c in res.terms()})
+        assert implicitize(phi) == expected
+
+    def test_does_not_take_the_resultant_route(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("implicitize must not build a resultant")
+
+        monkeypatch.setattr(geometry, "bareiss_determinant", refuse)
+        monkeypatch.setattr(BivarPoly, "divexact", refuse)
+        phi = _seeded(6, 6, range(7, 16))
+        assert implicitize(phi).is_monic_in_y()
 
 
 class TestPuiseux:

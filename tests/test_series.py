@@ -7,6 +7,7 @@ import pytest
 
 from planebranch.errors import (
     ConstantTermNotOne,
+    CrossCheckFailed,
     InvalidParameterChange,
     NotAUnit,
     TagMismatch,
@@ -173,6 +174,19 @@ class TestSubstitute:
             add_left = substitute(p + q, xs, ys)
             add_right = substitute(p, xs, ys) + substitute(q, xs, ys)
             assert add_left.agrees_with(add_right)
+
+
+class TestDivexact:
+    def test_exact_quotient(self, cusp37):
+        factor = BivarPoly.from_pairs([((1, 0), 2), ((0, 1), F(1, 3))])
+        assert (cusp37 * factor).divexact(factor) == cusp37
+
+    @pytest.mark.parametrize(
+        "divisor", [BivarPoly.zero(), BivarPoly.monomial(0, 1)], ids=["zero", "non-divisor"]
+    )
+    def test_failure_is_a_cross_check(self, cusp37, divisor):
+        with pytest.raises(CrossCheckFailed):
+            cusp37.divexact(divisor)
 
 
 class TestReparametrize:

@@ -1,5 +1,6 @@
 """Elimination moves, genus-one reduction, the invariant and inference."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ from planebranch.errors import (
     HypothesisNotMet,
     NonIntegralResult,
     NotRemovable,
+    PrecisionExhausted,
     WrongEquisingularityClass,
 )
 from planebranch.geometry import (
@@ -19,6 +21,7 @@ from planebranch.geometry import (
     intersection_poly_param,
     puiseux_parametrization,
 )
+from planebranch import zariski
 from planebranch.semigroup import CharData, char_sequence, contains
 from planebranch.zariski import (
     apply_pmove,
@@ -31,6 +34,7 @@ from planebranch.zariski import (
     replay_moves,
     zariski_invariant,
 )
+from test_golden import dense
 
 
 class TestNormalizeLeading:
@@ -89,6 +93,13 @@ class TestEliminateTerm:
         phi = Parametrization.from_pairs(4, [(7, 1), (13, 1)]).with_trunc(30)
         with pytest.raises(NotRemovable):
             eliminate_term(phi, 13)
+
+    def test_move_that_outruns_its_truncation_is_refused(self):
+        # the b = 2 p-move at 10 costs n - 1 = 3 orders: O(t^12) -> O(t^9),
+        # so the coefficient it was meant to kill is no longer known
+        phi = Parametrization.from_pairs(4, [(7, 1), (10, 1)]).with_trunc(12)
+        with pytest.raises(PrecisionExhausted):
+            eliminate_term(phi, 10)
 
     @pytest.mark.parametrize(
         "j,kind,b", [(11, "q", 1), (14, "q", 2), (21, "q", 3), (10, "p", 2), (17, "p", 3)]
@@ -235,6 +246,27 @@ class TestZariskiInvariant:
         assert res.witness.y.terms == {3: F(1)}
         observed = intersection_poly_param(implicitize(res.witness), phi)
         assert observed == cd.generators[2] == 26
+
+    def test_witness_sweeps_kill_only_known_coefficients(self, monkeypatch):
+        # slot 15 of a dense K(4,13) branch is swept at truncation 23, where
+        # the b = 2 p-move at 22 would leave O(t^20); the slot's sweep stops
+        # below 15, as moves above 15 cannot change the coefficient there,
+        # so the witness stays the locked one
+        seen = []
+        original = zariski.eliminate_term
+
+        def logged(phi, j, log_reparam=True):
+            new, record = original(phi, j, log_reparam)
+            seen.append((j, new.trunc))
+            return new, record
+
+        monkeypatch.setattr(zariski, "eliminate_term", logged)
+        res = zariski_invariant(dense(413, 4, range(14, 44), {13: 1}))
+        assert seen and all(j < trunc for j, trunc in seen)
+        assert (res.exponent, res.coefficient) == (14, F(3, 2))
+        assert hashlib.sha256(str(res.witness).encode()).hexdigest() == (
+            "fd9f40eba101c5f4b604f6ba32d6bae129d7cb1c13b3204888fa4525802a89f4"
+        )
 
     def test_infinite_series_branch_has_infinite_invariant(self):
         from planebranch.series import BivarPoly
