@@ -24,9 +24,7 @@ from .semigroup import (
     CharData,
     StandardRep,
     char_sequence,
-    conductor,
     contains,
-    semigroup_generators,
     standard_rep,
 )
 from .series import (
@@ -34,7 +32,6 @@ from .series import (
     BivarPoly,
     Order,
     TSeries,
-    invert_unit,
     nth_root_unit,
     reparametrize,
     substitute,
@@ -48,7 +45,6 @@ from .zariski import (
     genus1_reduce,
     infer_zariski,
     is_in_b,
-    normalize_leading,
     replay_moves,
     zariski_invariant,
 )
@@ -71,7 +67,6 @@ __all__ = [
     "apply_pmove",
     "apply_qmove",
     "char_sequence",
-    "conductor",
     "contact",
     "contact_from_intersection",
     "contains",
@@ -83,14 +78,11 @@ __all__ = [
     "intersection",
     "intersection_from_contact",
     "intersection_poly_param",
-    "invert_unit",
     "is_in_b",
-    "normalize_leading",
     "nth_root_unit",
     "puiseux_parametrization",
     "replay_moves",
     "reparametrize",
-    "semigroup_generators",
     "standard_rep",
     "substitute",
     "swap_parametrization",

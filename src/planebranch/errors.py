@@ -17,16 +17,16 @@ class TagMismatch(PlaneBranchError):
     """Two series with different variable tags were combined."""
 
 
-class NotAUnit(PlaneBranchError):
-    """Inversion of a series whose order is not zero."""
-
-
 class ConstantTermNotOne(PlaneBranchError):
     """n-th root of a series whose constant term is not exactly 1."""
 
 
 class InvalidParameterChange(PlaneBranchError):
     """Reparametrization by a series whose order is not exactly 1."""
+
+
+class NeedsTruncation(PlaneBranchError):
+    """An exactly known input whose result is an infinite series."""
 
 
 class NonPolynomialInput(PlaneBranchError):
@@ -83,6 +83,14 @@ class NotRealizable(PlaneBranchError):
 
 class NonIntegralResult(PlaneBranchError):
     """An inferred invariant n' * lambda / n failed to be an integer."""
+
+
+class NotAnInvariant(PlaneBranchError):
+    """A claimed Zariski invariant that no branch of the class can have."""
+
+
+class AmbiguousEvidence(PlaneBranchError):
+    """Inference needs exactly one of a contact order and an intersection."""
 
 
 class NotMonic(PlaneBranchError):

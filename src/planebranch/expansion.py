@@ -19,7 +19,7 @@ from .errors import (
     ZeroLeadingC,
 )
 from .geometry import Parametrization, implicitize, intersection_poly_param
-from .semigroup import CharData
+from .semigroup import CharData, rep_nm
 from .series import BivarPoly
 
 
@@ -96,9 +96,8 @@ def zariski_decomposition(
         raise WitnessMismatch(
             f"witness implicitizes to y-degree {h.deg_y()}, expected monic of degree {n1}"
         )
-    q = (target * pow(m1, -1, n1)) % n1
-    p = (target - q * m1) // n1
-    if p < 0 or (target - q * m1) % n1:
+    p, q = rep_nm(target, n1, m1)
+    if p < 0:
         raise WitnessMismatch(
             f"{target} has no representation p*{n1} + q*{m1} with 0 <= q < {n1}"
         )

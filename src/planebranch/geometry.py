@@ -80,9 +80,6 @@ class Parametrization:
             )
         return Parametrization(self.n, self.y.truncated(bound))
 
-    def char_data(self) -> CharData:
-        return char_sequence(self)
-
     def same_branch(self, other: "Parametrization") -> bool:
         """Exact test that two exact parametrizations describe one branch."""
         if not (self.exact and other.exact):
@@ -410,7 +407,7 @@ def _implicitize_for_intersection(phi: Parametrization):
     """Implicit equation of phi plus the validity cut of the truncated input."""
     if phi.exact:
         return implicitize(phi), None
-    cd = phi.char_data()
+    cd = char_sequence(phi)
     cut = max(cd.conductor + phi.n, phi.y.max_exponent() + 1)
     if phi.trunc < cut:
         raise PrecisionExhausted(
@@ -528,7 +525,7 @@ def contact(phi1: Parametrization, phi2: Parametrization) -> ContactOrder:
         inter = intersection(phi1, phi2)
     except BranchesEqual:
         return ContactOrder.infinite()
-    return contact_from_intersection(phi1.char_data(), inter, phi2.n)
+    return contact_from_intersection(char_sequence(phi1), inter, phi2.n)
 
 
 def swap_parametrization(phi: Parametrization, trunc: int | None = None) -> Parametrization:
@@ -560,5 +557,5 @@ def swap_parametrization(phi: Parametrization, trunc: int | None = None) -> Para
         )
     unit = y.shift(-m).scale(1 / lead).truncated(trunc)
     w = nth_root_unit(unit, m).scale(root).shift(1)
-    target = TSeries.monomial(y.var, phi.n, 1, w.trunc)
-    return Parametrization(m, solve_composition(target, w))
+    (ynew,) = solve_composition([TSeries.monomial(y.var, phi.n, 1, w.trunc)], w)
+    return Parametrization(m, ynew)

@@ -141,14 +141,11 @@ def char_sequence(phi) -> CharData:
     return CharData.from_char_exponents(beta)
 
 
-def semigroup_generators(cd: CharData) -> tuple[int, ...]:
-    """Generators (v_0, ..., v_g) of the semigroup of values."""
-    return cd.generators
-
-
-def conductor(cd: CharData) -> int:
-    """Conductor of the semigroup of values."""
-    return cd.conductor
+def rep_nm(z: int, n: int, m: int) -> tuple[int, int]:
+    """(a, b) with z = a*n + b*m and 0 <= b < n, for coprime n and m; z lies
+    in <n, m> exactly when a >= 0."""
+    b = (z * pow(m, -1, n)) % n
+    return (z - b * m) // n, b
 
 
 def standard_rep(z: int, cd: CharData) -> StandardRep:
@@ -168,7 +165,7 @@ def standard_rep(z: int, cd: CharData) -> StandardRep:
         ri = rem // e[i]
         if rem % e[i]:
             raise ArithmeticError("remainder not divisible by the gcd level")
-        si = (ri * pow(wi, -1, ni)) % ni
+        si = rep_nm(ri, ni, wi)[1]
         coords[i - 1] = si
         rem -= si * v[i]
     if rem % v[0]:

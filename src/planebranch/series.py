@@ -18,8 +18,9 @@ from .errors import (
     ConstantTermNotOne,
     CrossCheckFailed,
     InvalidParameterChange,
-    NotAUnit,
+    NeedsTruncation,
     NotMonic,
+    PrecisionExhausted,
     TagMismatch,
 )
 
@@ -119,21 +120,15 @@ class TSeries:
             return Order.known_at(min(self.terms))
         return Order.at_least(self.trunc)
 
-    def known_order(self) -> int:
-        """Order as an int; the caller guarantees the series is nonzero."""
-        o = self.order()
-        if not o.known:
-            raise NotAUnit(f"series is zero up to its truncation {self.trunc}")
-        return o.value
-
     def _eff_order(self):
         """Lower bound valid for every term, known or unknown."""
         return min(self.terms) if self.terms else self.trunc
 
     def coeff(self, exponent: int) -> Fraction:
         if exponent >= self.trunc:
-            raise ValueError(
-                f"coefficient at {exponent} is beyond the truncation {self.trunc}"
+            raise PrecisionExhausted(
+                f"coefficient at {exponent} is beyond the truncation {self.trunc}",
+                needed=exponent + 1,
             )
         return self.terms.get(exponent, _ZERO)
 
@@ -262,27 +257,6 @@ class TSeries:
         return TSeries(self.var, self.terms, bound)
 
 
-def invert_unit(s: TSeries) -> TSeries:
-    """Multiplicative inverse of a series of order 0, up to its truncation."""
-    o = s.order()
-    if not o.known or o.value != 0:
-        raise NotAUnit("inversion requires a series of order exactly 0")
-    c0 = s.terms[0]
-    if len(s.terms) == 1:
-        return TSeries.constant(s.var, 1 / c0, s.trunc)
-    if s.trunc == EXACT:
-        raise ValueError("inverse of a non-constant series is infinite; truncate first")
-    inv = {0: 1 / c0}
-    for k in range(1, s.trunc):
-        acc = _ZERO
-        for i, c in s.terms.items():
-            if 1 <= i <= k:
-                acc += c * inv.get(k - i, _ZERO)
-        if acc:
-            inv[k] = -acc / c0
-    return TSeries(s.var, inv, s.trunc)
-
-
 def nth_root_unit(s: TSeries, n: int) -> TSeries:
     """Principal n-th root of a series with constant term exactly 1.
 
@@ -296,7 +270,7 @@ def nth_root_unit(s: TSeries, n: int) -> TSeries:
     if len(s.terms) == 1:
         return TSeries.constant(s.var, 1, s.trunc)
     if s.trunc == EXACT:
-        raise ValueError("root of a non-trivial unit is infinite; truncate first")
+        raise NeedsTruncation("root of a non-trivial unit is infinite; truncate first")
     if n == 1:
         return s
     root = {0: _ONE}
@@ -340,33 +314,43 @@ def reparametrize(s: TSeries, rho: TSeries) -> TSeries:
     return result.truncated(min(result.trunc, s.trunc))
 
 
-def solve_composition(target: TSeries, w: TSeries) -> TSeries:
-    """The unique series Y with Y(w(t)) = target(t), for ord(w) = 1.
+def solve_composition(targets, w: TSeries) -> tuple:
+    """The unique series Y_i with Y_i(w(t)) = targets[i](t), for ord(w) = 1.
 
-    Triangular solve: Y_k is read off the residual at order k and one power
-    of w is accumulated per order.  Equivalent to composing with the
+    Triangular solve: each Y_i is read off its residual at order k, and one
+    power of w per order serves every target, so several targets cost one
+    pass over the powers of w.  Each target keeps its own truncation
+    min(target.trunc, w.trunc).  Equivalent to composing with the
     compositional inverse of w, without constructing it.
     """
     o = w.order()
     if not o.known or o.value != 1:
         raise InvalidParameterChange("composition solve needs ord(w) = 1")
-    bound = min(target.trunc, w.trunc)
-    if bound == EXACT:
-        raise ValueError("composition solve needs a finite truncation")
+    bounds = [min(target.trunc, w.trunc) for target in targets]
+    if EXACT in bounds:
+        raise NeedsTruncation("composition solve needs a finite truncation")
+    bound = max(bounds, default=0)
     lead = w.terms[1]
     wterms = [(e, c) for e, c in w.terms.items() if e < bound]
-    residual = {e: c for e, c in target.terms.items() if e < bound}
+    residuals = [
+        {e: c for e, c in target.terms.items() if e < tb}
+        for target, tb in zip(targets, bounds)
+    ]
+    outs = [{} for _ in targets]
     wpow = {0: _ONE}
-    out: dict = {}
     lead_k = _ONE
     for k in range(0, bound):
-        if not residual:
+        if not any(residuals):
             break
-        ck = residual.get(k)
-        if ck:
+        for residual, out, tb in zip(residuals, outs, bounds):
+            ck = residual.get(k)
+            if not ck:
+                continue
             yk = ck / lead_k
             out[k] = yk
             for e, c in wpow.items():
+                if e >= tb:
+                    continue
                 cur = residual.get(e, _ZERO) - yk * c
                 if cur:
                     residual[e] = cur
@@ -381,13 +365,15 @@ def solve_composition(target: TSeries, w: TSeries) -> TSeries:
                     nxt[e] = c1 * c2 if acc is None else acc + c1 * c2
         wpow = nxt
         lead_k *= lead
-    return TSeries(target.var, out, bound)
+    return tuple(
+        TSeries(target.var, out, tb) for target, out, tb in zip(targets, outs, bounds)
+    )
 
 
 def inverse_parameter(w: TSeries) -> TSeries:
     """Compositional inverse rho of w (ord 1): w(rho(u)) = u = rho(w(t))."""
-    ident = TSeries.monomial(w.var, 1, 1, w.trunc)
-    return solve_composition(ident, w)
+    (rho,) = solve_composition([TSeries.monomial(w.var, 1, 1, w.trunc)], w)
+    return rho
 
 
 def exact_root(q: Fraction, k: int):
@@ -484,9 +470,6 @@ class BivarPoly:
 
     def deg_y(self) -> int:
         return max((j for _, j in self.terms), default=-1)
-
-    def deg_x(self) -> int:
-        return max((i for i, _ in self.terms), default=-1)
 
     def by_y_degree(self) -> dict:
         rows: dict = {}

@@ -12,15 +12,18 @@ surviving slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import (
+    AmbiguousEvidence,
     CrossCheckFailed,
     DegenerateMove,
     HypothesisNotMet,
+    NeedsTruncation,
     NonIntegralResult,
+    NotAnInvariant,
     NotPrimitive,
     NotRemovable,
     NotTransversal,
@@ -28,15 +31,8 @@ from .errors import (
     WrongEquisingularityClass,
 )
 from .geometry import Parametrization, implicitize, intersection_poly_param
-from .semigroup import CharData, char_sequence, contains
-from .series import (
-    EXACT,
-    TSeries,
-    inverse_parameter,
-    nth_root_unit,
-    reparametrize,
-    solve_composition,
-)
+from .semigroup import CharData, char_sequence, contains, rep_nm
+from .series import EXACT, TSeries, nth_root_unit, reparametrize, solve_composition
 
 @dataclass(frozen=True)
 class MoveRecord:
@@ -64,8 +60,8 @@ class MoveRecord:
         return f"x -> x + ({self.c})*{ypart}  [kills t^{self.target_exponent}]"
 
     def apply(self, phi: Parametrization):
-        """The move applied to phi: (new branch, w), where w is the parameter
-        of a p-move (w**n = x + c*y**(b-1) along phi) and None for a q-move."""
+        """The move applied to phi: (new branch, rho), where rho is the
+        parameter change of a p-move and None for a q-move."""
         if self.kind == "q":
             return apply_qmove(phi, self.a, self.b, self.c), None
         return apply_pmove(phi, self.b, self.c)
@@ -93,19 +89,20 @@ class ZariskiResult:
         return self.exponent is not None
 
 
-def _rep_nm(z: int, n: int, m: int):
-    """z = a*n + b*m with 0 <= b < n, or None when a < 0 (z outside <n, m>)."""
-    b = (z * pow(m, -1, n)) % n
-    a = (z - b * m) // n
-    return (a, b) if a >= 0 else None
+def _removable(j: int, n: int, m: int) -> bool:
+    """Whether a move can remove t**j from a branch of class K(n, m)."""
+    return rep_nm(j + n, n, m)[0] >= 0
 
 
-def normalize_leading(phi: Parametrization) -> Parametrization:
-    """Scale y so its leading coefficient is exactly 1."""
-    lead = phi.y.terms.get(phi.y.known_order())
-    if lead == 1:
-        return phi
-    return Parametrization(phi.n, phi.y.scale(1 / lead))
+def _conductor(n: int, m: int) -> int:
+    """Conductor (n - 1)(m - 1) of <n, m>; no exponent at or above
+    conductor - n survives the sweep."""
+    return (n - 1) * (m - 1)
+
+
+def _working_bound(n: int, m: int) -> int:
+    """Working truncation of a genus-one sweep, 2n above the conductor."""
+    return _conductor(n, m) + 2 * n
 
 
 def apply_qmove(phi: Parametrization, a: int, b: int, c) -> Parametrization:
@@ -119,52 +116,51 @@ def apply_qmove(phi: Parametrization, a: int, b: int, c) -> Parametrization:
 def apply_pmove(phi: Parametrization, b: int, c):
     """Coordinate change x -> x + c * y**(b-1) and the parameter restoring it.
 
-    Returns (new branch, w) where w(t) is the parameter with w**n = x + c*y**(b-1)
-    along the branch; the new y-series Y solves Y(w(t)) = y(t).
+    Returns (new branch, rho).  With w(t) the parameter with
+    w**n = x + c*y**(b-1) along the branch, one triangular solve over the
+    powers of w gives both the new y-series Y, with Y(w(t)) = y(t), and the
+    parameter change rho, with rho(w(t)) = t, each at its own truncation.
     """
     if b < 2:
         raise DegenerateMove("p-move needs b >= 2 (x + c*y**(b-1) with b-1 >= 1)")
     n = phi.n
     if phi.exact:
-        raise ValueError("p-move needs a finite working truncation; re-truncate first")
+        raise NeedsTruncation("p-move needs a finite working truncation; re-truncate first")
     perturb = (phi.y ** (b - 1)).scale(c)
     if perturb.terms and min(perturb.terms) <= n:
         raise DegenerateMove("perturbation must have order above n")
     unit = TSeries.constant(phi.y.var, 1) + perturb.shift(-n)
     w = nth_root_unit(unit.truncated(phi.trunc), n).shift(1)
-    ynew = solve_composition(phi.y, w)
-    return Parametrization(n, ynew), w
+    ident = TSeries.monomial(w.var, 1, 1, w.trunc)
+    ynew, rho = solve_composition([phi.y, ident], w)
+    return Parametrization(n, ynew), rho
 
 
-def eliminate_term(phi: Parametrization, j: int, log_reparam: bool = True):
+def eliminate_term(phi: Parametrization, j: int):
     """Remove the t**j term of the y-series; returns (new branch, MoveRecord).
 
     With L the coefficient at m, a move of size c changes the coefficient at
     j by c * L**b (q-move) or by -c * (m/n) * L**b (p-move): the first-order
     term of Y(w(t)) = y(t), whose c**2 terms land above j because
-    (b-1)*m > n.  So c is solved in closed form, and the result is verified
-    to vanish at j with everything below j untouched.  Internal probe sweeps
-    pass log_reparam=False to skip computing the logged parameter change.
+    (b-1)*m > n.  So c is solved in closed form and the move is applied
+    once; a p-move's parameter change comes out of the same solve as the
+    new branch and is always logged.  The result is verified to vanish at j
+    with everything below j untouched.
     """
     n = phi.n
     y = phi.y
-    m = min((e for e in y.terms if e % n), default=None)
-    if m is None:
-        raise NotPrimitive("series has no exponent coprime to the multiplicity")
-    rep = _rep_nm(j + n, n, m)
-    if rep is None:
+    m = _first_offgrid_exponent(phi)
+    a, b = rep_nm(j + n, n, m)
+    if a < 0:
         raise NotRemovable(f"{j} + {n} is not in <{n}, {m}>")
-    a, b = rep
     if a == 0 and b <= 1:
         raise DegenerateMove(f"no move exists for exponent {j}")
     slope = y.terms[m] ** b
     if a == 0:
         slope *= Fraction(-m, n)
     c = -y.terms.get(j, Fraction(0)) / slope
-    record = MoveRecord("q" if a else "p", a, b, c, j, None)
-    new, w = record.apply(phi)
-    if w is not None and log_reparam:
-        record = replace(record, reparametrization=inverse_parameter(w))
+    kind = "q" if a else "p"
+    new, rho = MoveRecord(kind, a, b, c, j, None).apply(phi)
     if j >= new.trunc:
         raise PrecisionExhausted(
             f"move at {j} leaves the series known only below {new.trunc}"
@@ -173,7 +169,7 @@ def eliminate_term(phi: Parametrization, j: int, log_reparam: bool = True):
         raise CrossCheckFailed(f"move failed to kill the coefficient at {j}")
     if not new.y.agrees_with(y, below=j):
         raise CrossCheckFailed(f"move at {j} disturbed lower-order coefficients")
-    return new, record
+    return new, MoveRecord(kind, a, b, c, j, rho)
 
 
 def _first_offgrid_exponent(phi: Parametrization) -> int:
@@ -189,9 +185,7 @@ def _first_offgrid_exponent(phi: Parametrization) -> int:
     return m
 
 
-def _sweep(
-    phi: Parametrization, n: int, m: int, bound: int, log_reparam: bool = True, below=None
-):
+def _sweep(phi: Parametrization, n: int, m: int, bound: int, below=None):
     """Normalize at m, then eliminate every removable exponent below `below`
     (default: bound) at the working truncation bound."""
     work = phi.with_trunc(bound)
@@ -199,11 +193,9 @@ def _sweep(
     cur = Parametrization(n, work.y.scale(scale))
     moves = []
     for j in range(n + 1, bound if below is None else below):
-        if j == m or not cur.y.terms.get(j):
+        if j == m or not cur.y.terms.get(j) or not _removable(j, n, m):
             continue
-        if _rep_nm(j + n, n, m) is None:
-            continue
-        cur, record = eliminate_term(cur, j, log_reparam)
+        cur, record = eliminate_term(cur, j)
         moves.append(record)
     return cur, moves, scale
 
@@ -229,8 +221,8 @@ def genus1_reduce(phi: Parametrization) -> ZariskiResult:
         raise WrongEquisingularityClass(
             f"gcd({n}, {m}) = {gcd(n, m)}: not a genus-one class"
         )
-    mu = (n - 1) * (m - 1)
-    bound = mu + 2 * n
+    mu = _conductor(n, m)
+    bound = _working_bound(n, m)
     cur, moves, scale = _sweep(phi, n, m, bound)
     if cur.trunc <= mu - n - 1:
         raise CrossCheckFailed(
@@ -241,37 +233,37 @@ def genus1_reduce(phi: Parametrization) -> ZariskiResult:
         raise CrossCheckFailed("a surviving exponent exceeds the certified range")
     if survivors:
         lam = min(survivors)
-        witness = _force_into_b(phi, n, m, bound)
+        witness = _force_into_b(phi, n, m, lam, survivors[lam])
         return ZariskiResult(lam, survivors[lam], witness, cur, tuple(moves), scale)
     return ZariskiResult(None, None, phi, cur, tuple(moves), scale)
 
 
-def _force_into_b(phi: Parametrization, n: int, m: int, bound: int) -> Parametrization:
+def _force_into_b(
+    phi: Parametrization, n: int, m: int, lam: int, coeff: Fraction
+) -> Parametrization:
     """Adjust the surviving slots of the branch until it reduces to (t^n, t^m).
 
     Each surviving slot responds affinely and triangularly to its own
     coefficient, with slope equal to the normalization scale; the final
     sweep verifies the construction outright.  The coefficient at slot s
-    depends only on the moves below s, so the slot's sweep makes only those;
+    after the moves below s depends neither on the working truncation nor
+    on later moves, so the main sweep has already read every slot up to
+    lam, the smallest survivor: 0 below it and `coeff` at it.  Only the
+    slots above lam are swept here, each making only the moves below it;
     and only the b = 2 p-move loses precision (n - 1 orders, once per
     sweep), so a sweep at truncation s + 2n still knows s.
     """
-    mu = (n - 1) * (m - 1)
-    slots = [
-        j for j in range(m + 1, mu - n) if _rep_nm(j + n, n, m) is None
-    ]
-    wy = phi.y
+    bound = _working_bound(n, m)
     response = 1 / phi.y.coeff(m)
-    for s in slots:
-        depth = min(bound, s + 2 * n)
-        reduced, _, _ = _sweep(
-            Parametrization(n, wy), n, m, depth, log_reparam=False, below=s
-        )
-        coeff = reduced.y.coeff(s)
-        if not coeff:
+    wy = phi.y - TSeries.monomial(phi.y.var, lam, coeff / response, phi.y.trunc)
+    for s in range(lam + 1, _conductor(n, m) - n):
+        if _removable(s, n, m):
             continue
-        wy = wy - TSeries.monomial(wy.var, s, coeff / response, wy.trunc)
-    final, _, _ = _sweep(Parametrization(n, wy), n, m, bound, log_reparam=False)
+        reduced, _, _ = _sweep(Parametrization(n, wy), n, m, min(bound, s + 2 * n), below=s)
+        c = reduced.y.coeff(s)
+        if c:
+            wy = wy - TSeries.monomial(wy.var, s, c / response, wy.trunc)
+    final, _, _ = _sweep(Parametrization(n, wy), n, m, bound)
     if any(j > m for j in final.y.terms):
         raise CrossCheckFailed("witness construction left a surviving exponent")
     return Parametrization(n, wy)
@@ -284,8 +276,7 @@ def is_in_b(phi: Parametrization, n1: int, m1: int) -> bool:
         raise WrongEquisingularityClass(
             f"branch lies in K{cd.char_exponents}, not K({n1}, {m1})"
         )
-    bound = (n1 - 1) * (m1 - 1) + 2 * n1
-    cur, _, _ = _sweep(phi, n1, m1, bound, log_reparam=False)
+    cur, _, _ = _sweep(phi, n1, m1, _working_bound(n1, m1))
     return all(j <= m1 for j in cur.y.terms)
 
 
@@ -311,7 +302,7 @@ def zariski_invariant(phi: Parametrization) -> ZariskiResult:
         if not phi.exact:
             need = max(
                 cd.char_exponents[-1] + 1,
-                (n1 - 1) * (m1 - 1) * e1 + 2 * n,
+                _conductor(n1, m1) * e1 + 2 * n,
             )
             if phi.trunc < need:
                 raise PrecisionExhausted(
@@ -345,16 +336,12 @@ def _verify_result(phi, cd: CharData, result: ZariskiResult, n1: int):
     if not result.finite:
         return
     lam = result.exponent
-    n = cd.mult
     m = cd.char_exponents[1]
     if result.coefficient == 0:
         raise CrossCheckFailed("finite invariant with zero leading coefficient")
-    if contains(lam + n, cd):
-        raise CrossCheckFailed(f"{lam} + {n} lies in the semigroup of values")
-    if not lam > m:
-        raise CrossCheckFailed(f"invariant {lam} does not exceed {m}")
-    if cd.genus >= 2 and lam > cd.char_exponents[2]:
-        raise CrossCheckFailed(f"invariant {lam} exceeds beta_2")
+    defect = _invariant_defect(lam, cd)
+    if defect:
+        raise CrossCheckFailed(defect)
     if cd.genus >= 2 and lam == cd.char_exponents[2]:
         expected = cd.generators[2]
     else:
@@ -372,32 +359,50 @@ def _verify_result(phi, cd: CharData, result: ZariskiResult, n1: int):
         )
 
 
+def _invariant_defect(lam: int, cd: CharData):
+    """Why lam cannot be the Zariski invariant of a branch of class cd, or
+    None: it must exceed beta_1, stay at or below beta_2 at genus >= 2, and
+    lam + n must lie outside the semigroup of values."""
+    beta = cd.char_exponents
+    if not lam > beta[1]:
+        return f"invariant {lam} does not exceed beta_1 = {beta[1]}"
+    if cd.genus >= 2 and lam > beta[2]:
+        return f"invariant {lam} exceeds beta_2 = {beta[2]}"
+    if contains(lam + cd.mult, cd):
+        return f"{lam} + {cd.mult} lies in the semigroup of values"
+    return None
+
+
 def replay_moves(phi: Parametrization, result: ZariskiResult) -> Parametrization:
     """Re-run a logged reduction on its input branch, verifying each step.
 
-    Applies the recorded scale and moves; for every parameter change the
-    logged series is checked to invert the recomputed one exactly.
+    Applies the recorded scale and moves.  Each logged parameter change rho
+    is checked against the definition of its move, without the composition
+    solve that produced it: rho(u) = u + O(u**2), and x + c*y**(b-1) along
+    the branch before the move, at t = rho(u), is exactly u**n.
     """
     n = phi.n
-    m = _first_offgrid_exponent(phi)
-    mu = (n - 1) * (m - 1)
-    work = phi.with_trunc(mu + 2 * n)
+    work = phi.with_trunc(_working_bound(n, _first_offgrid_exponent(phi)))
     cur = Parametrization(n, work.y.scale(result.leading_scale))
     for record in result.moves:
-        cur, w = record.apply(cur)
-        if w is None:
+        before = cur
+        cur, _ = record.apply(cur)
+        if record.kind == "q":
             continue
         rho = record.reparametrization
         if rho is None:
             raise CrossCheckFailed(
                 f"move at {record.target_exponent} carries no parameter change log"
             )
-        roundtrip = reparametrize(w, rho)
-        ident = TSeries.monomial(w.var, 1, 1, roundtrip.trunc)
-        if not roundtrip.agrees_with(ident):
+        moved_x = before.x_series() + (before.y ** (record.b - 1)).scale(record.c)
+        if not (
+            min(rho.terms, default=0) == 1
+            and rho.terms[1] == 1
+            and reparametrize(moved_x, rho).agrees_with(before.x_series())
+        ):
             raise CrossCheckFailed(
                 f"logged parameter change at {record.target_exponent} "
-                "does not invert the recomputed one"
+                f"does not restore x = t^{n}"
             )
     return cur
 
@@ -412,10 +417,14 @@ def infer_zariski(
     """Invariant of a second branch from contact or intersection evidence.
 
     Needs contact > lambda/n, or intersection strictly above
-    n' * ((n1 - 1) * m + lambda) / n1; then lambda' = n' * lambda / n.
+    n' * ((n1 - 1) * m + lambda) / n1; then lambda' = n' * lambda / n.  A
+    lambda that no branch of the class cd_f can have is refused first.
     """
     if (contact_order is None) == (intersection_value is None):
-        raise ValueError("provide exactly one of contact_order/intersection_value")
+        raise AmbiguousEvidence("provide exactly one of contact_order/intersection_value")
+    defect = _invariant_defect(lambda_f, cd_f)
+    if defect:
+        raise NotAnInvariant(f"{defect}: not an invariant of K{cd_f.char_exponents}")
     n = cd_f.mult
     m = cd_f.char_exponents[1]
     n1 = cd_f.reduced_mult

@@ -9,8 +9,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from planebranch.series import BivarPoly
+from planebranch import zariski
 from planebranch.geometry import Parametrization, bareiss_determinant
+from planebranch.semigroup import rep_nm
+from planebranch.series import BivarPoly, TSeries
 
 
 # -- independent oracles -------------------------------------------------------
@@ -92,6 +94,27 @@ def resultant_implicitize(phi: Parametrization) -> BivarPoly:
     top = det.coeff(0, n)
     assert top in (1, -1), f"resultant not monic in y (top coefficient {top})"
     return det if top == 1 else -det
+
+
+def witness_by_all_slots(phi: Parametrization, m: int, below=None) -> Parametrization:
+    """The genus-one witness of phi in K(n, m), built by sweeping every slot
+    in turn (only the slots below `below`, when given), the smallest
+    survivor included, and subtracting what survives there.  The kernel reads
+    the slots up to the smallest survivor off its main sweep instead."""
+    n = phi.n
+    conductor = (n - 1) * (m - 1)
+    bound = conductor + 2 * n
+    wy = phi.y
+    response = 1 / phi.y.coeff(m)
+    for s in range(m + 1, conductor - n if below is None else below):
+        if rep_nm(s + n, n, m)[0] >= 0:
+            continue
+        depth = min(bound, s + 2 * n)
+        reduced, _, _ = zariski._sweep(Parametrization(n, wy), n, m, depth, below=s)
+        coeff = reduced.y.coeff(s)
+        if coeff:
+            wy = wy - TSeries.monomial(wy.var, s, coeff / response, wy.trunc)
+    return Parametrization(n, wy)
 
 
 def binomial_coefficient(alpha: F, k: int) -> F:

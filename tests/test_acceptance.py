@@ -277,7 +277,7 @@ def test_criterion_09_coordinate_invariance_and_replay():
     ]
     rng = random.Random(20260811)
     for phi, expected in fixtures:
-        bound = phi.char_data().conductor + 6 * phi.n
+        bound = char_sequence(phi).conductor + 6 * phi.n
         for _ in range(10):
             moved = _random_change(rng, phi, bound)
             assert zariski_invariant(moved).exponent == expected

@@ -145,6 +145,19 @@ class TestPair:
         assert code == 0 and doc["results"]["inferred_invariant"] == 16
         assert doc["checks"]["known_invariant"] == 8
 
+    @pytest.mark.parametrize("value", ["-3", "0", "14"])
+    def test_infer_rejects_a_known_lambda_outside_the_class(self, capsys, value):
+        # K(4, 7) invariants exceed 7 and keep lambda + 4 out of <4, 7>;
+        # 14 + 4 = 18 = 2*7 + 4 lies in it
+        code, out, err = run(
+            capsys, "pair", "infer",
+            "--fixture", "k47-branch", "--fixture", "k47-special",
+            "--known-lambda", value, "--json",
+        )
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "not an invariant of K(4, 7)" in err
+
     def test_infer_boundary_exits_with_hypothesis_code(self, capsys):
         # I(k37-branch, cusp) = 22 sits exactly on the excluded boundary
         code, _, err = run(

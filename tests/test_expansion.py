@@ -13,6 +13,7 @@ from planebranch.geometry import (
     puiseux_parametrization,
 )
 from planebranch.series import BivarPoly
+from planebranch.semigroup import char_sequence
 from planebranch.zariski import zariski_invariant
 
 H_CUSP = [((0, 3), 1), ((7, 0), -1)]
@@ -70,7 +71,7 @@ class TestHAdicExpansion:
 
 class TestZariskiDecomposition:
     def test_sextic_with_the_cusp_witness(self, sextic):
-        cd = puiseux_parametrization(sextic).char_data()
+        cd = char_sequence(puiseux_parametrization(sextic))
         res = zariski_decomposition(
             sextic, Parametrization.from_pairs(3, [(7, 1)]), cd, 16
         )
@@ -89,7 +90,7 @@ class TestZariskiDecomposition:
         assert res.checks["intersection_a0_h"] == 44
 
     def test_sextic_with_the_deformed_witness(self, sextic):
-        cd = puiseux_parametrization(sextic).char_data()
+        cd = char_sequence(puiseux_parametrization(sextic))
         res = zariski_decomposition(
             sextic, Parametrization.from_pairs(3, [(7, 1), (9, 1)]), cd, 16
         )
@@ -109,7 +110,7 @@ class TestZariskiDecomposition:
         )
 
     def test_uniqueness_of_the_distinguished_coefficient(self, sextic):
-        cd = puiseux_parametrization(sextic).char_data()
+        cd = char_sequence(puiseux_parametrization(sextic))
         one = zariski_decomposition(
             sextic, Parametrization.from_pairs(3, [(7, 1)]), cd, 16
         )
@@ -119,7 +120,7 @@ class TestZariskiDecomposition:
         assert (one.c, one.p, one.q) == (other.c, other.p, other.q)
 
     def test_reconstruction_is_exact(self, sextic):
-        cd = puiseux_parametrization(sextic).char_data()
+        cd = char_sequence(puiseux_parametrization(sextic))
         for pairs in ([(7, 1)], [(7, 1), (9, 1)]):
             res = zariski_decomposition(
                 sextic, Parametrization.from_pairs(3, pairs), cd, 16
@@ -132,7 +133,7 @@ class TestZariskiDecomposition:
             assert rebuilt == sextic
 
     def test_weight_bound_on_the_tail(self, sextic):
-        cd = puiseux_parametrization(sextic).char_data()
+        cd = char_sequence(puiseux_parametrization(sextic))
         res = zariski_decomposition(
             sextic, Parametrization.from_pairs(3, [(7, 1)]), cd, 16
         )
@@ -140,7 +141,7 @@ class TestZariskiDecomposition:
             assert i * 3 + j * 7 > 44 and j < 3
 
     def test_tail_has_higher_contact_order(self, sextic):
-        cd = puiseux_parametrization(sextic).char_data()
+        cd = char_sequence(puiseux_parametrization(sextic))
         res = zariski_decomposition(
             sextic, Parametrization.from_pairs(3, [(7, 1)]), cd, 16
         )
@@ -148,7 +149,7 @@ class TestZariskiDecomposition:
         assert intersection_poly_param(res.tail, h_phi) > 44
 
     def test_wrong_witness_is_rejected(self, sextic, branch_c1):
-        cd = puiseux_parametrization(sextic).char_data()
+        cd = char_sequence(puiseux_parametrization(sextic))
         with pytest.raises(WitnessMismatch):
             zariski_decomposition(sextic, branch_c1, cd, 16)
 
@@ -158,7 +159,7 @@ class TestZariskiDecomposition:
         res = zariski_invariant(phi)
         assert res.exponent == 13
         assert res.witness.y.terms == {7: F(1)}
-        dec = zariski_decomposition(f, res.witness, phi.char_data(), res.exponent)
+        dec = zariski_decomposition(f, res.witness, char_sequence(phi), res.exponent)
         # e1 = 1: f = h + c x^p y^q + tail
         assert len(dec.blocks) == 1
         assert dec.p * 4 + dec.q * 7 == 3 * 7 + 13

@@ -12,9 +12,7 @@ from planebranch.geometry import Parametrization
 from planebranch.semigroup import (
     CharData,
     char_sequence,
-    conductor,
     contains,
-    semigroup_generators,
     standard_rep,
 )
 from conftest import enumerate_semigroup
@@ -62,17 +60,17 @@ class TestCharSequence:
 class TestGenerators:
     def test_genus_one_generators_are_the_exponents(self):
         cd = CharData.from_char_exponents((4, 7))
-        assert semigroup_generators(cd) == (4, 7)
+        assert cd.generators == (4, 7)
 
     def test_genus_two_generator_recursion(self):
         cd = CharData.from_char_exponents((6, 14, 17))
-        assert semigroup_generators(cd) == (6, 14, 45)
+        assert cd.generators == (6, 14, 45)
 
     def test_generators_match_membership_enumeration(self):
         # v_2 = 2*6 + 13 - 6 = 19; cross-checked by ord of (y^2 - x^3) on
         # (t^4, t^6 + t^13), which is 19
         cd = CharData.from_char_exponents((4, 6, 13))
-        assert semigroup_generators(cd) == (4, 6, 19)
+        assert cd.generators == (4, 6, 19)
         bound = cd.conductor + 20
         table = enumerate_semigroup(cd.generators, bound)
         for z in range(bound + 1):
@@ -85,7 +83,7 @@ class TestConductor:
         [((4, 7), 18), ((6, 14, 17), 68), ((2, 3), 2), ((3, 7), 12)],
     )
     def test_conductor_values(self, beta, expected):
-        assert conductor(CharData.from_char_exponents(beta)) == expected
+        assert CharData.from_char_exponents(beta).conductor == expected
 
     @pytest.mark.parametrize("beta", [(4, 7), (6, 14, 17), (3, 7), (4, 6, 13)])
     def test_conductor_against_gap_enumeration(self, beta):

@@ -9,7 +9,8 @@ from planebranch.errors import (
     ConstantTermNotOne,
     CrossCheckFailed,
     InvalidParameterChange,
-    NotAUnit,
+    NeedsTruncation,
+    PrecisionExhausted,
     TagMismatch,
 )
 from planebranch.series import (
@@ -17,7 +18,6 @@ from planebranch.series import (
     BivarPoly,
     TSeries,
     inverse_parameter,
-    invert_unit,
     nth_root_unit,
     reparametrize,
     solve_composition,
@@ -83,23 +83,6 @@ class TestRingOps:
         a = ts([(3, 1)], 10)
         b = ts([(5, 1)], 20)
         assert (a * b).trunc == min(10 + 5, 20 + 3)
-
-
-class TestInvertUnit:
-    def test_geometric_series(self):
-        inv = invert_unit(ts([(0, 1), (1, 1)], 6))
-        assert inv.terms == {0: F(1), 1: F(-1), 2: F(1), 3: F(-1), 4: F(1), 5: F(-1)}
-
-    def test_constant(self):
-        assert invert_unit(TSeries.constant("t", 2)).terms == {0: F(1, 2)}
-
-    def test_product_with_inverse_is_one(self):
-        s = ts([(0, 1), (1, F(2, 3)), (3, -5)], 30)
-        assert (s * invert_unit(s)).terms == {0: F(1)}
-
-    def test_positive_order_is_not_a_unit(self):
-        with pytest.raises(NotAUnit):
-            invert_unit(ts([(1, 1)], 10))
 
 
 class TestNthRootUnit:
@@ -216,15 +199,50 @@ class TestReparametrize:
     def test_solve_composition_inverts_reparametrize(self):
         w = ts([(1, 1), (2, F(1, 3)), (4, -1)], 18)
         s = ts([(2, 1), (3, 5), (7, F(2, 7))], 18)
-        y = solve_composition(s, w)
+        (y,) = solve_composition([s], w)
         assert reparametrize(y, w).agrees_with(s)
+
+
+class TestSolveComposition:
+    def test_several_targets_equal_the_single_target_solves(self):
+        # each target keeps its own truncation min(target.trunc, w.trunc):
+        # below, at and above that of w, and exact
+        rng = random.Random(3141)
+        for _ in range(10):
+            wt = rng.randint(8, 20)
+            def rand(lo, hi):
+                return [(e, F(rng.randint(-5, 5), rng.randint(1, 4))) for e in range(lo, hi)]
+
+            w = ts([(1, 1)] + rand(2, wt), wt)
+            targets = [ts(rand(1, 2 * wt), trunc) for trunc in (wt - 3, wt, wt + 5, EXACT)]
+            targets.append(TSeries.monomial("t", 1, 1, wt))
+            together = solve_composition(targets, w)
+            for target, joint in zip(targets, together):
+                (alone,) = solve_composition([target], w)
+                assert (joint.terms, joint.trunc) == (alone.terms, alone.trunc)
+            assert [s.trunc for s in together] == [wt - 3, wt, wt, wt, wt]
+            assert together[-1] == inverse_parameter(w)
+
+    def test_exact_input_needs_a_truncation(self):
+        exact = ts([(1, 1), (2, 1)])
+        with pytest.raises(NeedsTruncation):
+            solve_composition([ts([(3, 1)])], exact)
+
+
+class TestCoeff:
+    def test_reading_past_the_truncation_is_precision_exhausted(self):
+        s = ts([(2, 1)], 5)
+        assert s.coeff(4) == 0
+        with pytest.raises(PrecisionExhausted) as info:
+            s.coeff(5)
+        assert info.value.needed == 6
 
 
 class TestTruncationSoundness:
     def test_larger_trunc_never_changes_reported_coefficients(self):
         base = [(0, 1), (1, F(1, 2)), (4, -3), (9, F(5, 7))]
         for build in (
-            lambda T: invert_unit(TSeries.from_terms("t", base, T)),
+            lambda T: inverse_parameter(TSeries.from_terms("t", base, T).shift(1)),
             lambda T: nth_root_unit(TSeries.from_terms("t", base, T), 3),
         ):
             small, large = build(12), build(37)

@@ -1,5 +1,6 @@
 """Elimination moves, genus-one reduction, the invariant and inference."""
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction as F
@@ -7,9 +8,13 @@ from fractions import Fraction as F
 import pytest
 
 from planebranch.errors import (
+    AmbiguousEvidence,
+    CrossCheckFailed,
     DegenerateMove,
     HypothesisNotMet,
+    NeedsTruncation,
     NonIntegralResult,
+    NotAnInvariant,
     NotRemovable,
     PrecisionExhausted,
     WrongEquisingularityClass,
@@ -23,6 +28,7 @@ from planebranch.geometry import (
 )
 from planebranch import zariski
 from planebranch.semigroup import CharData, char_sequence, contains
+from planebranch.series import TSeries
 from planebranch.zariski import (
     apply_pmove,
     apply_qmove,
@@ -30,22 +36,14 @@ from planebranch.zariski import (
     genus1_reduce,
     infer_zariski,
     is_in_b,
-    normalize_leading,
     replay_moves,
     zariski_invariant,
 )
+from conftest import witness_by_all_slots
 from test_golden import dense
 
 
 class TestNormalizeLeading:
-    def test_divides_by_the_leading_coefficient(self):
-        phi = Parametrization.from_pairs(4, [(7, 2), (10, 2)])
-        assert normalize_leading(phi).y.terms == {7: F(1), 10: F(1)}
-
-    def test_monic_input_unchanged(self):
-        phi = Parametrization.from_pairs(4, [(7, 1), (10, 1)])
-        assert normalize_leading(phi) is phi
-
     def test_char_data_invariant_under_scaling(self):
         rng = random.Random(7)
         checked = 0
@@ -56,7 +54,7 @@ class TestNormalizeLeading:
             pairs.append((m + rng.randint(1, 5), rng.randint(1, 5)))
             phi = Parametrization.from_pairs(n, pairs)
             before = char_sequence(phi)
-            after = char_sequence(normalize_leading(phi))
+            after = char_sequence(Parametrization(n, phi.y.scale(1 / pairs[0][1])))
             assert before == after
             checked += 1
 
@@ -255,8 +253,8 @@ class TestZariskiInvariant:
         seen = []
         original = zariski.eliminate_term
 
-        def logged(phi, j, log_reparam=True):
-            new, record = original(phi, j, log_reparam)
+        def logged(phi, j):
+            new, record = original(phi, j)
             seen.append((j, new.trunc))
             return new, record
 
@@ -267,6 +265,19 @@ class TestZariskiInvariant:
         assert hashlib.sha256(str(res.witness).encode()).hexdigest() == (
             "fd9f40eba101c5f4b604f6ba32d6bae129d7cb1c13b3204888fa4525802a89f4"
         )
+
+    @pytest.mark.parametrize(
+        "n,m,slot", [(5, 7, 8), (5, 7, 13), (5, 7, 18), (6, 7, 9), (6, 7, 16), (6, 7, 23)]
+    )
+    def test_witness_matches_the_all_slots_oracle(self, n, m, slot):
+        # slots of K(5, 7): 8, 11, 13, 18; of K(6, 7): 9, 10, 11, 16, 17, 23.
+        # Forcing the slots below `slot` to reduce to 0 puts lambda there.
+        lead = F(-2, 3) if n == 5 else F(3, 2)
+        phi = dense(10 * n + m, n, range(m + 1, (n - 1) * (m - 1)), {m: lead})
+        phi = witness_by_all_slots(phi, m, below=slot)
+        res = genus1_reduce(phi)
+        assert res.exponent == slot
+        assert res.witness == witness_by_all_slots(phi, m)
 
     def test_infinite_series_branch_has_infinite_invariant(self):
         from planebranch.series import BivarPoly
@@ -306,7 +317,7 @@ class TestCoordinateInvariance:
     def test_invariant_stable_under_random_changes(self, pairs, n, expected):
         rng = random.Random(1234 + n + len(pairs))
         phi = Parametrization.from_pairs(n, pairs)
-        bound = phi.char_data().conductor + 6 * n
+        bound = char_sequence(phi).conductor + 6 * n
         for _ in range(10):
             moved = _random_coordinate_change(rng, phi, bound)
             res = zariski_invariant(moved)
@@ -327,6 +338,37 @@ class TestReplay:
             replayed = replay_moves(phi, res)
             assert replayed.y.terms == res.normal_form.y.terms
             assert replayed.trunc == res.normal_form.trunc
+
+
+class TestReplayRefusesATamperedLog:
+    @pytest.fixture
+    def logged(self, quartic_family):
+        phi = quartic_family(0)
+        res = zariski_invariant(phi)
+        k = next(i for i, rec in enumerate(res.moves) if rec.kind == "p")
+        return phi, res, k
+
+    @staticmethod
+    def tampered(res, k, rho):
+        moves = list(res.moves)
+        moves[k] = dataclasses.replace(moves[k], reparametrization=rho)
+        return dataclasses.replace(res, moves=tuple(moves))
+
+    def test_dropped_parameter_change(self, logged):
+        phi, res, k = logged
+        with pytest.raises(CrossCheckFailed, match="no parameter change"):
+            replay_moves(phi, self.tampered(res, k, None))
+
+    @pytest.mark.parametrize("where", ["lead", "second", "last"])
+    def test_altered_coefficient(self, logged, where):
+        phi, res, k = logged
+        rho = res.moves[k].reparametrization
+        e = {"lead": 1, "second": 2, "last": rho.trunc - 1}[where]
+        terms = dict(rho.terms)
+        terms[e] = terms.get(e, 0) + F(1, 7)
+        altered = TSeries(rho.var, terms, rho.trunc)
+        with pytest.raises(CrossCheckFailed, match="does not restore"):
+            replay_moves(phi, self.tampered(res, k, altered))
 
 
 class TestInfer:
@@ -353,6 +395,25 @@ class TestInfer:
         with pytest.raises(NonIntegralResult):
             infer_zariski(cd, 8, 5, intersection_value=1000)
 
+    @pytest.mark.parametrize("lam", [-3, 0, 7, 14, 25])
+    def test_lambda_outside_the_class_is_rejected(self, lam):
+        # K(4, 7): lambda must exceed 7 and keep lambda + 4 out of <4, 7>
+        cd = CharData.from_char_exponents((4, 7))
+        with pytest.raises(NotAnInvariant):
+            infer_zariski(cd, lam, 4, intersection_value=1000)
+
+    def test_lambda_above_beta_2_is_rejected(self):
+        cd = CharData.from_char_exponents((6, 14, 17))
+        assert infer_zariski(cd, 16, 3, intersection_value=1000) == 8
+        with pytest.raises(NotAnInvariant):
+            infer_zariski(cd, 19, 6, intersection_value=1000)
+
+    @pytest.mark.parametrize("evidence", [{}, {"contact_order": 3, "intersection_value": 45}])
+    def test_exactly_one_kind_of_evidence(self, evidence):
+        cd = CharData.from_char_exponents((3, 7))
+        with pytest.raises(AmbiguousEvidence):
+            infer_zariski(cd, 8, 6, **evidence)
+
     def test_ratio_equality_on_a_high_contact_pair(self, sextic, branch_c1):
         # contact(c1, sextic root) = 17/6 exceeds lambda/n = 8/3, so the
         # ratios lambda/n agree, each side computed by its own reduction
@@ -374,6 +435,10 @@ class TestMoveHelpers:
     def test_pmove_needs_b_at_least_two(self, branch_c1):
         with pytest.raises(DegenerateMove):
             apply_pmove(branch_c1.with_trunc(20), 1, 1)
+
+    def test_pmove_needs_a_finite_truncation(self, branch_c1):
+        with pytest.raises(NeedsTruncation):
+            apply_pmove(branch_c1, 2, 1)
 
     def test_qmove_keeps_exact_series_exact(self, branch_c1):
         out = apply_qmove(branch_c1, 2, 1, F(1, 2))
