@@ -5,15 +5,17 @@ convert {implicitize,puiseux}.  Branch inputs are JSON files (or built-in
 fixtures via --fixture); results print as text or, with --json, as a single
 JSON document with every rational serialized as a string.
 
-Exit codes: 0 ok, 2 parse error, 3 violated precondition, 4 precision
-exhausted, 5 inference hypothesis not met, 6 internal cross-check failure
-or any other unexpected exception.
+Exit codes: 0 ok (also when the reader of standard output closes it
+early), 2 parse error, 3 violated precondition, 4 precision exhausted,
+5 inference hypothesis not met, 6 internal cross-check failure or any
+other unexpected exception.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -424,7 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="L",
-        help="invariant of the first branch, if already known (infer only)",
+        help=(
+            "invariant of the first branch, if already known (infer only); "
+            "trusted: only checked to be possible in the branch's class"
+        ),
     )
     p.set_defaults(func=cmd_pair)
 
@@ -457,6 +462,13 @@ def main(argv=None) -> int:
     session = _Session(args)
     try:
         args.func(session)
+        # a closed pipe shows up here rather than at the interpreter's exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of standard output stopped early (`| head`): not a
+        # defect; what is still buffered goes to the null device on exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except PlaneBranchError as exc:
         code = _exit_code(exc)
         print(f"error: {exc}", file=sys.stderr)

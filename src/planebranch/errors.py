@@ -13,6 +13,12 @@ class PlaneBranchError(Exception):
 
 # -- precondition violations (CLI exit code 3) -------------------------------
 
+class InvalidArgument(PlaneBranchError, ValueError):
+    """An argument outside a function's domain, such as a negative exponent
+    or a non-positive truncation; also a ValueError for callers that catch
+    that."""
+
+
 class TagMismatch(PlaneBranchError):
     """Two series with different variable tags were combined."""
 

@@ -30,6 +30,8 @@ from .series import (
     EXACT,
     BivarPoly,
     TSeries,
+    _common,
+    _convolve,
     exact_root,
     ratio,
     substitute,
@@ -160,7 +162,11 @@ def implicitize(phi: Parametrization) -> BivarPoly:
     Newton's identities k*e_k = sum_{i=1..k} (-1)**(i-1) * e_(k-i) * P_i give
     from the power sums P_r(x) = n * sum_{n | e} [t**e] p**r * x**(e/n); all
     of it stays in Q[x] (Casas-Alvero, Singularities of Plane Curves, 2000).
-    The input must be exact (truncate inexact branches deliberately before
+    With p = num / den over one common denominator, P_r and e_k are forms of
+    degree r and k in the coefficients of p, e_k with integer coefficients,
+    so both are integer polynomials over den**r and den**k: the loops run on
+    integers and each coefficient of f becomes a Fraction once.  The input
+    must be exact (truncate inexact branches deliberately before
     implicitizing, see `intersection`).
     """
     if not phi.exact:
@@ -171,27 +177,22 @@ def implicitize(phi: Parametrization) -> BivarPoly:
     if not p:
         raise NonPolynomialInput("cannot implicitize the zero branch")
     n = phi.n
-    sums = [None]  # sums[r] = P_r as a map x-degree -> coefficient
-    power = {0: Fraction(1)}
-    for _ in range(n):
-        nxt: dict = {}
-        for e1, c1 in power.items():
-            for e2, c2 in p.items():
-                e = e1 + e2
-                nxt[e] = nxt.get(e, 0) + c1 * c2
-        power = nxt
-        sums.append({e // n: n * c for e, c in power.items() if c and not e % n})
-    elementary = [{0: Fraction(1)}]
+    num, den = _common(p, EXACT)
+    # sums[r] = (-1)**(r-1) * den**r * P_r as a map x-degree -> int
+    sums = [None]
+    power = {0: 1}
+    for r in range(1, n + 1):
+        power = _convolve(power, num, EXACT)
+        sign = n if r % 2 else -n
+        sums.append({e // n: sign * c for e, c in power.items() if c and not e % n})
+    elementary = [{0: 1}]  # elementary[k] = den**k * e_k
     for k in range(1, n + 1):
         acc: dict = {}
         for i in range(1, k + 1):
-            sign = 1 if i % 2 else -1
-            for d1, c1 in elementary[k - i].items():
-                for d2, c2 in sums[i].items():
-                    acc[d1 + d2] = acc.get(d1 + d2, 0) + sign * c1 * c2
-        elementary.append({d: c / k for d, c in acc.items() if c})
+            _convolve(elementary[k - i], sums[i], EXACT, acc)
+        elementary.append({d: c // k for d, c in acc.items() if c})
     poly = BivarPoly({
-        (d, n - k): -c if k % 2 else c
+        (d, n - k): Fraction(-c if k % 2 else c, den**k)
         for k, ek in enumerate(elementary)
         for d, c in ek.items()
     })
@@ -246,11 +247,8 @@ def _rational_roots(coeffs: dict) -> list:
     """All nonzero rational roots of a univariate polynomial over Q."""
     coeffs = {e: ratio(c) for e, c in coeffs.items() if c}
     if not coeffs:
-        raise ValueError("zero polynomial")
-    denlcm = 1
-    for c in coeffs.values():
-        denlcm = denlcm * c.denominator // gcd(denlcm, c.denominator)
-    ints = {e: int(c * denlcm) for e, c in coeffs.items()}
+        raise CrossCheckFailed("edge polynomial is zero")
+    ints, _ = _common(coeffs, EXACT)
     low = min(ints)
     if low:
         ints = {e - low: c for e, c in ints.items()}

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import (
+    CrossCheckFailed,
+    InvalidArgument,
     NotPrimitive,
     NotSingular,
     NotTransversal,
@@ -51,7 +53,7 @@ class CharData:
         e = [n]
         for b in beta[1:]:
             if b % e[-1] == 0:
-                raise ValueError(f"{b} is divisible by the running gcd {e[-1]}")
+                raise InvalidArgument(f"{b} is divisible by the running gcd {e[-1]}")
             e.append(gcd(e[-1], b))
         if e[-1] != 1:
             raise NotPrimitive(f"characteristic exponents {beta} have gcd {e[-1]} > 1")
@@ -105,7 +107,7 @@ def char_sequence(phi) -> CharData:
     """
     n = phi.n
     if n < 1:
-        raise ValueError("multiplicity must be positive")
+        raise InvalidArgument("multiplicity must be positive")
     y = phi.y
     o = y.order()
     if not o.known:
@@ -164,12 +166,12 @@ def standard_rep(z: int, cd: CharData) -> StandardRep:
         wi = v[i] // e[i]
         ri = rem // e[i]
         if rem % e[i]:
-            raise ArithmeticError("remainder not divisible by the gcd level")
+            raise CrossCheckFailed("remainder not divisible by the gcd level")
         si = rep_nm(ri, ni, wi)[1]
         coords[i - 1] = si
         rem -= si * v[i]
     if rem % v[0]:
-        raise ArithmeticError("standard representation failed to close")
+        raise CrossCheckFailed("standard representation failed to close")
     return StandardRep(rem // v[0], tuple(coords))
 
 

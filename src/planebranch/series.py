@@ -6,6 +6,13 @@ truncation bound `trunc`: coefficients at exponents >= trunc are unknown and
 no operation ever reports information there.  Exactly known polynomials
 (user input, implicit equations) carry the infinite truncation `EXACT`, in
 which case the term map is the whole series.
+
+The hot kernels (`TSeries.__mul__`, `nth_root_unit`, `solve_composition`)
+work on integer numerators over one shared denominator per operand, the
+layout of FLINT's `fmpq_poly`: `_common` clears an operand's denominators
+with one lcm, `_convolve` multiplies in integers, and each output
+coefficient becomes a `Fraction` once, with one gcd.  `.terms` stays a map
+to `Fraction`s everywhere outside the kernels.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from fractions import Fraction
 from .errors import (
     ConstantTermNotOne,
     CrossCheckFailed,
+    InvalidArgument,
     InvalidParameterChange,
     NeedsTruncation,
     NotMonic,
@@ -39,7 +47,39 @@ def ratio(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    raise InvalidArgument(f"cannot interpret {value!r} as an exact rational")
+
+
+def _common(terms: dict, bound) -> tuple[dict, int]:
+    """(numerators, den): the Fraction terms below `bound` as integers over
+    their one common denominator, the lcm of theirs."""
+    # pairwise, because math.lcm(*dens) builds a tuple per call, and freed
+    # short tuples pile up on the interpreter's free lists
+    den = 1
+    for e, c in terms.items():
+        if e < bound:
+            den = math.lcm(den, c.denominator)
+    return {
+        e: c.numerator * (den // c.denominator)
+        for e, c in terms.items()
+        if e < bound
+    }, den
+
+
+def _convolve(a: dict, b: dict, bound, acc: dict | None = None) -> dict:
+    """Product of two exponent -> int maps below `bound`, added into `acc`."""
+    if acc is None:
+        acc = {}
+    get = acc.get
+    b = sorted(b.items())
+    for e1, c1 in a.items():
+        room = bound - e1
+        for e2, c2 in b:
+            if e2 >= room:
+                break
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+    return acc
 
 
 @dataclass(frozen=True)
@@ -76,11 +116,11 @@ class TSeries:
     def __init__(self, var: str, terms: dict, trunc):
         if trunc != EXACT:
             if not isinstance(trunc, int) or trunc < 1:
-                raise ValueError(f"trunc must be a positive integer, got {trunc!r}")
+                raise InvalidArgument(f"trunc must be a positive integer, got {trunc!r}")
         clean = {}
         for e, c in terms.items():
             if e < 0 or e != int(e):
-                raise ValueError(f"exponent {e!r} is not a non-negative integer")
+                raise InvalidArgument(f"exponent {e!r} is not a non-negative integer")
             c = ratio(c)
             if c and e < trunc:
                 clean[int(e)] = c
@@ -212,13 +252,11 @@ class TSeries:
             self.trunc + other._eff_order(),
             other.trunc + self._eff_order(),
         )
-        acc: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                if e < trunc:
-                    acc[e] = acc.get(e, _ZERO) + c1 * c2
-        return TSeries(self.var, acc, trunc)
+        a, da = _common(self.terms, trunc)
+        b, db = _common(other.terms, trunc)
+        den = da * db
+        acc = _convolve(a, b, trunc)
+        return TSeries(self.var, {e: Fraction(c, den) for e, c in acc.items() if c}, trunc)
 
     def scale(self, value) -> "TSeries":
         c = ratio(value)
@@ -229,7 +267,7 @@ class TSeries:
     def shift(self, offset: int) -> "TSeries":
         """Multiply by var**offset (offset may be negative if all terms allow)."""
         if offset < 0 and any(e + offset < 0 for e in self.terms):
-            raise ValueError("shift would create negative exponents")
+            raise InvalidArgument("shift would create negative exponents")
         return TSeries(
             self.var,
             {e + offset: c for e, c in self.terms.items()},
@@ -238,7 +276,7 @@ class TSeries:
 
     def __pow__(self, k: int) -> "TSeries":
         if k < 0 or k != int(k):
-            raise ValueError("exponent must be a non-negative integer")
+            raise InvalidArgument("exponent must be a non-negative integer")
         if k == 0:
             return TSeries.constant(self.var, 1)
         result = None
@@ -262,9 +300,12 @@ def nth_root_unit(s: TSeries, n: int) -> TSeries:
 
     Solves n * s * r' = s' * r term by term, so the whole computation stays
     in Q; the result has constant term 1 and r**n = s below the truncation.
+    Order k + 1 reads n*(k+1)*r[k+1] = sum_{i>=1} s[i]*(i - n*(k+1-i))*r[k+1-i];
+    s is held as integers over its denominator and the known r as integers
+    over the lcm of their denominators, rescaled when a new one widens it.
     """
     if n < 1:
-        raise ValueError("root index must be a positive integer")
+        raise InvalidArgument("root index must be a positive integer")
     if s.terms.get(0, _ZERO) != 1:
         raise ConstantTermNotOne("n-th root requires constant term exactly 1")
     if len(s.terms) == 1:
@@ -273,20 +314,29 @@ def nth_root_unit(s: TSeries, n: int) -> TSeries:
         raise NeedsTruncation("root of a non-trivial unit is infinite; truncate first")
     if n == 1:
         return s
+    snum, sden = _common(s.terms, s.trunc)
+    support = sorted((i, c) for i, c in snum.items() if i)
     root = {0: _ONE}
-    get_s = s.terms.get
-    for k in range(0, s.trunc - 1):
-        acc = _ZERO
-        for i in range(0, k + 1):
-            si1 = get_s(i + 1)
-            if si1:
-                acc += (i + 1) * si1 * root.get(k - i, _ZERO)
-        for i in range(1, k + 1):
-            si = get_s(i)
-            if si:
-                acc -= n * si * (k - i + 1) * root.get(k - i + 1, _ZERO)
-        if acc:
-            root[k + 1] = acc / (n * (k + 1))
+    rnum = [1]  # rnum[j] / rden = root[j]
+    rden = 1
+    for k1 in range(1, s.trunc):
+        acc = 0
+        for i, c in support:
+            if i > k1:
+                break
+            r = rnum[k1 - i]
+            if r:
+                acc += c * (i - n * (k1 - i)) * r
+        if not acc:
+            rnum.append(0)
+            continue
+        coeff = Fraction(acc, sden * n * k1 * rden)
+        root[k1] = coeff
+        widen = coeff.denominator // math.gcd(rden, coeff.denominator)
+        if widen != 1:
+            rden *= widen
+            rnum = [r * widen for r in rnum]
+        rnum.append(coeff.numerator * (rden // coeff.denominator))
     return TSeries(s.var, root, s.trunc)
 
 
@@ -330,41 +380,49 @@ def solve_composition(targets, w: TSeries) -> tuple:
     if EXACT in bounds:
         raise NeedsTruncation("composition solve needs a finite truncation")
     bound = max(bounds, default=0)
-    lead = w.terms[1]
-    wterms = [(e, c) for e, c in w.terms.items() if e < bound]
-    residuals = [
-        {e: c for e, c in target.terms.items() if e < tb}
-        for target, tb in zip(targets, bounds)
-    ]
+    wnum, wden = _common(w.terms, max(bound, 2))
+    lead = wnum[1]
+    # residual i is rnums[i] / rdens[i]; w**k is wpow / pden with lead**k
+    # numerator plead at order k
+    rnums, rdens = [], []
+    for target, tb in zip(targets, bounds):
+        num, den = _common(target.terms, tb)
+        rnums.append(num)
+        rdens.append(den)
     outs = [{} for _ in targets]
-    wpow = {0: _ONE}
-    lead_k = _ONE
+    wpow = {0: 1}
+    pden = plead = 1
     for k in range(0, bound):
-        if not any(residuals):
+        if not any(rnums):
             break
-        for residual, out, tb in zip(residuals, outs, bounds):
-            ck = residual.get(k)
+        for i, (out, tb) in enumerate(zip(outs, bounds)):
+            rnum = rnums[i]
+            ck = rnum.get(k)
             if not ck:
                 continue
-            yk = ck / lead_k
+            yk = Fraction(ck * pden, rdens[i] * plead)
             out[k] = yk
+            # subtract (a / b) * wpow from the residual over the lcm of b
+            # and the residual's denominator
+            g = math.gcd(yk.numerator, pden)
+            b = yk.denominator * (pden // g)
+            den = math.lcm(rdens[i], b)
+            a = yk.numerator // g * (den // b)
+            widen = den // rdens[i]
+            if widen != 1:
+                rnum = {e: c * widen for e, c in rnum.items()}
             for e, c in wpow.items():
                 if e >= tb:
                     continue
-                cur = residual.get(e, _ZERO) - yk * c
+                cur = rnum.get(e, 0) - a * c
                 if cur:
-                    residual[e] = cur
+                    rnum[e] = cur
                 else:
-                    residual.pop(e, None)
-        nxt: dict = {}
-        for e1, c1 in wpow.items():
-            for e2, c2 in wterms:
-                e = e1 + e2
-                if e < bound:
-                    acc = nxt.get(e)
-                    nxt[e] = c1 * c2 if acc is None else acc + c1 * c2
-        wpow = nxt
-        lead_k *= lead
+                    rnum.pop(e, None)
+            rnums[i], rdens[i] = rnum, den
+        wpow = _convolve(wpow, wnum, bound)
+        pden *= wden
+        plead *= lead
     return tuple(
         TSeries(target.var, out, tb) for target, out, tb in zip(targets, outs, bounds)
     )
@@ -380,7 +438,7 @@ def exact_root(q: Fraction, k: int):
     """The rational k-th root of q, or None if it does not exist in Q."""
     q = ratio(q)
     if k < 1:
-        raise ValueError("root index must be positive")
+        raise InvalidArgument("root index must be positive")
     if k == 1:
         return q
     if q == 0:
@@ -435,7 +493,7 @@ class BivarPoly:
                 c = ratio(c)
                 if c:
                     if i < 0 or j < 0:
-                        raise ValueError("monomial exponents must be non-negative")
+                        raise InvalidArgument("monomial exponents must be non-negative")
                     clean[(int(i), int(j))] = c
         self.terms = clean
 
@@ -547,7 +605,7 @@ class BivarPoly:
 
     def __pow__(self, k: int) -> "BivarPoly":
         if k < 0:
-            raise ValueError("negative power of a polynomial")
+            raise InvalidArgument("negative power of a polynomial")
         result = BivarPoly.one()
         base = self
         while k:

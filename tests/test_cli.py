@@ -1,6 +1,10 @@
 """End-to-end CLI behavior: output formats, exit codes, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,17 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json")
     doc = json.loads(out) if out.strip() else None
     return code, doc, err
+
+
+# waits, after its first line, until the parent has closed the read end of
+# its standard output (signalled by closing its standard input)
+CLOSED_READER = """
+import sys
+from planebranch.cli import main
+print("ready", flush=True)
+sys.stdin.read()
+sys.exit(main(["zariski", "--fixture", "k47-special"]))
+"""
 
 
 def write_branch(tmp_path, name, payload):
@@ -285,6 +300,26 @@ class TestErrors:
         assert code == cli.EXIT_INTERNAL == 6
         assert out == ""
         assert err == "error: internal: ValueError: planted defect\n"
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_is_not_a_defect(self, unbuffered):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", CLOSED_READER],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"ready\n"
+        proc.stdout.close()
+        proc.stdin.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_OK
+        assert err == b""
 
     def test_decreasing_exponents_rejected(self, capsys, tmp_path):
         path = write_branch(

@@ -1,0 +1,60 @@
+"""Every kernel precondition and internal check raises a typed error.
+
+A bad argument raises `InvalidArgument`, which the CLI maps to exit code 3
+and which stays a `ValueError`; a broken internal invariant raises
+`CrossCheckFailed` (exit code 6).
+"""
+
+from dataclasses import replace
+from fractions import Fraction as F
+
+import pytest
+
+from planebranch import cli
+from planebranch.errors import CrossCheckFailed, InvalidArgument
+from planebranch.geometry import Parametrization, _rational_roots
+from planebranch.semigroup import CharData, char_sequence, standard_rep
+from planebranch.series import BivarPoly, TSeries, exact_root, nth_root_unit, ratio
+
+K467 = CharData.from_char_exponents((4, 6, 7))
+
+BAD_ARGUMENTS = {
+    "ratio": lambda: ratio(1.5),
+    "tseries-trunc": lambda: TSeries("t", {1: 1}, 0),
+    "tseries-exponent": lambda: TSeries("t", {-1: 1}, 5),
+    "tseries-fractional-exponent": lambda: TSeries("t", {F(1, 2): 1}, 5),
+    "shift": lambda: TSeries("t", {1: 1}, 5).shift(-2),
+    "tseries-pow": lambda: TSeries("t", {1: 1}, 5) ** -1,
+    "nth-root-index": lambda: nth_root_unit(TSeries("t", {0: 1, 1: 1}, 5), 0),
+    "exact-root-index": lambda: exact_root(F(4), 0),
+    "bivar-exponent": lambda: BivarPoly({(-1, 0): 1}),
+    "bivar-pow": lambda: BivarPoly.monomial(1, 1) ** -1,
+    "char-exponents-not-characteristic": lambda: CharData.from_char_exponents((4, 6, 8)),
+    "char-sequence-multiplicity": lambda: char_sequence(
+        Parametrization(0, TSeries("t", {3: 1}, 10))
+    ),
+}
+
+BROKEN_INVARIANTS = {
+    # quotients that do not match the gcd chain leave an odd remainder at e_1 = 2
+    "standard-rep-gcd-level": lambda: standard_rep(3, replace(K467, quotients=(2, 3))),
+    # a wrong v_0 leaves a remainder that v_0 does not divide
+    "standard-rep-close": lambda: standard_rep(1, replace(K467, generators=(5, 6, 13))),
+    "rational-roots-of-zero": lambda: _rational_roots({0: 0, 2: F(0)}),
+}
+
+
+@pytest.mark.parametrize("call", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+def test_bad_argument_is_a_typed_precondition(call):
+    with pytest.raises(InvalidArgument) as info:
+        call()
+    assert isinstance(info.value, ValueError)
+    assert cli._exit_code(info.value) == cli.EXIT_PRECONDITION == 3
+
+
+@pytest.mark.parametrize("call", BROKEN_INVARIANTS.values(), ids=BROKEN_INVARIANTS.keys())
+def test_broken_invariant_is_a_cross_check_failure(call):
+    with pytest.raises(CrossCheckFailed) as info:
+        call()
+    assert cli._exit_code(info.value) == cli.EXIT_INTERNAL == 6
+
