@@ -3,16 +3,18 @@
 Implicitization builds the conjugate product prod (y - p(zeta*t)) over the
 n-th roots of unity from the power sums of the conjugates by Newton's
 identities, all in Q[x]; the inverse direction is a Newton-polygon
-iteration that stays inside Q.  Intersection multiplicities are orders of
-substitutions, and the contact order is tied to them by the classical
-one-parameter correspondence on each characteristic interval.
+iteration that stays inside Q.  The intersection multiplicity of a
+polynomial with a parametrization is the order of a substitution; that of
+two parametrizations is a sum of conjugate orders, read off by comparing
+coefficients, with no equation built.  The contact order is tied to it by
+the classical one-parameter correspondence on each characteristic interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, gcd, inf
+from math import comb, gcd, inf
 
 from .errors import (
     BranchesEqual,
@@ -83,13 +85,11 @@ class Parametrization:
         return Parametrization(self.n, self.y.truncated(bound))
 
     def same_branch(self, other: "Parametrization") -> bool:
-        """Exact test that two exact parametrizations describe one branch."""
+        """Exact test that two exact parametrizations describe one branch:
+        the same n, and a conjugate of one that equals the other."""
         if not (self.exact and other.exact):
             raise NonPolynomialInput("same_branch needs exact parametrizations")
-        if self.n != other.n:
-            return False
-        f = implicitize(self)
-        return substitute(f, other.x_series(), other.y).is_zero_below_trunc()
+        return self.n == other.n and _conjugate_orders(self, other)[1] > 0
 
     def __str__(self) -> str:
         return f"(t^{self.n}, {self.y})"
@@ -166,8 +166,7 @@ def implicitize(phi: Parametrization) -> BivarPoly:
     degree r and k in the coefficients of p, e_k with integer coefficients,
     so both are integer polynomials over den**r and den**k: the loops run on
     integers and each coefficient of f becomes a Fraction once.  The input
-    must be exact (truncate inexact branches deliberately before
-    implicitizing, see `intersection`).
+    must be exact: truncate an inexact branch deliberately first.
     """
     if not phi.exact:
         raise NonPolynomialInput(
@@ -218,56 +217,6 @@ def _weierstrass_degree(f: BivarPoly) -> int:
     return n
 
 
-def _poly_eval(coeffs: dict, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    prev = None
-    for e in sorted(coeffs, reverse=True):
-        if prev is not None:
-            acc *= x ** (prev - e)
-        acc += coeffs[e]
-        prev = e
-    if prev:
-        acc *= x ** prev
-    return acc
-
-
-def _divisors(a: int) -> list:
-    divs = []
-    i = 1
-    while i * i <= a:
-        if a % i == 0:
-            divs.append(i)
-            if i != a // i:
-                divs.append(a // i)
-        i += 1
-    return sorted(divs)
-
-
-def _rational_roots(coeffs: dict) -> list:
-    """All nonzero rational roots of a univariate polynomial over Q."""
-    coeffs = {e: ratio(c) for e, c in coeffs.items() if c}
-    if not coeffs:
-        raise CrossCheckFailed("edge polynomial is zero")
-    ints, _ = _common(coeffs, EXACT)
-    low = min(ints)
-    if low:
-        ints = {e - low: c for e, c in ints.items()}
-    if len(ints) == 1:
-        return []
-    frac_ints = {e: Fraction(c) for e, c in ints.items()}
-    a0 = abs(ints[0])
-    alead = abs(ints[max(ints)])
-    roots = []
-    for p in _divisors(a0):
-        for q in _divisors(alead):
-            if gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and _poly_eval(frac_ints, cand) == 0:
-                    roots.append(cand)
-    return roots
-
-
 def _np_transform(f: BivarPoly, nu: int, mu: int, root: Fraction) -> BivarPoly:
     """f(x**nu, x**mu * (root + y)) divided by its minimal x-power."""
     acc: dict = {}
@@ -295,17 +244,17 @@ def _np_edge(cur: BivarPoly):
     edge = {j: c for (i, j), c in cur.terms.items() if i * nu + j * mu == weight}
     if 0 not in edge:
         raise NotIrreducible("Newton polygon has more than one compact edge")
-    psi = {j // nu: c for j, c in edge.items()}
-    roots = [r for r in _rational_roots(psi) if r != 0]
-    if not roots:
-        raise NonRationalCoefficient("edge polynomial has no nonzero rational root")
-    if len(roots) > 1:
-        raise NotIrreducible("edge polynomial has several distinct rational roots")
-    root = exact_root(roots[0], nu)
+    # in z = root**nu the edge polynomial of a single branch is
+    # lead * (z - c)**k, so its one root is c = -a_(k-1) / (k * lead)
+    k = jstar // nu
+    lead = edge[jstar]
+    c = -Fraction(edge.get(jstar - nu, 0)) / (k * lead)
+    for j in range(k + 1):
+        if edge.get(j * nu, 0) != lead * comb(k, j) * (-c) ** (k - j):
+            raise NotIrreducible("edge polynomial has several distinct roots")
+    root = exact_root(c, nu)
     if root is None:
-        raise NonRationalCoefficient(
-            f"required {nu}-th root of {roots[0]} is irrational"
-        )
+        raise NonRationalCoefficient(f"required {nu}-th root of {c} is irrational")
     return nu, mu, root
 
 
@@ -401,53 +350,67 @@ def intersection_poly_param(f: BivarPoly, phi: Parametrization) -> int:
     )
 
 
-def _implicitize_for_intersection(phi: Parametrization):
-    """Implicit equation of phi plus the validity cut of the truncated input."""
-    if phi.exact:
-        return implicitize(phi), None
-    cd = char_sequence(phi)
-    cut = max(cd.conductor + phi.n, phi.y.max_exponent() + 1)
-    if phi.trunc < cut:
-        raise PrecisionExhausted(
-            f"need the branch below {cut} to implicitize, have {phi.trunc}",
-            needed=cut,
-        )
-    poly_phi = Parametrization(
-        phi.n,
-        TSeries(phi.y.var, {e: c for e, c in phi.y.terms.items() if e < cut}, EXACT),
-    )
-    return implicitize(poly_phi), cut
+def _conjugate_orders(phi1: Parametrization, phi2: Parametrization):
+    """(orders, pending, bound): one scan over the exponents of both branches.
+
+    Over a common parameter u with x = u**N, N = lcm(n1, n2), the k-th
+    conjugate of the first branch multiplies its term at u**E by
+    zeta**(k*E), zeta = exp(2 pi i / N).  With rational coefficients the
+    term cancels against the second branch's only when zeta**(k*E) = 1 and
+    the coefficients are equal, when it is -1 and they are opposite, or when
+    both are zero.  `orders` holds the u-exponent of the first difference of
+    each conjugate that shows one below `bound`, the lower of the two
+    truncations in u; `pending` counts the conjugates that show none there.
+    """
+    big = phi1.n * phi2.n // gcd(phi1.n, phi2.n)
+    r1, r2 = big // phi1.n, big // phi2.n
+    a = {e * r1: c for e, c in phi1.y.terms.items()}
+    b = {e * r2: c for e, c in phi2.y.terms.items()}
+    bound = min(phi1.trunc * r1, phi2.trunc * r2)
+    pending = set(range(phi1.n))
+    orders = []
+    for e in sorted(a.keys() | b.keys()):
+        if e >= bound or not pending:
+            break
+        ae, be = a.get(e, 0), b.get(e, 0)
+        for k in list(pending):
+            twist = k * e % big
+            if twist == 0:
+                same = ae == be
+            elif 2 * twist == big:
+                same = ae == -be
+            else:
+                same = ae == be == 0
+            if not same:
+                orders.append(e)
+                pending.discard(k)
+    return orders, len(pending), bound
 
 
 def intersection(phi1: Parametrization, phi2: Parametrization) -> int:
     """Intersection multiplicity of two distinct branches.
 
-    Implicitizes the branch with smaller multiplicity (fewer power sums,
-    a smaller equation) and takes the order of the substitution into the
-    other one.
+    Halphen-Zeuthen: over x = u**N, N = lcm(n1, n2), the sum over the n1
+    conjugates of the first branch of the u-order of their difference with
+    the second is N/n2 times I (Casas-Alvero, Singularities of Plane
+    Curves, 2000).  No equation is built, and the value does not depend on
+    the argument order.  Each order is certified below both truncations; a
+    conjugate that shows no difference there means equal branches when both
+    are exact, and too little precision otherwise.
     """
-    a, b = (phi1, phi2) if phi1.n <= phi2.n else (phi2, phi1)
-    fa, cut = _implicitize_for_intersection(a)
-    try:
-        value = intersection_poly_param(fa, b)
-    except BranchesEqual:
-        if cut is not None:
-            # equality was only observed below the cut; the true branches
-            # may part ways beyond it
-            raise PrecisionExhausted(
-                f"branches agree below the implicitization cut {cut}; "
-                "raise the truncation or the branches coincide",
-                needed=cut + a.n,
-            ) from None
-        raise
-    if cut is not None:
-        cap = ceil(Fraction(cut * b.n, a.n))
-        if value >= cap:
-            raise PrecisionExhausted(
-                f"intersection {value} reaches the implicitization validity cap {cap}",
-                needed=cut + a.n,
-            )
-    return value
+    orders, pending, bound = _conjugate_orders(phi1, phi2)
+    if pending:
+        if bound == EXACT:
+            raise BranchesEqual("the branches coincide")
+        raise PrecisionExhausted(
+            f"the branches agree up to their truncations {phi1.trunc} and "
+            f"{phi2.trunc}; raise them or the branches coincide"
+        )
+    scale = phi1.n // gcd(phi1.n, phi2.n)
+    total = sum(orders)
+    if total % scale:
+        raise CrossCheckFailed(f"conjugate orders sum to {total}, not a multiple of {scale}")
+    return total // scale
 
 
 # -- contact order ----------------------------------------------------------------
@@ -493,19 +456,11 @@ def contact_from_intersection(cd: CharData, inter, mult_other: int) -> ContactOr
     solution; zero or several hits mean the pair is not realizable.
     """
     ratio_val = Fraction(inter) / mult_other
-    n = cd.mult
     hits = []
     for q in range(cd.genus + 1):
-        if q == 0:
-            theta = ratio_val / n
-        else:
-            v = cd.generators
-            beta = cd.char_exponents
-            nq = cd.quotients[q - 1]
-            prod = 1
-            for i in range(q):
-                prod *= cd.quotients[i]
-            theta = (ratio_val * prod - nq * v[q] + beta[q]) / Fraction(n)
+        # the ratio is affine in theta on each interval
+        base = _interval_ratio(cd, q, 0)
+        theta = (ratio_val - base) / (_interval_ratio(cd, q, 1) - base)
         lo, hi = _interval(cd, q)
         if theta >= 1 and lo <= theta < hi:
             hits.append(theta)

@@ -30,7 +30,7 @@ from .errors import (
     PrecisionExhausted,
     WrongEquisingularityClass,
 )
-from .geometry import Parametrization, implicitize, intersection_poly_param
+from .geometry import Parametrization, intersection
 from .semigroup import CharData, char_sequence, contains, rep_nm
 from .series import EXACT, TSeries, nth_root_unit, reparametrize, solve_composition
 
@@ -286,8 +286,9 @@ def zariski_invariant(phi: Parametrization) -> ZariskiResult:
     Genus one reduces directly.  For genus >= 2 the e1-divisible part of
     the series below the second characteristic exponent is a genus-one
     branch; its smallest surviving slot k gives lambda = e1*k when e1*k
-    stays below beta_2, and lambda = beta_2 otherwise.  Every result is
-    cross-checked through the independent implicitize-and-substitute route.
+    stays below beta_2, and lambda = beta_2 otherwise.  Every finite result
+    is cross-checked by the witness's intersection with the branch, counted
+    independently of the sweep by the conjugate scan of `intersection`.
     """
     cd = char_sequence(phi)
     n = cd.mult
@@ -332,7 +333,9 @@ def zariski_invariant(phi: Parametrization) -> ZariskiResult:
 
 def _verify_result(phi, cd: CharData, result: ZariskiResult, n1: int):
     """Independent checks of a finite result.  The witness's membership in
-    the family of y**n1 = x**m1 was certified by the sweep that built it."""
+    the family of y**n1 = x**m1 was certified by the sweep that built it;
+    its intersection with the branch comes from comparing the conjugates'
+    coefficients, certified below both truncations."""
     if not result.finite:
         return
     lam = result.exponent
@@ -346,13 +349,7 @@ def _verify_result(phi, cd: CharData, result: ZariskiResult, n1: int):
         expected = cd.generators[2]
     else:
         expected = (n1 - 1) * m + lam
-    wit = result.witness
-    if not wit.exact:
-        # the contact with the branch is decided at the invariant's exponent,
-        # so the stored terms up to there implicitize to an equivalent check
-        keep = {e: c for e, c in wit.y.terms.items() if e <= lam}
-        wit = Parametrization(wit.n, TSeries(wit.y.var, keep, EXACT))
-    observed = intersection_poly_param(implicitize(wit), phi)
+    observed = intersection(result.witness, phi)
     if observed != expected:
         raise CrossCheckFailed(
             f"witness intersection {observed} differs from the predicted {expected}"

@@ -8,6 +8,7 @@ import pytest
 from planebranch.errors import (
     BranchesEqual,
     NonRationalCoefficient,
+    NotIrreducible,
     NotRealizable,
     NotWeierstrass,
     PrecisionExhausted,
@@ -29,7 +30,12 @@ from planebranch.geometry import (
 )
 from planebranch.semigroup import CharData, char_sequence
 from planebranch.series import BivarPoly, TSeries, substitute
-from conftest import dict_order, eval_poly_on_series, resultant_implicitize
+from conftest import (
+    binomial_coefficient,
+    dict_order,
+    eval_poly_on_series,
+    resultant_implicitize,
+)
 
 
 def _seeded(seed, n, exponents):
@@ -157,25 +163,41 @@ class TestPuiseux:
 
     def test_infinite_series_root_matches_binomial_oracle(self):
         # y^2 = x^3 (1 + x): the root is t^3 * (1 + t^2)^(1/2)
-        from conftest import binomial_coefficient
+        _check_binomial_root(30)
 
-        f = BivarPoly.from_pairs([((0, 2), 1), ((3, 0), -1), ((4, 0), -1)])
-        phi = puiseux_parametrization(f, trunc=30)
-        assert not phi.exact and phi.trunc == 30
-        expected = {
-            3 + 2 * k: binomial_coefficient(F(1, 2), k)
-            for k in range(14)
-            if binomial_coefficient(F(1, 2), k) and 3 + 2 * k < 30
-        }
-        assert phi.y.terms == expected
-        value = substitute(f, phi.x_series(), phi.y)
-        assert value.is_zero_below_trunc()
+    def test_root_far_out_matches_binomial_oracle(self):
+        # the edge root comes in closed form; a search over the divisors of
+        # the cleared edge coefficients grew exponentially with trunc
+        _check_binomial_root(60)
+
+    def test_edge_with_several_roots_is_reducible(self):
+        # edge polynomial z^3 - z^2 + z - 1 = (z - 1)(z^2 + 1): one rational
+        # root, but not the single repeated root of one branch
+        f = BivarPoly.from_pairs([((0, 3), 1), ((2, 2), -1), ((4, 1), 1), ((6, 0), -1)])
+        with pytest.raises(NotIrreducible):
+            geometry._np_edge(f)
+        with pytest.raises(NotIrreducible):
+            puiseux_parametrization(f + BivarPoly.monomial(7, 0))
 
     def test_default_truncation_is_conductor_based(self):
         f = BivarPoly.from_pairs([((0, 2), 1), ((3, 0), -1), ((4, 0), -1)])
         phi = puiseux_parametrization(f)
         # conductor of <2, 3> is 2; default bound is conductor + 2n
         assert phi.trunc == 6
+
+
+def _check_binomial_root(trunc):
+    f = BivarPoly.from_pairs([((0, 2), 1), ((3, 0), -1), ((4, 0), -1)])
+    phi = puiseux_parametrization(f, trunc=trunc)
+    assert not phi.exact and phi.trunc == trunc
+    expected = {
+        3 + 2 * k: binomial_coefficient(F(1, 2), k)
+        for k in range(trunc)
+        if binomial_coefficient(F(1, 2), k) and 3 + 2 * k < trunc
+    }
+    assert phi.y.terms == expected
+    value = substitute(f, phi.x_series(), phi.y)
+    assert value.is_zero_below_trunc()
 
 
 class TestIntersectionPolyParam:
@@ -263,12 +285,22 @@ class TestIntersection:
         cusp = Parametrization.from_pairs(2, [(3, 1)])
         # contact 5/2 (the roots differ at t^5), so I = 8
         assert intersection(root, cusp) == 8
-        # a pair whose true intersection exceeds the validity cap of the
-        # truncated side must refuse rather than report a wrong value
+        # a pair that agrees on every term the truncated side knows must
+        # refuse rather than report a wrong value
         short = puiseux_parametrization(f, trunc=6)
         close = Parametrization.from_pairs(2, [(3, 1), (5, F(1, 2))])
         with pytest.raises(PrecisionExhausted):
             intersection(short, close)
+
+    def test_truncated_pair_certified_in_both_orders(self):
+        # the roots part at t^27, below the truncation 30 of `root`: the
+        # identity conjugate contributes 27, the conjugate t -> -t 3
+        f = BivarPoly.from_pairs([((0, 2), 1), ((3, 0), -1), ((4, 0), -1)])
+        root = puiseux_parametrization(f, trunc=30)
+        close = Parametrization.from_pairs(
+            2, [*((e, c) for e, c in root.y.terms.items() if e < 27), (27, 5)]
+        )
+        assert intersection(root, close) == intersection(close, root) == 30
 
 
 class TestContactCorrespondence:

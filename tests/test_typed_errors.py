@@ -12,7 +12,7 @@ import pytest
 
 from planebranch import cli
 from planebranch.errors import CrossCheckFailed, InvalidArgument
-from planebranch.geometry import Parametrization, _rational_roots
+from planebranch.geometry import Parametrization
 from planebranch.semigroup import CharData, char_sequence, standard_rep
 from planebranch.series import BivarPoly, TSeries, exact_root, nth_root_unit, ratio
 
@@ -40,7 +40,6 @@ BROKEN_INVARIANTS = {
     "standard-rep-gcd-level": lambda: standard_rep(3, replace(K467, quotients=(2, 3))),
     # a wrong v_0 leaves a remainder that v_0 does not divide
     "standard-rep-close": lambda: standard_rep(1, replace(K467, generators=(5, 6, 13))),
-    "rational-roots-of-zero": lambda: _rational_roots({0: 0, 2: F(0)}),
 }
 
 
