@@ -46,7 +46,7 @@ from .geometry import (
     swap_parametrization,
 )
 from .semigroup import char_sequence
-from .series import BivarPoly
+from .series import BivarPoly, substitute
 from .zariski import infer_zariski, zariski_invariant
 
 EXIT_OK = 0
@@ -176,6 +176,17 @@ def _fmt_rational(value) -> str:
     return str(Fraction(value))
 
 
+def _known_or_computed_lambda(session, phi: Parametrization, infinite: str) -> int:
+    """The invariant of phi: --known-lambda when given, else computed; an
+    infinite one raises HypothesisNotMet with the command's message."""
+    if session.args.known_lambda is not None:
+        return session.args.known_lambda
+    res = zariski_invariant(phi)
+    if not res.finite:
+        raise HypothesisNotMet(infinite)
+    return res.exponent
+
+
 # -- commands -----------------------------------------------------------------
 
 def cmd_invariants(session) -> None:
@@ -261,15 +272,9 @@ def cmd_pair(session) -> None:
     # infer
     phi_a = session.to_param(a)
     cd_a = char_sequence(phi_a)
-    if session.args.known_lambda is not None:
-        lam_a = session.args.known_lambda
-    else:
-        res_a = zariski_invariant(phi_a)
-        if not res_a.finite:
-            raise HypothesisNotMet(
-                "first branch has infinite invariant; nothing to transfer"
-            )
-        lam_a = res_a.exponent
+    lam_a = _known_or_computed_lambda(
+        session, phi_a, "first branch has infinite invariant; nothing to transfer"
+    )
     value = _pair_intersection(session, a, b)
     inferred = infer_zariski(cd_a, lam_a, _mult_of(b, session), intersection_value=value)
     session.checks["intersection"] = value
@@ -287,15 +292,9 @@ def cmd_expand(session) -> None:
     h_phi = session.to_param(hbranch)
     phi_f = session.to_param(fbranch)
     cd_f = char_sequence(phi_f)
-    if session.args.known_lambda is not None:
-        lam = session.args.known_lambda
-    else:
-        res_f = zariski_invariant(phi_f)
-        if not res_f.finite:
-            raise HypothesisNotMet(
-                "branch has infinite invariant; the decomposition needs a finite one"
-            )
-        lam = res_f.exponent
+    lam = _known_or_computed_lambda(
+        session, phi_f, "branch has infinite invariant; the decomposition needs a finite one"
+    )
     dec = zariski_decomposition(f, h_phi, cd_f, lam)
     session.checks.update(dec.checks)
     results = {
@@ -338,8 +337,6 @@ def cmd_convert(session) -> None:
     phi = puiseux_parametrization(branch, trunc=session.args.precision)
     session.note_precision(phi.trunc)
     # vanishing check: the defining property of the output
-    from .series import substitute
-
     value = substitute(branch, phi.x_series(), phi.y)
     if not value.is_zero_below_trunc():
         raise CrossCheckFailed("computed parametrization does not annihilate f")

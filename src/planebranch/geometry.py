@@ -35,7 +35,9 @@ from .series import (
     _common,
     _convolve,
     exact_root,
+    nth_root_unit,
     ratio,
+    solve_composition,
     substitute,
 )
 
@@ -218,14 +220,19 @@ def _weierstrass_degree(f: BivarPoly) -> int:
 
 
 def _np_transform(f: BivarPoly, nu: int, mu: int, root: Fraction) -> BivarPoly:
-    """f(x**nu, x**mu * (root + y)) divided by its minimal x-power."""
+    """f(x**nu, x**mu * (root + y)) divided by its minimal x-power.
+
+    (root + y)**j expands by one table of C(j, l) * root**(j - l), built
+    once for the y-degree of f.
+    """
+    table = [[comb(j, l) * root ** (j - l) for l in range(j + 1)] for j in range(f.deg_y() + 1)]
     acc: dict = {}
     shift = min(nu * i + mu * j for (i, j) in f.terms)
     for (i, j), c in f.terms.items():
         base = nu * i + mu * j - shift
-        for l in range(j + 1):
+        for l, b in enumerate(table[j]):
             key = (base, l)
-            acc[key] = acc.get(key, Fraction(0)) + c * comb(j, l) * root ** (j - l)
+            acc[key] = acc.get(key, 0) + c * b
     return BivarPoly(acc)
 
 
@@ -258,80 +265,63 @@ def _np_edge(cur: BivarPoly):
     return nu, mu, root
 
 
-def _stage_exponents(stages) -> list:
-    """t-exponent contributed by each stage (final once ramification ends)."""
-    exps = []
-    total = 0
-    scales = [1] * len(stages)
-    for k in range(len(stages) - 2, -1, -1):
-        scales[k] = scales[k + 1] * stages[k + 1][0]
-    for (nu, mu, _), scale in zip(stages, scales):
-        total += mu * scale
-        exps.append(total)
-    return exps
-
-
-def _char_from_stages(stages, n: int) -> list:
-    beta = [n]
-    e = n
-    for exp in _stage_exponents(stages):
-        if e == 1:
-            break
-        if exp % e:
-            beta.append(exp)
-            e = gcd(e, exp)
-    if e != 1:
-        raise NotIrreducible("stages do not yield a primitive parametrization")
-    return beta
-
-
 def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametrization:
     """A rational Puiseux parametrization (t**n, y(t)) of an irreducible branch.
 
-    Newton-polygon iteration: each stage picks the unique edge through the
-    lowest point on the y-axis, solves the edge polynomial for its unique
-    rational root and recenters.  Aborts with NonRationalCoefficient rather
-    than extending the coefficient field.  Default truncation: conductor of
-    the branch plus twice its multiplicity.
+    Newton-polygon iteration in one pass: each stage takes the unique edge
+    through the lowest point on the y-axis and the unique rational root of
+    its edge polynomial, records the term and recenters,
+    f <- f(x**nu, x**mu * (root + y)).  With ram the product of the nu so
+    far, the stage's term is root * x**e, e = e_prev + mu / ram, at
+    t-exponent n * e; the stages with nu > 1 give the characteristic
+    exponents.  Aborts with NonRationalCoefficient rather than extending
+    the coefficient field.  Default truncation: conductor of the branch plus
+    twice its multiplicity.
+
+    While ram < n, n / ram >= 2 roots of f, counted with multiplicity,
+    share every term so far, so they agree beyond x**e.  Two distinct roots
+    of a squarefree f differ at x-order at most ord_x(disc_y f) / 2, and the
+    discriminant, a Sylvester determinant of size 2n - 1, has x-degree at
+    most (2n - 1) * deg_x f: an e past half of that means a repeated factor
+    (NotIrreducible).  Once ram = n every stage adds at least 1 to the
+    t-exponent, so the loop reaches any target.
     """
     n = _weierstrass_degree(f)
-    stages: list = []
-    cur = f
-    ram = 1
-    exact = False
-    target = trunc
-    max_stages = 4 * n + 512
+    separation = Fraction((2 * n - 1) * max(i for i, _ in f.terms), 2)
+    terms: dict = {}  # x-exponent -> coefficient
+    beta = [n]
+    cur, ram, xexp, target = f, 1, Fraction(0), trunc
     while True:
-        if len(stages) > max_stages:
-            raise PrecisionExhausted("Newton-polygon iteration did not terminate")
         edge = _np_edge(cur)
         if edge is None:
-            exact = True
+            if ram != n:
+                raise NotIrreducible(
+                    f"branch closed with ramification {ram}, but the y-degree is {n}"
+                )
+            bound = EXACT
             break
         nu, mu, root = edge
-        if ram * nu > n:
-            raise NotIrreducible("ramification exceeds the y-degree")
-        if ram == n and nu != 1:
-            raise NotIrreducible("extra ramification after the branch was complete")
-        stages.append(edge)
+        # nu divides the edge's lowest y-power n / ram, so ram stays a
+        # divisor of n and nu is 1 once ram = n
         ram *= nu
-        cur = _np_transform(cur, nu, mu, root)
+        xexp += Fraction(mu, ram)
+        terms[xexp] = root
+        if nu > 1:
+            beta.append(int(n * xexp))
         if ram == n:
             if target is None:
-                cd = CharData.from_char_exponents(_char_from_stages(stages, n))
-                target = cd.conductor + 2 * n
-            if _stage_exponents(stages)[-1] >= target:
+                target = CharData.from_char_exponents(beta).conductor + 2 * n
+            if n * xexp >= target:
+                bound = target
                 break
-    if exact and ram != n:
-        raise NotIrreducible(
-            f"branch closed with ramification {ram}, but the y-degree is {n}"
-        )
-    bound = EXACT if exact else target
-    terms: dict = {}
-    for e, (_, _, root) in zip(_stage_exponents(stages), stages):
-        if e < bound:
-            terms[e] = root
-    return Parametrization(n, TSeries(PARAM_VAR, terms, bound))
+        elif xexp > separation:
+            raise NotIrreducible(
+                f"roots still agree at x-order {xexp}, past the discriminant "
+                f"bound {separation}: f has a repeated factor"
+            )
+        cur = _np_transform(cur, nu, mu, root)
+    series = {int(n * e): c for e, c in terms.items() if n * e < bound}
+    return Parametrization(n, TSeries(PARAM_VAR, series, bound))
 
 
 # -- intersection multiplicity ---------------------------------------------------
@@ -488,8 +478,6 @@ def swap_parametrization(phi: Parametrization, trunc: int | None = None) -> Para
     the new y-series solves Y(w(t)) = t**n.  Needs the leading coefficient
     of y to have a rational m-th root.
     """
-    from .series import nth_root_unit, solve_composition
-
     y = phi.y
     o = y.order()
     if not o.known:

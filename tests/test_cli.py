@@ -266,6 +266,23 @@ class TestErrors:
         code, _, err = run(capsys, "zariski", path)
         assert code == 4
 
+    def test_repeated_factor_exit_code(self, capsys, tmp_path):
+        # (y^2 - x^3 - x^4)^2: a repeated factor is no branch, not a
+        # precision problem
+        path = write_branch(
+            tmp_path,
+            "square.json",
+            {
+                "kind": "polynomial",
+                "terms": [
+                    [[0, 4], "1"], [[3, 2], "-2"], [[4, 2], "-2"],
+                    [[6, 0], "1"], [[7, 0], "2"], [[8, 0], "1"],
+                ],
+            },
+        )
+        code, _, err = run(capsys, "convert", "puiseux", path)
+        assert code == 3 and "repeated factor" in err
+
     def test_non_primitive_exit_code(self, capsys, tmp_path):
         path = write_branch(
             tmp_path,

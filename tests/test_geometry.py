@@ -185,6 +185,48 @@ class TestPuiseux:
         # conductor of <2, 3> is 2; default bound is conductor + 2n
         assert phi.trunc == 6
 
+    def test_non_transversal_input_takes_its_own_truncation(self):
+        # (y - x)^2 = x^3 is the branch (t^2, t^2 + t^3): its first stage does
+        # not ramify, so the stages found so far are no transversal branch to
+        # classify; the default truncation comes from the ramifying stages
+        f = BivarPoly.from_pairs([((0, 2), 1), ((1, 1), -2), ((2, 0), 1), ((3, 0), -1)])
+        phi = puiseux_parametrization(f)
+        assert phi.n == 2 and phi.exact and phi.y.terms == {2: F(1), 3: F(1)}
+
+    def test_long_root_is_not_cut_by_a_stage_count(self):
+        # one non-ramifying stage per term: 520 stages before y | f
+        f = BivarPoly.from_pairs([((0, 1), 1)] + [((i, 0), -1) for i in range(1, 521)])
+        phi = puiseux_parametrization(f, trunc=600)
+        assert phi.n == 1 and phi.exact
+        assert phi.y.terms == {e: F(1) for e in range(1, 521)}
+
+    def test_repeated_factor_is_refused(self):
+        # the two double roots of (y^2 - x^3 - x^4)^2 never separate, so the
+        # ramification stays at 2 < 4; the stages pass the discriminant bound
+        # 7 * 8 / 2 at x-order 57/2
+        f = BivarPoly.from_pairs([((0, 2), 1), ((3, 0), -1), ((4, 0), -1)])
+        with pytest.raises(NotIrreducible, match="repeated factor"):
+            puiseux_parametrization(f * f)
+
+    def test_roots_sharing_a_long_prefix_are_separated(self):
+        # f = (y - p)^2 - x^15 (1 + x), with p the polynomial part of
+        # x^8 sqrt(1 + 1/x), has x-degree 8, and its two roots
+        # p +- x^(15/2) sqrt(1 + x) share every term up to x^7: past a
+        # quarter of the bound (2n - 1) deg_x(f) = 24, within its half
+        d = 8
+        p = BivarPoly.from_pairs(
+            [((d - k, 0), binomial_coefficient(F(1, 2), k)) for k in range(d)]
+        )
+        y = BivarPoly.monomial(0, 1)
+        f = (y - p) ** 2 - BivarPoly.from_pairs([((2 * d - 1, 0), 1), ((2 * d, 0), 1)])
+        assert max(i for i, _ in f.terms) == d
+        phi = puiseux_parametrization(f)
+        # class <2, 15>: conductor 14, default bound 14 + 2n
+        assert phi.n == 2 and phi.trunc == 2 * d + 2
+        expected = {2 * (d - k): binomial_coefficient(F(1, 2), k) for k in range(d)}
+        expected.update({2 * d - 1 + 2 * k: binomial_coefficient(F(1, 2), k) for k in range(2)})
+        assert phi.y.terms == expected
+
 
 def _check_binomial_root(trunc):
     f = BivarPoly.from_pairs([((0, 2), 1), ((3, 0), -1), ((4, 0), -1)])
