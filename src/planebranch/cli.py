@@ -337,7 +337,7 @@ def cmd_convert(session) -> None:
     phi = puiseux_parametrization(branch, trunc=session.args.precision)
     session.note_precision(phi.trunc)
     # vanishing check: the defining property of the output
-    value = substitute(branch, phi.x_series(), phi.y)
+    value = substitute(branch, phi.n, phi.y)
     if not value.is_zero_below_trunc():
         raise CrossCheckFailed("computed parametrization does not annihilate f")
     session.checks["vanishes_below"] = (

@@ -197,7 +197,7 @@ def implicitize(phi: Parametrization) -> BivarPoly:
         for k, ek in enumerate(elementary)
         for d, c in ek.items()
     })
-    check = substitute(poly, phi.x_series(), phi.y)
+    check = substitute(poly, phi.n, phi.y)
     if not check.is_zero_below_trunc():
         raise CrossCheckFailed("implicit equation does not vanish on the branch")
     return poly
@@ -276,7 +276,9 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
     t-exponent n * e; the stages with nu > 1 give the characteristic
     exponents.  Aborts with NonRationalCoefficient rather than extending
     the coefficient field.  Default truncation: conductor of the branch plus
-    twice its multiplicity.
+    twice its multiplicity, the conductor summed as the stages come,
+    sum (e_(i-1) - e_i) * (beta_i - 1) with e_i = n / ram, which needs
+    neither a singular nor a transversal branch.
 
     While ram < n, n / ram >= 2 roots of f, counted with multiplicity,
     share every term so far, so they agree beyond x**e.  Two distinct roots
@@ -289,7 +291,7 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
     n = _weierstrass_degree(f)
     separation = Fraction((2 * n - 1) * max(i for i, _ in f.terms), 2)
     terms: dict = {}  # x-exponent -> coefficient
-    beta = [n]
+    conductor = 0
     cur, ram, xexp, target = f, 1, Fraction(0), trunc
     while True:
         edge = _np_edge(cur)
@@ -307,10 +309,11 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
         xexp += Fraction(mu, ram)
         terms[xexp] = root
         if nu > 1:
-            beta.append(int(n * xexp))
+            # (e_(i-1) - e_i) * (beta_i - 1), with e_i = n / ram
+            conductor += (nu - 1) * (n // ram) * (int(n * xexp) - 1)
         if ram == n:
             if target is None:
-                target = CharData.from_char_exponents(beta).conductor + 2 * n
+                target = conductor + 2 * n
             if n * xexp >= target:
                 bound = target
                 break
@@ -328,7 +331,7 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
 
 def intersection_poly_param(f: BivarPoly, phi: Parametrization) -> int:
     """Intersection multiplicity as the t-order of f on the parametrization."""
-    value = substitute(f, phi.x_series(), phi.y)
+    value = substitute(f, phi.n, phi.y)
     o = value.order()
     if o.known:
         return o.value

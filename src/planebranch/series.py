@@ -340,27 +340,20 @@ def nth_root_unit(s: TSeries, n: int) -> TSeries:
     return TSeries(s.var, root, s.trunc)
 
 
-def _horner(coeffs: dict, s: TSeries) -> TSeries:
-    """Evaluate sum(coeffs[e] * s**e) by Horner steps over the sparse support."""
-    if not coeffs:
-        return TSeries.zero(s.var)
-    exps = sorted(coeffs, reverse=True)
-    acc = TSeries.constant(s.var, coeffs[exps[0]])
-    prev = exps[0]
-    for e in exps[1:]:
-        acc = acc * (s ** (prev - e)) + TSeries.constant(s.var, coeffs[e])
-        prev = e
-    if prev:
-        acc = acc * (s ** prev)
-    return acc
-
-
 def reparametrize(s: TSeries, rho: TSeries) -> TSeries:
     """Composition s(rho(u)) for a parameter change rho of order exactly 1."""
     o = rho.order()
     if not o.known or o.value != 1:
         raise InvalidParameterChange("parameter change must have order exactly 1")
-    result = _horner(s.terms, rho)
+    if not s.terms:
+        return TSeries.zero(rho.var, s.trunc)
+    # Horner steps over the sparse support of s
+    exps = sorted(s.terms, reverse=True)
+    result = TSeries.constant(rho.var, s.terms[exps[0]])
+    for prev, e in zip(exps, exps[1:]):
+        result = result * (rho ** (prev - e)) + TSeries.constant(rho.var, s.terms[e])
+    if exps[-1]:
+        result = result * (rho ** exps[-1])
     return result.truncated(min(result.trunc, s.trunc))
 
 
@@ -454,15 +447,9 @@ def exact_root(q: Fraction, k: int):
 
 
 def _int_root(a: int, k: int):
-    """Exact integer k-th root of a >= 0, or None."""
-    if a in (0, 1):
-        return a
-    r = round(a ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** k == a:
-            return cand
-    # float guess can be off for large inputs; fall back to bisection
-    lo, hi = 0, 1 << ((a.bit_length() + k - 1) // k + 1)
+    """Exact integer k-th root of a >= 0, or None (bisection in integers,
+    so any size works)."""
+    lo, hi = 0, 1 << -(-a.bit_length() // k)
     while lo <= hi:
         mid = (lo + hi) // 2
         p = mid ** k
@@ -528,12 +515,6 @@ class BivarPoly:
 
     def deg_y(self) -> int:
         return max((j for _, j in self.terms), default=-1)
-
-    def by_y_degree(self) -> dict:
-        rows: dict = {}
-        for (i, j), c in self.terms.items():
-            rows.setdefault(j, {})[i] = c
-        return rows
 
     def is_monic_in_y(self) -> bool:
         d = self.deg_y()
@@ -656,23 +637,22 @@ class BivarPoly:
         return BivarPoly(quotient)
 
 
-def substitute(poly: BivarPoly, xs: TSeries, ys: TSeries) -> TSeries:
-    """Evaluate a bivariate polynomial at a pair of series (ring homomorphism).
+def substitute(poly: BivarPoly, n: int, y: TSeries) -> TSeries:
+    """poly(t**n, y(t)): a bivariate polynomial on the branch (t**n, y(t)).
 
-    Performed with Horner steps in y whose coefficients are Horner
-    evaluations in x, so truncation bounds propagate through the ring
-    operations only.
+    x**i is the shift by n*i, so each y-row of poly is an exact series read
+    off its terms; one Horner pass in y combines the rows, and truncation
+    bounds propagate through the ring operations only.
     """
-    xs._check_tag(ys)
-    if not poly.terms:
-        return TSeries.zero(xs.var)
-    rows = poly.by_y_degree()
+    rows: dict = {}
+    for (i, j), c in poly.terms.items():
+        rows.setdefault(j, {})[n * i] = c
+    if not rows:
+        return TSeries.zero(y.var)
     ydegs = sorted(rows, reverse=True)
-    acc = _horner(rows[ydegs[0]], xs)
-    prev = ydegs[0]
-    for j in ydegs[1:]:
-        acc = acc * (ys ** (prev - j)) + _horner(rows[j], xs)
-        prev = j
-    if prev:
-        acc = acc * (ys ** prev)
+    acc = TSeries(y.var, rows[ydegs[0]], EXACT)
+    for prev, j in zip(ydegs, ydegs[1:]):
+        acc = acc * (y ** (prev - j)) + TSeries(y.var, rows[j], EXACT)
+    if ydegs[-1]:
+        acc = acc * (y ** ydegs[-1])
     return acc

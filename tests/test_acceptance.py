@@ -107,7 +107,7 @@ def test_criterion_03_intersection_and_inference_on_the_sextic():
 
 
 def test_criterion_04_cusp_witness_expansion():
-    value = substitute(SEXTIC, TSeries.monomial("t", 3), TSeries.monomial("t", 7))
+    value = substitute(SEXTIC, 3, TSeries.monomial("t", 7))
     assert value.terms == {
         44: F(9), 45: F(-9), 46: F(6), 47: F(-9), 48: F(10), 49: F(-6), 51: F(-1)
     }

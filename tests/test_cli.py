@@ -221,6 +221,19 @@ class TestConvert:
         assert code == 0
         assert doc["results"]["branch"]["terms"] == [[14, "1"], [16, "1"], [17, "1"]]
 
+    def test_puiseux_with_a_coefficient_past_float_range(self, capsys, tmp_path):
+        # y^2 - 10^400 x^3: the edge root 10^200 is an exact integer root
+        path = write_branch(
+            tmp_path,
+            "huge.json",
+            {"kind": "polynomial", "terms": [[[0, 2], "1"], [[3, 0], str(-10**400)]]},
+        )
+        code, doc, err = run_json(capsys, "convert", "puiseux", path)
+        assert code == 0, err
+        assert doc["results"]["branch"]["n"] == 2
+        assert doc["results"]["branch"]["terms"] == [[3, str(10**200)]]
+        assert "trunc" not in doc["results"]["branch"]
+
     def test_roundtrip_through_files(self, capsys, tmp_path):
         code, doc, _ = run_json(
             capsys, "convert", "implicitize", "--fixture", "k37-deformed"

@@ -29,7 +29,7 @@ from planebranch.geometry import (
     swap_parametrization,
 )
 from planebranch.semigroup import CharData, char_sequence
-from planebranch.series import BivarPoly, TSeries, substitute
+from planebranch.series import EXACT, BivarPoly, TSeries, substitute
 from conftest import (
     binomial_coefficient,
     dict_order,
@@ -85,7 +85,7 @@ class TestImplicitize:
         phi = Parametrization.from_pairs(n, pairs)
         poly = implicitize(phi)
         assert poly.deg_y() == n and poly.is_monic_in_y()
-        value = substitute(poly, phi.x_series(), phi.y)
+        value = substitute(poly, phi.n, phi.y)
         assert value.is_zero_below_trunc() and value.exact
 
     @pytest.mark.parametrize(
@@ -138,7 +138,7 @@ class TestPuiseux:
         phi = puiseux_parametrization(sextic, trunc=48)
         cd = char_sequence(phi)
         assert cd.char_exponents == (6, 14, 17)
-        value = substitute(sextic, phi.x_series(), phi.y)
+        value = substitute(sextic, phi.n, phi.y)
         assert value.is_zero_below_trunc()
         assert value.trunc >= 80
 
@@ -193,6 +193,24 @@ class TestPuiseux:
         phi = puiseux_parametrization(f)
         assert phi.n == 2 and phi.exact and phi.y.terms == {2: F(1), 3: F(1)}
 
+    @pytest.mark.parametrize(
+        "pairs, n, terms, trunc",
+        [
+            # smooth: no ramifying stage, conductor 0, default bound 2
+            ([((0, 1), 1), ((1, 0), -1), ((2, 0), -1)], 1, {1: F(1)}, 2),
+            # smooth but tangent to the y-axis: the branch (t^2, t)
+            ([((0, 2), 1), ((1, 0), -1)], 2, {1: F(1)}, EXACT),
+            # first exponent below the multiplicity: the branch (t^3, t^2)
+            ([((0, 3), 1), ((2, 0), -1)], 3, {2: F(1)}, EXACT),
+        ],
+        ids=["y-x-x2", "y2-x", "y3-x2"],
+    )
+    def test_default_truncation_needs_no_singular_transversal_branch(
+        self, pairs, n, terms, trunc
+    ):
+        phi = puiseux_parametrization(BivarPoly.from_pairs(pairs))
+        assert (phi.n, phi.y.terms, phi.trunc) == (n, terms, trunc)
+
     def test_long_root_is_not_cut_by_a_stage_count(self):
         # one non-ramifying stage per term: 520 stages before y | f
         f = BivarPoly.from_pairs([((0, 1), 1)] + [((i, 0), -1) for i in range(1, 521)])
@@ -238,7 +256,7 @@ def _check_binomial_root(trunc):
         if binomial_coefficient(F(1, 2), k) and 3 + 2 * k < trunc
     }
     assert phi.y.terms == expected
-    value = substitute(f, phi.x_series(), phi.y)
+    value = substitute(f, phi.n, phi.y)
     assert value.is_zero_below_trunc()
 
 
@@ -507,7 +525,7 @@ class TestSwap:
         phi = Parametrization.from_pairs(5, [(4, 1), (6, 1)])
         swapped = swap_parametrization(phi, trunc=40)
         poly = implicitize(Parametrization.from_pairs(5, [(4, 1), (6, 1)])).swap_xy()
-        value = substitute(poly, swapped.x_series(), swapped.y)
+        value = substitute(poly, swapped.n, swapped.y)
         assert value.is_zero_below_trunc()
 
     def test_swap_needs_rational_root(self):

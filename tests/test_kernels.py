@@ -4,7 +4,9 @@ Products, n-th roots, composition solves and implicitization clear
 denominators, work on integers and rebuild Fractions once; each is checked
 here against the dict-convolution oracles of `conftest`, which add and
 multiply Fractions one term at a time.  Inputs mix signs, large and coprime
-denominators and sparse supports, at exact and truncated bounds.
+denominators and sparse supports, at exact and truncated bounds.  The
+evaluation of a polynomial on a branch, `substitute`, is checked the same
+way against `eval_poly_on_series`.
 """
 
 from fractions import Fraction as F
@@ -12,16 +14,23 @@ from fractions import Fraction as F
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
 from planebranch.geometry import Parametrization, implicitize  # noqa: E402
 from planebranch.series import (  # noqa: E402
     EXACT,
+    BivarPoly,
     TSeries,
     nth_root_unit,
     solve_composition,
+    substitute,
 )
-from conftest import dict_mul, dict_pow, resultant_implicitize  # noqa: E402
+from conftest import (  # noqa: E402
+    dict_mul,
+    dict_pow,
+    eval_poly_on_series,
+    resultant_implicitize,
+)
 
 KERNEL_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -145,3 +154,24 @@ def test_implicitize_matches_the_resultant(n, p):
 def test_implicitize_edge_cases(n, p):
     phi = Parametrization(n, TSeries("t", p, EXACT))
     assert implicitize(phi) == resultant_implicitize(phi)
+
+
+# gaps in the y-degree, a lowest y-degree above 0, x-only and zero
+polynomials = st.one_of(
+    st.dictionaries(
+        st.tuples(st.integers(0, 5), st.integers(0, 6)), coefficients, min_size=1, max_size=5
+    ),
+    st.dictionaries(st.tuples(st.integers(0, 8), st.just(0)), coefficients, max_size=4),
+    st.just({}),
+)
+
+
+@seed(8)
+@KERNEL_SETTINGS
+@given(polynomials, st.integers(1, 6), series(high=12, trunc=truncations))
+def test_substitute_matches_term_by_term_evaluation(terms, n, y):
+    value = substitute(BivarPoly(terms), n, y)
+    assert value.trunc >= y.trunc
+    if y.exact:
+        assert value.exact
+    assert value.terms == eval_poly_on_series(terms, n, y.terms, value.trunc)

@@ -17,6 +17,7 @@ from planebranch.series import (
     EXACT,
     BivarPoly,
     TSeries,
+    exact_root,
     inverse_parameter,
     nth_root_unit,
     reparametrize,
@@ -118,28 +119,46 @@ class TestNthRootUnit:
             nth_root_unit(ts([(0, 2)], 10), 3)
 
 
+class TestExactRoot:
+    """Integer roots past the float range (about 1e308) are exact."""
+
+    def test_huge_square(self):
+        assert exact_root(F(3**660), 2) == 3**330
+
+    def test_huge_non_square(self):
+        assert exact_root(F(3**661), 2) is None
+        assert exact_root(F(3**660 + 1), 2) is None
+
+    def test_odd_root_of_a_huge_negative(self):
+        q = F(-(3**663), 7**600)
+        assert exact_root(q, 3) == F(-(3**221), 7**200)
+
+    def test_small_values(self):
+        for a in range(200):
+            for k in range(1, 6):
+                r = round(a ** (1 / k))
+                assert exact_root(F(a), k) == (r if r**k == a else None)
+
+
 class TestSubstitute:
     def test_sextic_on_the_cusp(self, sextic):
-        value = substitute(sextic, TSeries.monomial("t", 3), TSeries.monomial("t", 7))
+        value = substitute(sextic, 3, TSeries.monomial("t", 7))
         assert value.terms == {
             44: F(9), 45: F(-9), 46: F(6), 47: F(-9), 48: F(10), 49: F(-6), 51: F(-1)
         }
         assert value.exact
 
     def test_deformed_cubic_vanishes_on_its_branch(self, deformed37):
-        value = substitute(
-            deformed37, TSeries.monomial("t", 3), ts([(7, 1), (9, 1)])
-        )
+        value = substitute(deformed37, 3, ts([(7, 1), (9, 1)]))
         assert value.is_zero_below_trunc() and value.exact
 
     def test_cusp_identity(self):
         cusp = BivarPoly.from_pairs([((0, 2), 1), ((3, 0), -1)])
-        value = substitute(cusp, TSeries.monomial("t", 2), TSeries.monomial("t", 3))
+        value = substitute(cusp, 2, TSeries.monomial("t", 3))
         assert value.is_zero_below_trunc() and value.exact
 
     def test_substitution_is_a_ring_homomorphism(self):
         rng = random.Random(99)
-        xs = ts([(2, 1), (5, F(1, 2))], 30)
         ys = ts([(3, 1), (4, -2)], 30)
         for _ in range(10):
             def rand_poly():
@@ -151,11 +170,11 @@ class TestSubstitute:
                 )
 
             p, q = rand_poly(), rand_poly()
-            left = substitute(p * q, xs, ys)
-            right = substitute(p, xs, ys) * substitute(q, xs, ys)
+            left = substitute(p * q, 2, ys)
+            right = substitute(p, 2, ys) * substitute(q, 2, ys)
             assert left.agrees_with(right)
-            add_left = substitute(p + q, xs, ys)
-            add_right = substitute(p, xs, ys) + substitute(q, xs, ys)
+            add_left = substitute(p + q, 2, ys)
+            add_right = substitute(p, 2, ys) + substitute(q, 2, ys)
             assert add_left.agrees_with(add_right)
 
 
@@ -251,9 +270,7 @@ class TestTruncationSoundness:
     def test_substitution_trunc_soundness(self, sextic):
         def run(T):
             return substitute(
-                sextic,
-                TSeries.monomial("t", 6, 1, T),
-                TSeries.from_terms("t", [(14, 1), (16, 1), (17, 1)], T),
+                sextic, 6, TSeries.from_terms("t", [(14, 1), (16, 1), (17, 1)], T)
             )
 
         small, large = run(30), run(90)
