@@ -30,6 +30,7 @@ from .errors import (
     BranchFileError,
     CrossCheckFailed,
     HypothesisNotMet,
+    NotAnInvariant,
     NotTransversal,
     PlaneBranchError,
     PrecisionExhausted,
@@ -47,7 +48,7 @@ from .geometry import (
 )
 from .semigroup import char_sequence
 from .series import BivarPoly, substitute
-from .zariski import infer_zariski, zariski_invariant
+from .zariski import _invariant_defect, infer_zariski, zariski_invariant
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -92,26 +93,23 @@ class _Session:
             self.precision_used = max(self.precision_used, trunc)
 
     def resolve(self, count: int):
-        """Branch inputs from positional paths and --fixture names, in order."""
-        sources = list(self.args.branches or [])
-        for name in self.args.fixture or []:
-            sources.append(f"fixture:{name}")
-        if len(sources) != count:
+        """Branch inputs from positional paths, then --fixture names."""
+        paths = self.args.branches or []
+        names = self.args.fixture or []
+        if len(paths) + len(names) != count:
             raise BranchFileError(
                 f"expected {count} branch input(s) "
-                f"(files or --fixture), got {len(sources)}"
+                f"(files or --fixture), got {len(paths) + len(names)}"
             )
+        loaded = [load_branch(path) for path in paths]
+        for name in names:
+            if name not in FIXTURES:
+                raise BranchFileError(
+                    f"unknown fixture {name!r}; available: {', '.join(fixture_names())}"
+                )
+            loaded.append(load_fixture(name))
         out = []
-        for src in sources:
-            if src.startswith("fixture:"):
-                name = src[len("fixture:"):]
-                if name not in FIXTURES:
-                    raise BranchFileError(
-                        f"unknown fixture {name!r}; available: {', '.join(fixture_names())}"
-                    )
-                branch, label = load_fixture(name)
-            else:
-                branch, label = load_branch(src)
+        for branch, label in loaded:
             if self.args.swap_xy:
                 branch = _swap(branch, self.args.precision)
             self.inputs.append(serialize_branch(branch, label))
@@ -177,11 +175,21 @@ def _fmt_rational(value) -> str:
 
 
 def _known_or_computed_lambda(session, phi: Parametrization, infinite: str) -> int:
-    """The invariant of phi: --known-lambda when given, else computed; an
-    infinite one raises HypothesisNotMet with the command's message."""
-    if session.args.known_lambda is not None:
-        return session.args.known_lambda
+    """The invariant of phi, computed; a --known-lambda must be possible in
+    the class of phi and equal to it (NotAnInvariant).  An infinite one
+    raises HypothesisNotMet with the command's message."""
+    known = session.args.known_lambda
+    if known is not None:
+        cd = char_sequence(phi)
+        defect = _invariant_defect(known, cd)
+        if defect:
+            raise NotAnInvariant(f"{defect}: not an invariant of K{cd.char_exponents}")
     res = zariski_invariant(phi)
+    if known is not None and known != res.exponent:
+        computed = res.exponent if res.finite else "infinite"
+        raise NotAnInvariant(
+            f"--known-lambda {known} differs from the computed invariant {computed}"
+        )
     if not res.finite:
         raise HypothesisNotMet(infinite)
     return res.exponent
@@ -425,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="L",
         help=(
             "invariant of the first branch, if already known (infer only); "
-            "trusted: only checked to be possible in the branch's class"
+            "checked against the computed one"
         ),
     )
     p.set_defaults(func=cmd_pair)
@@ -437,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="L",
-        help="invariant of f, if already known",
+        help="invariant of f, if already known; checked against the computed one",
     )
     p.set_defaults(func=cmd_expand)
 

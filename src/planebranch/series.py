@@ -341,20 +341,13 @@ def nth_root_unit(s: TSeries, n: int) -> TSeries:
 
 
 def reparametrize(s: TSeries, rho: TSeries) -> TSeries:
-    """Composition s(rho(u)) for a parameter change rho of order exactly 1."""
+    """Composition s(rho(u)) for a parameter change rho of order exactly 1:
+    the polynomial sum c_e * y**e on the branch (u, rho(u))."""
     o = rho.order()
     if not o.known or o.value != 1:
         raise InvalidParameterChange("parameter change must have order exactly 1")
-    if not s.terms:
-        return TSeries.zero(rho.var, s.trunc)
-    # Horner steps over the sparse support of s
-    exps = sorted(s.terms, reverse=True)
-    result = TSeries.constant(rho.var, s.terms[exps[0]])
-    for prev, e in zip(exps, exps[1:]):
-        result = result * (rho ** (prev - e)) + TSeries.constant(rho.var, s.terms[e])
-    if exps[-1]:
-        result = result * (rho ** exps[-1])
-    return result.truncated(min(result.trunc, s.trunc))
+    poly = BivarPoly({(0, e): c for e, c in s.terms.items()})
+    return substitute(poly, 1, rho).truncated(s.trunc)
 
 
 def solve_composition(targets, w: TSeries) -> tuple:

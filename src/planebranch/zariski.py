@@ -12,9 +12,8 @@ surviving slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
 
 from .errors import (
     AmbiguousEvidence,
@@ -26,7 +25,6 @@ from .errors import (
     NotAnInvariant,
     NotPrimitive,
     NotRemovable,
-    NotTransversal,
     PrecisionExhausted,
     WrongEquisingularityClass,
 )
@@ -201,27 +199,20 @@ def _sweep(phi: Parametrization, n: int, m: int, bound: int, below=None):
 
 
 def genus1_reduce(phi: Parametrization) -> ZariskiResult:
-    """Full elimination for a branch whose class is K(n, m) with gcd = 1.
+    """Full elimination for a branch of a genus-one class K(n, m).
 
     Sweeps the removable exponents upward; surviving exponents j satisfy
     j + n outside <n, m> and live below conductor - n, so the smallest one
     (with its coefficient) is the Zariski invariant, and none surviving
     certifies equivalence to y**n = x**m.
     """
-    n = phi.n
-    o = phi.y.order()
-    if not o.known:
-        if phi.exact:
-            raise NotTransversal("y-component is identically zero")
-        raise PrecisionExhausted(f"y-component vanishes below {phi.trunc}")
-    if o.value <= n:
-        raise NotTransversal(f"ord(y) = {o.value} must exceed n = {n}")
-    m = _first_offgrid_exponent(phi)
-    if gcd(n, m) != 1:
+    cd = char_sequence(phi)
+    if cd.genus != 1:
         raise WrongEquisingularityClass(
-            f"gcd({n}, {m}) = {gcd(n, m)}: not a genus-one class"
+            f"branch lies in K{cd.char_exponents}, not a genus-one class"
         )
-    mu = _conductor(n, m)
+    n, m = cd.char_exponents
+    mu = cd.conductor
     bound = _working_bound(n, m)
     cur, moves, scale = _sweep(phi, n, m, bound)
     if cur.trunc <= mu - n - 1:
@@ -280,58 +271,57 @@ def is_in_b(phi: Parametrization, n1: int, m1: int) -> bool:
     return all(j <= m1 for j in cur.y.terms)
 
 
+def _reduced_branch(phi: Parametrization, cd: CharData) -> Parametrization:
+    """The genus-one branch the sweep runs on: phi itself at genus one,
+    else the exact branch (t**n1, sum c_e * t**(e/e1)) of K(n1, m1) over the
+    exponents e < beta_2, all of which e1 divides."""
+    if cd.genus == 1:
+        return phi
+    beta2 = cd.char_exponents[2]
+    e1 = cd.gcd_sequence[1]
+    n1, m1 = cd.reduced_mult, cd.reduced_first
+    if not phi.exact:
+        need = max(cd.char_exponents[-1] + 1, _conductor(n1, m1) * e1 + 2 * cd.mult)
+        if phi.trunc < need:
+            raise PrecisionExhausted(
+                f"branch known below {phi.trunc}, need {need}", needed=need
+            )
+    divisible = {}
+    for e, c in phi.y.terms.items():
+        if e < beta2:
+            if e % e1:
+                raise CrossCheckFailed(
+                    f"exponent {e} below beta_2 = {beta2} is not divisible by {e1}"
+                )
+            divisible[e // e1] = c
+    return Parametrization(n1, TSeries(phi.y.var, divisible, EXACT))
+
+
 def zariski_invariant(phi: Parametrization) -> ZariskiResult:
     """The Zariski invariant of a primitive transversal branch, with witness.
 
-    Genus one reduces directly.  For genus >= 2 the e1-divisible part of
-    the series below the second characteristic exponent is a genus-one
-    branch; its smallest surviving slot k gives lambda = e1*k when e1*k
+    Reduce, then lift: the sweep runs on the genus-one reduced branch; at
+    genus >= 2 its smallest surviving slot k gives lambda = e1*k when e1*k
     stays below beta_2, and lambda = beta_2 otherwise.  Every finite result
     is cross-checked by the witness's intersection with the branch, counted
     independently of the sweep by the conjugate scan of `intersection`.
     """
     cd = char_sequence(phi)
-    n = cd.mult
-    m = cd.char_exponents[1]
-    if cd.genus == 1:
-        result = genus1_reduce(phi)
-        n1 = n
-    else:
+    result = genus1_reduce(_reduced_branch(phi, cd))
+    if cd.genus >= 2:
         beta2 = cd.char_exponents[2]
         e1 = cd.gcd_sequence[1]
-        n1, m1 = cd.reduced_mult, cd.reduced_first
-        if not phi.exact:
-            need = max(
-                cd.char_exponents[-1] + 1,
-                _conductor(n1, m1) * e1 + 2 * n,
-            )
-            if phi.trunc < need:
-                raise PrecisionExhausted(
-                    f"branch known below {phi.trunc}, need {need}", needed=need
-                )
-        divisible = {}
-        for e, c in phi.y.terms.items():
-            if e < beta2:
-                if e % e1:
-                    raise CrossCheckFailed(
-                        f"exponent {e} below beta_2 = {beta2} is not divisible by {e1}"
-                    )
-                divisible[e // e1] = c
-        reduced_branch = Parametrization(n1, TSeries(phi.y.var, divisible, EXACT))
-        rr = genus1_reduce(reduced_branch)
-        if rr.finite and e1 * rr.exponent < beta2:
-            lam, coeff = e1 * rr.exponent, rr.coefficient
+        if result.finite and e1 * result.exponent < beta2:
+            lam, coeff = e1 * result.exponent, result.coefficient
         else:
             lam = beta2
-            coeff = phi.y.coeff(beta2) / phi.y.coeff(m)
-        result = ZariskiResult(
-            lam, coeff, rr.witness, rr.normal_form, rr.moves, rr.leading_scale
-        )
-    _verify_result(phi, cd, result, n1)
+            coeff = phi.y.coeff(beta2) / phi.y.coeff(cd.char_exponents[1])
+        result = replace(result, exponent=lam, coefficient=coeff)
+    _verify_result(phi, cd, result)
     return result
 
 
-def _verify_result(phi, cd: CharData, result: ZariskiResult, n1: int):
+def _verify_result(phi, cd: CharData, result: ZariskiResult):
     """Independent checks of a finite result.  The witness's membership in
     the family of y**n1 = x**m1 was certified by the sweep that built it;
     its intersection with the branch comes from comparing the conjugates'
@@ -348,7 +338,7 @@ def _verify_result(phi, cd: CharData, result: ZariskiResult, n1: int):
     if cd.genus >= 2 and lam == cd.char_exponents[2]:
         expected = cd.generators[2]
     else:
-        expected = (n1 - 1) * m + lam
+        expected = (cd.reduced_mult - 1) * m + lam
     observed = intersection(result.witness, phi)
     if observed != expected:
         raise CrossCheckFailed(
@@ -371,15 +361,17 @@ def _invariant_defect(lam: int, cd: CharData):
 
 
 def replay_moves(phi: Parametrization, result: ZariskiResult) -> Parametrization:
-    """Re-run a logged reduction on its input branch, verifying each step.
+    """Re-run a logged reduction on the branch it was recorded on, the
+    reduced branch of phi, verifying each step.
 
     Applies the recorded scale and moves.  Each logged parameter change rho
     is checked against the definition of its move, without the composition
     solve that produced it: rho(u) = u + O(u**2), and x + c*y**(b-1) along
     the branch before the move, at t = rho(u), is exactly u**n.
     """
-    n = phi.n
-    work = phi.with_trunc(_working_bound(n, _first_offgrid_exponent(phi)))
+    cd = char_sequence(phi)
+    n = cd.reduced_mult
+    work = _reduced_branch(phi, cd).with_trunc(_working_bound(n, cd.reduced_first))
     cur = Parametrization(n, work.y.scale(result.leading_scale))
     for record in result.moves:
         before = cur

@@ -67,6 +67,17 @@ class TestInvariants:
         code, doc, _ = run_json(capsys, "invariants", "--fixture", "k23-cusp")
         assert code == 0 and doc["results"]["conductor"] == 2
 
+    def test_a_file_named_like_a_fixture_is_read_as_a_file(self, capsys, tmp_path, monkeypatch):
+        # a path is a path, whatever its name: this file holds (t^3, t^7),
+        # the built-in fixture k23-cusp is (t^2, t^3)
+        monkeypatch.chdir(tmp_path)
+        write_branch(
+            tmp_path, "fixture:k23-cusp",
+            {"kind": "parametrization", "n": 3, "terms": [[7, "1"]]},
+        )
+        code, out, _ = run(capsys, "invariants", "fixture:k23-cusp")
+        assert code == 0 and "class: K(3, 7)" in out
+
     def test_non_transversal_hint(self, capsys, tmp_path):
         path = write_branch(
             tmp_path,
@@ -172,6 +183,30 @@ class TestPair:
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "not an invariant of K(4, 7)" in err
+
+    @pytest.mark.parametrize(
+        "command,fixtures,value,computed",
+        [
+            ("pair infer", ("k47-branch", "k47-special"), "9", "13"),
+            ("pair infer", ("k47-special", "k47-branch"), "9", "infinite"),
+            ("expand", ("k61417-poly", "k37-cusp"), "15", "16"),
+        ],
+        ids=["infer", "infer-infinite", "expand"],
+    )
+    def test_a_known_lambda_must_be_the_invariant(
+        self, capsys, command, fixtures, value, computed
+    ):
+        # 9 and 15 are possible in K(4, 7) and K(6, 14, 17), but not the
+        # invariant of these branches
+        code, out, err = run(
+            capsys, *command.split(),
+            "--fixture", fixtures[0], "--fixture", fixtures[1],
+            "--known-lambda", value,
+        )
+        assert code == 3 and out == ""
+        assert err == (
+            f"error: --known-lambda {value} differs from the computed invariant {computed}\n"
+        )
 
     def test_infer_boundary_exits_with_hypothesis_code(self, capsys):
         # I(k37-branch, cusp) = 22 sits exactly on the excluded boundary

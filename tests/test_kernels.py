@@ -6,7 +6,8 @@ here against the dict-convolution oracles of `conftest`, which add and
 multiply Fractions one term at a time.  Inputs mix signs, large and coprime
 denominators and sparse supports, at exact and truncated bounds.  The
 evaluation of a polynomial on a branch, `substitute`, is checked the same
-way against `eval_poly_on_series`.
+way against `eval_poly_on_series`, and a change of parameter,
+`reparametrize`, against a sum of dict powers.
 """
 
 from fractions import Fraction as F
@@ -22,6 +23,7 @@ from planebranch.series import (  # noqa: E402
     BivarPoly,
     TSeries,
     nth_root_unit,
+    reparametrize,
     solve_composition,
     substitute,
 )
@@ -175,3 +177,22 @@ def test_substitute_matches_term_by_term_evaluation(terms, n, y):
     if y.exact:
         assert value.exact
     assert value.terms == eval_poly_on_series(terms, n, y.terms, value.trunc)
+
+
+@st.composite
+def parameters(draw):
+    """A parameter change u -> rho(u) of order exactly 1."""
+    terms = draw(supports(2, 8, max_size=3))
+    terms[1] = draw(coefficients.filter(bool))
+    return TSeries("u", terms, draw(st.one_of(st.just(EXACT), st.integers(2, 30))))
+
+
+@seed(9)
+@settings(max_examples=30, deadline=None)
+@given(series(high=10), parameters())
+def test_reparametrize_matches_a_sum_of_dict_powers(s, rho):
+    out = reparametrize(s, rho)
+    assert out.trunc <= s.trunc
+    if s.exact and rho.exact:
+        assert out.exact
+    assert out.terms == _compose(s.terms, rho.terms, out.trunc)

@@ -15,7 +15,9 @@ from planebranch.errors import (
     NeedsTruncation,
     NonIntegralResult,
     NotAnInvariant,
+    NotPrimitive,
     NotRemovable,
+    NotSingular,
     PrecisionExhausted,
     WrongEquisingularityClass,
 )
@@ -40,7 +42,7 @@ from planebranch.zariski import (
     zariski_invariant,
 )
 from conftest import witness_by_all_slots
-from test_golden import dense
+from test_golden import GOLDEN, dense
 
 
 class TestNormalizeLeading:
@@ -142,6 +144,21 @@ class TestGenus1Reduce:
         res = genus1_reduce(phi)
         assert res.normal_form.y.terms.get(8) is None
         assert min(res.normal_form.y.terms) == 11
+
+    @pytest.mark.parametrize(
+        "phi,error",
+        [
+            (Parametrization.from_pairs(4, [(6, 1)]), NotPrimitive),
+            (Parametrization.from_pairs(4, [(6, 1)], trunc=8), PrecisionExhausted),
+            (Parametrization.from_pairs(1, [(2, 1)]), NotSingular),
+        ],
+        ids=["exact t^6", "t^6 + O(t^8)", "smooth"],
+    )
+    def test_malformed_input_raises_what_zariski_invariant_raises(self, phi, error):
+        with pytest.raises(error):
+            genus1_reduce(phi)
+        with pytest.raises(error):
+            zariski_invariant(phi)
 
     def test_survivors_sit_outside_the_semigroup(self, quartic_family):
         res = genus1_reduce(quartic_family(3))
@@ -338,6 +355,25 @@ class TestReplay:
             replayed = replay_moves(phi, res)
             assert replayed.y.terms == res.normal_form.y.terms
             assert replayed.trunc == res.normal_form.trunc
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            *(GOLDEN[name][0] for name in GOLDEN),
+            lambda: dense(469, 4, [8, *range(10, 18)], {6: 1, 9: 1}),
+            lambda: dense(61417, 6, [12, 16, *range(18, 26)], {14: 1, 17: 1}),
+            lambda: dense(8121415, 8, range(16, 26), {12: 1, 14: 1, 15: 1}),
+        ],
+        ids=[*GOLDEN, "K(4,6,9)", "K(6,14,17)", "K(8,12,14,15)"],
+    )
+    def test_every_genus_replays_to_the_normal_form(self, build):
+        # at genus >= 2 the log was recorded on the reduced branch, so the
+        # replay runs there too
+        phi = build()
+        res = zariski_invariant(phi)
+        replayed = replay_moves(phi, res)
+        assert replayed.y.terms == res.normal_form.y.terms
+        assert replayed.trunc == res.normal_form.trunc
 
 
 class TestReplayRefusesATamperedLog:
