@@ -3,7 +3,8 @@
 Implicitization builds the conjugate product prod (y - p(zeta*t)) over the
 n-th roots of unity from the power sums of the conjugates by Newton's
 identities, all in Q[x]; the inverse direction is a Newton-polygon
-iteration that stays inside Q.  The intersection multiplicity of a
+iteration on one primitive integer polynomial, whose edge roots are
+rational.  The intersection multiplicity of a
 polynomial with a parametrization is the order of a substitution; that of
 two parametrizations is a sum of conjugate orders, read off by comparing
 coefficients, with no equation built.  The contact order is tied to it by
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, inf
+from math import comb, gcd, inf, lcm
 
 from .errors import (
     BranchesEqual,
@@ -219,26 +220,33 @@ def _weierstrass_degree(f: BivarPoly) -> int:
     return n
 
 
-def _np_transform(f: BivarPoly, nu: int, mu: int, root: Fraction) -> BivarPoly:
-    """f(x**nu, x**mu * (root + y)) divided by its minimal x-power.
+def _np_transform(cur: dict, nu: int, mu: int, root: Fraction) -> dict:
+    """q**d * cur(x**nu, x**mu * (p/q + y)), root = p/q, divided by its
+    minimal x-power and its content: a primitive map (i, j) -> int.
 
-    (root + y)**j expands by one table of C(j, l) * root**(j - l), built
-    once for the y-degree of f.
+    q**d * (p/q + y)**j = q**(d - j) * (p + q*y)**j expands by one table of
+    C(j, l) * p**(j - l) * q**(d - j + l), d the y-degree of cur.
     """
-    table = [[comb(j, l) * root ** (j - l) for l in range(j + 1)] for j in range(f.deg_y() + 1)]
+    p, q = root.numerator, root.denominator
+    d = max(j for _, j in cur)
+    table = [[comb(j, l) * p ** (j - l) * q ** (d - j + l) for l in range(j + 1)]
+             for j in range(d + 1)]
     acc: dict = {}
-    shift = min(nu * i + mu * j for (i, j) in f.terms)
-    for (i, j), c in f.terms.items():
+    shift = min(nu * i + mu * j for (i, j) in cur)
+    for (i, j), c in cur.items():
         base = nu * i + mu * j - shift
         for l, b in enumerate(table[j]):
             key = (base, l)
             acc[key] = acc.get(key, 0) + c * b
-    return BivarPoly(acc)
+    acc = {key: c for key, c in acc.items() if c}
+    g = gcd(*acc.values())  # stops at 1
+    return {key: c // g for key, c in acc.items()} if g > 1 else acc
 
 
-def _np_edge(cur: BivarPoly):
-    """Edge data (nu, mu, root) of the unique branch edge, or None when y | cur."""
-    pts = list(cur.terms)
+def _np_edge(cur: dict):
+    """Edge data (nu, mu, root) of the unique branch edge of the integer
+    map cur, or None when y | cur."""
+    pts = list(cur)
     if all(j >= 1 for _, j in pts):
         return None
     ycol = [j for i, j in pts if i == 0]
@@ -248,16 +256,18 @@ def _np_edge(cur: BivarPoly):
     slope = min(Fraction(i, jstar - j) for i, j in pts if j < jstar)
     mu, nu = slope.numerator, slope.denominator
     weight = mu * jstar
-    edge = {j: c for (i, j), c in cur.terms.items() if i * nu + j * mu == weight}
+    edge = {j: c for (i, j), c in cur.items() if i * nu + j * mu == weight}
     if 0 not in edge:
         raise NotIrreducible("Newton polygon has more than one compact edge")
     # in z = root**nu the edge polynomial of a single branch is
-    # lead * (z - c)**k, so its one root is c = -a_(k-1) / (k * lead)
+    # lead * (z - c)**k, so its one root is c = -a_(k-1) / (k * lead);
+    # each a_(j*nu) = lead * C(k, j) * (-c)**(k - j) is checked times b**(k - j)
     k = jstar // nu
     lead = edge[jstar]
-    c = -Fraction(edge.get(jstar - nu, 0)) / (k * lead)
+    c = Fraction(-edge.get(jstar - nu, 0), k * lead)
+    a, b = c.numerator, c.denominator
     for j in range(k + 1):
-        if edge.get(j * nu, 0) != lead * comb(k, j) * (-c) ** (k - j):
+        if edge.get(j * nu, 0) * b ** (k - j) != lead * comb(k, j) * (-a) ** (k - j):
             raise NotIrreducible("edge polynomial has several distinct roots")
     root = exact_root(c, nu)
     if root is None:
@@ -271,7 +281,10 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
     Newton-polygon iteration in one pass: each stage takes the unique edge
     through the lowest point on the y-axis and the unique rational root of
     its edge polynomial, records the term and recenters,
-    f <- f(x**nu, x**mu * (root + y)).  With ram the product of the nu so
+    f <- f(x**nu, x**mu * (root + y)).  Every decision is homogeneous in f,
+    so f is one primitive integer polynomial throughout: its denominators
+    are cleared once, and each recentering is taken times q**deg_y f, root
+    = p/q, and divided by its content.  With ram the product of the nu so
     far, the stage's term is root * x**e, e = e_prev + mu / ram, at
     t-exponent n * e; the stages with nu > 1 give the characteristic
     exponents.  Aborts with NonRationalCoefficient rather than extending
@@ -292,7 +305,10 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
     separation = Fraction((2 * n - 1) * max(i for i, _ in f.terms), 2)
     terms: dict = {}  # x-exponent -> coefficient
     conductor = 0
-    cur, ram, xexp, target = f, 1, Fraction(0), trunc
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    # primitive already: a prime power of den divides some denominator fully
+    cur = {k: c.numerator * (den // c.denominator) for k, c in f.terms.items()}
+    ram, xexp, target = 1, Fraction(0), trunc
     while True:
         edge = _np_edge(cur)
         if edge is None:

@@ -6,6 +6,7 @@ Expected values in the tests are frozen from these.
 """
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -94,6 +95,20 @@ def resultant_implicitize(phi: Parametrization) -> BivarPoly:
     top = det.coeff(0, n)
     assert top in (1, -1), f"resultant not monic in y (top coefficient {top})"
     return det if top == 1 else -det
+
+
+def np_transform_oracle(terms: dict, nu: int, mu: int, root: F) -> dict:
+    """f(x**nu, x**mu * (root + y)) divided by its minimal x-power, one
+    Fraction product per term: the Newton-Puiseux stage the library runs on
+    a primitive integer polynomial, over Q and without the scalar."""
+    acc: dict = {}
+    shift = min(nu * i + mu * j for (i, j) in terms)
+    for (i, j), c in terms.items():
+        base = nu * i + mu * j - shift
+        for l in range(j + 1):
+            key = (base, l)
+            acc[key] = acc.get(key, F(0)) + c * comb(j, l) * F(root) ** (j - l)
+    return {key: c for key, c in acc.items() if c}
 
 
 def witness_by_all_slots(phi: Parametrization, m: int, below=None) -> Parametrization:

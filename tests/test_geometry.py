@@ -175,9 +175,18 @@ class TestPuiseux:
         # root, but not the single repeated root of one branch
         f = BivarPoly.from_pairs([((0, 3), 1), ((2, 2), -1), ((4, 1), 1), ((6, 0), -1)])
         with pytest.raises(NotIrreducible):
-            geometry._np_edge(f)
+            geometry._np_edge(f.terms)
         with pytest.raises(NotIrreducible):
             puiseux_parametrization(f + BivarPoly.monomial(7, 0))
+
+    def test_deep_perturbed_series_at_default_truncation(self):
+        # a perturbed K(8, 19) runs 34 stages to its default truncation
+        # t^142; on Fraction coefficients this took seconds
+        phi = Parametrization.from_pairs(8, [(19, 1), (20, 1), (22, F(1, 2))])
+        f = implicitize(phi) + BivarPoly.monomial(30, 0)
+        psi = puiseux_parametrization(f)
+        assert psi.trunc == 142 and len(psi.y.terms) == 34
+        assert eval_poly_on_series(f.terms, psi.n, psi.y.terms, 142) == {}
 
     def test_default_truncation_is_conductor_based(self):
         f = BivarPoly.from_pairs([((0, 2), 1), ((3, 0), -1), ((4, 0), -1)])

@@ -6,18 +6,20 @@ here against the dict-convolution oracles of `conftest`, which add and
 multiply Fractions one term at a time.  Inputs mix signs, large and coprime
 denominators and sparse supports, at exact and truncated bounds.  The
 evaluation of a polynomial on a branch, `substitute`, is checked the same
-way against `eval_poly_on_series`, and a change of parameter,
-`reparametrize`, against a sum of dict powers.
+way against `eval_poly_on_series`, a change of parameter,
+`reparametrize`, against a sum of dict powers, and the integer
+Newton-Puiseux stage `_np_transform` against `np_transform_oracle`.
 """
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
-from planebranch.geometry import Parametrization, implicitize  # noqa: E402
+from planebranch.geometry import Parametrization, _np_transform, implicitize  # noqa: E402
 from planebranch.series import (  # noqa: E402
     EXACT,
     BivarPoly,
@@ -31,6 +33,7 @@ from conftest import (  # noqa: E402
     dict_mul,
     dict_pow,
     eval_poly_on_series,
+    np_transform_oracle,
     resultant_implicitize,
 )
 
@@ -196,3 +199,34 @@ def test_reparametrize_matches_a_sum_of_dict_powers(s, rho):
     if s.exact and rho.exact:
         assert out.exact
     assert out.terms == _compose(s.terms, rho.terms, out.trunc)
+
+
+@st.composite
+def stages(draw):
+    """A stage (nu, mu, root) of Newton-Puiseux: mu coprime to nu and a
+    root +-p/q with q <= 5."""
+    nu = draw(st.integers(1, 4))
+    mu = draw(st.integers(1, 12).filter(lambda m: gcd(m, nu) == 1))
+    root = F(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 5)))
+    return nu, mu, root
+
+
+@seed(10)
+@KERNEL_SETTINGS
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 5)),
+        st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30)).filter(bool),
+        min_size=1,
+        max_size=6,
+    ),
+    stages(),
+)
+def test_np_transform_is_the_oracle_up_to_a_scalar(terms, stage):
+    out = _np_transform(terms, *stage)
+    expected = np_transform_oracle(terms, *stage)
+    assert out.keys() == expected.keys()
+    assert all(type(c) is int for c in out.values())
+    assert gcd(*out.values()) == 1
+    scale = {F(c) / expected[key] for key, c in out.items()}
+    assert len(scale) == 1 and 0 not in scale
