@@ -107,7 +107,7 @@ def np_transform_oracle(terms: dict, nu: int, mu: int, root: F) -> dict:
         base = nu * i + mu * j - shift
         for l in range(j + 1):
             key = (base, l)
-            acc[key] = acc.get(key, F(0)) + c * comb(j, l) * F(root) ** (j - l)
+            acc[key] = acc.get(key, F(0)) + c * comb(j, l) * root ** (j - l)
     return {key: c for key, c in acc.items() if c}
 
 

@@ -181,7 +181,7 @@ class TestPuiseux:
 
     def test_deep_perturbed_series_at_default_truncation(self):
         # a perturbed K(8, 19) runs 34 stages to its default truncation
-        # t^142; on Fraction coefficients this took seconds
+        # t^142: the deepest series of the suite, and a guard on its time
         phi = Parametrization.from_pairs(8, [(19, 1), (20, 1), (22, F(1, 2))])
         f = implicitize(phi) + BivarPoly.monomial(30, 0)
         psi = puiseux_parametrization(f)
