@@ -35,6 +35,11 @@ def _rational(text) -> Fraction:
     return Fraction(text)
 
 
+def _natural(value) -> bool:
+    """A non-negative JSON integer; true and false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def parse_branch(data: dict):
     """Validate a branch description; returns (Parametrization | BivarPoly, label)."""
     if not isinstance(data, dict):
@@ -43,7 +48,7 @@ def parse_branch(data: dict):
     label = data.get("label")
     if kind == "parametrization":
         n = data.get("n")
-        if not isinstance(n, int) or n < 1:
+        if not _natural(n) or n < 1:
             raise BranchFileError(f"'n' must be a positive integer, got {n!r}")
         terms = data.get("terms")
         if not isinstance(terms, list) or not terms:
@@ -54,7 +59,7 @@ def parse_branch(data: dict):
             if not (isinstance(item, list) and len(item) == 2):
                 raise BranchFileError(f"bad term {item!r}; expected [exponent, rational]")
             e, c = item
-            if not isinstance(e, int) or e < 0:
+            if not _natural(e):
                 raise BranchFileError(f"bad exponent {e!r}")
             if e <= last:
                 raise BranchFileError("exponents must be strictly increasing")
@@ -63,7 +68,7 @@ def parse_branch(data: dict):
         trunc = data.get("trunc", None)
         if trunc is None:
             bound = EXACT
-        elif isinstance(trunc, int) and trunc > last:
+        elif _natural(trunc) and trunc > last:
             bound = trunc
         else:
             raise BranchFileError(f"'trunc' must be an integer above every exponent")
@@ -80,7 +85,7 @@ def parse_branch(data: dict):
             if not (
                 isinstance(ij, list)
                 and len(ij) == 2
-                and all(isinstance(k, int) and k >= 0 for k in ij)
+                and all(_natural(k) for k in ij)
             ):
                 raise BranchFileError(f"bad monomial exponents {ij!r}")
             pairs.append(((ij[0], ij[1]), _rational(c)))

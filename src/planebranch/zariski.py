@@ -5,9 +5,9 @@ whenever j + n lies in <n, m>: writing j + n = a*n + b*m, either y is shifted
 by c*x**(a-1)*y**b (a >= 1) or x by c*y**(b-1) (a = 0), the latter followed
 by the exact parameter change that restores x = t**n.  Sweeping the removable
 exponents in increasing order is triangular, so the smallest surviving
-exponent with its coefficient is the Zariski invariant; a witness branch
-attaining the extremal contact is built by matching coefficients at the
-surviving slots.
+exponent with its coefficient is the Zariski invariant.  It is also the
+first value of m*y*dx - n*x*dy outside <n, m>, less n (Hefez-Hernandes):
+that route builds a witness branch of extremal contact, slot by slot.
 """
 
 from __future__ import annotations
@@ -85,11 +85,6 @@ class ZariskiResult:
     @property
     def finite(self) -> bool:
         return self.exponent is not None
-
-
-def _removable(j: int, n: int, m: int) -> bool:
-    """Whether a move can remove t**j from a branch of class K(n, m)."""
-    return rep_nm(j + n, n, m)[0] >= 0
 
 
 def _conductor(n: int, m: int) -> int:
@@ -183,19 +178,33 @@ def _first_offgrid_exponent(phi: Parametrization) -> int:
     return m
 
 
-def _sweep(phi: Parametrization, n: int, m: int, bound: int, below=None):
-    """Normalize at m, then eliminate every removable exponent below `below`
-    (default: bound) at the working truncation bound."""
-    work = phi.with_trunc(bound)
-    scale = 1 / work.y.coeff(m)
-    cur = Parametrization(n, work.y.scale(scale))
-    moves = []
-    for j in range(n + 1, bound if below is None else below):
-        if j == m or not cur.y.terms.get(j) or not _removable(j, n, m):
-            continue
-        cur, record = eliminate_term(cur, j)
-        moves.append(record)
-    return cur, moves, scale
+def _route(phi: Parametrization, n: int, m: int):
+    """(s, c) from reducing omega = m*y*dx - n*x*dy along a branch of K(n, m):
+    s = v - n at the first value v of omega outside <n, m>, and c what the
+    sweep leaves at its smallest survivor s; (None, None) once v >= mu, for
+    a branch equivalent to y**n = x**m.
+
+    Per n*dt, omega is sum (m - j)*a_j*t**(j+n-1), and a lead of value
+    v = a*n + b*m is cancelled by x**(a-1)*y**b*dx = t**(n*a-1)*y**b, or by
+    d(y**b) when a = 0.  Nothing below mu depends on y past t**mu.
+    """
+    mu = _conductor(n, m)
+    y = phi.with_trunc(_working_bound(n, m)).y.truncated(mu)
+    omega = TSeries(y.var, {j + n - 1: (m - j) * c for j, c in y.terms.items()}, mu - 1)
+    powers = [TSeries.constant(y.var, 1)]
+    while omega.terms:
+        e = min(omega.terms)
+        a, b = rep_nm(e + 1, n, m)
+        if a < 0:
+            return e + 1 - n, omega.terms[e] / ((m + n - e - 1) * phi.y.coeff(m))
+        while len(powers) <= b:
+            powers.append(powers[-1] * y)
+        if a:
+            form = powers[b].shift(n * a - 1)
+        else:
+            form = TSeries(y.var, {k - 1: k * c for k, c in powers[b].terms.items()}, mu - 1)
+        omega = omega - form.scale(omega.terms[e] / form.terms[e])
+    return None, None
 
 
 def genus1_reduce(phi: Parametrization) -> ZariskiResult:
@@ -204,7 +213,9 @@ def genus1_reduce(phi: Parametrization) -> ZariskiResult:
     Sweeps the removable exponents upward; surviving exponents j satisfy
     j + n outside <n, m> and live below conductor - n, so the smallest one
     (with its coefficient) is the Zariski invariant, and none surviving
-    certifies equivalence to y**n = x**m.
+    certifies equivalence to y**n = x**m.  The route must find the same
+    (lambda, c); the witness takes c/scale * t**s off the branch at each
+    slot s the route finds, until it finds none.
     """
     cd = char_sequence(phi)
     if cd.genus != 1:
@@ -214,7 +225,15 @@ def genus1_reduce(phi: Parametrization) -> ZariskiResult:
     n, m = cd.char_exponents
     mu = cd.conductor
     bound = _working_bound(n, m)
-    cur, moves, scale = _sweep(phi, n, m, bound)
+    work = phi.with_trunc(bound)
+    scale = 1 / work.y.coeff(m)
+    cur = Parametrization(n, work.y.scale(scale))
+    moves = []
+    for j in range(n + 1, bound):
+        if j == m or not cur.y.terms.get(j) or rep_nm(j + n, n, m)[0] < 0:
+            continue
+        cur, record = eliminate_term(cur, j)
+        moves.append(record)
     if cur.trunc <= mu - n - 1:
         raise CrossCheckFailed(
             f"working precision dropped to {cur.trunc}, below the survivor range"
@@ -222,42 +241,16 @@ def genus1_reduce(phi: Parametrization) -> ZariskiResult:
     survivors = {j: c for j, c in cur.y.terms.items() if j > m}
     if any(j > mu - n - 1 for j in survivors):
         raise CrossCheckFailed("a surviving exponent exceeds the certified range")
-    if survivors:
-        lam = min(survivors)
-        witness = _force_into_b(phi, n, m, lam, survivors[lam])
-        return ZariskiResult(lam, survivors[lam], witness, cur, tuple(moves), scale)
-    return ZariskiResult(None, None, phi, cur, tuple(moves), scale)
-
-
-def _force_into_b(
-    phi: Parametrization, n: int, m: int, lam: int, coeff: Fraction
-) -> Parametrization:
-    """Adjust the surviving slots of the branch until it reduces to (t^n, t^m).
-
-    Each surviving slot responds affinely and triangularly to its own
-    coefficient, with slope equal to the normalization scale; the final
-    sweep verifies the construction outright.  The coefficient at slot s
-    after the moves below s depends neither on the working truncation nor
-    on later moves, so the main sweep has already read every slot up to
-    lam, the smallest survivor: 0 below it and `coeff` at it.  Only the
-    slots above lam are swept here, each making only the moves below it;
-    and only the b = 2 p-move loses precision (n - 1 orders, once per
-    sweep), so a sweep at truncation s + 2n still knows s.
-    """
-    bound = _working_bound(n, m)
-    response = 1 / phi.y.coeff(m)
-    wy = phi.y - TSeries.monomial(phi.y.var, lam, coeff / response, phi.y.trunc)
-    for s in range(lam + 1, _conductor(n, m) - n):
-        if _removable(s, n, m):
-            continue
-        reduced, _, _ = _sweep(Parametrization(n, wy), n, m, min(bound, s + 2 * n), below=s)
-        c = reduced.y.coeff(s)
-        if c:
-            wy = wy - TSeries.monomial(wy.var, s, c / response, wy.trunc)
-    final, _, _ = _sweep(Parametrization(n, wy), n, m, bound)
-    if any(j > m for j in final.y.terms):
-        raise CrossCheckFailed("witness construction left a surviving exponent")
-    return Parametrization(n, wy)
+    lam, coeff = min(survivors.items(), default=(None, None))
+    if _route(phi, n, m) != (lam, coeff):
+        raise CrossCheckFailed(f"the route disagrees with the sweep's invariant {lam}")
+    wy, s, c = phi.y, lam, coeff
+    while s is not None:
+        wy = wy - TSeries.monomial(wy.var, s, c / scale, wy.trunc)
+        done, (s, c) = s, _route(Parametrization(n, wy), n, m)
+        if s is not None and s <= done:
+            raise CrossCheckFailed(f"the route returned slot {s} after clearing {done}")
+    return ZariskiResult(lam, coeff, Parametrization(n, wy), cur, tuple(moves), scale)
 
 
 def is_in_b(phi: Parametrization, n1: int, m1: int) -> bool:
@@ -267,8 +260,7 @@ def is_in_b(phi: Parametrization, n1: int, m1: int) -> bool:
         raise WrongEquisingularityClass(
             f"branch lies in K{cd.char_exponents}, not K({n1}, {m1})"
         )
-    cur, _, _ = _sweep(phi, n1, m1, _working_bound(n1, m1))
-    return all(j <= m1 for j in cur.y.terms)
+    return _route(phi, n1, m1)[0] is None
 
 
 def _reduced_branch(phi: Parametrization, cd: CharData) -> Parametrization:
@@ -323,7 +315,7 @@ def zariski_invariant(phi: Parametrization) -> ZariskiResult:
 
 def _verify_result(phi, cd: CharData, result: ZariskiResult):
     """Independent checks of a finite result.  The witness's membership in
-    the family of y**n1 = x**m1 was certified by the sweep that built it;
+    the family of y**n1 = x**m1 was decided by the route that built it;
     its intersection with the branch comes from comparing the conjugates'
     coefficients, certified below both truncations."""
     if not result.finite:

@@ -114,8 +114,10 @@ def np_transform_oracle(terms: dict, nu: int, mu: int, root: F) -> dict:
 def witness_by_all_slots(phi: Parametrization, m: int, below=None) -> Parametrization:
     """The genus-one witness of phi in K(n, m), built by sweeping every slot
     in turn (only the slots below `below`, when given), the smallest
-    survivor included, and subtracting what survives there.  The kernel reads
-    the slots up to the smallest survivor off its main sweep instead."""
+    survivor included, and subtracting what survives there.  Each slot s is
+    read after the moves below s, at truncation min(mu + 2n, s + 2n): only
+    the b = 2 p-move loses precision, n - 1 orders once per sweep.  The
+    kernel reads the slots off the differential route instead."""
     n = phi.n
     conductor = (n - 1) * (m - 1)
     bound = conductor + 2 * n
@@ -124,8 +126,11 @@ def witness_by_all_slots(phi: Parametrization, m: int, below=None) -> Parametriz
     for s in range(m + 1, conductor - n if below is None else below):
         if rep_nm(s + n, n, m)[0] >= 0:
             continue
-        depth = min(bound, s + 2 * n)
-        reduced, _, _ = zariski._sweep(Parametrization(n, wy), n, m, depth, below=s)
+        work = Parametrization(n, wy).with_trunc(min(bound, s + 2 * n))
+        reduced = Parametrization(n, work.y.scale(response))
+        for j in range(n + 1, s):
+            if j != m and reduced.y.terms.get(j) and rep_nm(j + n, n, m)[0] >= 0:
+                reduced, _ = zariski.eliminate_term(reduced, j)
         coeff = reduced.y.coeff(s)
         if coeff:
             wy = wy - TSeries.monomial(wy.var, s, coeff / response, wy.trunc)

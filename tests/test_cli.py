@@ -386,6 +386,19 @@ class TestErrors:
         assert proc.wait(timeout=60) == cli.EXIT_OK
         assert err == b""
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "parametrization", "n": True, "terms": [[7, "1"]]},
+            {"kind": "parametrization", "n": 4, "terms": [[True, "1"], [7, "1"]]},
+            {"kind": "polynomial", "terms": [[[0, 2], "1"], [[True, False], "-1"]]},
+        ],
+        ids=["n", "exponent", "monomial"],
+    )
+    def test_boolean_integers_are_a_parse_error(self, capsys, tmp_path, payload):
+        code, _, err = run(capsys, "invariants", write_branch(tmp_path, "b.json", payload))
+        assert code == 2 and "error:" in err
+
     def test_decreasing_exponents_rejected(self, capsys, tmp_path):
         path = write_branch(
             tmp_path,

@@ -29,7 +29,7 @@ from planebranch.geometry import (
     puiseux_parametrization,
 )
 from planebranch import zariski
-from planebranch.semigroup import CharData, char_sequence, contains
+from planebranch.semigroup import CharData, char_sequence, contains, rep_nm
 from planebranch.series import TSeries
 from planebranch.zariski import (
     apply_pmove,
@@ -42,7 +42,7 @@ from planebranch.zariski import (
     zariski_invariant,
 )
 from conftest import witness_by_all_slots
-from test_golden import GOLDEN, dense
+from test_golden import GOLDEN, SPECIAL_56, dense
 
 
 class TestNormalizeLeading:
@@ -182,6 +182,19 @@ class TestIsInB:
         with pytest.raises(WrongEquisingularityClass):
             is_in_b(branch_c1, 4, 7)
 
+    def test_genus_two_branch_is_not_of_its_reduced_class(self):
+        with pytest.raises(WrongEquisingularityClass):
+            is_in_b(GOLDEN["genus 2 K(8,14,27)"][0](), 8, 14)
+
+    def test_branch_known_below_the_working_bound_is_refused(self):
+        # K(4, 7) is decided at truncation 18 + 2*4 = 26
+        with pytest.raises(PrecisionExhausted):
+            is_in_b(Parametrization.from_pairs(4, [(7, 1), (9, 1)], trunc=25), 4, 7)
+        assert not is_in_b(Parametrization.from_pairs(4, [(7, 1), (9, 1)], trunc=26), 4, 7)
+
+    def test_golden_special_branch_is_in_b(self):
+        assert is_in_b(SPECIAL_56, 5, 6)
+
 
 class TestZariskiInvariant:
     def test_quartic_branch_with_witness(self, quartic_family):
@@ -263,10 +276,9 @@ class TestZariskiInvariant:
         assert observed == cd.generators[2] == 26
 
     def test_witness_sweeps_kill_only_known_coefficients(self, monkeypatch):
-        # slot 15 of a dense K(4,13) branch is swept at truncation 23, where
-        # the b = 2 p-move at 22 would leave O(t^20); the slot's sweep stops
-        # below 15, as moves above 15 cannot change the coefficient there,
-        # so the witness stays the locked one
+        # the main sweep of a dense K(4,13) branch kills each coefficient
+        # below its own truncation; the witness, built by the differential
+        # route with no sweep, stays the locked one
         seen = []
         original = zariski.eliminate_term
 
@@ -302,6 +314,57 @@ class TestZariskiInvariant:
         f = BivarPoly.from_pairs([((0, 2), 1), ((3, 0), -1), ((4, 0), -1)])
         phi = puiseux_parametrization(f, trunc=30)
         assert not zariski_invariant(phi).finite
+
+
+def _slots(n, m):
+    """The exponents s in (m, mu - n) with s + n outside <n, m>."""
+    mu = (n - 1) * (m - 1)
+    return [s for s in range(m + 1, mu - n) if rep_nm(s + n, n, m)[0] < 0]
+
+
+class TestRoute:
+    """The differential route against the sweep and the all-slots oracle."""
+
+    @staticmethod
+    def check(phi, n, m, oracle):
+        res = genus1_reduce(phi)
+        assert zariski._route(phi, n, m) == (res.exponent, res.coefficient)
+        assert res.witness == oracle
+        assert is_in_b(res.witness, n, m)
+        return res
+
+    @pytest.mark.parametrize(
+        "n,m", [(3, 4), (3, 7), (4, 5), (4, 7), (5, 6), (5, 7), (5, 8), (6, 7), (7, 9)]
+    )
+    def test_every_slot_and_the_infinite_case(self, n, m):
+        # each planted branch is a step of the oracle's own loop, so all of
+        # them share its witness; planting every slot leaves a branch in B
+        lead = F(3, 2) if n % 2 == 0 else F(-2, 3)
+        phi = dense(10 * n + m, n, range(m + 1, (n - 1) * (m - 1)), {m: lead})
+        oracle = witness_by_all_slots(phi, m)
+        for slot in _slots(n, m) + [None]:
+            res = self.check(witness_by_all_slots(phi, m, below=slot), n, m, oracle)
+            assert res.exponent == slot
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_golden_reduced_branches(self, name):
+        phi = GOLDEN[name][0]()
+        cd = char_sequence(phi)
+        reduced = zariski._reduced_branch(phi, cd)
+        m = cd.reduced_first
+        self.check(reduced, cd.reduced_mult, m, witness_by_all_slots(reduced, m))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_dense_k_8_11(self, seed):
+        phi = dense(seed, 8, range(12, 70 + 2 * 8), {11: 1})
+        assert self.check(phi, 8, 11, witness_by_all_slots(phi, 11)).finite
+
+    def test_a_slot_the_route_returns_twice_is_a_cross_check_failure(self, monkeypatch):
+        phi = Parametrization.from_pairs(4, [(7, 1), (9, 1), (10, 1)])
+        route = zariski._route
+        monkeypatch.setattr(zariski, "_route", lambda _, n, m: route(phi, n, m))
+        with pytest.raises(CrossCheckFailed, match="slot 9 after clearing 9"):
+            genus1_reduce(phi)
 
 
 def _random_coordinate_change(rng, phi, bound):
