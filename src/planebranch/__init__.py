@@ -30,7 +30,6 @@ from .semigroup import (
 from .series import (
     EXACT,
     BivarPoly,
-    Order,
     TSeries,
     nth_root_unit,
     reparametrize,
@@ -58,7 +57,6 @@ __all__ = [
     "EXACT",
     "ExpansionResult",
     "MoveRecord",
-    "Order",
     "Parametrization",
     "PlaneBranchError",
     "StandardRep",

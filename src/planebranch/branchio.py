@@ -5,7 +5,7 @@ A branch file is a JSON object: {"kind": "parametrization", "n": 4,
 (t**n, sum c_e t**e), or {"kind": "polynomial", "terms": [[[i, j], "c"],
 ...]} for an implicit equation.  Rationals travel as strings, never floats.
 An optional "trunc" on a parametrization marks it as known only below that
-exponent.
+exponent; an optional "label" is a string.  Any other key is refused.
 """
 
 from __future__ import annotations
@@ -19,6 +19,12 @@ from .geometry import Parametrization
 from .series import EXACT, BivarPoly
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+
+#: the keys each kind of document may hold
+_KEYS = {
+    "parametrization": {"kind", "n", "terms", "trunc", "label"},
+    "polynomial": {"kind", "terms", "label"},
+}
 
 
 def _rational(text) -> Fraction:
@@ -45,7 +51,16 @@ def parse_branch(data: dict):
     if not isinstance(data, dict):
         raise BranchFileError("branch description must be a JSON object")
     kind = data.get("kind")
+    allowed = _KEYS.get(kind) if isinstance(kind, str) else None
+    if allowed is None:
+        raise BranchFileError(f"'kind' must be 'parametrization' or 'polynomial', got {kind!r}")
+    unknown = set(data) - allowed
+    if unknown:
+        names = ", ".join(sorted(map(repr, unknown)))
+        raise BranchFileError(f"unknown key(s) {names} in a {kind} description")
     label = data.get("label")
+    if "label" in data and not isinstance(label, str):
+        raise BranchFileError(f"'label' must be a string, got {label!r}")
     if kind == "parametrization":
         n = data.get("n")
         if not _natural(n) or n < 1:
@@ -73,29 +88,25 @@ def parse_branch(data: dict):
         else:
             raise BranchFileError(f"'trunc' must be an integer above every exponent")
         return Parametrization.from_pairs(n, pairs, bound), label
-    if kind == "polynomial":
-        terms = data.get("terms")
-        if not isinstance(terms, list) or not terms:
-            raise BranchFileError("'terms' must be a non-empty list of [[i, j], rational]")
-        pairs = []
-        for item in terms:
-            if not (isinstance(item, list) and len(item) == 2):
-                raise BranchFileError(f"bad term {item!r}; expected [[i, j], rational]")
-            ij, c = item
-            if not (
-                isinstance(ij, list)
-                and len(ij) == 2
-                and all(_natural(k) for k in ij)
-            ):
-                raise BranchFileError(f"bad monomial exponents {ij!r}")
-            pairs.append(((ij[0], ij[1]), _rational(c)))
-        poly = BivarPoly.from_pairs(pairs)
-        if poly.is_zero:
-            raise BranchFileError("polynomial is zero")
-        return poly, label
-    raise BranchFileError(
-        f"'kind' must be 'parametrization' or 'polynomial', got {kind!r}"
-    )
+    terms = data.get("terms")
+    if not isinstance(terms, list) or not terms:
+        raise BranchFileError("'terms' must be a non-empty list of [[i, j], rational]")
+    pairs = []
+    for item in terms:
+        if not (isinstance(item, list) and len(item) == 2):
+            raise BranchFileError(f"bad term {item!r}; expected [[i, j], rational]")
+        ij, c = item
+        if not (
+            isinstance(ij, list)
+            and len(ij) == 2
+            and all(_natural(k) for k in ij)
+        ):
+            raise BranchFileError(f"bad monomial exponents {ij!r}")
+        pairs.append(((ij[0], ij[1]), _rational(c)))
+    poly = BivarPoly.from_pairs(pairs)
+    if poly.is_zero:
+        raise BranchFileError("polynomial is zero")
+    return poly, label
 
 
 def load_branch(path: str):

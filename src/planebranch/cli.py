@@ -260,8 +260,10 @@ def cmd_zariski(session) -> None:
 
 
 def cmd_pair(session) -> None:
-    a, b = session.resolve(2)
     sub = session.args.pair_command
+    if sub != "infer" and session.args.known_lambda is not None:
+        raise BranchFileError(f"--known-lambda applies to pair infer only, not pair {sub}")
+    a, b = session.resolve(2)
     if sub == "intersect":
         value = _pair_intersection(session, a, b)
         session.emit("pair intersect", {"intersection": value}, f"intersection: {value}")

@@ -56,7 +56,7 @@ class NotPrimitive(PlaneBranchError):
 
 
 class NotTransversal(PlaneBranchError):
-    """Order of the y-component does not exceed n (x = 0 not transversal)."""
+    """The order of the y-component does not exceed n (x = 0 not transversal)."""
 
 
 class NotSingular(PlaneBranchError):

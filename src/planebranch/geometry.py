@@ -68,8 +68,8 @@ class Parametrization:
     def exact(self) -> bool:
         return self.y.exact
 
-    def x_series(self, trunc=EXACT) -> TSeries:
-        return TSeries.monomial(self.y.var, self.n, 1, trunc)
+    def x_series(self) -> TSeries:
+        return TSeries.monomial(self.y.var, self.n)
 
     def with_trunc(self, bound) -> "Parametrization":
         """View of the branch at a working truncation.
@@ -348,13 +348,13 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
 def intersection_poly_param(f: BivarPoly, phi: Parametrization) -> int:
     """Intersection multiplicity as the t-order of f on the parametrization."""
     value = substitute(f, phi.n, phi.y)
-    o = value.order()
-    if o.known:
-        return o.value
-    if o.is_zero_series:
+    order = value.order()
+    if order is not None:
+        return order
+    if value.exact:
         raise BranchesEqual("polynomial vanishes identically on the branch")
     raise PrecisionExhausted(
-        f"substitution vanishes below {o.value}; raise the truncation "
+        f"substitution vanishes below {value.trunc}; raise the truncation "
         "or the branches coincide"
     )
 
@@ -498,10 +498,9 @@ def swap_parametrization(phi: Parametrization, trunc: int | None = None) -> Para
     of y to have a rational m-th root.
     """
     y = phi.y
-    o = y.order()
-    if not o.known:
+    m = y.order()
+    if m is None:
         raise PrecisionExhausted("cannot swap a branch with undetermined y-order")
-    m = o.value
     lead = y.terms[m]
     root = exact_root(lead, m)
     if root is None:

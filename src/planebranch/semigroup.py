@@ -109,8 +109,8 @@ def char_sequence(phi) -> CharData:
     if n < 1:
         raise InvalidArgument("multiplicity must be positive")
     y = phi.y
-    o = y.order()
-    if not o.known:
+    order = y.order()
+    if order is None:
         if y.exact:
             raise NotTransversal("y-component is identically zero")
         raise PrecisionExhausted(
@@ -118,9 +118,9 @@ def char_sequence(phi) -> CharData:
         )
     if n == 1:
         raise NotSingular("multiplicity 1: smooth branch, no characteristic sequence")
-    if o.value <= n:
+    if order <= n:
         raise NotTransversal(
-            f"ord(y) = {o.value} must exceed n = {n}; swap the coordinates first"
+            f"ord(y) = {order} must exceed n = {n}; swap the coordinates first"
         )
     exps = sorted(y.terms)
     beta = [n]

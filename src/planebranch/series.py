@@ -5,7 +5,8 @@ All coefficients are `fractions.Fraction`; nothing is ever rounded.  A
 truncation bound `trunc`: coefficients at exponents >= trunc are unknown and
 no operation ever reports information there.  Exactly known polynomials
 (user input, implicit equations) carry the infinite truncation `EXACT`, in
-which case the term map is the whole series.
+which case the term map is the whole series.  `order()` is the smallest
+exponent with a nonzero term, or None when no term below `trunc` is known.
 
 The hot kernels (`TSeries.__mul__`, `nth_root_unit`, `solve_composition`)
 work on integer numerators over one shared denominator per operand, the
@@ -18,7 +19,6 @@ to `Fraction`s everywhere outside the kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -82,30 +82,48 @@ def _convolve(a: dict, b: dict, bound, acc: dict | None = None) -> dict:
     return acc
 
 
-@dataclass(frozen=True)
-class Order:
-    """Order of a series: the smallest nonzero exponent, when certified.
+def _accumulate(pairs) -> dict:
+    """key -> the sum of the coefficients given for it, over (key, c) pairs."""
+    acc: dict = {}
+    for key, c in pairs:
+        acc[key] = acc.get(key, _ZERO) + ratio(c)
+    return acc
 
-    `known(k)` means the coefficient at k is nonzero and everything below
-    vanishes; `at_least(T)` means the series vanishes up to the truncation
-    bound T, so the order is undetermined (or the series is zero when T is
-    infinite).
-    """
 
-    value: int | float
-    known: bool
+def _power(base, k: int, one):
+    """base**k by repeated squaring; `one()` builds the result at k = 0."""
+    if not isinstance(k, int) or k < 0:
+        raise InvalidArgument("exponent must be a non-negative integer")
+    result = None
+    while k:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return one() if result is None else result
 
-    @staticmethod
-    def known_at(k: int) -> "Order":
-        return Order(k, True)
 
-    @staticmethod
-    def at_least(bound) -> "Order":
-        return Order(bound, False)
+def _mono(var: str, e: int) -> str:
+    """var**e as printed: empty at e = 0, the bare var at e = 1."""
+    return "" if e == 0 else var if e == 1 else f"{var}^{e}"
 
-    @property
-    def is_zero_series(self) -> bool:
-        return not self.known and self.value == EXACT
+
+def _render(terms) -> str:
+    """(monomial, coefficient) pairs joined by + in the given order: an
+    empty monomial prints its coefficient bare, +-1 prints +-monomial, any
+    other c prints c*monomial; no pairs print 0."""
+    parts = []
+    for mono, c in terms:
+        if not mono:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{c}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 class TSeries:
@@ -144,10 +162,7 @@ class TSeries:
 
     @classmethod
     def from_terms(cls, var: str, pairs, trunc=EXACT) -> "TSeries":
-        acc: dict = {}
-        for e, c in pairs:
-            acc[e] = acc.get(e, _ZERO) + ratio(c)
-        return cls(var, acc, trunc)
+        return cls(var, _accumulate(pairs), trunc)
 
     # -- inspection ----------------------------------------------------------
 
@@ -155,10 +170,11 @@ class TSeries:
     def exact(self) -> bool:
         return self.trunc == EXACT
 
-    def order(self) -> Order:
-        if self.terms:
-            return Order.known_at(min(self.terms))
-        return Order.at_least(self.trunc)
+    def order(self) -> int | None:
+        """The smallest nonzero exponent; None when no term below trunc is
+        known to be nonzero (the order is then undetermined, or infinite for
+        an exact zero)."""
+        return min(self.terms) if self.terms else None
 
     def _eff_order(self):
         """Lower bound valid for every term, known or unknown."""
@@ -203,23 +219,7 @@ class TSeries:
         return f"TSeries({self})"
 
     def __str__(self) -> str:
-        if not self.terms:
-            body = "0"
-        else:
-            parts = []
-            for e in sorted(self.terms):
-                c = self.terms[e]
-                mono = "1" if e == 0 else (self.var if e == 1 else f"{self.var}^{e}")
-                if e == 0:
-                    txt = str(c)
-                elif c == 1:
-                    txt = mono
-                elif c == -1:
-                    txt = f"-{mono}"
-                else:
-                    txt = f"{c}*{mono}"
-                parts.append(txt)
-            body = " + ".join(parts).replace("+ -", "- ")
+        body = _render((_mono(self.var, e), self.terms[e]) for e in sorted(self.terms))
         if self.exact:
             return body
         return f"{body} + O({self.var}^{self.trunc})"
@@ -275,19 +275,7 @@ class TSeries:
         )
 
     def __pow__(self, k: int) -> "TSeries":
-        if k < 0 or k != int(k):
-            raise InvalidArgument("exponent must be a non-negative integer")
-        if k == 0:
-            return TSeries.constant(self.var, 1)
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k, lambda: TSeries.constant(self.var, 1))
 
     def truncated(self, bound) -> "TSeries":
         if bound >= self.trunc:
@@ -300,7 +288,7 @@ def nth_root_unit(s: TSeries, n: int) -> TSeries:
 
     Solves n * s * r' = s' * r term by term, so the whole computation stays
     in Q; the result has constant term 1 and r**n = s below the truncation.
-    Order k + 1 reads n*(k+1)*r[k+1] = sum_{i>=1} s[i]*(i - n*(k+1-i))*r[k+1-i];
+    At order k + 1, n*(k+1)*r[k+1] = sum_{i>=1} s[i]*(i - n*(k+1-i))*r[k+1-i];
     s is held as integers over its denominator and the known r as integers
     over the lcm of their denominators, rescaled when a new one widens it.
     """
@@ -343,8 +331,7 @@ def nth_root_unit(s: TSeries, n: int) -> TSeries:
 def reparametrize(s: TSeries, rho: TSeries) -> TSeries:
     """Composition s(rho(u)) for a parameter change rho of order exactly 1:
     the polynomial sum c_e * y**e on the branch (u, rho(u))."""
-    o = rho.order()
-    if not o.known or o.value != 1:
+    if rho.order() != 1:
         raise InvalidParameterChange("parameter change must have order exactly 1")
     poly = BivarPoly({(0, e): c for e, c in s.terms.items()})
     return substitute(poly, 1, rho).truncated(s.trunc)
@@ -359,8 +346,7 @@ def solve_composition(targets, w: TSeries) -> tuple:
     min(target.trunc, w.trunc).  Equivalent to composing with the
     compositional inverse of w, without constructing it.
     """
-    o = w.order()
-    if not o.known or o.value != 1:
+    if w.order() != 1:
         raise InvalidParameterChange("composition solve needs ord(w) = 1")
     bounds = [min(target.trunc, w.trunc) for target in targets]
     if EXACT in bounds:
@@ -491,11 +477,7 @@ class BivarPoly:
 
     @classmethod
     def from_pairs(cls, pairs) -> "BivarPoly":
-        acc: dict = {}
-        for (i, j), c in pairs:
-            key = (int(i), int(j))
-            acc[key] = acc.get(key, _ZERO) + ratio(c)
-        return cls(acc)
+        return cls(_accumulate(((i, j), c) for (i, j), c in pairs))
 
     # -- inspection ----------------------------------------------------------
 
@@ -526,28 +508,10 @@ class BivarPoly:
         return f"BivarPoly({self})"
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        def mono(i, j):
-            parts = []
-            if i:
-                parts.append("x" if i == 1 else f"x^{i}")
-            if j:
-                parts.append("y" if j == 1 else f"y^{j}")
-            return "*".join(parts)
-        parts = []
-        for (i, j) in sorted(self.terms, key=lambda ij: (-ij[1], ij[0])):
-            c = self.terms[(i, j)]
-            m = mono(i, j)
-            if not m:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(m)
-            elif c == -1:
-                parts.append(f"-{m}")
-            else:
-                parts.append(f"{c}*{m}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _render(
+            ("*".join(filter(None, (_mono("x", i), _mono("y", j)))), self.terms[(i, j)])
+            for i, j in sorted(self.terms, key=lambda ij: (-ij[1], ij[0]))
+        )
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -578,17 +542,7 @@ class BivarPoly:
         return BivarPoly({k: c * v for k, v in self.terms.items()})
 
     def __pow__(self, k: int) -> "BivarPoly":
-        if k < 0:
-            raise InvalidArgument("negative power of a polynomial")
-        result = BivarPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k, BivarPoly.one)
 
     def swap_xy(self) -> "BivarPoly":
         return BivarPoly({(j, i): c for (i, j), c in self.terms.items()})

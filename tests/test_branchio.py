@@ -28,3 +28,36 @@ def test_integers_parse(field):
 def test_a_json_boolean_is_not_an_integer(field):
     with pytest.raises(BranchFileError):
         parse_branch(document(field, True, False))
+
+
+CUSP = {"kind": "parametrization", "n": 2, "terms": [[3, "1"]]}
+CUSP_POLY = {"kind": "polynomial", "terms": [[[0, 2], "1"], [[3, 0], "-1"]]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**CUSP_POLY, "trunc": 5},
+        {**CUSP, "bogus": 1},
+        {**CUSP_POLY, "n": 2},
+        {**CUSP, "label": {"a": 1}},
+        {**CUSP, "label": 7},
+        {**CUSP_POLY, "label": None},
+    ],
+    ids=[
+        "polynomial-trunc", "unknown-key", "polynomial-n",
+        "label-object", "label-number", "label-null",
+    ],
+)
+def test_a_key_outside_the_format_is_refused(doc):
+    # a polynomial has no truncation: dropping the one it asks for would
+    # print an exact answer to an inexact question
+    with pytest.raises(BranchFileError):
+        parse_branch(doc)
+
+
+@pytest.mark.parametrize(
+    "doc", [{**CUSP, "trunc": 9, "label": "cusp"}, {**CUSP_POLY, "label": "cusp"}]
+)
+def test_every_allowed_key_parses(doc):
+    assert parse_branch(doc)[1] == "cusp"

@@ -208,6 +208,16 @@ class TestPair:
             f"error: --known-lambda {value} differs from the computed invariant {computed}\n"
         )
 
+    @pytest.mark.parametrize("sub", ["intersect", "contact"])
+    def test_a_known_lambda_is_refused_outside_infer(self, capsys, sub):
+        code, out, err = run(
+            capsys, "pair", sub,
+            "--fixture", "k37-branch", "--fixture", "k37-cusp",
+            "--known-lambda", "99",
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: --known-lambda applies to pair infer only, not pair {sub}\n"
+
     def test_infer_boundary_exits_with_hypothesis_code(self, capsys):
         # I(k37-branch, cusp) = 22 sits exactly on the excluded boundary
         code, _, err = run(
@@ -398,6 +408,13 @@ class TestErrors:
     def test_boolean_integers_are_a_parse_error(self, capsys, tmp_path, payload):
         code, _, err = run(capsys, "invariants", write_branch(tmp_path, "b.json", payload))
         assert code == 2 and "error:" in err
+
+    def test_a_truncated_polynomial_is_a_parse_error(self, capsys, tmp_path):
+        payload = {"kind": "polynomial", "terms": [[[0, 2], "1"], [[3, 0], "-1"]], "trunc": 5}
+        path = write_branch(tmp_path, "poly.json", payload)
+        code, out, err = run(capsys, "convert", "puiseux", path)
+        assert code == 2 and out == ""
+        assert err == "error: unknown key(s) 'trunc' in a polynomial description\n"
 
     def test_decreasing_exponents_rejected(self, capsys, tmp_path):
         path = write_branch(

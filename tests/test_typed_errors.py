@@ -1,7 +1,8 @@
 """Every kernel precondition and internal check raises a typed error.
 
 A bad argument raises `InvalidArgument`, which the CLI maps to exit code 3
-and which stays a `ValueError`; a broken internal invariant raises
+and which stays a `ValueError`; other violated preconditions have their own
+classes, also exit code 3; a broken internal invariant raises
 `CrossCheckFailed` (exit code 6).
 """
 
@@ -11,10 +12,23 @@ from fractions import Fraction as F
 import pytest
 
 from planebranch import cli
-from planebranch.errors import CrossCheckFailed, InvalidArgument
-from planebranch.geometry import Parametrization
+from planebranch.errors import (
+    CrossCheckFailed,
+    InvalidArgument,
+    InvalidParameterChange,
+    NonPolynomialInput,
+)
+from planebranch.geometry import Parametrization, implicitize
 from planebranch.semigroup import CharData, char_sequence, standard_rep
-from planebranch.series import BivarPoly, TSeries, exact_root, nth_root_unit, ratio
+from planebranch.series import (
+    BivarPoly,
+    TSeries,
+    exact_root,
+    nth_root_unit,
+    ratio,
+    reparametrize,
+    solve_composition,
+)
 
 K467 = CharData.from_char_exponents((4, 6, 7))
 
@@ -25,13 +39,34 @@ BAD_ARGUMENTS = {
     "tseries-fractional-exponent": lambda: TSeries("t", {F(1, 2): 1}, 5),
     "shift": lambda: TSeries("t", {1: 1}, 5).shift(-2),
     "tseries-pow": lambda: TSeries("t", {1: 1}, 5) ** -1,
+    "tseries-float-pow": lambda: TSeries("t", {1: 1}, 5) ** 2.0,
     "nth-root-index": lambda: nth_root_unit(TSeries("t", {0: 1, 1: 1}, 5), 0),
     "exact-root-index": lambda: exact_root(F(4), 0),
     "bivar-exponent": lambda: BivarPoly({(-1, 0): 1}),
     "bivar-pow": lambda: BivarPoly.monomial(1, 1) ** -1,
+    "bivar-fractional-pow": lambda: BivarPoly.monomial(1, 1) ** F(1, 2),
     "char-exponents-not-characteristic": lambda: CharData.from_char_exponents((4, 6, 8)),
     "char-sequence-multiplicity": lambda: char_sequence(
         Parametrization(0, TSeries("t", {3: 1}, 10))
+    ),
+}
+
+TRUNCATED_CUSP = Parametrization.from_pairs(2, [(3, 1)], trunc=8)
+CUSP = Parametrization.from_pairs(2, [(3, 1)])
+# no term is known below 1, so the order of this parameter change is not 1
+UNKNOWN_ORDER = TSeries("t", {}, 1)
+
+VIOLATED_PRECONDITIONS = {
+    "implicitize-truncated": (NonPolynomialInput, lambda: implicitize(TRUNCATED_CUSP)),
+    "implicitize-zero": (
+        NonPolynomialInput, lambda: implicitize(Parametrization(2, TSeries.zero("t")))
+    ),
+    "same-branch-truncated": (NonPolynomialInput, lambda: CUSP.same_branch(TRUNCATED_CUSP)),
+    "reparametrize-unknown-order": (
+        InvalidParameterChange, lambda: reparametrize(TSeries.monomial("t", 2), UNKNOWN_ORDER)
+    ),
+    "solve-composition-unknown-order": (
+        InvalidParameterChange, lambda: solve_composition([CUSP.y.truncated(5)], UNKNOWN_ORDER)
     ),
 }
 
@@ -48,6 +83,15 @@ def test_bad_argument_is_a_typed_precondition(call):
     with pytest.raises(InvalidArgument) as info:
         call()
     assert isinstance(info.value, ValueError)
+    assert cli._exit_code(info.value) == cli.EXIT_PRECONDITION == 3
+
+
+@pytest.mark.parametrize(
+    "error,call", VIOLATED_PRECONDITIONS.values(), ids=VIOLATED_PRECONDITIONS.keys()
+)
+def test_violated_precondition_exits_3(error, call):
+    with pytest.raises(error) as info:
+        call()
     assert cli._exit_code(info.value) == cli.EXIT_PRECONDITION == 3
 
 

@@ -1,6 +1,7 @@
 """Elimination moves, genus-one reduction, the invariant and inference."""
 
 import dataclasses
+import functools
 import hashlib
 import random
 from fractions import Fraction as F
@@ -322,6 +323,24 @@ def _slots(n, m):
     return [s for s in range(m + 1, mu - n) if rep_nm(s + n, n, m)[0] < 0]
 
 
+CLASSES = [(3, 4), (3, 7), (4, 5), (4, 7), (5, 6), (5, 7), (5, 8), (6, 7), (7, 9)]
+
+
+@functools.cache
+def planted(n, m):
+    """slot -> a dense branch of K(n, m) with the all-slots oracle's loop run
+    below the slot; at None the loop has run through, so the branch is the
+    oracle's witness.  Each is a step of one loop, so all share its witness;
+    planting every slot leaves a branch in B."""
+    lead = F(3, 2) if n % 2 == 0 else F(-2, 3)
+    phi = dense(10 * n + m, n, range(m + 1, (n - 1) * (m - 1)), {m: lead})
+    return {slot: witness_by_all_slots(phi, m, below=slot) for slot in _slots(n, m) + [None]}
+
+
+def plus_term(phi, k, c=F(5, 7)):
+    return Parametrization(phi.n, phi.y + TSeries.monomial(phi.y.var, k, c))
+
+
 class TestRoute:
     """The differential route against the sweep and the all-slots oracle."""
 
@@ -333,18 +352,28 @@ class TestRoute:
         assert is_in_b(res.witness, n, m)
         return res
 
-    @pytest.mark.parametrize(
-        "n,m", [(3, 4), (3, 7), (4, 5), (4, 7), (5, 6), (5, 7), (5, 8), (6, 7), (7, 9)]
-    )
+    @pytest.mark.parametrize("n,m", CLASSES)
     def test_every_slot_and_the_infinite_case(self, n, m):
-        # each planted branch is a step of the oracle's own loop, so all of
-        # them share its witness; planting every slot leaves a branch in B
-        lead = F(3, 2) if n % 2 == 0 else F(-2, 3)
-        phi = dense(10 * n + m, n, range(m + 1, (n - 1) * (m - 1)), {m: lead})
-        oracle = witness_by_all_slots(phi, m)
-        for slot in _slots(n, m) + [None]:
-            res = self.check(witness_by_all_slots(phi, m, below=slot), n, m, oracle)
-            assert res.exponent == slot
+        branches = planted(n, m)
+        for slot, phi in branches.items():
+            assert self.check(phi, n, m, branches[None]).exponent == slot
+
+    @pytest.mark.parametrize("n,m", CLASSES)
+    def test_the_route_reads_y_only_below_mu_minus_n(self, n, m):
+        # a term at t**k enters omega, and every form that cancels a lead of
+        # omega, at t**(k + n - 1) or above: from k = mu - n on, that is past
+        # omega's cut at mu - 1.  At k = mu - n - 1 it lands on mu - 2, whose
+        # value mu - 1 is the largest gap of <n, m>: the last slot
+        mu = (n - 1) * (m - 1)
+        branches = planted(n, m)
+        plain = Parametrization.from_pairs(n, [(m, 1)])
+        for phi in [plain, *branches.values()]:
+            route = zariski._route(phi, n, m)
+            for k in range(mu - n, mu + 2 * n):
+                assert zariski._route(plus_term(phi, k), n, m) == route
+        for member in (plain, branches[None]):
+            assert zariski._route(member, n, m) == (None, None)
+            assert zariski._route(plus_term(member, mu - n - 1), n, m)[0] == mu - n - 1
 
     @pytest.mark.parametrize("name", list(GOLDEN))
     def test_golden_reduced_branches(self, name):
