@@ -13,7 +13,15 @@ work on integer numerators over one shared denominator per operand, the
 layout of FLINT's `fmpq_poly`: `_common` clears an operand's denominators
 with one lcm, `_convolve` multiplies in integers, and each output
 coefficient becomes a `Fraction` once, with one gcd.  `.terms` stays a map
-to `Fraction`s everywhere outside the kernels.
+to `Fraction`s everywhere outside the kernels.  `solve_composition` keeps
+each power w**k over its reduced denominator: dividing out the content after
+every product keeps the numerators near the size of w's own.
+
+The public constructor `TSeries(...)` checks and cleans what it is given.
+Kernel outputs whose invariants hold by construction (int exponents below
+`trunc`, nonzero `Fraction` values, a dict of their own) go through the
+trusted `TSeries._make` instead: the ring operations, `scale`, `shift`,
+`truncated`, `nth_root_unit` and `solve_composition`.
 """
 
 from __future__ import annotations
@@ -146,6 +154,16 @@ class TSeries:
         self.terms = clean
         self.trunc = trunc
 
+    @classmethod
+    def _make(cls, var: str, terms: dict, trunc) -> "TSeries":
+        """A kernel output, unchecked: `terms` maps int exponents below
+        `trunc` to nonzero Fractions and belongs to no other series."""
+        s = object.__new__(cls)
+        s.var = var
+        s.terms = terms
+        s.trunc = trunc
+        return s
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -233,13 +251,18 @@ class TSeries:
     def __add__(self, other: "TSeries") -> "TSeries":
         self._check_tag(other)
         trunc = min(self.trunc, other.trunc)
-        acc = dict(self.terms)
+        acc = {e: c for e, c in self.terms.items() if e < trunc}
         for e, c in other.terms.items():
-            acc[e] = acc.get(e, _ZERO) + c
-        return TSeries(self.var, acc, trunc)
+            if e < trunc:
+                c += acc.get(e, _ZERO)
+                if c:
+                    acc[e] = c
+                else:
+                    del acc[e]
+        return TSeries._make(self.var, acc, trunc)
 
     def __neg__(self) -> "TSeries":
-        return TSeries(self.var, {e: -c for e, c in self.terms.items()}, self.trunc)
+        return TSeries._make(self.var, {e: -c for e, c in self.terms.items()}, self.trunc)
 
     def __sub__(self, other: "TSeries") -> "TSeries":
         return self + (-other)
@@ -256,23 +279,26 @@ class TSeries:
         b, db = _common(other.terms, trunc)
         den = da * db
         acc = _convolve(a, b, trunc)
-        return TSeries(self.var, {e: Fraction(c, den) for e, c in acc.items() if c}, trunc)
+        return TSeries._make(
+            self.var, {e: Fraction(c, den) for e, c in acc.items() if c}, trunc
+        )
 
     def scale(self, value) -> "TSeries":
         c = ratio(value)
         if not c:
             return TSeries.zero(self.var, self.trunc)
-        return TSeries(self.var, {e: c * v for e, v in self.terms.items()}, self.trunc)
+        return TSeries._make(self.var, {e: c * v for e, v in self.terms.items()}, self.trunc)
 
     def shift(self, offset: int) -> "TSeries":
         """Multiply by var**offset (offset may be negative if all terms allow)."""
+        if not isinstance(offset, int):
+            raise InvalidArgument(f"shift offset must be an integer, got {offset!r}")
         if offset < 0 and any(e + offset < 0 for e in self.terms):
             raise InvalidArgument("shift would create negative exponents")
-        return TSeries(
-            self.var,
-            {e + offset: c for e, c in self.terms.items()},
-            self.trunc + offset if self.trunc != EXACT else EXACT,
-        )
+        trunc = self.trunc + offset
+        if trunc < 1:
+            raise InvalidArgument(f"trunc must be a positive integer, got {trunc!r}")
+        return TSeries._make(self.var, {e + offset: c for e, c in self.terms.items()}, trunc)
 
     def __pow__(self, k: int) -> "TSeries":
         return _power(self, k, lambda: TSeries.constant(self.var, 1))
@@ -280,7 +306,9 @@ class TSeries:
     def truncated(self, bound) -> "TSeries":
         if bound >= self.trunc:
             return self
-        return TSeries(self.var, self.terms, bound)
+        if not isinstance(bound, int) or bound < 1:
+            raise InvalidArgument(f"trunc must be a positive integer, got {bound!r}")
+        return TSeries._make(self.var, {e: c for e, c in self.terms.items() if e < bound}, bound)
 
 
 def nth_root_unit(s: TSeries, n: int) -> TSeries:
@@ -325,7 +353,7 @@ def nth_root_unit(s: TSeries, n: int) -> TSeries:
             rden *= widen
             rnum = [r * widen for r in rnum]
         rnum.append(coeff.numerator * (rden // coeff.denominator))
-    return TSeries(s.var, root, s.trunc)
+    return TSeries._make(s.var, root, s.trunc)
 
 
 def reparametrize(s: TSeries, rho: TSeries) -> TSeries:
@@ -344,7 +372,10 @@ def solve_composition(targets, w: TSeries) -> tuple:
     power of w per order serves every target, so several targets cost one
     pass over the powers of w.  Each target keeps its own truncation
     min(target.trunc, w.trunc).  Equivalent to composing with the
-    compositional inverse of w, without constructing it.
+    compositional inverse of w, without constructing it.  Each power w**k is
+    kept as integers over its reduced denominator: the content shared by the
+    numerators and the denominator is divided out after every product, so
+    the numerators grow like the true denominators of w**k, not like wden**k.
     """
     if w.order() != 1:
         raise InvalidParameterChange("composition solve needs ord(w) = 1")
@@ -353,9 +384,8 @@ def solve_composition(targets, w: TSeries) -> tuple:
         raise NeedsTruncation("composition solve needs a finite truncation")
     bound = max(bounds, default=0)
     wnum, wden = _common(w.terms, max(bound, 2))
-    lead = wnum[1]
-    # residual i is rnums[i] / rdens[i]; w**k is wpow / pden with lead**k
-    # numerator plead at order k
+    # residual i is rnums[i] / rdens[i]; w**k is wpow / pden in lowest
+    # terms, with numerator plead at its order k
     rnums, rdens = [], []
     for target, tb in zip(targets, bounds):
         num, den = _common(target.terms, tb)
@@ -394,9 +424,13 @@ def solve_composition(targets, w: TSeries) -> tuple:
             rnums[i], rdens[i] = rnum, den
         wpow = _convolve(wpow, wnum, bound)
         pden *= wden
-        plead *= lead
+        g = math.gcd(pden, *wpow.values())
+        if g != 1:
+            pden //= g
+            wpow = {e: c // g for e, c in wpow.items()}
+        plead = wpow.get(k + 1, 0)
     return tuple(
-        TSeries(target.var, out, tb) for target, out, tb in zip(targets, outs, bounds)
+        TSeries._make(target.var, out, tb) for target, out, tb in zip(targets, outs, bounds)
     )
 
 
@@ -458,8 +492,10 @@ class BivarPoly:
             for (i, j), c in terms.items():
                 c = ratio(c)
                 if c:
-                    if i < 0 or j < 0:
-                        raise InvalidArgument("monomial exponents must be non-negative")
+                    if i < 0 or j < 0 or i != int(i) or j != int(j):
+                        raise InvalidArgument(
+                            f"monomial exponents {(i, j)!r} are not non-negative integers"
+                        )
                     clean[(int(i), int(j))] = c
         self.terms = clean
 

@@ -99,10 +99,22 @@ def _working_bound(n: int, m: int) -> int:
 
 
 def apply_qmove(phi: Parametrization, a: int, b: int, c) -> Parametrization:
-    """Coordinate change y -> y + c * x**(a-1) * y**b along x = t**n."""
+    """Coordinate change y -> y + c * x**(a-1) * y**b along x = t**n.
+
+    With T = phi.trunc and o = ord(y), the sum is known only below T, so
+    y**b is needed only below T - n(a-1); a term of y at or past
+    T - n(a-1) - (b-1)o meets b - 1 factors of order >= o there, so y is cut
+    at that bound first (at o + 1 at the least, where the whole move lands
+    past T).  The cut power is known exactly below T - n(a-1), and the sum
+    keeps trunc T.  y**0 = 1 takes no cut.
+    """
     if a < 1:
         raise DegenerateMove("q-move needs a >= 1")
-    add = (phi.y ** b).shift(phi.n * (a - 1)).scale(c)
+    y = phi.y
+    if b:
+        o = y._eff_order()
+        y = y.truncated(max(phi.trunc - phi.n * (a - 1) - (b - 1) * o, o + 1))
+    add = (y ** b).shift(phi.n * (a - 1)).scale(c)
     return Parametrization(phi.n, phi.y + add)
 
 
@@ -113,13 +125,20 @@ def apply_pmove(phi: Parametrization, b: int, c):
     w**n = x + c*y**(b-1) along the branch, one triangular solve over the
     powers of w gives both the new y-series Y, with Y(w(t)) = y(t), and the
     parameter change rho, with rho(w(t)) = t, each at its own truncation.
+
+    With T = phi.trunc and o = ord(y), the unit 1 + c*y**(b-1)/x is cut at
+    T, so y**(b-1) is needed only below T + n; y is cut at
+    T + n - (b-2)o first (at o + 1 at the least), which leaves y**(b-1)
+    exact below T + n.  At b = 2 that cut lies past T and changes nothing.
     """
     if b < 2:
         raise DegenerateMove("p-move needs b >= 2 (x + c*y**(b-1) with b-1 >= 1)")
     n = phi.n
     if phi.exact:
         raise NeedsTruncation("p-move needs a finite working truncation; re-truncate first")
-    perturb = (phi.y ** (b - 1)).scale(c)
+    o = phi.y._eff_order()
+    y = phi.y.truncated(max(phi.trunc + n - (b - 2) * o, o + 1))
+    perturb = (y ** (b - 1)).scale(c)
     if perturb.terms and min(perturb.terms) <= n:
         raise DegenerateMove("perturbation must have order above n")
     unit = TSeries.constant(phi.y.var, 1) + perturb.shift(-n)
@@ -186,24 +205,37 @@ def _route(phi: Parametrization, n: int, m: int):
 
     Per n*dt, omega is sum (m - j)*a_j*t**(j+n-1), and a lead of value
     v = a*n + b*m is cancelled by x**(a-1)*y**b*dx = t**(n*a-1)*y**b, or by
-    d(y**b) when a = 0.  Nothing below mu depends on y past t**mu.
+    d(y**b) when a = 0: either way the term k of y**b lands at k + n*a - 1,
+    times k when a = 0.  omega is known only below mu - 1, so every power
+    of y is needed only below mu: each is cut at mu - ord(y) before the next
+    factor y, which leaves it exact below mu.  omega is one map reduced in
+    place, one multiply-subtract per term of each form.
     """
     mu = _conductor(n, m)
     y = phi.with_trunc(_working_bound(n, m)).y.truncated(mu)
-    omega = TSeries(y.var, {j + n - 1: (m - j) * c for j, c in y.terms.items()}, mu - 1)
+    cut = mu - y._eff_order()
+    omega = {}
+    for j, c in y.terms.items():
+        if j != m and j + n - 1 < mu - 1:
+            omega[j + n - 1] = (m - j) * c
     powers = [TSeries.constant(y.var, 1)]
-    while omega.terms:
-        e = min(omega.terms)
+    while omega:
+        e = min(omega)
         a, b = rep_nm(e + 1, n, m)
         if a < 0:
-            return e + 1 - n, omega.terms[e] / ((m + n - e - 1) * phi.y.coeff(m))
+            return e + 1 - n, omega[e] / ((m + n - e - 1) * phi.y.coeff(m))
         while len(powers) <= b:
-            powers.append(powers[-1] * y)
-        if a:
-            form = powers[b].shift(n * a - 1)
-        else:
-            form = TSeries(y.var, {k - 1: k * c for k, c in powers[b].terms.items()}, mu - 1)
-        omega = omega - form.scale(omega.terms[e] / form.terms[e])
+            powers.append(powers[-1].truncated(cut) * y)
+        shift = n * a - 1
+        form = powers[b].terms
+        f = omega[e] / (form[e - shift] * (1 if a else e - shift))
+        for k, c in form.items():
+            if k + shift < mu - 1:
+                c = omega.get(k + shift, 0) - f * (c if a else k * c)
+                if c:
+                    omega[k + shift] = c
+                else:
+                    omega.pop(k + shift, None)
     return None, None
 
 

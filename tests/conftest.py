@@ -2,7 +2,9 @@
 
 The oracles deliberately avoid the library's own series engine: semigroup
 membership by dynamic programming, substitution by plain dict convolution.
-Expected values in the tests are frozen from these.
+Expected values in the tests are frozen from these.  The reference moves and
+route compute every power of y in full and cut only at the end, where the
+kernel cuts y first; they pin the kernel's truncation arguments.
 """
 
 from fractions import Fraction as F
@@ -13,7 +15,7 @@ import pytest
 from planebranch import zariski
 from planebranch.geometry import Parametrization, bareiss_determinant
 from planebranch.semigroup import rep_nm
-from planebranch.series import BivarPoly, TSeries
+from planebranch.series import BivarPoly, TSeries, nth_root_unit, solve_composition
 
 
 # -- independent oracles -------------------------------------------------------
@@ -135,6 +137,45 @@ def witness_by_all_slots(phi: Parametrization, m: int, below=None) -> Parametriz
         if coeff:
             wy = wy - TSeries.monomial(wy.var, s, coeff / response, wy.trunc)
     return Parametrization(n, wy)
+
+
+def qmove_reference(phi: Parametrization, a: int, b: int, c) -> Parametrization:
+    """y -> y + c * x**(a-1) * y**b with y**b computed in full."""
+    add = (phi.y ** b).shift(phi.n * (a - 1)).scale(c)
+    return Parametrization(phi.n, phi.y + add)
+
+
+def pmove_reference(phi: Parametrization, b: int, c):
+    """x -> x + c * y**(b-1) and its parameter change, y**(b-1) in full."""
+    n = phi.n
+    perturb = (phi.y ** (b - 1)).scale(c)
+    unit = TSeries.constant(phi.y.var, 1) + perturb.shift(-n)
+    w = nth_root_unit(unit.truncated(phi.trunc), n).shift(1)
+    ident = TSeries.monomial(w.var, 1, 1, w.trunc)
+    ynew, rho = solve_composition([phi.y, ident], w)
+    return Parametrization(n, ynew), rho
+
+
+def route_reference(phi: Parametrization, n: int, m: int):
+    """The differential route with every power of y known below
+    mu + (b-1)*ord(y) and omega rebuilt as a series at every step."""
+    mu = (n - 1) * (m - 1)
+    y = phi.with_trunc(mu + 2 * n).y.truncated(mu)
+    omega = TSeries(y.var, {j + n - 1: (m - j) * c for j, c in y.terms.items()}, mu - 1)
+    powers = [TSeries.constant(y.var, 1)]
+    while omega.terms:
+        e = min(omega.terms)
+        a, b = rep_nm(e + 1, n, m)
+        if a < 0:
+            return e + 1 - n, omega.terms[e] / ((m + n - e - 1) * phi.y.coeff(m))
+        while len(powers) <= b:
+            powers.append(powers[-1] * y)
+        if a:
+            form = powers[b].shift(n * a - 1)
+        else:
+            form = TSeries(y.var, {k - 1: k * c for k, c in powers[b].terms.items()}, mu - 1)
+        omega = omega - form.scale(omega.terms[e] / form.terms[e])
+    return None, None
 
 
 def binomial_coefficient(alpha: F, k: int) -> F:

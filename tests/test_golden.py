@@ -3,7 +3,8 @@
 Every exact rational the reduction reports is frozen here: the invariant,
 its coefficient, the leading scale, the witness, the normal form and a
 sha256 of the move log (parameter changes included).  A refactor of the
-kernel must reproduce all of them bit for bit.
+kernel must reproduce all of them bit for bit.  The deeper dense branches
+lock their long witnesses and normal forms by sha256.
 """
 
 import hashlib
@@ -84,4 +85,50 @@ def test_reduction_matches_the_golden_outputs(name):
     assert (res.exponent, res.coefficient, res.leading_scale) == (lam, coeff, scale)
     assert str(res.witness) == witness
     assert str(res.normal_form) == normal_form
+    assert move_log_digest(res) == digest
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def deep(seed, n, m):
+    """The dense branch of K(n, m) known up to the working bound mu + 2n."""
+    return dense(seed, n, range(m + 1, (n - 1) * (m - 1) + 2 * n), {m: 1})
+
+
+# name: (branch, lambda, coefficient, scale, sha256 of the witness, of the
+# normal form, and of the move log)
+DEEP = {
+    "K(8,11) seed 1": (
+        lambda: deep(1, 8, 11),
+        12, F(-2, 3), F(1),
+        "01080aa623c787f3515e60277dc3f3d2b22fd31db384bfae546ef7ca3193fb54",
+        "d626d8bed5ef7d123419479834b440d98e6e16546a4365244f8fb691f212d20f",
+        "8057c2267c0e8976c80ff78e36408962976529a27bed355c060eee3c5533ff29",
+    ),
+    "K(8,11) seed 2": (
+        lambda: deep(2, 8, 11),
+        12, F(-3), F(1),
+        "3f350eb327e9fb6274f29c52d145c29110394b36994e680759ff9e3b1a0e7438",
+        "8ac16f4a7969cbbf388b592b049626dbf505670e35575e99e092c44101faeb59",
+        "9faa97ba0297d718490f774049171ff69b1a4ff8ebe7a6ee90e9f4988fcf562d",
+    ),
+    "K(10,13) seed 1": (
+        lambda: deep(1, 10, 13),
+        14, F(-2, 3), F(1),
+        "5ca8249023afe0ae2dae49baebe7ac9142359baea31d2816dad57e600968dbca",
+        "782efa416603849aa0483d31aff87c2e70b31736187d0f19d85bc7dd6e0c192a",
+        "3d48ff8f5fa319b34830591e96fd3986da830a24a18320f280262037cfcbce9b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DEEP))
+def test_deep_reduction_matches_the_golden_digests(name):
+    build, lam, coeff, scale, witness, normal_form, digest = DEEP[name]
+    res = zariski_invariant(build())
+    assert (res.exponent, res.coefficient, res.leading_scale) == (lam, coeff, scale)
+    assert sha256(str(res.witness)) == witness
+    assert sha256(str(res.normal_form)) == normal_form
     assert move_log_digest(res) == digest

@@ -8,11 +8,13 @@ denominators and sparse supports, at exact and truncated bounds.  The
 evaluation of a polynomial on a branch, `substitute`, is checked the same
 way against `eval_poly_on_series`, a change of parameter,
 `reparametrize`, against a sum of dict powers, and the integer
-Newton-Puiseux stage `_np_transform` against `np_transform_oracle`.
+Newton-Puiseux stage `_np_transform` against `np_transform_oracle`.  Kernel
+outputs skip the public constructor's checks; each must be what that
+constructor would build, in a dict of its own.
 """
 
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -142,6 +144,67 @@ def test_composition_solve_edge_cases(target):
     (y,) = solve_composition([target], w)
     bound = min(target.trunc, w.trunc)
     assert _compose(y.terms, w.terms, bound) == _below(target.terms, bound)
+
+
+def test_composition_solve_divides_out_the_content_of_the_powers():
+    # w's denominators multiply to 6 * 3**40 * (2**61 - 1), but below the
+    # bound no power w**k keeps them all k times over, so the content
+    # division in the solve divides
+    w = TSeries("t", {1: F(1, 2**61 - 1), 2: F(5, 3**40), 3: F(-7, 6)}, 8)
+    wden = lcm(*(c.denominator for c in w.terms.values()))
+    assert lcm(*(c.denominator for c in dict_pow(w.terms, 3, 8).values())) < wden**3
+    targets = [
+        TSeries("t", {0: F(2, 9), 1: F(-1, 2**61 - 1), 4: F(3**40, 7), 7: F(1)}, 12),
+        TSeries.monomial("t", 1, 1, 8),
+    ]
+    for target, y in zip(targets, solve_composition(targets, w)):
+        assert y.trunc == 8
+        assert _compose(y.terms, w.terms, 8) == _below(target.terms, 8)
+
+
+def _trusted_outputs(a, b, unit, n, w, k, c):
+    """(output, inputs) for every kernel whose output skips the checks of
+    the public constructor."""
+    return [
+        (a * b, (a, b)),
+        (a + b, (a, b)),
+        (a - b, (a, b)),
+        (-a, (a,)),
+        (a.scale(c), (a,)),
+        (a.shift(k), (a,)),
+        (a.truncated(k + 1), (a,)),
+        (nth_root_unit(unit, n), (unit,)),
+        *((y, (a, w)) for y in solve_composition([a], w)),
+    ]
+
+
+@seed(11)
+@KERNEL_SETTINGS
+@given(
+    series(),
+    series(),
+    supports(1, 20),
+    st.integers(1, 20),
+    st.integers(1, 6),
+    supports(2, 18),
+    st.integers(0, 12),
+    coefficients,
+)
+def test_kernel_outputs_are_what_the_public_constructor_builds(a, b, tail, trunc, n, wtail, k, c):
+    unit = TSeries("t", {**tail, 0: F(1)}, trunc)
+    w = TSeries("t", {**wtail, 1: F(-3, 7)}, trunc + 1)
+    before = {id(s): (s.trunc, dict(s.terms)) for s in (a, b, unit, w)}
+    for out, inputs in _trusted_outputs(a, b, unit, n, w, k, c):
+        assert out == TSeries(out.var, dict(out.terms), out.trunc)
+        assert all(type(e) is int and type(v) is F for e, v in out.terms.items())
+        # a kernel may hand back an input unchanged; any other output owns
+        # its dict, so mutating it leaves every input as it was
+        if any(out is s for s in inputs):
+            continue
+        out.terms.clear()
+        out.terms[10**6] = F(1)
+        for s in (a, b, unit, w):
+            assert (s.trunc, s.terms) == before[id(s)]
 
 
 @settings(max_examples=15, deadline=None)

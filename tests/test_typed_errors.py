@@ -43,6 +43,8 @@ BAD_ARGUMENTS = {
     "nth-root-index": lambda: nth_root_unit(TSeries("t", {0: 1, 1: 1}, 5), 0),
     "exact-root-index": lambda: exact_root(F(4), 0),
     "bivar-exponent": lambda: BivarPoly({(-1, 0): 1}),
+    "bivar-fractional-exponent": lambda: BivarPoly({(1.5, 0): 1}),
+    "bivar-fractional-y-exponent": lambda: BivarPoly({(0, F(27, 10)): 1}),
     "bivar-pow": lambda: BivarPoly.monomial(1, 1) ** -1,
     "bivar-fractional-pow": lambda: BivarPoly.monomial(1, 1) ** F(1, 2),
     "char-exponents-not-characteristic": lambda: CharData.from_char_exponents((4, 6, 8)),
