@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, inf, lcm
+from math import comb, gcd, inf
 
 from .errors import (
     BranchesEqual,
@@ -253,7 +253,12 @@ def _np_edge(cur: dict):
     if not ycol or min(ycol) == 0:
         raise NotIrreducible("no branch through the origin at this stage")
     jstar = min(ycol)
-    slope = min(Fraction(i, jstar - j) for i, j in pts if j < jstar)
+    # the least i / (jstar - j), compared by cross-multiplication
+    mu, nu = inf, 1
+    for i, j in pts:
+        if j < jstar and i * nu < mu * (jstar - j):
+            mu, nu = i, jstar - j
+    slope = Fraction(mu, nu)
     mu, nu = slope.numerator, slope.denominator
     weight = mu * jstar
     edge = {j: c for (i, j), c in cur.items() if i * nu + j * mu == weight}
@@ -305,9 +310,8 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
     separation = Fraction((2 * n - 1) * max(i for i, _ in f.terms), 2)
     terms: dict = {}  # x-exponent -> coefficient
     conductor = 0
-    den = lcm(*(c.denominator for c in f.terms.values()))
-    # primitive already: a prime power of den divides some denominator fully
-    cur = {k: c.numerator * (den // c.denominator) for k, c in f.terms.items()}
+    # primitive already: a prime power of the lcm divides some denominator fully
+    cur, _ = _common(f.terms)
     ram, xexp, target = 1, Fraction(0), trunc
     while True:
         edge = _np_edge(cur)

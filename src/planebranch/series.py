@@ -8,25 +8,29 @@ no operation ever reports information there.  Exactly known polynomials
 which case the term map is the whole series.  `order()` is the smallest
 exponent with a nonzero term, or None when no term below `trunc` is known.
 
-The hot kernels (`TSeries.__mul__`, `nth_root_unit`, `solve_composition`)
-work on integer numerators over one shared denominator per operand, the
-layout of FLINT's `fmpq_poly`: `_common` clears an operand's denominators
-with one lcm, `_convolve` multiplies in integers, and each output
-coefficient becomes a `Fraction` once, with one gcd.  `.terms` stays a map
-to `Fraction`s everywhere outside the kernels.  `solve_composition` keeps
-each power w**k over its reduced denominator: dividing out the content after
-every product keeps the numerators near the size of w's own.
+The hot kernels (`TSeries.__mul__`, `nth_root_unit`, `solve_composition`,
+`substitute`, `BivarPoly.__mul__`) work on integer numerators over one
+shared denominator per operand, the layout of FLINT's `fmpq_poly`:
+`_common` clears an operand's denominators with one lcm, `_convolve`
+multiplies in integers, and each output coefficient becomes a `Fraction`
+once, with one gcd.  `.terms` stays a map to `Fraction`s everywhere outside
+the kernels.  `solve_composition` keeps each power w**k over its reduced
+denominator: dividing out the content after every product keeps the
+numerators near the size of w's own.
 
-The public constructor `TSeries(...)` checks and cleans what it is given.
-Kernel outputs whose invariants hold by construction (int exponents below
-`trunc`, nonzero `Fraction` values, a dict of their own) go through the
-trusted `TSeries._make` instead: the ring operations, `scale`, `shift`,
-`truncated`, `nth_root_unit` and `solve_composition`.
+The public constructors `TSeries(...)` and `BivarPoly(...)` check and clean
+what they are given.  Kernel outputs whose invariants hold by construction
+(int exponents, below `trunc` for a series, nonzero `Fraction` values, a
+dict of their own) go through the trusted `TSeries._make` and
+`BivarPoly._make` instead: the ring operations of both, `scale`, `shift`,
+`truncated`, `nth_root_unit`, `solve_composition`, `substitute`, `swap_xy`
+and `divmod_monic_y`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -54,23 +58,26 @@ def ratio(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            pass
     raise InvalidArgument(f"cannot interpret {value!r} as an exact rational")
 
 
-def _common(terms: dict, bound) -> tuple[dict, int]:
-    """(numerators, den): the Fraction terms below `bound` as integers over
-    their one common denominator, the lcm of theirs."""
+def _common(terms: dict, bound=None) -> tuple[dict, int]:
+    """(numerators, den): the Fraction terms below `bound` (all of them at
+    None) as integers over their one common denominator, the lcm of theirs."""
     # pairwise, because math.lcm(*dens) builds a tuple per call, and freed
     # short tuples pile up on the interpreter's free lists
     den = 1
     for e, c in terms.items():
-        if e < bound:
+        if bound is None or e < bound:
             den = math.lcm(den, c.denominator)
     return {
         e: c.numerator * (den // c.denominator)
         for e, c in terms.items()
-        if e < bound
+        if bound is None or e < bound
     }, den
 
 
@@ -500,6 +507,14 @@ class BivarPoly:
         self.terms = clean
 
     @classmethod
+    def _make(cls, terms: dict) -> "BivarPoly":
+        """A kernel output, unchecked: `terms` maps pairs of natural ints to
+        nonzero Fractions and belongs to no other polynomial."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls) -> "BivarPoly":
         return cls()
 
@@ -551,53 +566,74 @@ class BivarPoly:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def __add__(self, other: "BivarPoly") -> "BivarPoly":
+    def _combine(self, other: "BivarPoly", op) -> "BivarPoly":
+        """op(self, other) term by term, for op = operator.add or sub."""
         acc = dict(self.terms)
         for k, c in other.terms.items():
-            acc[k] = acc.get(k, _ZERO) + c
-        return BivarPoly(acc)
+            c = op(acc.get(k, _ZERO), c)
+            if c:
+                acc[k] = c
+            else:
+                del acc[k]
+        return BivarPoly._make(acc)
 
-    def __neg__(self) -> "BivarPoly":
-        return BivarPoly({k: -c for k, c in self.terms.items()})
+    def __add__(self, other: "BivarPoly") -> "BivarPoly":
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        return self + (-other)
+        return self._combine(other, operator.sub)
+
+    def __neg__(self) -> "BivarPoly":
+        return BivarPoly._make({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
+        a, da = _common(self.terms)
+        b, db = _common(other.terms)
         acc: dict = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
+        get = acc.get
+        for (i1, j1), c1 in a.items():
+            for (i2, j2), c2 in b.items():
                 k = (i1 + i2, j1 + j2)
-                acc[k] = acc.get(k, _ZERO) + c1 * c2
-        return BivarPoly(acc)
+                acc[k] = get(k, 0) + c1 * c2
+        den = da * db
+        return BivarPoly._make({k: Fraction(c, den) for k, c in acc.items() if c})
 
     def scale(self, value) -> "BivarPoly":
         c = ratio(value)
         if not c:
             return BivarPoly()
-        return BivarPoly({k: c * v for k, v in self.terms.items()})
+        return BivarPoly._make({k: c * v for k, v in self.terms.items()})
 
     def __pow__(self, k: int) -> "BivarPoly":
         return _power(self, k, BivarPoly.one)
 
     def swap_xy(self) -> "BivarPoly":
-        return BivarPoly({(j, i): c for (i, j), c in self.terms.items()})
+        return BivarPoly._make({(j, i): c for (i, j), c in self.terms.items()})
 
     def divmod_monic_y(self, divisor: "BivarPoly"):
-        """Euclidean division in y by a divisor monic in y; exact in Q[x][y]."""
+        """Euclidean division in y by a divisor monic in y; exact in Q[x][y].
+        From the top down, row k of what remains is row k - d of the
+        quotient, and it times the divisor's lower rows comes off below."""
         d = divisor.deg_y()
         if d < 1 or not divisor.is_monic_in_y():
             raise NotMonic("divisor must be monic in y with positive y-degree")
-        quotient = BivarPoly()
-        rem = self
-        while not rem.is_zero and rem.deg_y() >= d:
-            k = rem.deg_y()
-            lead = BivarPoly(
-                {(i, k - d): c for (i, j), c in rem.terms.items() if j == k}
-            )
-            quotient = quotient + lead
-            rem = rem - lead * divisor
-        return quotient, rem
+        rows: dict = {}
+        for (i, j), c in self.terms.items():
+            rows.setdefault(j, {})[i] = c
+        lower = [(i, j, c) for (i, j), c in divisor.terms.items() if j < d]
+        quotient = {}
+        for k in range(max(rows, default=-1), d - 1, -1):
+            for i1, c1 in rows.pop(k, {}).items():
+                quotient[(i1, k - d)] = c1
+                for i2, j, c2 in lower:
+                    row = rows.setdefault(k - d + j, {})
+                    c = row.get(i1 + i2, _ZERO) - c1 * c2
+                    if c:
+                        row[i1 + i2] = c
+                    else:
+                        del row[i1 + i2]
+        rem = {(i, j): c for j, row in rows.items() for i, c in row.items()}
+        return BivarPoly._make(quotient), BivarPoly._make(rem)
 
     def divexact(self, divisor: "BivarPoly") -> "BivarPoly":
         """Exact division (the divisor is known to divide self)."""
@@ -623,19 +659,47 @@ class BivarPoly:
 def substitute(poly: BivarPoly, n: int, y: TSeries) -> TSeries:
     """poly(t**n, y(t)): a bivariate polynomial on the branch (t**n, y(t)).
 
-    x**i is the shift by n*i, so each y-row of poly is an exact series read
-    off its terms; one Horner pass in y combines the rows, and truncation
-    bounds propagate through the ring operations only.
+    x**i is the shift by n*i, so each y-row of poly is an exact series; one
+    Horner pass in y combines the rows on integers, y**g over yden**g and
+    each row added over the lcm of its denominator and the accumulator's.
+    The truncation is the ring operations': acc * y**g is known below
+    min(T_acc + ord y**g, T_g + ord acc), each order read after cancellation.
     """
+    if not isinstance(n, int) or n < 0:
+        raise InvalidArgument(f"x-exponent n must be a non-negative integer, got {n!r}")
     rows: dict = {}
     for (i, j), c in poly.terms.items():
-        rows.setdefault(j, {})[n * i] = c
+        row = rows.setdefault(j, {})
+        if n * i in row:  # only at n = 0
+            c += row[n * i]
+        row[n * i] = c
     if not rows:
         return TSeries.zero(y.var)
     ydegs = sorted(rows, reverse=True)
-    acc = TSeries(y.var, rows[ydegs[0]], EXACT)
-    for prev, j in zip(ydegs, ydegs[1:]):
-        acc = acc * (y ** (prev - j)) + TSeries(y.var, rows[j], EXACT)
-    if ydegs[-1]:
-        acc = acc * (y ** ydegs[-1])
-    return acc
+    steps = [(prev - j, rows[j]) for prev, j in zip(ydegs, ydegs[1:])]
+    steps.append((ydegs[-1], None))
+    ynum, yden = _common(y.terms)
+    yord = min(ynum) if ynum else y.trunc
+    # powers[g] = (y**g over yden**g, its truncation); its order is g * yord
+    powers = [None, (ynum, y.trunc)]
+    for g in range(2, max(g for g, _ in steps) + 1):
+        trunc = y.trunc + (g - 1) * yord
+        powers.append((_convolve(powers[-1][0], ynum, trunc), trunc))
+    acc, den = _common(rows[ydegs[0]])
+    trunc = EXACT
+    for g, row in steps:
+        if g:
+            pnum, ptrunc = powers[g]
+            order = min((e for e, c in acc.items() if c), default=trunc)
+            trunc = min(trunc + g * yord, ptrunc + order)
+            acc = _convolve(acc, pnum, trunc)
+            den *= yden**g
+        if row:
+            rnum, rden = _common(row, trunc)
+            lcm = math.lcm(den, rden)
+            if lcm != den:
+                acc = {e: c * (lcm // den) for e, c in acc.items()}
+            for e, c in rnum.items():
+                acc[e] = acc.get(e, 0) + c * (lcm // rden)
+            den = lcm
+    return TSeries._make(y.var, {e: Fraction(c, den) for e, c in acc.items() if c}, trunc)

@@ -4,7 +4,10 @@ The oracles deliberately avoid the library's own series engine: semigroup
 membership by dynamic programming, substitution by plain dict convolution.
 Expected values in the tests are frozen from these.  The reference moves and
 route compute every power of y in full and cut only at the end, where the
-kernel cuts y first; they pin the kernel's truncation arguments.
+kernel cuts y first; they pin the kernel's truncation arguments.  The
+reference substitution and division run on the ring operations of `TSeries`
+and `BivarPoly`, one whole series or polynomial per step, where the kernels
+work on integer rows; they pin the kernels' terms and truncations.
 """
 
 from fractions import Fraction as F
@@ -15,7 +18,7 @@ import pytest
 from planebranch import zariski
 from planebranch.geometry import Parametrization, bareiss_determinant
 from planebranch.semigroup import rep_nm
-from planebranch.series import BivarPoly, TSeries, nth_root_unit, solve_composition
+from planebranch.series import EXACT, BivarPoly, TSeries, nth_root_unit, solve_composition
 
 
 # -- independent oracles -------------------------------------------------------
@@ -176,6 +179,38 @@ def route_reference(phi: Parametrization, n: int, m: int):
             form = TSeries(y.var, {k - 1: k * c for k, c in powers[b].terms.items()}, mu - 1)
         omega = omega - form.scale(omega.terms[e] / form.terms[e])
     return None, None
+
+
+def substitute_reference(poly: BivarPoly, n: int, y: TSeries) -> TSeries:
+    """poly(t**n, y(t)) by a Horner pass of series products and sums, the
+    truncation propagated by the ring operations alone."""
+    rows: dict = {}
+    for (i, j), c in poly.terms.items():
+        row = rows.setdefault(j, {})
+        row[n * i] = row.get(n * i, F(0)) + c
+    if not rows:
+        return TSeries.zero(y.var)
+    ydegs = sorted(rows, reverse=True)
+    acc = TSeries(y.var, rows[ydegs[0]], EXACT)
+    for prev, j in zip(ydegs, ydegs[1:]):
+        acc = acc * (y ** (prev - j)) + TSeries(y.var, rows[j], EXACT)
+    if ydegs[-1]:
+        acc = acc * (y ** ydegs[-1])
+    return acc
+
+
+def divmod_reference(f: BivarPoly, h: BivarPoly):
+    """Euclidean division in y by a monic h: one polynomial product and two
+    new polynomials per row of f."""
+    d = h.deg_y()
+    quotient = BivarPoly()
+    rem = f
+    while not rem.is_zero and rem.deg_y() >= d:
+        k = rem.deg_y()
+        lead = BivarPoly({(i, k - d): c for (i, j), c in rem.terms.items() if j == k})
+        quotient = quotient + lead
+        rem = rem - lead * h
+    return quotient, rem
 
 
 def binomial_coefficient(alpha: F, k: int) -> F:

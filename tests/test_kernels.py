@@ -8,20 +8,29 @@ denominators and sparse supports, at exact and truncated bounds.  The
 evaluation of a polynomial on a branch, `substitute`, is checked the same
 way against `eval_poly_on_series`, a change of parameter,
 `reparametrize`, against a sum of dict powers, and the integer
-Newton-Puiseux stage `_np_transform` against `np_transform_oracle`.  Kernel
-outputs skip the public constructor's checks; each must be what that
-constructor would build, in a dict of its own.
+Newton-Puiseux stage `_np_transform` against `np_transform_oracle`.  The
+integer Horner pass of `substitute` must also give the terms and the
+truncation of the ring operations (`substitute_reference`), the row-wise
+division the quotient and remainder of `divmod_reference`, and the integer
+slope of `_np_edge` the least ratio of the Newton polygon.  Kernel outputs
+skip the public constructor's checks; each must be what that constructor
+would build, in a dict of its own.
 """
 
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
-from planebranch.geometry import Parametrization, _np_transform, implicitize  # noqa: E402
+from planebranch.geometry import (  # noqa: E402
+    Parametrization,
+    _np_edge,
+    _np_transform,
+    implicitize,
+)
 from planebranch.series import (  # noqa: E402
     EXACT,
     BivarPoly,
@@ -34,9 +43,11 @@ from planebranch.series import (  # noqa: E402
 from conftest import (  # noqa: E402
     dict_mul,
     dict_pow,
+    divmod_reference,
     eval_poly_on_series,
     np_transform_oracle,
     resultant_implicitize,
+    substitute_reference,
 )
 
 KERNEL_SETTINGS = settings(max_examples=40, deadline=None)
@@ -243,6 +254,170 @@ def test_substitute_matches_term_by_term_evaluation(terms, n, y):
     if y.exact:
         assert value.exact
     assert value.terms == eval_poly_on_series(terms, n, y.terms, value.trunc)
+
+
+@st.composite
+def cancelling(draw):
+    """(terms, n, y) on which the Horner accumulator loses its lead: the
+    polynomial is (y - c*x**a) * r + s and y = c*t**(n*a) + higher terms."""
+    n, a = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    c = draw(coefficients.filter(bool))
+    y = TSeries("t", {**draw(supports(n * a + 1, 16)), n * a: c}, draw(truncations))
+    r = BivarPoly(draw(polynomials))
+    s = BivarPoly(draw(polynomials))
+    return dict((BivarPoly({(0, 1): 1, (a, 0): -c}) * r + s).terms), n, y
+
+
+# exact and truncated branches, the exact zero branch and a branch with no
+# known term
+branches = st.one_of(
+    series(high=12, trunc=truncations),
+    st.just(TSeries.zero("t")),
+    st.integers(1, 9).map(lambda trunc: TSeries.zero("t", trunc)),
+)
+
+
+@seed(14)
+@KERNEL_SETTINGS
+@given(
+    st.one_of(
+        st.tuples(polynomials, st.integers(0, 6), branches),
+        cancelling(),
+    )
+)
+def test_substitute_is_the_horner_pass_of_the_ring_operations(case):
+    terms, n, y = case
+    value = substitute(BivarPoly(terms), n, y)
+    expected = substitute_reference(BivarPoly(terms), n, y)
+    assert value.trunc == expected.trunc
+    assert value.terms == expected.terms
+
+
+@pytest.mark.parametrize(
+    "terms, n, y",
+    [
+        ({(0, 2): 1, (3, 0): -1}, 2, TSeries.zero("t")),
+        ({(0, 1): 1, (2, 0): F(-3, 7)}, 3, TSeries("t", {6: F(3, 7), 9: 2}, 12)),
+        ({(0, 3): 1, (1, 1): -1}, 1, TSeries.zero("t", 5)),
+        # at n = 0 the top row x*y**2 - y**2 sums to zero: poly(1, y) is 3
+        ({(1, 2): 1, (0, 2): -1, (0, 0): 3}, 0, TSeries("t", {1: 1}, 4)),
+    ],
+    ids=["exact-zero-branch", "lead-cancels", "no-known-term", "n-0-row-cancels"],
+)
+def test_substitute_edge_cases(terms, n, y):
+    value = substitute(BivarPoly(terms), n, y)
+    expected = substitute_reference(BivarPoly(terms), n, y)
+    assert (value.trunc, value.terms) == (expected.trunc, expected.terms)
+
+
+def test_substitute_at_n_0_sums_each_row():
+    # x**i is 1 at n = 0, so poly(1, y): 2*y + 1/3*y + 5 on y = t
+    poly = BivarPoly({(1, 1): 2, (0, 1): F(1, 3), (2, 0): 5})
+    value = substitute(poly, 0, TSeries.monomial("t", 1))
+    assert value == TSeries("t", {0: 5, 1: F(7, 3)}, EXACT)
+
+
+@st.composite
+def monic_divisors(draw):
+    """A polynomial monic in y of y-degree 1 to 4."""
+    d = draw(st.integers(1, 4))
+    lower = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, 5), st.integers(0, d - 1)), coefficients, max_size=5
+        )
+    )
+    return BivarPoly({**lower, (0, d): 1})
+
+
+dividends = st.one_of(
+    st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 9)), coefficients, max_size=10
+    ),
+    st.just({}),
+)
+
+
+@seed(15)
+@KERNEL_SETTINGS
+@given(dividends, dividends, monic_divisors())
+def test_row_division_is_the_euclidean_division(terms, multiple, h):
+    # m * h + r: the rows of m * h cancel as the division takes them off
+    f = BivarPoly(multiple) * h + BivarPoly(terms)
+    quotient, rem = f.divmod_monic_y(h)
+    assert (quotient, rem) == divmod_reference(f, h)
+    assert quotient * h + rem == f
+    assert rem.deg_y() < h.deg_y()
+
+
+def _trusted_polynomials(p, q, h, c):
+    """(output, inputs) for every BivarPoly operation whose output skips the
+    checks of the public constructor."""
+    return [
+        (p + q, (p, q)),
+        (p - q, (p, q)),
+        (p - p, (p,)),
+        (p + -p, (p,)),
+        (-p, (p,)),
+        (p * q, (p, q)),
+        (p.scale(c), (p,)),
+        (p.swap_xy(), (p,)),
+        *((out, (p, h)) for out in p.divmod_monic_y(h)),
+    ]
+
+
+@seed(17)
+@KERNEL_SETTINGS
+@given(dividends, dividends, monic_divisors(), coefficients)
+def test_polynomial_outputs_are_what_the_public_constructor_builds(pterms, qterms, h, c):
+    # q is a multiple of h plus terms, so that the division cancels
+    p = BivarPoly(pterms)
+    q = BivarPoly(qterms) + p * h
+    before = {id(s): dict(s.terms) for s in (p, q, h)}
+    for out, inputs in _trusted_polynomials(p, q, h, c):
+        assert out == BivarPoly(dict(out.terms))
+        assert all(type(i) is int and type(j) is int for i, j in out.terms)
+        assert all(type(v) is F and v for v in out.terms.values())
+        out.terms.clear()
+        out.terms[(10**6, 0)] = F(1)
+        for s in (p, q, h):
+            assert s.terms == before[id(s)]
+
+
+@st.composite
+def polygons(draw):
+    """(cur, slope): an integer polynomial whose Newton polygon has the one
+    edge of slope mu/nu from (0, k*nu) to (k*mu, 0), with all k + 1 points
+    of lead * (y**nu - c*x**mu)**k on it, c = (p/q)**nu, and points above it."""
+    nu = draw(st.integers(1, 3))
+    mu = draw(st.integers(1, 9).filter(lambda m: gcd(m, nu) == 1))
+    k = draw(st.integers(1, 3))
+    p, q = draw(st.integers(-4, 4).filter(bool)), draw(st.integers(1, 4))
+    a, b = p**nu, q**nu
+    # b**k * (z - a/b)**k in z = y**nu: the coefficient of z**l
+    cur = {
+        ((k - l) * mu, l * nu): b**l * comb(k, l) * (-a) ** (k - l) for l in range(k + 1)
+    }
+    above = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3 * k * mu), st.integers(0, k * nu + 2)),
+            st.integers(-9, 9).filter(bool),
+            max_size=6,
+        )
+    )
+    for (i, j), c in above.items():
+        if i * nu + j * mu > k * nu * mu:
+            cur[(i, j)] = c
+    return cur, F(mu, nu)
+
+
+@seed(16)
+@KERNEL_SETTINGS
+@given(polygons())
+def test_edge_slope_is_the_least_ratio_of_the_polygon(case):
+    cur, slope = case
+    jstar = min(j for i, j in cur if i == 0)
+    nu, mu, _ = _np_edge(cur)
+    assert F(mu, nu) == min(F(i, jstar - j) for i, j in cur if j < jstar) == slope
 
 
 @st.composite

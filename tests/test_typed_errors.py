@@ -28,12 +28,15 @@ from planebranch.series import (
     ratio,
     reparametrize,
     solve_composition,
+    substitute,
 )
 
 K467 = CharData.from_char_exponents((4, 6, 7))
 
 BAD_ARGUMENTS = {
     "ratio": lambda: ratio(1.5),
+    "ratio-bad-string": lambda: ratio("x"),
+    "ratio-zero-denominator": lambda: ratio("1/0"),
     "tseries-trunc": lambda: TSeries("t", {1: 1}, 0),
     "tseries-exponent": lambda: TSeries("t", {-1: 1}, 5),
     "tseries-fractional-exponent": lambda: TSeries("t", {F(1, 2): 1}, 5),
@@ -47,6 +50,13 @@ BAD_ARGUMENTS = {
     "bivar-fractional-y-exponent": lambda: BivarPoly({(0, F(27, 10)): 1}),
     "bivar-pow": lambda: BivarPoly.monomial(1, 1) ** -1,
     "bivar-fractional-pow": lambda: BivarPoly.monomial(1, 1) ** F(1, 2),
+    "bivar-scale-bad-string": lambda: BivarPoly.monomial(1, 1).scale("nan"),
+    "substitute-negative-n": lambda: substitute(
+        BivarPoly.monomial(1, 1), -1, TSeries.monomial("t", 2)
+    ),
+    "substitute-fractional-n": lambda: substitute(
+        BivarPoly.monomial(1, 1), 1.5, TSeries.monomial("t", 2)
+    ),
     "char-exponents-not-characteristic": lambda: CharData.from_char_exponents((4, 6, 8)),
     "char-sequence-multiplicity": lambda: char_sequence(
         Parametrization(0, TSeries("t", {3: 1}, 10))
