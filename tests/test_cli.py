@@ -47,6 +47,12 @@ QUARTIC = {
     "terms": [[7, "1"], [10, "1"], [12, "1"]],
 }
 
+# y^2 - x^3 - x^4: Newton-Puiseux works at truncation 6 by default
+CUSP_POLY = {"kind": "polynomial", "terms": [[[0, 2], "1"], [[3, 0], "-1"], [[4, 0], "-1"]]}
+
+# (t^2, t^3 + t^4), known below t^9
+CUSP_PARAM = {"kind": "parametrization", "n": 2, "terms": [[3, "1"], [4, "1"]], "trunc": 9}
+
 
 class TestInvariants:
     def test_text_output(self, capsys):
@@ -425,6 +431,46 @@ class TestErrors:
         code, _, err = run(capsys, "invariants", path)
         assert code == 2
 
+
+class TestPrecisionUsed:
+    """`precision_used` is the largest finite truncation a command noted."""
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (("convert", "puiseux", "p.json"), 6),
+            (("convert", "puiseux", "p.json", "--precision", "20"), 20),
+            (("invariants", "p.json"), 6),
+            # the larger of the file's 9 and Newton-Puiseux's 6 on p
+            (("pair", "contact", "c.json", "p.json"), 9),
+            (("pair", "contact", "c.json", "p.json", "--precision", "7"), 9),
+        ],
+        ids=["puiseux", "puiseux-precision", "invariants", "contact", "contact-precision"],
+    )
+    def test_the_largest_truncation_is_reported(
+        self, capsys, tmp_path, monkeypatch, argv, expected
+    ):
+        monkeypatch.chdir(tmp_path)
+        write_branch(tmp_path, "p.json", CUSP_POLY)
+        write_branch(tmp_path, "c.json", CUSP_PARAM)
+        code, doc, err = run_json(capsys, *argv)
+        assert code == 0, err
+        assert doc["precision_used"] == expected
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", ["invariants", "zariski", "pair", "expand", "convert"])
+    def test_known_lambda_is_offered_by_pair_and_expand_only(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert ("--known-lambda" in capsys.readouterr().out) == (command in ("pair", "expand"))
+
+    def test_zariski_refuses_a_known_lambda(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["zariski", "--known-lambda", "8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --known-lambda" in capsys.readouterr().err
 
 class TestJsonStability:
     def test_rerunning_gives_identical_documents(self, capsys):
