@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .branchio import (
     load_branch,
@@ -47,7 +46,7 @@ from .geometry import (
     swap_parametrization,
 )
 from .semigroup import char_sequence
-from .series import BivarPoly, substitute
+from .series import EXACT, BivarPoly, substitute
 from .zariski import _invariant_defect, infer_zariski, zariski_invariant
 
 EXIT_OK = 0
@@ -77,20 +76,13 @@ class _Session:
         self.args = args
         self.inputs: list = []
         self.checks: dict = {}
-        self.precision_used: int | float | None = None
+        self.precision_used: int | None = None
         self._params: dict = {}
 
     def note_precision(self, trunc) -> None:
-        if trunc is None:
-            return
-        if trunc == float("inf"):
-            if self.precision_used is None:
-                self.precision_used = "exact"
-            return
-        if self.precision_used in (None, "exact"):
-            self.precision_used = trunc
-        else:
-            self.precision_used = max(self.precision_used, trunc)
+        """Keep the largest finite truncation noted."""
+        if trunc != EXACT:
+            self.precision_used = max(self.precision_used or 0, trunc)
 
     def resolve(self, count: int):
         """Branch inputs from positional paths, then --fixture names."""
@@ -111,26 +103,24 @@ class _Session:
         out = []
         for branch, label in loaded:
             if self.args.swap_xy:
-                branch = _swap(branch, self.args.precision)
+                branch = (
+                    branch.swap_xy()
+                    if isinstance(branch, BivarPoly)
+                    else swap_parametrization(branch, trunc=self.args.precision)
+                )
             self.inputs.append(serialize_branch(branch, label))
             out.append(branch)
         return out
 
     def to_param(self, branch) -> Parametrization:
-        if isinstance(branch, Parametrization):
-            self.note_precision(branch.trunc)
-            return branch
-        key = id(branch)
-        if key not in self._params:
-            self._params[key] = puiseux_parametrization(branch, trunc=self.args.precision)
-        phi = self._params[key]
-        self.note_precision(phi.trunc)
-        return phi
-
-    def to_poly(self, branch) -> BivarPoly:
         if isinstance(branch, BivarPoly):
-            return branch
-        return implicitize(branch)
+            if id(branch) not in self._params:
+                self._params[id(branch)] = puiseux_parametrization(
+                    branch, trunc=self.args.precision
+                )
+            branch = self._params[id(branch)]
+        self.note_precision(branch.trunc)
+        return branch
 
     def emit(self, command: str, results: dict, text: str) -> None:
         if self.args.json:
@@ -144,12 +134,6 @@ class _Session:
             print(json.dumps(doc, indent=2))
         else:
             print(text)
-
-
-def _swap(branch, precision):
-    if isinstance(branch, BivarPoly):
-        return branch.swap_xy()
-    return swap_parametrization(branch, trunc=precision)
 
 
 def _mult_of(branch, session) -> int:
@@ -168,10 +152,6 @@ def _pair_intersection(session, a, b) -> int:
         return intersection_poly_param(a, session.to_param(b))
     poly, param = (a, b) if isinstance(a, BivarPoly) else (b, a)
     return intersection_poly_param(poly, param)
-
-
-def _fmt_rational(value) -> str:
-    return str(Fraction(value))
 
 
 def _known_or_computed_lambda(session, phi: Parametrization, infinite: str) -> int:
@@ -197,29 +177,27 @@ def _known_or_computed_lambda(session, phi: Parametrization, infinite: str) -> i
 
 # -- commands -----------------------------------------------------------------
 
+# JSON key, text label and CharData attribute of each invariant, in print order
+_INVARIANTS = (
+    ("multiplicity", "multiplicity", "mult"),
+    ("char_exponents", "characteristic exponents", "char_exponents"),
+    ("gcd_sequence", "gcd sequence", "gcd_sequence"),
+    ("quotients", "quotients", "quotients"),
+    ("generators", "semigroup generators", "generators"),
+    ("conductor", "conductor", "conductor"),
+    ("genus", "genus", "genus"),
+)
+
+
 def cmd_invariants(session) -> None:
     (branch,) = session.resolve(1)
-    phi = session.to_param(branch)
-    cd = char_sequence(phi)
-    results = {
-        "multiplicity": cd.mult,
-        "char_exponents": list(cd.char_exponents),
-        "gcd_sequence": list(cd.gcd_sequence),
-        "quotients": list(cd.quotients),
-        "generators": list(cd.generators),
-        "conductor": cd.conductor,
-        "genus": cd.genus,
-    }
-    lines = [
-        f"class: K{cd.char_exponents}",
-        f"multiplicity: {cd.mult}",
-        f"characteristic exponents: {list(cd.char_exponents)}",
-        f"gcd sequence: {list(cd.gcd_sequence)}",
-        f"quotients: {list(cd.quotients)}",
-        f"semigroup generators: {list(cd.generators)}",
-        f"conductor: {cd.conductor}",
-        f"genus: {cd.genus}",
-    ]
+    cd = char_sequence(session.to_param(branch))
+    results = {}
+    lines = [f"class: K{cd.char_exponents}"]
+    for key, label, attr in _INVARIANTS:
+        value = getattr(cd, attr)
+        results[key] = list(value) if isinstance(value, tuple) else value
+        lines.append(f"{label}: {results[key]}")
     session.emit("invariants", results, "\n".join(lines))
 
 
@@ -233,17 +211,17 @@ def cmd_zariski(session) -> None:
             "kind": rec.kind,
             "a": rec.a,
             "b": rec.b,
-            "c": _fmt_rational(rec.c),
+            "c": str(rec.c),
             "target_exponent": rec.target_exponent,
         }
         for rec in res.moves
     ]
     results = {
         "invariant": res.exponent if res.finite else "infinite",
-        "coefficient": _fmt_rational(res.coefficient) if res.finite else None,
+        "coefficient": str(res.coefficient) if res.finite else None,
         "witness": serialize_parametrization(res.witness),
         "normal_form": serialize_parametrization(res.normal_form),
-        "leading_scale": _fmt_rational(res.leading_scale),
+        "leading_scale": str(res.leading_scale),
         "moves": moves,
     }
     lines = [
@@ -298,7 +276,7 @@ def cmd_pair(session) -> None:
 
 def cmd_expand(session) -> None:
     fbranch, hbranch = session.resolve(2)
-    f = session.to_poly(fbranch)
+    f = fbranch if isinstance(fbranch, BivarPoly) else implicitize(fbranch)
     h_phi = session.to_param(hbranch)
     phi_f = session.to_param(fbranch)
     cd_f = char_sequence(phi_f)
@@ -311,7 +289,7 @@ def cmd_expand(session) -> None:
         "invariant": lam,
         "h": serialize_polynomial(dec.h),
         "blocks": [serialize_polynomial(block) for block in dec.blocks],
-        "c": _fmt_rational(dec.c),
+        "c": str(dec.c),
         "p": dec.p,
         "q": dec.q,
         "tail": serialize_polynomial(dec.tail),
@@ -332,15 +310,10 @@ def cmd_convert(session) -> None:
     (branch,) = session.resolve(1)
     sub = session.args.convert_command
     if sub == "implicitize":
-        phi = branch if isinstance(branch, Parametrization) else None
-        if phi is None:
+        if not isinstance(branch, Parametrization):
             raise BranchFileError("implicitize expects a parametrization input")
-        poly = implicitize(phi)
-        session.emit(
-            "convert implicitize",
-            {"branch": serialize_polynomial(poly)},
-            str(poly),
-        )
+        poly = implicitize(branch)
+        session.emit("convert implicitize", {"branch": serialize_polynomial(poly)}, str(poly))
         return
     if not isinstance(branch, BivarPoly):
         raise BranchFileError("puiseux expects a polynomial input")
@@ -373,34 +346,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(parser) -> None:
-    parser.add_argument(
-        "branches",
-        nargs="*",
-        metavar="BRANCH",
-        help="branch description file(s) (JSON); use --fixture for built-ins",
-    )
-    parser.add_argument(
-        "--fixture",
-        action="append",
-        metavar="NAME",
-        help="use a built-in branch (repeatable; fills input slots in order)",
-    )
-    parser.add_argument(
-        "--precision",
-        type=_positive_int,
-        default=None,
-        metavar="T",
-        help="working truncation for series computations (default: kernel-chosen)",
-    )
-    parser.add_argument("--json", action="store_true", help="emit one JSON document")
-    parser.add_argument(
-        "--swap-xy",
-        action="store_true",
-        help="apply (x, y) -> (y, x) to every input before validation",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="planebranch",
@@ -411,55 +356,54 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog="Built-in fixtures: " + ", ".join(fixture_names()),
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--fixture",
+        action="append",
+        metavar="NAME",
+        help="use a built-in branch (repeatable; fills input slots in order)",
+    )
+    common.add_argument(
+        "--precision",
+        type=_positive_int,
+        metavar="T",
+        help="working truncation for series computations (default: kernel-chosen)",
+    )
+    common.add_argument("--json", action="store_true", help="emit one JSON document")
+    common.add_argument(
+        "--swap-xy",
+        action="store_true",
+        help="apply (x, y) -> (y, x) to every input before validation",
+    )
+    # name, handler, help, sub-command choices and --known-lambda help (or
+    # None); built per call, so that a handler patched on the module is used
+    commands = (
+        ("invariants", cmd_invariants, "characteristic and semigroup data", (), None),
+        ("zariski", cmd_zariski, "Zariski invariant, witness and move log", (), None),
+        ("pair", cmd_pair, "two-branch quantities", ("intersect", "contact", "infer"),
+         "invariant of the first branch, if already known (infer only); "
+         "checked against the computed one"),
+        ("expand", cmd_expand, "decompose f along a witness branch", (),
+         "invariant of f, if already known; checked against the computed one"),
+        ("convert", cmd_convert, "switch branch representations",
+         ("implicitize", "puiseux"), None),
+    )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("invariants", help="characteristic and semigroup data")
-    _add_common(p)
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser("zariski", help="Zariski invariant, witness and move log")
-    _add_common(p)
-    p.set_defaults(func=cmd_zariski)
-
-    p = sub.add_parser("pair", help="two-branch quantities")
-    p.add_argument(
-        "pair_command",
-        choices=("intersect", "contact", "infer"),
-        metavar="{intersect,contact,infer}",
-    )
-    _add_common(p)
-    p.add_argument(
-        "--known-lambda",
-        type=int,
-        default=None,
-        metavar="L",
-        help=(
-            "invariant of the first branch, if already known (infer only); "
-            "checked against the computed one"
-        ),
-    )
-    p.set_defaults(func=cmd_pair)
-
-    p = sub.add_parser("expand", help="decompose f along a witness branch")
-    _add_common(p)
-    p.add_argument(
-        "--known-lambda",
-        type=int,
-        default=None,
-        metavar="L",
-        help="invariant of f, if already known; checked against the computed one",
-    )
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("convert", help="switch branch representations")
-    p.add_argument(
-        "convert_command",
-        choices=("implicitize", "puiseux"),
-        metavar="{implicitize,puiseux}",
-    )
-    _add_common(p)
-    p.set_defaults(func=cmd_convert)
-
+    for name, func, help_text, choices, lambda_help in commands:
+        p = sub.add_parser(name, help=help_text, parents=[common])
+        if choices:
+            p.add_argument(
+                f"{name}_command", choices=choices, metavar="{" + ",".join(choices) + "}"
+            )
+        p.add_argument(
+            "branches",
+            nargs="*",
+            metavar="BRANCH",
+            help="branch description file(s) (JSON); use --fixture for built-ins",
+        )
+        if lambda_help:
+            p.add_argument("--known-lambda", type=int, metavar="L", help=lambda_help)
+        p.set_defaults(func=func)
     return parser
 
 
