@@ -85,7 +85,8 @@ class _Session:
             self.precision_used = max(self.precision_used or 0, trunc)
 
     def resolve(self, count: int):
-        """Branch inputs from positional paths, then --fixture names."""
+        """Branch inputs from positional paths, then --fixture names; the
+        truncation of each parametrization among them is noted."""
         paths = self.args.branches or []
         names = self.args.fixture or []
         if len(paths) + len(names) != count:
@@ -108,6 +109,8 @@ class _Session:
                     if isinstance(branch, BivarPoly)
                     else swap_parametrization(branch, trunc=self.args.precision)
                 )
+            if isinstance(branch, Parametrization):
+                self.note_precision(branch.trunc)
             self.inputs.append(serialize_branch(branch, label))
             out.append(branch)
         return out
@@ -119,7 +122,7 @@ class _Session:
                     branch, trunc=self.args.precision
                 )
             branch = self._params[id(branch)]
-        self.note_precision(branch.trunc)
+            self.note_precision(branch.trunc)
         return branch
 
     def emit(self, command: str, results: dict, text: str) -> None:
@@ -134,14 +137,6 @@ class _Session:
             print(json.dumps(doc, indent=2))
         else:
             print(text)
-
-
-def _mult_of(branch, session) -> int:
-    if isinstance(branch, Parametrization):
-        return branch.n
-    # deg_y equals the multiplicity only in Weierstrass position; the
-    # parametrization is authoritative
-    return session.to_param(branch).n
 
 
 def _pair_intersection(session, a, b) -> int:
@@ -253,7 +248,7 @@ def cmd_pair(session) -> None:
         except BranchesEqual:
             session.emit("pair contact", {"contact": "infinite"}, "contact: infinite")
             return
-        theta = contact_from_intersection(char_sequence(phi_a), value, _mult_of(b, session))
+        theta = contact_from_intersection(char_sequence(phi_a), value, session.to_param(b).n)
         session.checks["intersection"] = value
         session.emit("pair contact", {"contact": str(theta)}, f"contact: {theta}")
         return
@@ -264,7 +259,7 @@ def cmd_pair(session) -> None:
         session, phi_a, "first branch has infinite invariant; nothing to transfer"
     )
     value = _pair_intersection(session, a, b)
-    inferred = infer_zariski(cd_a, lam_a, _mult_of(b, session), intersection_value=value)
+    inferred = infer_zariski(cd_a, lam_a, session.to_param(b).n, intersection_value=value)
     session.checks["intersection"] = value
     session.checks["known_invariant"] = lam_a
     session.emit(
@@ -409,7 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse fills a sub-command choice and BRANCH in one pass, so a
+    # branch file given after an option is left over
+    args, extra = parser.parse_known_args(argv)
+    if any(token.startswith("-") for token in extra):
+        parser.error("unrecognized arguments: " + " ".join(extra))
+    args.branches = (args.branches or []) + extra
     session = _Session(args)
     try:
         args.func(session)

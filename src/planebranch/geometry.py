@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb, gcd, inf
 
 from .errors import (
     BranchesEqual,
     CrossCheckFailed,
+    InvalidArgument,
     NonPolynomialInput,
     NonRationalCoefficient,
     NotIrreducible,
@@ -35,6 +37,7 @@ from .series import (
     TSeries,
     _common,
     _convolve,
+    _powers,
     exact_root,
     nth_root_unit,
     ratio,
@@ -168,8 +171,9 @@ def implicitize(phi: Parametrization) -> BivarPoly:
     With p = num / den over one common denominator, P_r and e_k are forms of
     degree r and k in the coefficients of p, e_k with integer coefficients,
     so both are integer polynomials over den**r and den**k: the loops run on
-    integers and each coefficient of f becomes a Fraction once.  The input
-    must be exact: truncate an inexact branch deliberately first.
+    integers, p**r exact from `_powers`, and each coefficient of f becomes a
+    Fraction once.  The input must be exact: truncate an inexact branch
+    deliberately first.
     """
     if not phi.exact:
         raise NonPolynomialInput(
@@ -179,22 +183,21 @@ def implicitize(phi: Parametrization) -> BivarPoly:
     if not p:
         raise NonPolynomialInput("cannot implicitize the zero branch")
     n = phi.n
-    num, den = _common(p, EXACT)
-    # sums[r] = (-1)**(r-1) * den**r * P_r as a map x-degree -> int
-    sums = [None]
-    power = {0: 1}
-    for r in range(1, n + 1):
-        power = _convolve(power, num, EXACT)
+    # sums[r] = (-1)**(r-1) * dens[r] * P_r as a map x-degree -> int, where
+    # dens[r] = den**r by Gauss's lemma, so that elementary[k] = dens[k] * e_k
+    sums, dens = [None], [1]
+    for r, (power, den, _) in enumerate(islice(_powers(phi.y), 1, n + 1), 1):
         sign = n if r % 2 else -n
-        sums.append({e // n: sign * c for e, c in power.items() if c and not e % n})
-    elementary = [{0: 1}]  # elementary[k] = den**k * e_k
+        sums.append({e // n: sign * c for e, c in power.items() if not e % n})
+        dens.append(den)
+    elementary = [{0: 1}]
     for k in range(1, n + 1):
         acc: dict = {}
         for i in range(1, k + 1):
             _convolve(elementary[k - i], sums[i], EXACT, acc)
         elementary.append({d: c // k for d, c in acc.items() if c})
     poly = BivarPoly({
-        (d, n - k): Fraction(-c if k % 2 else c, den**k)
+        (d, n - k): Fraction(-c if k % 2 else c, dens[k])
         for k, ek in enumerate(elementary)
         for d, c in ek.items()
     })
@@ -450,9 +453,15 @@ def _interval_ratio(cd: CharData, q: int, theta: Fraction) -> Fraction:
     return (nq * v[q] + n * theta - beta[q]) / Fraction(prod)
 
 
+def _check_multiplicity(mult) -> None:
+    if not isinstance(mult, int) or mult < 1:
+        raise InvalidArgument(f"multiplicity {mult!r} is not a positive integer")
+
+
 def intersection_from_contact(cd: CharData, theta, mult_other: int) -> Fraction:
     """Intersection multiplicity from the contact order (exact rational)."""
     theta = ratio(theta)
+    _check_multiplicity(mult_other)
     if theta < 1:
         raise ThetaOutOfRange(f"contact order {theta} is below 1")
     for q in range(cd.genus + 1):
@@ -468,7 +477,8 @@ def contact_from_intersection(cd: CharData, inter, mult_other: int) -> ContactOr
     Scans every characteristic interval and demands exactly one consistent
     solution; zero or several hits mean the pair is not realizable.
     """
-    ratio_val = Fraction(inter) / mult_other
+    _check_multiplicity(mult_other)
+    ratio_val = ratio(inter) / mult_other
     hits = []
     for q in range(cd.genus + 1):
         # the ratio is affine in theta on each interval

@@ -8,15 +8,15 @@ no operation ever reports information there.  Exactly known polynomials
 which case the term map is the whole series.  `order()` is the smallest
 exponent with a nonzero term, or None when no term below `trunc` is known.
 
-The hot kernels (`TSeries.__mul__`, `nth_root_unit`, `solve_composition`,
-`substitute`, `BivarPoly.__mul__`) work on integer numerators over one
-shared denominator per operand, the layout of FLINT's `fmpq_poly`:
-`_common` clears an operand's denominators with one lcm, `_convolve`
-multiplies in integers, and each output coefficient becomes a `Fraction`
-once, with one gcd.  `.terms` stays a map to `Fraction`s everywhere outside
-the kernels.  `solve_composition` keeps each power w**k over its reduced
-denominator: dividing out the content after every product keeps the
-numerators near the size of w's own.
+The hot kernels (`TSeries.__mul__`, `_powers`, `nth_root_unit`,
+`solve_composition`, `substitute`, `BivarPoly.__mul__`) work on integer
+numerators over one shared denominator per operand, the layout of FLINT's
+`fmpq_poly`: `_common` clears an operand's denominators with one lcm,
+`_convolve` multiplies in integers, and each output coefficient becomes a
+`Fraction` once, with one gcd.  `.terms` stays a map to `Fraction`s
+everywhere outside the kernels.  `_powers` yields y**0, y**1, ... of one
+series, each over its reduced denominator; it is the one power routine of
+`substitute`, `solve_composition`, `implicitize`, the moves and the route.
 
 The public constructors `TSeries(...)` and `BivarPoly(...)` check and clean
 what they are given.  Kernel outputs whose invariants hold by construction
@@ -29,6 +29,7 @@ and `divmod_monic_y`.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -95,6 +96,30 @@ def _convolve(a: dict, b: dict, bound, acc: dict | None = None) -> dict:
             e = e1 + e2
             acc[e] = get(e, 0) + c1 * c2
     return acc
+
+
+def _powers(y: TSeries, below=EXACT):
+    """Yield y**0, y**1, y**2, ... as (numerators, den, trunc), each in
+    lowest terms and computed only below its trunc.
+
+    A term of y**g at or past y.trunc + (g - 1)*ord y meets an unknown term
+    of y, so y**g is known exactly below min(below, y.trunc + (g - 1)*ord y);
+    y**0 = 1 below `below`.  The content shared by the numerators and den is
+    divided out after every product, so the numerators grow like the true
+    denominators of y**g.  For an exact y, den = yden**g by Gauss's lemma.
+    """
+    ynum, yden = _common(y.terms, below)
+    num, den, reach = ynum, yden, y.trunc
+    yield ({0: 1} if below > 0 else {}), 1, below
+    while True:
+        yield num, den, min(below, reach)
+        reach += y._eff_order()
+        num = {e: c for e, c in _convolve(num, ynum, min(below, reach)).items() if c}
+        den *= yden
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {e: c // g for e, c in num.items()}
 
 
 def _accumulate(pairs) -> dict:
@@ -378,11 +403,9 @@ def solve_composition(targets, w: TSeries) -> tuple:
     Triangular solve: each Y_i is read off its residual at order k, and one
     power of w per order serves every target, so several targets cost one
     pass over the powers of w.  Each target keeps its own truncation
-    min(target.trunc, w.trunc).  Equivalent to composing with the
-    compositional inverse of w, without constructing it.  Each power w**k is
-    kept as integers over its reduced denominator: the content shared by the
-    numerators and the denominator is divided out after every product, so
-    the numerators grow like the true denominators of w**k, not like wden**k.
+    min(target.trunc, w.trunc), and the powers of w are read from `_powers`
+    below the largest.  Equivalent to composing with the compositional
+    inverse of w, without constructing it.
     """
     if w.order() != 1:
         raise InvalidParameterChange("composition solve needs ord(w) = 1")
@@ -390,20 +413,17 @@ def solve_composition(targets, w: TSeries) -> tuple:
     if EXACT in bounds:
         raise NeedsTruncation("composition solve needs a finite truncation")
     bound = max(bounds, default=0)
-    wnum, wden = _common(w.terms, max(bound, 2))
-    # residual i is rnums[i] / rdens[i]; w**k is wpow / pden in lowest
-    # terms, with numerator plead at its order k
+    # residual i is rnums[i] / rdens[i]; w**k is wpow / pden
     rnums, rdens = [], []
     for target, tb in zip(targets, bounds):
         num, den = _common(target.terms, tb)
         rnums.append(num)
         rdens.append(den)
     outs = [{} for _ in targets]
-    wpow = {0: 1}
-    pden = plead = 1
-    for k in range(0, bound):
+    for k, (wpow, pden, _) in zip(range(bound), _powers(w, bound)):
         if not any(rnums):
             break
+        plead = wpow[k]
         for i, (out, tb) in enumerate(zip(outs, bounds)):
             rnum = rnums[i]
             ck = rnum.get(k)
@@ -429,13 +449,6 @@ def solve_composition(targets, w: TSeries) -> tuple:
                 else:
                     rnum.pop(e, None)
             rnums[i], rdens[i] = rnum, den
-        wpow = _convolve(wpow, wnum, bound)
-        pden *= wden
-        g = math.gcd(pden, *wpow.values())
-        if g != 1:
-            pden //= g
-            wpow = {e: c // g for e, c in wpow.items()}
-        plead = wpow.get(k + 1, 0)
     return tuple(
         TSeries._make(target.var, out, tb) for target, out, tb in zip(targets, outs, bounds)
     )
@@ -660,7 +673,7 @@ def substitute(poly: BivarPoly, n: int, y: TSeries) -> TSeries:
     """poly(t**n, y(t)): a bivariate polynomial on the branch (t**n, y(t)).
 
     x**i is the shift by n*i, so each y-row of poly is an exact series; one
-    Horner pass in y combines the rows on integers, y**g over yden**g and
+    Horner pass in y combines the rows on integers, y**g from `_powers` and
     each row added over the lcm of its denominator and the accumulator's.
     The truncation is the ring operations': acc * y**g is known below
     min(T_acc + ord y**g, T_g + ord acc), each order read after cancellation.
@@ -678,22 +691,16 @@ def substitute(poly: BivarPoly, n: int, y: TSeries) -> TSeries:
     ydegs = sorted(rows, reverse=True)
     steps = [(prev - j, rows[j]) for prev, j in zip(ydegs, ydegs[1:])]
     steps.append((ydegs[-1], None))
-    ynum, yden = _common(y.terms)
-    yord = min(ynum) if ynum else y.trunc
-    # powers[g] = (y**g over yden**g, its truncation); its order is g * yord
-    powers = [None, (ynum, y.trunc)]
-    for g in range(2, max(g for g, _ in steps) + 1):
-        trunc = y.trunc + (g - 1) * yord
-        powers.append((_convolve(powers[-1][0], ynum, trunc), trunc))
+    powers = list(itertools.islice(_powers(y), max(g for g, _ in steps) + 1))
     acc, den = _common(rows[ydegs[0]])
     trunc = EXACT
     for g, row in steps:
         if g:
-            pnum, ptrunc = powers[g]
+            pnum, pden, ptrunc = powers[g]
             order = min((e for e, c in acc.items() if c), default=trunc)
-            trunc = min(trunc + g * yord, ptrunc + order)
+            trunc = min(trunc + g * y._eff_order(), ptrunc + order)
             acc = _convolve(acc, pnum, trunc)
-            den *= yden**g
+            den *= pden
         if row:
             rnum, rden = _common(row, trunc)
             lcm = math.lcm(den, rden)

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
+from math import gcd
 
 from .errors import (
     AmbiguousEvidence,
@@ -28,9 +30,17 @@ from .errors import (
     PrecisionExhausted,
     WrongEquisingularityClass,
 )
-from .geometry import Parametrization, intersection
+from .geometry import Parametrization, _check_multiplicity, intersection
 from .semigroup import CharData, char_sequence, contains, rep_nm
-from .series import EXACT, TSeries, nth_root_unit, reparametrize, solve_composition
+from .series import (
+    EXACT,
+    TSeries,
+    _powers,
+    nth_root_unit,
+    ratio,
+    reparametrize,
+    solve_composition,
+)
 
 @dataclass(frozen=True)
 class MoveRecord:
@@ -101,21 +111,15 @@ def _working_bound(n: int, m: int) -> int:
 def apply_qmove(phi: Parametrization, a: int, b: int, c) -> Parametrization:
     """Coordinate change y -> y + c * x**(a-1) * y**b along x = t**n.
 
-    With T = phi.trunc and o = ord(y), the sum is known only below T, so
-    y**b is needed only below T - n(a-1); a term of y at or past
-    T - n(a-1) - (b-1)o meets b - 1 factors of order >= o there, so y is cut
-    at that bound first (at o + 1 at the least, where the whole move lands
-    past T).  The cut power is known exactly below T - n(a-1), and the sum
-    keeps trunc T.  y**0 = 1 takes no cut.
+    The sum is known only below T = phi.trunc, so y**b is read below
+    T - n(a-1), and the sum keeps trunc T.
     """
     if a < 1:
         raise DegenerateMove("q-move needs a >= 1")
-    y = phi.y
-    if b:
-        o = y._eff_order()
-        y = y.truncated(max(phi.trunc - phi.n * (a - 1) - (b - 1) * o, o + 1))
-    add = (y ** b).shift(phi.n * (a - 1)).scale(c)
-    return Parametrization(phi.n, phi.y + add)
+    shift = phi.n * (a - 1)
+    *_, (num, den, trunc) = islice(_powers(phi.y, phi.trunc - shift), b + 1)
+    add = {e + shift: Fraction(v, den) for e, v in num.items()}
+    return Parametrization(phi.n, phi.y + TSeries._make(phi.y.var, add, trunc + shift).scale(c))
 
 
 def apply_pmove(phi: Parametrization, b: int, c):
@@ -125,20 +129,17 @@ def apply_pmove(phi: Parametrization, b: int, c):
     w**n = x + c*y**(b-1) along the branch, one triangular solve over the
     powers of w gives both the new y-series Y, with Y(w(t)) = y(t), and the
     parameter change rho, with rho(w(t)) = t, each at its own truncation.
-
-    With T = phi.trunc and o = ord(y), the unit 1 + c*y**(b-1)/x is cut at
-    T, so y**(b-1) is needed only below T + n; y is cut at
-    T + n - (b-2)o first (at o + 1 at the least), which leaves y**(b-1)
-    exact below T + n.  At b = 2 that cut lies past T and changes nothing.
+    The unit 1 + c*y**(b-1)/x is cut at T = phi.trunc, so y**(b-1) is read
+    below T + n.
     """
     if b < 2:
         raise DegenerateMove("p-move needs b >= 2 (x + c*y**(b-1) with b-1 >= 1)")
     n = phi.n
     if phi.exact:
         raise NeedsTruncation("p-move needs a finite working truncation; re-truncate first")
-    o = phi.y._eff_order()
-    y = phi.y.truncated(max(phi.trunc + n - (b - 2) * o, o + 1))
-    perturb = (y ** (b - 1)).scale(c)
+    *_, (num, den, trunc) = islice(_powers(phi.y, phi.trunc + n), b)
+    terms = {e: Fraction(v, den) for e, v in num.items()}
+    perturb = TSeries._make(phi.y.var, terms, trunc).scale(c)
     if perturb.terms and min(perturb.terms) <= n:
         raise DegenerateMove("perturbation must have order above n")
     unit = TSeries.constant(phi.y.var, 1) + perturb.shift(-n)
@@ -162,6 +163,8 @@ def eliminate_term(phi: Parametrization, j: int):
     n = phi.n
     y = phi.y
     m = _first_offgrid_exponent(phi)
+    if gcd(n, m) != 1:
+        raise WrongEquisingularityClass(f"exponent {m} shares a factor with {n}: not genus one")
     a, b = rep_nm(j + n, n, m)
     if a < 0:
         raise NotRemovable(f"{j} + {n} is not in <{n}, {m}>")
@@ -206,28 +209,27 @@ def _route(phi: Parametrization, n: int, m: int):
     Per n*dt, omega is sum (m - j)*a_j*t**(j+n-1), and a lead of value
     v = a*n + b*m is cancelled by x**(a-1)*y**b*dx = t**(n*a-1)*y**b, or by
     d(y**b) when a = 0: either way the term k of y**b lands at k + n*a - 1,
-    times k when a = 0.  omega is known only below mu - 1, so every power
-    of y is needed only below mu: each is cut at mu - ord(y) before the next
-    factor y, which leaves it exact below mu.  omega is one map reduced in
+    times k when a = 0.  omega is known only below mu - 1, so each y**b is
+    read below mu, as bare numerators: its denominator cancels in the
+    multiple of the form that is subtracted.  omega is one map reduced in
     place, one multiply-subtract per term of each form.
     """
     mu = _conductor(n, m)
-    y = phi.with_trunc(_working_bound(n, m)).y.truncated(mu)
-    cut = mu - y._eff_order()
+    y = phi.with_trunc(_working_bound(n, m)).y
     omega = {}
     for j, c in y.terms.items():
         if j != m and j + n - 1 < mu - 1:
             omega[j + n - 1] = (m - j) * c
-    powers = [TSeries.constant(y.var, 1)]
+    forms, powers = [], _powers(y, mu)
     while omega:
         e = min(omega)
         a, b = rep_nm(e + 1, n, m)
         if a < 0:
             return e + 1 - n, omega[e] / ((m + n - e - 1) * phi.y.coeff(m))
-        while len(powers) <= b:
-            powers.append(powers[-1].truncated(cut) * y)
+        while len(forms) <= b:
+            forms.append(next(powers)[0])
         shift = n * a - 1
-        form = powers[b].terms
+        form = forms[b]
         f = omega[e] / (form[e - shift] * (1 if a else e - shift))
         for k, c in form.items():
             if k + shift < mu - 1:
@@ -435,6 +437,7 @@ def infer_zariski(
     """
     if (contact_order is None) == (intersection_value is None):
         raise AmbiguousEvidence("provide exactly one of contact_order/intersection_value")
+    _check_multiplicity(other_mult)
     defect = _invariant_defect(lambda_f, cd_f)
     if defect:
         raise NotAnInvariant(f"{defect}: not an invariant of K{cd_f.char_exponents}")
@@ -442,13 +445,13 @@ def infer_zariski(
     m = cd_f.char_exponents[1]
     n1 = cd_f.reduced_mult
     if contact_order is not None:
-        if not Fraction(contact_order) > Fraction(lambda_f, n):
+        if not ratio(contact_order) > Fraction(lambda_f, n):
             raise HypothesisNotMet(
                 f"contact {contact_order} does not exceed {Fraction(lambda_f, n)}"
             )
     else:
         threshold = Fraction(other_mult * ((n1 - 1) * m + lambda_f), n1)
-        if not Fraction(intersection_value) > threshold:
+        if not ratio(intersection_value) > threshold:
             raise HypothesisNotMet(
                 f"intersection {intersection_value} does not exceed {threshold} "
                 "(the boundary itself is excluded)"

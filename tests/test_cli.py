@@ -444,8 +444,16 @@ class TestPrecisionUsed:
             # the larger of the file's 9 and Newton-Puiseux's 6 on p
             (("pair", "contact", "c.json", "p.json"), 9),
             (("pair", "contact", "c.json", "p.json", "--precision", "7"), 9),
+            # the file's 9 counts in either argument order, with or without
+            # Newton-Puiseux on p
+            (("pair", "intersect", "c.json", "p.json"), 9),
+            (("pair", "intersect", "p.json", "c.json"), 9),
+            (("pair", "contact", "p.json", "c.json"), 9),
         ],
-        ids=["puiseux", "puiseux-precision", "invariants", "contact", "contact-precision"],
+        ids=[
+            "puiseux", "puiseux-precision", "invariants", "contact", "contact-precision",
+            "intersect", "intersect-swapped", "contact-swapped",
+        ],
     )
     def test_the_largest_truncation_is_reported(
         self, capsys, tmp_path, monkeypatch, argv, expected
@@ -456,6 +464,37 @@ class TestPrecisionUsed:
         code, doc, err = run_json(capsys, *argv)
         assert code == 0, err
         assert doc["precision_used"] == expected
+
+
+class TestArgumentOrder:
+    """A branch file may follow an option; a leftover option is refused."""
+
+    @pytest.mark.parametrize(
+        "before,after",
+        [
+            (("pair", "intersect", "p.json", "--fixture", "k37-cusp"),
+             ("pair", "intersect", "--fixture", "k37-cusp", "p.json")),
+            (("convert", "puiseux", "p.json", "--json"),
+             ("convert", "puiseux", "--json", "p.json")),
+        ],
+        ids=["pair-intersect", "convert-puiseux-json"],
+    )
+    def test_a_branch_file_after_an_option(self, capsys, tmp_path, monkeypatch, before, after):
+        monkeypatch.chdir(tmp_path)
+        write_branch(tmp_path, "p.json", CUSP_POLY)
+        outputs = [run(capsys, *argv) for argv in (before, after)]
+        assert outputs[0][0] == 0, outputs[0][2]
+        assert outputs[1] == outputs[0]
+
+    def test_a_leftover_option_still_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["invariants", "--fixture", "k23-cusp", "--bogus"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "usage: planebranch [-h] {invariants,zariski,pair,expand,convert} ...\n"
+            "planebranch: error: unrecognized arguments: --bogus\n"
+        )
 
 
 class TestHelp:

@@ -12,7 +12,9 @@ Newton-Puiseux stage `_np_transform` against `np_transform_oracle`.  The
 integer Horner pass of `substitute` must also give the terms and the
 truncation of the ring operations (`substitute_reference`), the row-wise
 division the quotient and remainder of `divmod_reference`, and the integer
-slope of `_np_edge` the least ratio of the Newton polygon.  Kernel outputs
+slope of `_np_edge` the least ratio of the Newton polygon.  The one power
+routine, `_powers`, must yield the dict powers of `conftest`, each known
+exactly as far as its truncation says and in lowest terms.  Kernel outputs
 skip the public constructor's checks; each must be what that constructor
 would build, in a dict of its own.
 """
@@ -35,6 +37,7 @@ from planebranch.series import (  # noqa: E402
     EXACT,
     BivarPoly,
     TSeries,
+    _powers,
     nth_root_unit,
     reparametrize,
     solve_composition,
@@ -171,6 +174,51 @@ def test_composition_solve_divides_out_the_content_of_the_powers():
     for target, y in zip(targets, solve_composition(targets, w)):
         assert y.trunc == 8
         assert _compose(y.terms, w.terms, 8) == _below(target.terms, 8)
+
+
+@st.composite
+def powered(draw):
+    """(y, below): y exact, truncated or empty, with coefficients over
+    unrelated or over one shared denominator, and `below` EXACT, at or under
+    ord y, between ord y and y.trunc, or past y.trunc."""
+    if draw(st.booleans()):
+        den = draw(st.sampled_from([2, 4, 6, 12, 36, 3**40]))
+        terms = draw(st.dictionaries(
+            st.integers(0, 12), st.builds(F, st.integers(-40, 40).filter(bool), st.just(den)),
+            max_size=5,
+        ))
+    else:
+        terms = draw(supports(0, 12, max_size=5))
+    y = TSeries("t", terms, draw(truncations))
+    order = _eff_order(y)
+    low = 1 if order == EXACT else max(order, 1)
+    high = low + 12 if y.trunc == EXACT else y.trunc
+    below = draw(st.one_of(
+        st.just(EXACT),
+        st.integers(1, low),
+        st.integers(min(low + 1, high), high),
+        st.integers(high, high + 12),
+    ))
+    return y, below
+
+
+@seed(18)
+@KERNEL_SETTINGS
+@given(powered())
+def test_powers_are_the_dict_powers_in_lowest_terms(case):
+    y, below = case
+    order = _eff_order(y)
+    yden = lcm(*(c.denominator for c in y.terms.values()))
+    for g, (num, den, trunc) in zip(range(7), _powers(y, below)):
+        reach = EXACT if g == 0 else y.trunc if g == 1 else y.trunc + (g - 1) * order
+        assert trunc == min(below, reach)
+        assert all(isinstance(c, int) and c for c in num.values())
+        assert {e: F(c, den) for e, c in num.items()} == _below(dict_pow(y.terms, g, trunc), trunc)
+        assert gcd(den, *num.values()) == 1
+        if trunc == EXACT:
+            # Gauss's lemma: the integer recurrences of implicitize read
+            # y**g over yden**g
+            assert den == yden**g
 
 
 def _trusted_outputs(a, b, unit, n, w, k, c):

@@ -17,8 +17,14 @@ from planebranch.errors import (
     InvalidArgument,
     InvalidParameterChange,
     NonPolynomialInput,
+    WrongEquisingularityClass,
 )
-from planebranch.geometry import Parametrization, implicitize
+from planebranch.geometry import (
+    Parametrization,
+    contact_from_intersection,
+    implicitize,
+    intersection_from_contact,
+)
 from planebranch.semigroup import CharData, char_sequence, standard_rep
 from planebranch.series import (
     BivarPoly,
@@ -30,6 +36,7 @@ from planebranch.series import (
     solve_composition,
     substitute,
 )
+from planebranch.zariski import eliminate_term, infer_zariski
 
 K467 = CharData.from_char_exponents((4, 6, 7))
 
@@ -57,6 +64,12 @@ BAD_ARGUMENTS = {
     "substitute-fractional-n": lambda: substitute(
         BivarPoly.monomial(1, 1), 1.5, TSeries.monomial("t", 2)
     ),
+    "contact-from-intersection-bad-string": lambda: contact_from_intersection(K467, "x", 2),
+    "infer-bad-contact-string": lambda: infer_zariski(K467, 7, 4, contact_order="x"),
+    "infer-bad-intersection-string": lambda: infer_zariski(K467, 7, 4, intersection_value="x"),
+    "contact-from-intersection-multiplicity-0": lambda: contact_from_intersection(K467, 10, 0),
+    "infer-multiplicity-0": lambda: infer_zariski(K467, 7, 0, intersection_value=100),
+    "intersection-from-contact-multiplicity-0": lambda: intersection_from_contact(K467, 2, 0),
     "char-exponents-not-characteristic": lambda: CharData.from_char_exponents((4, 6, 8)),
     "char-sequence-multiplicity": lambda: char_sequence(
         Parametrization(0, TSeries("t", {3: 1}, 10))
@@ -79,6 +92,11 @@ VIOLATED_PRECONDITIONS = {
     ),
     "solve-composition-unknown-order": (
         InvalidParameterChange, lambda: solve_composition([CUSP.y.truncated(5)], UNKNOWN_ORDER)
+    ),
+    # 6, the first exponent off the grid of 4, shares a factor with it
+    "eliminate-term-not-genus-one": (
+        WrongEquisingularityClass,
+        lambda: eliminate_term(Parametrization.from_pairs(4, [(6, 1), (7, 1), (9, 1)], 20), 8),
     ),
 }
 
