@@ -183,21 +183,20 @@ def implicitize(phi: Parametrization) -> BivarPoly:
     if not p:
         raise NonPolynomialInput("cannot implicitize the zero branch")
     n = phi.n
-    # sums[r] = (-1)**(r-1) * dens[r] * P_r as a map x-degree -> int, where
-    # dens[r] = den**r by Gauss's lemma, so that elementary[k] = dens[k] * e_k
-    sums, dens = [None], [1]
-    for r, (power, den, _) in enumerate(islice(_powers(phi.y), 1, n + 1), 1):
+    _, den = _common(p, EXACT)
+    # sums[r] = (-1)**(r-1) * den**r * P_r as a map x-degree -> int
+    sums = [None]
+    for r, (power, _, _) in enumerate(islice(_powers(phi.y), 1, n + 1), 1):
         sign = n if r % 2 else -n
         sums.append({e // n: sign * c for e, c in power.items() if not e % n})
-        dens.append(den)
-    elementary = [{0: 1}]
+    elementary = [{0: 1}]  # elementary[k] = den**k * e_k
     for k in range(1, n + 1):
         acc: dict = {}
         for i in range(1, k + 1):
             _convolve(elementary[k - i], sums[i], EXACT, acc)
         elementary.append({d: c // k for d, c in acc.items() if c})
     poly = BivarPoly({
-        (d, n - k): Fraction(-c if k % 2 else c, dens[k])
+        (d, n - k): Fraction(-c if k % 2 else c, den**k)
         for k, ek in enumerate(elementary)
         for d, c in ek.items()
     })

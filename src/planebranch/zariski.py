@@ -22,6 +22,7 @@ from .errors import (
     CrossCheckFailed,
     DegenerateMove,
     HypothesisNotMet,
+    InvalidArgument,
     NeedsTruncation,
     NonIntegralResult,
     NotAnInvariant,
@@ -116,6 +117,8 @@ def apply_qmove(phi: Parametrization, a: int, b: int, c) -> Parametrization:
     """
     if a < 1:
         raise DegenerateMove("q-move needs a >= 1")
+    if not isinstance(b, int) or b < 0:
+        raise InvalidArgument("q-move exponent b must be a non-negative integer")
     shift = phi.n * (a - 1)
     *_, (num, den, trunc) = islice(_powers(phi.y, phi.trunc - shift), b + 1)
     add = {e + shift: Fraction(v, den) for e, v in num.items()}
@@ -134,6 +137,8 @@ def apply_pmove(phi: Parametrization, b: int, c):
     """
     if b < 2:
         raise DegenerateMove("p-move needs b >= 2 (x + c*y**(b-1) with b-1 >= 1)")
+    if not isinstance(b, int):
+        raise InvalidArgument("p-move exponent b must be an integer")
     n = phi.n
     if phi.exact:
         raise NeedsTruncation("p-move needs a finite working truncation; re-truncate first")

@@ -1,6 +1,6 @@
 """Mutation run: how many planted faults the tier-1 tests catch.
 
-Usage:  python tests/mutation/run.py [NAME ...]
+Usage:  python tests/mutation/run.py
 
 Each mutant in MUTANTS replaces one exact text of one file under src/ by
 another.  For each mutant the tree (src/, tests/, pyproject.toml) is copied
@@ -18,7 +18,6 @@ file is not named test_*, so pytest does not collect it.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -184,15 +183,9 @@ def _tier1(mutant) -> tuple[bool, float, str]:
         return proc.returncode == 0, time.monotonic() - start, report
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    args = parser.parse_args(argv)
+def main() -> int:
     table = {**MUTANTS, **DECLARED}
-    unknown = [name for name in args.names if name not in table]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    names = args.names or list(table)
+    names = list(table)
     # each mutant's text must occur exactly once, checked before anything runs
     for name in names:
         path, old, _, _ = table[name]

@@ -36,7 +36,7 @@ from planebranch.series import (
     solve_composition,
     substitute,
 )
-from planebranch.zariski import eliminate_term, infer_zariski
+from planebranch.zariski import apply_pmove, apply_qmove, eliminate_term, infer_zariski
 
 K467 = CharData.from_char_exponents((4, 6, 7))
 
@@ -70,6 +70,15 @@ BAD_ARGUMENTS = {
     "contact-from-intersection-multiplicity-0": lambda: contact_from_intersection(K467, 10, 0),
     "infer-multiplicity-0": lambda: infer_zariski(K467, 7, 0, intersection_value=100),
     "intersection-from-contact-multiplicity-0": lambda: intersection_from_contact(K467, 2, 0),
+    "qmove-negative-exponent": lambda: apply_qmove(
+        Parametrization.from_pairs(2, [(3, 1)], trunc=8), 1, -1, 1
+    ),
+    "qmove-fractional-exponent": lambda: apply_qmove(
+        Parametrization.from_pairs(2, [(3, 1)], trunc=8), 1, 1.5, 1
+    ),
+    "pmove-fractional-exponent": lambda: apply_pmove(
+        Parametrization.from_pairs(2, [(3, 1)], trunc=8), 2.5, 1
+    ),
     "char-exponents-not-characteristic": lambda: CharData.from_char_exponents((4, 6, 8)),
     "char-sequence-multiplicity": lambda: char_sequence(
         Parametrization(0, TSeries("t", {3: 1}, 10))
