@@ -37,6 +37,7 @@ from .series import (
     TSeries,
     _common,
     _convolve,
+    _form,
     _powers,
     exact_root,
     nth_root_unit,
@@ -186,7 +187,7 @@ def implicitize(phi: Parametrization) -> BivarPoly:
     _, den = _common(p, EXACT)
     # sums[r] = (-1)**(r-1) * den**r * P_r as a map x-degree -> int
     sums = [None]
-    for r, (power, _, _) in enumerate(islice(_powers(phi.y), 1, n + 1), 1):
+    for r, (power, _, _) in enumerate(islice(_powers(_form(phi.y)), 1, n + 1), 1):
         sign = n if r % 2 else -n
         sums.append({e // n: sign * c for e, c in power.items() if not e % n})
     elementary = [{0: 1}]  # elementary[k] = den**k * e_k

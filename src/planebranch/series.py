@@ -98,28 +98,61 @@ def _convolve(a: dict, b: dict, bound, acc: dict | None = None) -> dict:
     return acc
 
 
-def _powers(y: TSeries, below=EXACT):
-    """Yield y**0, y**1, y**2, ... as (numerators, den, trunc), each in
-    lowest terms and computed only below its trunc.
+def _form(s: TSeries, bound=EXACT) -> tuple:
+    """The integer form of s below `bound`: (numerators, den, trunc), the
+    terms as integers over their one reduced denominator den > 0, and the
+    truncation min(s.trunc, bound)."""
+    num, den = _common(s.terms, bound)
+    return num, den, min(s.trunc, bound)
 
-    A term of y**g at or past y.trunc + (g - 1)*ord y meets an unknown term
-    of y, so y**g is known exactly below min(below, y.trunc + (g - 1)*ord y);
+
+def _to_series(var: str, form: tuple) -> TSeries:
+    """The series of an integer form: each term becomes a Fraction here."""
+    num, den, trunc = form
+    return TSeries._make(var, {e: Fraction(c, den) for e, c in num.items()}, trunc)
+
+
+def _reduced(num: dict, den: int, trunc) -> tuple:
+    """The integer form num / den below trunc in lowest terms: the content
+    shared by the numerators and den divided out, and den made positive."""
+    g = math.gcd(den, *num.values())
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = {e: c // g for e, c in num.items()}
+        den //= g
+    return num, den, trunc
+
+
+def _cut(form: tuple, bound) -> tuple:
+    """An integer form below `bound`, in lowest terms."""
+    num, den, trunc = form
+    if bound >= trunc:
+        return form
+    return _reduced({e: c for e, c in num.items() if e < bound}, den, bound)
+
+
+def _powers(y: tuple, below=EXACT):
+    """Yield y**0, y**1, y**2, ... of the integer form y as integer forms
+    (numerators, den, trunc), each in lowest terms and computed only below
+    its trunc.
+
+    A term of y**g at or past y's trunc + (g - 1)*ord y meets an unknown
+    term of y, so y**g is known exactly below min(below, trunc + (g - 1)*ord y);
     y**0 = 1 below `below`.  The content shared by the numerators and den is
     divided out after every product, so the numerators grow like the true
     denominators of y**g.  For an exact y, den = yden**g by Gauss's lemma.
     """
-    ynum, yden = _common(y.terms, below)
-    num, den, reach = ynum, yden, y.trunc
+    ynum, _, reach = y
+    order = min(ynum) if ynum else reach
+    ynum, yden, _ = _cut(y, below)
+    num, den = ynum, yden
     yield ({0: 1} if below > 0 else {}), 1, below
     while True:
         yield num, den, min(below, reach)
-        reach += y._eff_order()
+        reach += order
         num = {e: c for e, c in _convolve(num, ynum, min(below, reach)).items() if c}
-        den *= yden
-        g = math.gcd(den, *num.values())
-        if g != 1:
-            den //= g
-            num = {e: c // g for e, c in num.items()}
+        num, den, _ = _reduced(num, den * yden, None)
 
 
 def _accumulate(pairs) -> dict:
@@ -348,9 +381,6 @@ def nth_root_unit(s: TSeries, n: int) -> TSeries:
 
     Solves n * s * r' = s' * r term by term, so the whole computation stays
     in Q; the result has constant term 1 and r**n = s below the truncation.
-    At order k + 1, n*(k+1)*r[k+1] = sum_{i>=1} s[i]*(i - n*(k+1-i))*r[k+1-i];
-    s is held as integers over its denominator and the known r as integers
-    over the lcm of their denominators, rescaled when a new one widens it.
     """
     if n < 1:
         raise InvalidArgument("root index must be a positive integer")
@@ -362,12 +392,22 @@ def nth_root_unit(s: TSeries, n: int) -> TSeries:
         raise NeedsTruncation("root of a non-trivial unit is infinite; truncate first")
     if n == 1:
         return s
-    snum, sden = _common(s.terms, s.trunc)
+    return _to_series(s.var, _root(_form(s), n))
+
+
+def _root(s: tuple, n: int) -> tuple:
+    """The principal n-th root of the integer form s of a unit with constant
+    term 1 and a finite trunc, as an integer form at the same trunc.
+
+    At order k + 1, n*(k+1)*r[k+1] = sum_{i>=1} s[i]*(i - n*(k+1-i))*r[k+1-i];
+    the known r are held as integers over the lcm of their denominators,
+    rescaled when a new one widens it.
+    """
+    snum, sden, trunc = s
     support = sorted((i, c) for i, c in snum.items() if i)
-    root = {0: _ONE}
-    rnum = [1]  # rnum[j] / rden = root[j]
+    rnum = [1]  # rnum[j] / rden = r[j]
     rden = 1
-    for k1 in range(1, s.trunc):
+    for k1 in range(1, trunc):
         acc = 0
         for i, c in support:
             if i > k1:
@@ -378,14 +418,15 @@ def nth_root_unit(s: TSeries, n: int) -> TSeries:
         if not acc:
             rnum.append(0)
             continue
-        coeff = Fraction(acc, sden * n * k1 * rden)
-        root[k1] = coeff
-        widen = coeff.denominator // math.gcd(rden, coeff.denominator)
+        den = sden * n * k1 * rden
+        g = math.gcd(acc, den)
+        acc, den = acc // g, den // g
+        widen = den // math.gcd(rden, den)
         if widen != 1:
             rden *= widen
             rnum = [r * widen for r in rnum]
-        rnum.append(coeff.numerator * (rden // coeff.denominator))
-    return TSeries._make(s.var, root, s.trunc)
+        rnum.append(acc * (rden // den))
+    return {k: r for k, r in enumerate(rnum) if r}, rden, trunc
 
 
 def reparametrize(s: TSeries, rho: TSeries) -> TSeries:
@@ -403,21 +444,30 @@ def solve_composition(targets, w: TSeries) -> tuple:
     Triangular solve: each Y_i is read off its residual at order k, and one
     power of w per order serves every target, so several targets cost one
     pass over the powers of w.  Each target keeps its own truncation
-    min(target.trunc, w.trunc), and the powers of w are read from `_powers`
-    below the largest.  Equivalent to composing with the compositional
-    inverse of w, without constructing it.
+    min(target.trunc, w.trunc).  Equivalent to composing with the
+    compositional inverse of w, without constructing it.
     """
     if w.order() != 1:
         raise InvalidParameterChange("composition solve needs ord(w) = 1")
-    bounds = [min(target.trunc, w.trunc) for target in targets]
-    if EXACT in bounds:
+    if EXACT in (min(target.trunc, w.trunc) for target in targets):
         raise NeedsTruncation("composition solve needs a finite truncation")
+    outs = _solve([_form(target) for target in targets], _form(w))
+    return tuple(_to_series(target.var, out) for target, out in zip(targets, outs))
+
+
+def _solve(targets: list, w: tuple) -> list:
+    """`solve_composition` on integer forms: the forms of the Y_i, each at
+    min(target trunc, w trunc), with w**k read from `_powers` below the
+    largest.  The residual of each target is kept as integers over one
+    denominator, and each coefficient of Y_i as a reduced pair, put over
+    their lcm at the end."""
+    bounds = [min(trunc, w[2]) for _, _, trunc in targets]
     bound = max(bounds, default=0)
     # residual i is rnums[i] / rdens[i]; w**k is wpow / pden
     rnums, rdens = [], []
     for target, tb in zip(targets, bounds):
-        num, den = _common(target.terms, tb)
-        rnums.append(num)
+        num, den, _ = _cut(target, tb)
+        rnums.append(dict(num))
         rdens.append(den)
     outs = [{} for _ in targets]
     for k, (wpow, pden, _) in zip(range(bound), _powers(w, bound)):
@@ -429,14 +479,19 @@ def solve_composition(targets, w: TSeries) -> tuple:
             ck = rnum.get(k)
             if not ck:
                 continue
-            yk = Fraction(ck * pden, rdens[i] * plead)
-            out[k] = yk
+            # Y_i[k] = p / q in lowest terms, q > 0
+            p, q = ck * pden, rdens[i] * plead
+            g = math.gcd(p, q)
+            if q < 0:
+                g = -g
+            p, q = p // g, q // g
+            out[k] = p, q
             # subtract (a / b) * wpow from the residual over the lcm of b
             # and the residual's denominator
-            g = math.gcd(yk.numerator, pden)
-            b = yk.denominator * (pden // g)
+            g = math.gcd(p, pden)
+            b = q * (pden // g)
             den = math.lcm(rdens[i], b)
-            a = yk.numerator // g * (den // b)
+            a = p // g * (den // b)
             widen = den // rdens[i]
             if widen != 1:
                 rnum = {e: c * widen for e, c in rnum.items()}
@@ -449,9 +504,13 @@ def solve_composition(targets, w: TSeries) -> tuple:
                 else:
                     rnum.pop(e, None)
             rnums[i], rdens[i] = rnum, den
-    return tuple(
-        TSeries._make(target.var, out, tb) for target, out, tb in zip(targets, outs, bounds)
-    )
+    forms = []
+    for out, tb in zip(outs, bounds):
+        den = 1
+        for _, q in out.values():
+            den = math.lcm(den, q)
+        forms.append(({k: p * (den // q) for k, (p, q) in out.items()}, den, tb))
+    return forms
 
 
 def inverse_parameter(w: TSeries) -> TSeries:
@@ -691,7 +750,7 @@ def substitute(poly: BivarPoly, n: int, y: TSeries) -> TSeries:
     ydegs = sorted(rows, reverse=True)
     steps = [(prev - j, rows[j]) for prev, j in zip(ydegs, ydegs[1:])]
     steps.append((ydegs[-1], None))
-    powers = list(itertools.islice(_powers(y), max(g for g, _ in steps) + 1))
+    powers = list(itertools.islice(_powers(_form(y)), max(g for g, _ in steps) + 1))
     acc, den = _common(rows[ydegs[0]])
     trunc = EXACT
     for g, row in steps:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     AmbiguousEvidence,
@@ -36,11 +36,14 @@ from .semigroup import CharData, char_sequence, contains, rep_nm
 from .series import (
     EXACT,
     TSeries,
+    _form,
     _powers,
-    nth_root_unit,
+    _reduced,
+    _root,
+    _solve,
+    _to_series,
     ratio,
     reparametrize,
-    solve_composition,
 )
 
 @dataclass(frozen=True)
@@ -109,53 +112,97 @@ def _working_bound(n: int, m: int) -> int:
     return _conductor(n, m) + 2 * n
 
 
-def apply_qmove(phi: Parametrization, a: int, b: int, c) -> Parametrization:
-    """Coordinate change y -> y + c * x**(a-1) * y**b along x = t**n.
+def _check_int(value, what: str) -> None:
+    if not isinstance(value, int):
+        raise InvalidArgument(f"{what} must be an integer, got {value!r}")
 
-    The sum is known only below T = phi.trunc, so y**b is read below
-    T - n(a-1), and the sum keeps trunc T.
-    """
+
+def apply_qmove(phi: Parametrization, a: int, b: int, c) -> Parametrization:
+    """Coordinate change y -> y + c * x**(a-1) * y**b along x = t**n."""
+    _check_int(a, "q-move a")
+    _check_int(b, "q-move exponent b")
     if a < 1:
         raise DegenerateMove("q-move needs a >= 1")
-    if not isinstance(b, int) or b < 0:
+    if b < 0:
         raise InvalidArgument("q-move exponent b must be a non-negative integer")
-    shift = phi.n * (a - 1)
-    *_, (num, den, trunc) = islice(_powers(phi.y, phi.trunc - shift), b + 1)
-    add = {e + shift: Fraction(v, den) for e, v in num.items()}
-    return Parametrization(phi.n, phi.y + TSeries._make(phi.y.var, add, trunc + shift).scale(c))
+    y = _qmove(_form(phi.y), phi.n, a, b, ratio(c))
+    return Parametrization(phi.n, _to_series(phi.y.var, y))
+
+
+def _qmove(y: tuple, n: int, a: int, b: int, c: Fraction) -> tuple:
+    """The q-move on the integer form of y.  The sum is known only below T,
+    y's trunc, so y**b is read below T - n(a-1), and the sum keeps trunc T;
+    it is put over the lcm of the two denominators, in lowest terms."""
+    num, den, trunc = y
+    shift = n * (a - 1)
+    *_, (pnum, pden, _) = islice(_powers(y, trunc - shift), b + 1)
+    pden *= c.denominator
+    common = lcm(den, pden)
+    out = {e: v * (common // den) for e, v in num.items()}
+    scale = c.numerator * (common // pden)
+    for e, v in pnum.items():
+        v = out.get(e + shift, 0) + scale * v
+        if v:
+            out[e + shift] = v
+        else:
+            out.pop(e + shift, None)
+    return _reduced(out, common, trunc)
 
 
 def apply_pmove(phi: Parametrization, b: int, c):
     """Coordinate change x -> x + c * y**(b-1) and the parameter restoring it.
 
-    Returns (new branch, rho).  With w(t) the parameter with
-    w**n = x + c*y**(b-1) along the branch, one triangular solve over the
-    powers of w gives both the new y-series Y, with Y(w(t)) = y(t), and the
-    parameter change rho, with rho(w(t)) = t, each at its own truncation.
-    The unit 1 + c*y**(b-1)/x is cut at T = phi.trunc, so y**(b-1) is read
-    below T + n.
+    Returns (new branch, rho), rho the parameter change with rho(w(t)) = t.
     """
+    _check_int(b, "p-move exponent b")
     if b < 2:
         raise DegenerateMove("p-move needs b >= 2 (x + c*y**(b-1) with b-1 >= 1)")
-    if not isinstance(b, int):
-        raise InvalidArgument("p-move exponent b must be an integer")
-    n = phi.n
     if phi.exact:
         raise NeedsTruncation("p-move needs a finite working truncation; re-truncate first")
-    *_, (num, den, trunc) = islice(_powers(phi.y, phi.trunc + n), b)
-    terms = {e: Fraction(v, den) for e, v in num.items()}
-    perturb = TSeries._make(phi.y.var, terms, trunc).scale(c)
-    if perturb.terms and min(perturb.terms) <= n:
+    y, rho = _pmove(_form(phi.y), phi.n, b, ratio(c))
+    return Parametrization(phi.n, _to_series(phi.y.var, y)), _to_series(phi.y.var, rho)
+
+
+def _pmove(y: tuple, n: int, b: int, c: Fraction):
+    """The p-move on the integer form of y: the forms of (Y, rho).
+
+    With w(t) the parameter with w**n = x + c*y**(b-1) along the branch,
+    one triangular solve over the powers of w gives both the new y-series
+    Y, with Y(w(t)) = y(t), and the parameter change rho, with
+    rho(w(t)) = t, each at its own truncation.  The unit
+    1 + c*y**(b-1)/x is cut at T, y's trunc, so y**(b-1) is read below
+    T + n.
+    """
+    trunc = y[2]
+    *_, (pnum, pden, ptrunc) = islice(_powers(y, trunc + n), b)
+    if c and pnum and min(pnum) <= n:
         raise DegenerateMove("perturbation must have order above n")
-    unit = TSeries.constant(phi.y.var, 1) + perturb.shift(-n)
-    w = nth_root_unit(unit.truncated(phi.trunc), n).shift(1)
-    ident = TSeries.monomial(w.var, 1, 1, w.trunc)
-    ynew, rho = solve_composition([phi.y, ident], w)
-    return Parametrization(n, ynew), rho
+    utrunc = min(trunc, ptrunc - n)
+    if utrunc < 1:
+        raise InvalidArgument(f"trunc must be a positive integer, got {utrunc!r}")
+    # the unit over c.denominator * pden
+    unit = {e - n: c.numerator * v for e, v in pnum.items() if e - n < utrunc and c}
+    unit[0] = c.denominator * pden
+    rnum, rden, _ = _root(_reduced(unit, unit[0], utrunc), n)
+    w = {e + 1: v for e, v in rnum.items()}, rden, utrunc + 1
+    return _solve([y, ({1: 1}, 1, utrunc + 1)], w)
 
 
 def eliminate_term(phi: Parametrization, j: int):
-    """Remove the t**j term of the y-series; returns (new branch, MoveRecord).
+    """Remove the t**j term of the y-series; returns (new branch, MoveRecord)."""
+    _check_int(j, "target exponent j")
+    m = _first_offgrid_exponent(phi)
+    if gcd(phi.n, m) != 1:
+        raise WrongEquisingularityClass(
+            f"exponent {m} shares a factor with {phi.n}: not genus one"
+        )
+    y, record = _eliminate(_form(phi.y), phi.n, m, j, phi.y.var)
+    return Parametrization(phi.n, _to_series(phi.y.var, y)), record
+
+
+def _eliminate(y: tuple, n: int, m: int, j: int, var: str):
+    """The move that kills the t**j term of the integer form y of a branch
+    of K(n, m): (the new form, its MoveRecord).
 
     With L the coefficient at m, a move of size c changes the coefficient at
     j by c * L**b (q-move) or by -c * (m/n) * L**b (p-move): the first-order
@@ -165,31 +212,30 @@ def eliminate_term(phi: Parametrization, j: int):
     new branch and is always logged.  The result is verified to vanish at j
     with everything below j untouched.
     """
-    n = phi.n
-    y = phi.y
-    m = _first_offgrid_exponent(phi)
-    if gcd(n, m) != 1:
-        raise WrongEquisingularityClass(f"exponent {m} shares a factor with {n}: not genus one")
     a, b = rep_nm(j + n, n, m)
     if a < 0:
         raise NotRemovable(f"{j} + {n} is not in <{n}, {m}>")
     if a == 0 and b <= 1:
         raise DegenerateMove(f"no move exists for exponent {j}")
-    slope = y.terms[m] ** b
-    if a == 0:
-        slope *= Fraction(-m, n)
-    c = -y.terms.get(j, Fraction(0)) / slope
-    kind = "q" if a else "p"
-    new, rho = MoveRecord(kind, a, b, c, j, None).apply(phi)
-    if j >= new.trunc:
-        raise PrecisionExhausted(
-            f"move at {j} leaves the series known only below {new.trunc}"
-        )
-    if new.y.terms.get(j):
+    num, den, _ = y
+    # c = -y[j] / L**b, times -n/m for a p-move
+    c = Fraction(-num.get(j, 0) * den**b, num[m] ** b * den)
+    if a:
+        new, rho = _qmove(y, n, a, b, c), None
+    else:
+        c *= Fraction(-n, m)
+        new, rho = _pmove(y, n, b, c)
+        rho = _to_series(var, rho)
+    nnum, nden, ntrunc = new
+    if j >= ntrunc:
+        raise PrecisionExhausted(f"move at {j} leaves the series known only below {ntrunc}")
+    if nnum.get(j):
         raise CrossCheckFailed(f"move failed to kill the coefficient at {j}")
-    if not new.y.agrees_with(y, below=j):
+    if {e: v * nden for e, v in num.items() if e < j} != {
+        e: v * den for e, v in nnum.items() if e < j
+    }:
         raise CrossCheckFailed(f"move at {j} disturbed lower-order coefficients")
-    return new, MoveRecord(kind, a, b, c, j, rho)
+    return new, MoveRecord("q" if a else "p", a, b, c, j, rho)
 
 
 def _first_offgrid_exponent(phi: Parametrization) -> int:
@@ -216,26 +262,37 @@ def _route(phi: Parametrization, n: int, m: int):
     d(y**b) when a = 0: either way the term k of y**b lands at k + n*a - 1,
     times k when a = 0.  omega is known only below mu - 1, so each y**b is
     read below mu, as bare numerators: its denominator cancels in the
-    multiple of the form that is subtracted.  omega is one map reduced in
-    place, one multiply-subtract per term of each form.
+    multiple of the form that is subtracted.  omega is one map of integers
+    over one denominator, reduced in place: each step scales it by the
+    form's lead, subtracts the form times omega's lead, and divides out the
+    content.
     """
     mu = _conductor(n, m)
-    y = phi.with_trunc(_working_bound(n, m)).y
+    y = _form(phi.with_trunc(_working_bound(n, m)).y, mu)
+    ynum, yden, _ = y
     omega = {}
-    for j, c in y.terms.items():
+    for j, c in ynum.items():
         if j != m and j + n - 1 < mu - 1:
             omega[j + n - 1] = (m - j) * c
+    oden = yden
     forms, powers = [], _powers(y, mu)
     while omega:
         e = min(omega)
         a, b = rep_nm(e + 1, n, m)
         if a < 0:
-            return e + 1 - n, omega[e] / ((m + n - e - 1) * phi.y.coeff(m))
+            return e + 1 - n, Fraction(omega[e] * yden, oden * (m + n - e - 1) * ynum[m])
         while len(forms) <= b:
             forms.append(next(powers)[0])
         shift = n * a - 1
         form = forms[b]
-        f = omega[e] / (form[e - shift] * (1 if a else e - shift))
+        # omega * lead - f * form over oden * lead, where f / lead is
+        # omega's lead over the form's, in lowest terms
+        lead = form[e - shift] * (1 if a else e - shift)
+        g = gcd(omega[e], lead)
+        f, lead = omega[e] // g, lead // g
+        if lead != 1:
+            omega = {k: c * lead for k, c in omega.items()}
+            oden *= lead
         for k, c in form.items():
             if k + shift < mu - 1:
                 c = omega.get(k + shift, 0) - f * (c if a else k * c)
@@ -243,6 +300,7 @@ def _route(phi: Parametrization, n: int, m: int):
                     omega[k + shift] = c
                 else:
                     omega.pop(k + shift, None)
+        omega, oden, _ = _reduced(omega, oden, None)
     return None, None
 
 
@@ -264,15 +322,18 @@ def genus1_reduce(phi: Parametrization) -> ZariskiResult:
     n, m = cd.char_exponents
     mu = cd.conductor
     bound = _working_bound(n, m)
-    work = phi.with_trunc(bound)
-    scale = 1 / work.y.coeff(m)
-    cur = Parametrization(n, work.y.scale(scale))
+    var = phi.y.var
+    num, den, trunc = _form(phi.with_trunc(bound).y)
+    # y / L over the numerator of L = y[m]
+    scale = Fraction(den, num[m])
+    cur = _reduced(num, num[m], trunc)
     moves = []
     for j in range(n + 1, bound):
-        if j == m or not cur.y.terms.get(j) or rep_nm(j + n, n, m)[0] < 0:
+        if j == m or not cur[0].get(j) or rep_nm(j + n, n, m)[0] < 0:
             continue
-        cur, record = eliminate_term(cur, j)
+        cur, record = _eliminate(cur, n, m, j, var)
         moves.append(record)
+    cur = Parametrization(n, _to_series(var, cur))
     if cur.trunc <= mu - n - 1:
         raise CrossCheckFailed(
             f"working precision dropped to {cur.trunc}, below the survivor range"
