@@ -685,26 +685,41 @@ class BivarPoly:
     def divmod_monic_y(self, divisor: "BivarPoly"):
         """Euclidean division in y by a divisor monic in y; exact in Q[x][y].
         From the top down, row k of what remains is row k - d of the
-        quotient, and it times the divisor's lower rows comes off below."""
+        quotient, and it times the divisor's lower rows comes off below.
+        What remains is held as integer rows over one denominator, which
+        grows by the lower rows' denominator per row taken off and loses
+        its content then; each output term becomes a Fraction once."""
         d = divisor.deg_y()
         if d < 1 or not divisor.is_monic_in_y():
             raise NotMonic("divisor must be monic in y with positive y-degree")
+        num, den = _common(self.terms)
         rows: dict = {}
-        for (i, j), c in self.terms.items():
+        for (i, j), c in num.items():
             rows.setdefault(j, {})[i] = c
-        lower = [(i, j, c) for (i, j), c in divisor.terms.items() if j < d]
+        lower, lden = _common({ij: c for ij, c in divisor.terms.items() if ij[1] < d})
         quotient = {}
         for k in range(max(rows, default=-1), d - 1, -1):
-            for i1, c1 in rows.pop(k, {}).items():
-                quotient[(i1, k - d)] = c1
-                for i2, j, c2 in lower:
+            top = rows.pop(k, None)
+            if not top:
+                continue
+            for i1, c1 in top.items():
+                quotient[(i1, k - d)] = Fraction(c1, den)
+            if lden != 1:
+                rows = {j: {i: c * lden for i, c in row.items()} for j, row in rows.items()}
+                den *= lden
+            for i1, c1 in top.items():
+                for (i2, j), c2 in lower.items():
                     row = rows.setdefault(k - d + j, {})
-                    c = row.get(i1 + i2, _ZERO) - c1 * c2
+                    c = row.get(i1 + i2, 0) - c1 * c2
                     if c:
                         row[i1 + i2] = c
                     else:
                         del row[i1 + i2]
-        rem = {(i, j): c for j, row in rows.items() for i, c in row.items()}
+            g = math.gcd(den, *(c for row in rows.values() for c in row.values()))
+            if g != 1:
+                rows = {j: {i: c // g for i, c in row.items()} for j, row in rows.items()}
+                den //= g
+        rem = {(i, j): Fraction(c, den) for j, row in rows.items() for i, c in row.items()}
         return BivarPoly._make(quotient), BivarPoly._make(rem)
 
     def divexact(self, divisor: "BivarPoly") -> "BivarPoly":

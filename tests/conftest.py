@@ -159,6 +159,33 @@ def pmove_reference(phi: Parametrization, b: int, c):
     return Parametrization(n, ynew), rho
 
 
+def sweep_reference(phi: Parametrization):
+    """The elimination sweep of a genus-one branch, on Fraction series and
+    the uncut moves `qmove_reference` and `pmove_reference`: (normal form,
+    leading scale, move log, (lambda, c)).  Each move size c is solved in
+    closed form, as the kernel does."""
+    n = phi.n
+    m = min(e for e in phi.y.terms if e % n)
+    bound = (n - 1) * (m - 1) + 2 * n
+    work = phi.with_trunc(bound)
+    scale = 1 / work.y.coeff(m)
+    cur = Parametrization(n, work.y.scale(scale))
+    moves = []
+    for j in range(n + 1, bound):
+        a, b = rep_nm(j + n, n, m)
+        if j == m or not cur.y.terms.get(j) or a < 0:
+            continue
+        slope = cur.y.terms[m] ** b * (1 if a else F(-m, n))
+        c = -cur.y.terms[j] / slope
+        if a:
+            cur, rho = qmove_reference(cur, a, b, c), None
+        else:
+            cur, rho = pmove_reference(cur, b, c)
+        moves.append(zariski.MoveRecord("q" if a else "p", a, b, c, j, rho))
+    survivors = {j: c for j, c in cur.y.terms.items() if j > m}
+    return cur, scale, tuple(moves), min(survivors.items(), default=(None, None))
+
+
 def route_reference(phi: Parametrization, n: int, m: int):
     """The differential route with every power of y known below
     mu + (b-1)*ord(y) and omega rebuilt as a series at every step."""

@@ -79,6 +79,24 @@ BAD_ARGUMENTS = {
     "pmove-fractional-exponent": lambda: apply_pmove(
         Parametrization.from_pairs(2, [(3, 1)], trunc=8), 2.5, 1
     ),
+    "qmove-fractional-a": lambda: apply_qmove(
+        Parametrization.from_pairs(2, [(3, 1)], trunc=8), 1.5, 1, 1
+    ),
+    "qmove-missing-a": lambda: apply_qmove(
+        Parametrization.from_pairs(2, [(3, 1)], trunc=8), None, 1, 1
+    ),
+    "pmove-string-exponent": lambda: apply_pmove(
+        Parametrization.from_pairs(2, [(3, 1)], trunc=8), "3", 1
+    ),
+    "pmove-missing-exponent": lambda: apply_pmove(
+        Parametrization.from_pairs(2, [(3, 1)], trunc=8), None, 1
+    ),
+    "eliminate-term-string-target": lambda: eliminate_term(
+        Parametrization.from_pairs(2, [(3, 1)], trunc=8), "5"
+    ),
+    "eliminate-term-float-target": lambda: eliminate_term(
+        Parametrization.from_pairs(2, [(3, 1)], trunc=8), 5.0
+    ),
     "char-exponents-not-characteristic": lambda: CharData.from_char_exponents((4, 6, 8)),
     "char-sequence-multiplicity": lambda: char_sequence(
         Parametrization(0, TSeries("t", {3: 1}, 10))
@@ -123,6 +141,12 @@ def test_bad_argument_is_a_typed_precondition(call):
         call()
     assert isinstance(info.value, ValueError)
     assert cli._exit_code(info.value) == cli.EXIT_PRECONDITION == 3
+
+
+def test_a_float_target_is_blamed_on_the_target():
+    # 5.0 once reached the move and was refused as a q-move exponent b
+    with pytest.raises(InvalidArgument, match="target exponent j"):
+        eliminate_term(Parametrization.from_pairs(2, [(3, 1)], trunc=8), 5.0)
 
 
 @pytest.mark.parametrize(
