@@ -9,14 +9,24 @@ which case the term map is the whole series.  `order()` is the smallest
 exponent with a nonzero term, or None when no term below `trunc` is known.
 
 The hot kernels (`TSeries.__mul__`, `_powers`, `nth_root_unit`,
-`solve_composition`, `substitute`, `BivarPoly.__mul__`) work on integer
-numerators over one shared denominator per operand, the layout of FLINT's
-`fmpq_poly`: `_common` clears an operand's denominators with one lcm,
-`_convolve` multiplies in integers, and each output coefficient becomes a
-`Fraction` once, with one gcd.  `.terms` stays a map to `Fraction`s
-everywhere outside the kernels.  `_powers` yields y**0, y**1, ... of one
-series, each over its reduced denominator; it is the one power routine of
-`substitute`, `solve_composition`, `implicitize`, the moves and the route.
+`solve_composition`, `substitute`, `BivarPoly.__mul__`, `divmod_monic_y`)
+work on integer numerators over one shared denominator per operand, the
+layout of FLINT's `fmpq_poly`: `_common` clears an operand's denominators
+with one lcm, `_convolve` multiplies in integers, and each output
+coefficient becomes a `Fraction` once, with one gcd.  `.terms` stays a map
+to `Fraction`s everywhere outside the kernels.
+
+A series in that layout is an integer form (numerators, den, trunc): an
+exponent -> int map with no zeros, below trunc, over one denominator
+den > 0, in lowest terms (`_reduced` divides out the content).  `_form`
+builds one from a `TSeries` and `_to_series` builds the `Fraction`s back;
+between the two, kernels pass forms to each other.  `_powers` yields
+y**0, y**1, ... of one form, each over its reduced denominator; it is the
+one power routine of `substitute`, `solve_composition`, `implicitize`, the
+moves and the route.  `_root` and `_solve` are the form cores of
+`nth_root_unit` and `solve_composition`, so that the genus-one sweep in
+`zariski` runs a p-move from y to its new branch and parameter change with
+no `Fraction` series in between.
 
 The public constructors `TSeries(...)` and `BivarPoly(...)` check and clean
 what they are given.  Kernel outputs whose invariants hold by construction
@@ -479,11 +489,9 @@ def _solve(targets: list, w: tuple) -> list:
             ck = rnum.get(k)
             if not ck:
                 continue
-            # Y_i[k] = p / q in lowest terms, q > 0
+            # Y_i[k] = p / q in lowest terms
             p, q = ck * pden, rdens[i] * plead
             g = math.gcd(p, q)
-            if q < 0:
-                g = -g
             p, q = p // g, q // g
             out[k] = p, q
             # subtract (a / b) * wpow from the residual over the lcm of b

@@ -8,6 +8,15 @@ exponents in increasing order is triangular, so the smallest surviving
 exponent with its coefficient is the Zariski invariant.  It is also the
 first value of m*y*dx - n*x*dy outside <n, m>, less n (Hefez-Hernandes):
 that route builds a witness branch of extremal contact, slot by slot.
+
+The sweep carries y as an integer form of `series` (numerators over one
+reduced denominator, with the truncation) from the first move to the last:
+`genus1_reduce` builds it once, the private kernels `_qmove`, `_pmove` and
+`_eliminate` move it and check each move on it, and the normal form's
+`Fraction`s are built once at the end; only a p-move's logged parameter
+change becomes a series on the way.  `apply_qmove`, `apply_pmove` and
+`eliminate_term` are adapters that turn a branch into a form and back.
+The route keeps omega as integers over one denominator.
 """
 
 from __future__ import annotations
@@ -173,15 +182,15 @@ def _pmove(y: tuple, n: int, b: int, c: Fraction):
     1 + c*y**(b-1)/x is cut at T, y's trunc, so y**(b-1) is read below
     T + n.
     """
-    trunc = y[2]
-    *_, (pnum, pden, ptrunc) = islice(_powers(y, trunc + n), b)
+    *_, (pnum, pden, ptrunc) = islice(_powers(y, y[2] + n), b)
     if c and pnum and min(pnum) <= n:
         raise DegenerateMove("perturbation must have order above n")
-    utrunc = min(trunc, ptrunc - n)
+    # y**(b-1) is known below ptrunc <= T + n, so the unit below ptrunc - n
+    utrunc = ptrunc - n
     if utrunc < 1:
         raise InvalidArgument(f"trunc must be a positive integer, got {utrunc!r}")
     # the unit over c.denominator * pden
-    unit = {e - n: c.numerator * v for e, v in pnum.items() if e - n < utrunc and c}
+    unit = {e - n: c.numerator * v for e, v in pnum.items() if c}
     unit[0] = c.denominator * pden
     rnum, rden, _ = _root(_reduced(unit, unit[0], utrunc), n)
     w = {e + 1: v for e, v in rnum.items()}, rden, utrunc + 1

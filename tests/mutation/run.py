@@ -36,24 +36,74 @@ ZARISKI = "src/planebranch/zariski.py"
 MUTANTS = {
     # -- the power routine and the bounds its callers ask for
     "powers-bound-minus-one": (
-        SERIES, "reach += y._eff_order()", "reach += y._eff_order() - 1",
+        SERIES, "reach += order", "reach += order - 1",
         "y**g claims trunc + (g-1)*order - 1, one order short of what it knows",
     ),
     "powers-no-content-division": (
-        SERIES, "g = math.gcd(den, *num.values())", "g = 1",
+        SERIES, "num, den, _ = _reduced(num, den * yden, None)", "den *= yden",
         "powers stay over yden**g, not in lowest terms",
     ),
     "qmove-below-minus-one": (
-        ZARISKI, "_powers(phi.y, phi.trunc - shift)", "_powers(phi.y, phi.trunc - shift - 1)",
+        ZARISKI, "_powers(y, trunc - shift)", "_powers(y, trunc - shift - 1)",
         "the q-move reads y**b below T - n(a-1) - 1 and loses an order",
     ),
     "pmove-below-minus-one": (
-        ZARISKI, "_powers(phi.y, phi.trunc + n)", "_powers(phi.y, phi.trunc + n - 1)",
+        ZARISKI, "_powers(y, y[2] + n)", "_powers(y, y[2] + n - 1)",
         "the p-move reads y**(b-1) below T + n - 1 and loses an order",
     ),
     "route-below-minus-one": (
         ZARISKI, "_powers(y, mu)", "_powers(y, mu - 1)",
         "d(y**b) loses its term at mu - 2, where omega is still known",
+    ),
+    "working-bound-minus-one": (
+        ZARISKI, "return _conductor(n, m) + 2 * n", "return _conductor(n, m) + 2 * n - 1",
+        "the sweep runs one order short and the normal form's truncation moves",
+    ),
+    # -- the integer move kernels and the checks of each move
+    "qmove-no-rescale": (
+        ZARISKI, "out = {e: v * (common // den) for e, v in num.items()}", "out = dict(num)",
+        "y is added over its own denominator, not over the lcm",
+    ),
+    "qmove-term-not-rescaled": (
+        ZARISKI, "scale = c.numerator * (common // pden)", "scale = c.numerator",
+        "c * x**(a-1) * y**b is added over its own denominator, not over the lcm",
+    ),
+    "qmove-shift-dropped": (
+        ZARISKI, "v = out.get(e + shift, 0) + scale * v", "v = out.get(e, 0) + scale * v",
+        "the term lands on y's coefficient at e instead of e + n(a-1)",
+    ),
+    "pmove-unit-one-order-long": (
+        ZARISKI, "utrunc = ptrunc - n", "utrunc = ptrunc - n + 1",
+        "the unit, its root and rho claim an order past what y**(b-1) gives",
+    ),
+    "pmove-size-sign": (
+        ZARISKI, "c *= Fraction(-n, m)", "c *= Fraction(n, m)",
+        "the p-move's response is -c*(m/n)*L**b; the wrong sign doubles the term",
+    ),
+    "move-target-at-trunc-accepted": (
+        ZARISKI, "if j >= ntrunc:", "if j > ntrunc:",
+        "a move that leaves its target's coefficient unknown is accepted",
+    ),
+    "below-j-check-one-sided": (
+        ZARISKI,
+        "    if {e: v * nden for e, v in num.items() if e < j} != {\n"
+        "        e: v * den for e, v in nnum.items() if e < j\n"
+        "    }:\n",
+        "    if any(nnum.get(e, 0) * den != v * nden for e, v in num.items() if e < j):\n",
+        "a term the move puts below j where y had none goes unseen",
+    ),
+    "below-j-check-one-short": (
+        ZARISKI, "e: v * den for e, v in nnum.items() if e < j\n",
+        "e: v * den for e, v in nnum.items() if e < j - 1\n",
+        "a disturbance at j - 1 goes unseen",
+    ),
+    "route-denominator-not-scaled": (
+        ZARISKI, "            oden *= lead\n", "",
+        "omega is scaled by the form's lead but its denominator is not",
+    ),
+    "route-lead-without-factor": (
+        ZARISKI, "lead = form[e - shift] * (1 if a else e - shift)", "lead = form[e - shift]",
+        "the lead of d(y**b) is k times that of y**b",
     ),
     # -- the integer Newton-Puiseux stage (recorded in CHANGES.md for PR 10)
     "np-no-content-division": (
@@ -125,13 +175,30 @@ MUTANTS = {
     ),
     "divmod-keeps-zero-rows": (
         SERIES,
-        "                    c = row.get(i1 + i2, _ZERO) - c1 * c2\n"
+        "                    c = row.get(i1 + i2, 0) - c1 * c2\n"
         "                    if c:\n"
         "                        row[i1 + i2] = c\n"
         "                    else:\n"
         "                        del row[i1 + i2]\n",
-        "                    row[i1 + i2] = row.get(i1 + i2, _ZERO) - c1 * c2\n",
+        "                    row[i1 + i2] = row.get(i1 + i2, 0) - c1 * c2\n",
         "the remainder keeps zero coefficients",
+    ),
+    "divmod-rows-not-rescaled": (
+        SERIES,
+        "rows = {j: {i: c * lden for i, c in row.items()} for j, row in rows.items()}",
+        "rows = rows",
+        "what remains is not put over the lower rows' denominator before they come off",
+    ),
+    # -- the comparisons of infer_zariski
+    "infer-contact-non-strict": (
+        ZARISKI, "if not ratio(contact_order) > Fraction(lambda_f, n):",
+        "if not ratio(contact_order) >= Fraction(lambda_f, n):",
+        "contact exactly lambda/n is accepted as evidence",
+    ),
+    "infer-intersection-non-strict": (
+        ZARISKI, "if not ratio(intersection_value) > threshold:",
+        "if not ratio(intersection_value) >= threshold:",
+        "an intersection on the boundary is accepted as evidence",
     ),
 }
 
@@ -148,6 +215,26 @@ DECLARED = {
     "reduced-branch-need-without-2n": (
         ZARISKI, "_conductor(n1, m1) * e1 + 2 * cd.mult", "_conductor(n1, m1) * e1",
         "known survivor: the bound is loose or untested (ROADMAP item 8, the least precision)",
+    ),
+    "qmove-no-content-division": (
+        ZARISKI, "return _reduced(out, common, trunc)", "return out, common, trunc",
+        "equivalent: the form's rationals are unchanged, and every later kernel and each"
+        " Fraction built from it reduces them",
+    ),
+    "route-lead-not-reduced": (
+        ZARISKI, "g = gcd(omega[e], lead)", "g = 1",
+        "equivalent: omega is then g times its reduced form over g times its denominator,"
+        " and the content division of the same step takes g out",
+    ),
+    "route-no-content-division": (
+        ZARISKI, "        omega, oden, _ = _reduced(omega, oden, None)\n", "",
+        "equivalent: omega's rationals are unchanged, and the coefficient returned is one"
+        " Fraction of them",
+    ),
+    "pmove-unit-no-content-division": (
+        ZARISKI, "_root(_reduced(unit, unit[0], utrunc), n)", "_root((unit, unit[0], utrunc), n)",
+        "equivalent: each coefficient of the root is reduced as it is found, so a unit over"
+        " a larger denominator gives the same root",
     ),
 }
 

@@ -102,6 +102,19 @@ class TestEliminateTerm:
         with pytest.raises(PrecisionExhausted):
             eliminate_term(phi, 10)
 
+    def test_move_that_leaves_its_target_at_the_truncation_is_refused(self):
+        # O(t^13) -> O(t^10): the coefficient at 10 is unknown after the move
+        phi = Parametrization.from_pairs(4, [(7, 1), (10, 1)]).with_trunc(13)
+        with pytest.raises(PrecisionExhausted):
+            eliminate_term(phi, 10)
+
+    def test_move_that_disturbs_a_lower_coefficient_is_refused(self):
+        # with t^6 on the grid below m = 7, the q-move y -> y - x*y that
+        # kills t^10 also puts -t^9 where y had no term
+        phi = Parametrization.from_pairs(3, [(6, 1), (7, 1), (10, 1)])
+        with pytest.raises(CrossCheckFailed, match="disturbed"):
+            eliminate_term(phi, 10)
+
     @pytest.mark.parametrize(
         "j,kind,b", [(11, "q", 1), (14, "q", 2), (21, "q", 3), (10, "p", 2), (17, "p", 3)]
     )
