@@ -3,8 +3,12 @@
 The oracles deliberately avoid the library's own series engine: semigroup
 membership by dynamic programming, substitution by plain dict convolution.
 Expected values in the tests are frozen from these.  The reference moves and
-route compute every power of y in full and cut only at the end, where the
-kernel cuts y first; they pin the kernel's truncation arguments.  The
+route run on Fraction series and compute every power of y in full, cutting
+only at the end, where the kernels work on integers over one denominator and
+read each power from `series._powers` only below what their truncation
+keeps; they pin the kernels' truncation arguments.  The reference sweep runs
+the elimination on those reference moves, where the kernel carries y as
+integers from move to move; it pins the denominators across moves.  The
 reference substitution and division run on the ring operations of `TSeries`
 and `BivarPoly`, one whole series or polynomial per step, where the kernels
 work on integer rows; they pin the kernels' terms and truncations.

@@ -1,9 +1,9 @@
 """The cut moves and the cut route against their uncut references.
 
-`apply_qmove`, `apply_pmove` and `_route` cut y before they raise it to a
-power, so that no power is computed past what the truncation keeps.  The
-references in `conftest` compute every power in full and cut only at the
-end.  On dense branches of K(3,4) ... K(7,9), truncated at the working bound
+`apply_qmove`, `apply_pmove` and `_route` read each power of y from
+`series._powers` only below what the truncation keeps, so that no power is
+computed past it.  The references in `conftest` compute every power in full
+and cut only at the end.  On dense branches of K(3,4) ... K(7,9), truncated at the working bound
 and a few orders above it, every admissible move must give the same terms,
 truncation and parameter change, and the route the same (lambda, c).
 """
