@@ -108,12 +108,23 @@ def _convolve(a: dict, b: dict, bound, acc: dict | None = None) -> dict:
     return acc
 
 
+def _addmul(acc: dict, terms: dict, q: int, shift: int = 0, bound=EXACT) -> None:
+    """acc += q * terms * var**shift below `bound`, in place; zeros dropped."""
+    for e, c in terms.items():
+        e += shift
+        if e < bound:
+            c = acc.get(e, 0) + q * c
+            if c:
+                acc[e] = c
+            else:
+                acc.pop(e, None)
+
+
 def _form(s: TSeries, bound=EXACT) -> tuple:
     """The integer form of s below `bound`: (numerators, den, trunc), the
     terms as integers over their one reduced denominator den > 0, and the
     truncation min(s.trunc, bound)."""
-    num, den = _common(s.terms, bound)
-    return num, den, min(s.trunc, bound)
+    return (*_common(s.terms, bound), min(s.trunc, bound))
 
 
 def _to_series(var: str, form: tuple) -> TSeries:
@@ -125,9 +136,7 @@ def _to_series(var: str, form: tuple) -> TSeries:
 def _reduced(num: dict, den: int, trunc) -> tuple:
     """The integer form num / den below trunc in lowest terms: the content
     shared by the numerators and den divided out, and den made positive."""
-    g = math.gcd(den, *num.values())
-    if den < 0:
-        g = -g
+    g = math.gcd(den, *num.values()) * (-1 if den < 0 else 1)
     if g != 1:
         num = {e: c // g for e, c in num.items()}
         den //= g
@@ -153,10 +162,9 @@ def _powers(y: tuple, below=EXACT):
     divided out after every product, so the numerators grow like the true
     denominators of y**g.  For an exact y, den = yden**g by Gauss's lemma.
     """
-    ynum, _, reach = y
-    order = min(ynum) if ynum else reach
+    order = min(y[0]) if y[0] else y[2]
     ynum, yden, _ = _cut(y, below)
-    num, den = ynum, yden
+    num, den, reach = ynum, yden, y[2]
     yield ({0: 1} if below > 0 else {}), 1, below
     while True:
         yield num, den, min(below, reach)
@@ -474,23 +482,19 @@ def _solve(targets: list, w: tuple) -> list:
     bounds = [min(trunc, w[2]) for _, _, trunc in targets]
     bound = max(bounds, default=0)
     # residual i is rnums[i] / rdens[i]; w**k is wpow / pden
-    rnums, rdens = [], []
-    for target, tb in zip(targets, bounds):
-        num, den, _ = _cut(target, tb)
-        rnums.append(dict(num))
-        rdens.append(den)
+    cuts = [_cut(target, tb) for target, tb in zip(targets, bounds)]
+    rnums, rdens = [dict(num) for num, _, _ in cuts], [den for _, den, _ in cuts]
     outs = [{} for _ in targets]
     for k, (wpow, pden, _) in zip(range(bound), _powers(w, bound)):
         if not any(rnums):
             break
-        plead = wpow[k]
         for i, (out, tb) in enumerate(zip(outs, bounds)):
             rnum = rnums[i]
             ck = rnum.get(k)
             if not ck:
                 continue
             # Y_i[k] = p / q in lowest terms
-            p, q = ck * pden, rdens[i] * plead
+            p, q = ck * pden, rdens[i] * wpow[k]
             g = math.gcd(p, q)
             p, q = p // g, q // g
             out[k] = p, q
@@ -503,20 +507,11 @@ def _solve(targets: list, w: tuple) -> list:
             widen = den // rdens[i]
             if widen != 1:
                 rnum = {e: c * widen for e, c in rnum.items()}
-            for e, c in wpow.items():
-                if e >= tb:
-                    continue
-                cur = rnum.get(e, 0) - a * c
-                if cur:
-                    rnum[e] = cur
-                else:
-                    rnum.pop(e, None)
+            _addmul(rnum, wpow, -a, 0, tb)
             rnums[i], rdens[i] = rnum, den
     forms = []
     for out, tb in zip(outs, bounds):
-        den = 1
-        for _, q in out.values():
-            den = math.lcm(den, q)
+        den = math.lcm(*(q for _, q in out.values()))
         forms.append(({k: p * (den // q) for k, (p, q) in out.items()}, den, tb))
     return forms
 
@@ -695,8 +690,8 @@ class BivarPoly:
         From the top down, row k of what remains is row k - d of the
         quotient, and it times the divisor's lower rows comes off below.
         What remains is held as integer rows over one denominator, which
-        grows by the lower rows' denominator per row taken off and loses
-        its content then; each output term becomes a Fraction once."""
+        grows by the lower rows' denominator per row taken off; each output
+        term becomes a Fraction once."""
         d = divisor.deg_y()
         if d < 1 or not divisor.is_monic_in_y():
             raise NotMonic("divisor must be monic in y with positive y-degree")
@@ -710,8 +705,7 @@ class BivarPoly:
             top = rows.pop(k, None)
             if not top:
                 continue
-            for i1, c1 in top.items():
-                quotient[(i1, k - d)] = Fraction(c1, den)
+            quotient.update({(i1, k - d): Fraction(c1, den) for i1, c1 in top.items()})
             if lden != 1:
                 rows = {j: {i: c * lden for i, c in row.items()} for j, row in rows.items()}
                 den *= lden
@@ -723,10 +717,6 @@ class BivarPoly:
                         row[i1 + i2] = c
                     else:
                         del row[i1 + i2]
-            g = math.gcd(den, *(c for row in rows.values() for c in row.values()))
-            if g != 1:
-                rows = {j: {i: c // g for i, c in row.items()} for j, row in rows.items()}
-                den //= g
         rem = {(i, j): Fraction(c, den) for j, row in rows.items() for i, c in row.items()}
         return BivarPoly._make(quotient), BivarPoly._make(rem)
 
@@ -788,7 +778,6 @@ def substitute(poly: BivarPoly, n: int, y: TSeries) -> TSeries:
             lcm = math.lcm(den, rden)
             if lcm != den:
                 acc = {e: c * (lcm // den) for e, c in acc.items()}
-            for e, c in rnum.items():
-                acc[e] = acc.get(e, 0) + c * (lcm // rden)
+            _addmul(acc, rnum, lcm // rden)
             den = lcm
     return TSeries._make(y.var, {e: Fraction(c, den) for e, c in acc.items() if c}, trunc)

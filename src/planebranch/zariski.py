@@ -45,6 +45,7 @@ from .semigroup import CharData, char_sequence, contains, rep_nm
 from .series import (
     EXACT,
     TSeries,
+    _addmul,
     _form,
     _powers,
     _reduced,
@@ -121,21 +122,14 @@ def _working_bound(n: int, m: int) -> int:
     return _conductor(n, m) + 2 * n
 
 
-def _check_int(value, what: str) -> None:
-    if not isinstance(value, int):
-        raise InvalidArgument(f"{what} must be an integer, got {value!r}")
-
-
 def apply_qmove(phi: Parametrization, a: int, b: int, c) -> Parametrization:
     """Coordinate change y -> y + c * x**(a-1) * y**b along x = t**n."""
-    _check_int(a, "q-move a")
-    _check_int(b, "q-move exponent b")
+    if not (isinstance(a, int) and isinstance(b, int) and b >= 0):
+        raise InvalidArgument(f"q-move needs integers a and b >= 0, got a = {a!r}, b = {b!r}")
     if a < 1:
         raise DegenerateMove("q-move needs a >= 1")
-    if b < 0:
-        raise InvalidArgument("q-move exponent b must be a non-negative integer")
-    y = _qmove(_form(phi.y), phi.n, a, b, ratio(c))
-    return Parametrization(phi.n, _to_series(phi.y.var, y))
+    y = _to_series(phi.y.var, _qmove(_form(phi.y), phi.n, a, b, ratio(c)))
+    return Parametrization(phi.n, y)
 
 
 def _qmove(y: tuple, n: int, a: int, b: int, c: Fraction) -> tuple:
@@ -148,13 +142,7 @@ def _qmove(y: tuple, n: int, a: int, b: int, c: Fraction) -> tuple:
     pden *= c.denominator
     common = lcm(den, pden)
     out = {e: v * (common // den) for e, v in num.items()}
-    scale = c.numerator * (common // pden)
-    for e, v in pnum.items():
-        v = out.get(e + shift, 0) + scale * v
-        if v:
-            out[e + shift] = v
-        else:
-            out.pop(e + shift, None)
+    _addmul(out, pnum, c.numerator * (common // pden), shift)
     return _reduced(out, common, trunc)
 
 
@@ -163,7 +151,8 @@ def apply_pmove(phi: Parametrization, b: int, c):
 
     Returns (new branch, rho), rho the parameter change with rho(w(t)) = t.
     """
-    _check_int(b, "p-move exponent b")
+    if not isinstance(b, int):
+        raise InvalidArgument(f"p-move exponent b must be an integer, got {b!r}")
     if b < 2:
         raise DegenerateMove("p-move needs b >= 2 (x + c*y**(b-1) with b-1 >= 1)")
     if phi.exact:
@@ -199,7 +188,8 @@ def _pmove(y: tuple, n: int, b: int, c: Fraction):
 
 def eliminate_term(phi: Parametrization, j: int):
     """Remove the t**j term of the y-series; returns (new branch, MoveRecord)."""
-    _check_int(j, "target exponent j")
+    if not isinstance(j, int):
+        raise InvalidArgument(f"target exponent j must be an integer, got {j!r}")
     m = _first_offgrid_exponent(phi)
     if gcd(phi.n, m) != 1:
         raise WrongEquisingularityClass(
@@ -240,9 +230,8 @@ def _eliminate(y: tuple, n: int, m: int, j: int, var: str):
         raise PrecisionExhausted(f"move at {j} leaves the series known only below {ntrunc}")
     if nnum.get(j):
         raise CrossCheckFailed(f"move failed to kill the coefficient at {j}")
-    if {e: v * nden for e, v in num.items() if e < j} != {
-        e: v * den for e, v in nnum.items() if e < j
-    }:
+    below = {e: v * nden for e, v in num.items() if e < j}
+    if below != {e: v * den for e, v in nnum.items() if e < j}:
         raise CrossCheckFailed(f"move at {j} disturbed lower-order coefficients")
     return new, MoveRecord("q" if a else "p", a, b, c, j, rho)
 
@@ -279,11 +268,10 @@ def _route(phi: Parametrization, n: int, m: int):
     mu = _conductor(n, m)
     y = _form(phi.with_trunc(_working_bound(n, m)).y, mu)
     ynum, yden, _ = y
-    omega = {}
+    omega, oden = {}, yden
     for j, c in ynum.items():
         if j != m and j + n - 1 < mu - 1:
             omega[j + n - 1] = (m - j) * c
-    oden = yden
     forms, powers = [], _powers(y, mu)
     while omega:
         e = min(omega)
@@ -302,13 +290,7 @@ def _route(phi: Parametrization, n: int, m: int):
         if lead != 1:
             omega = {k: c * lead for k, c in omega.items()}
             oden *= lead
-        for k, c in form.items():
-            if k + shift < mu - 1:
-                c = omega.get(k + shift, 0) - f * (c if a else k * c)
-                if c:
-                    omega[k + shift] = c
-                else:
-                    omega.pop(k + shift, None)
+        _addmul(omega, form if a else {k: k * c for k, c in form.items()}, -f, shift, mu - 1)
         omega, oden, _ = _reduced(omega, oden, None)
     return None, None
 
@@ -331,7 +313,6 @@ def genus1_reduce(phi: Parametrization) -> ZariskiResult:
     n, m = cd.char_exponents
     mu = cd.conductor
     bound = _working_bound(n, m)
-    var = phi.y.var
     num, den, trunc = _form(phi.with_trunc(bound).y)
     # y / L over the numerator of L = y[m]
     scale = Fraction(den, num[m])
@@ -340,9 +321,9 @@ def genus1_reduce(phi: Parametrization) -> ZariskiResult:
     for j in range(n + 1, bound):
         if j == m or not cur[0].get(j) or rep_nm(j + n, n, m)[0] < 0:
             continue
-        cur, record = _eliminate(cur, n, m, j, var)
+        cur, record = _eliminate(cur, n, m, j, phi.y.var)
         moves.append(record)
-    cur = Parametrization(n, _to_series(var, cur))
+    cur = Parametrization(n, _to_series(phi.y.var, cur))
     if cur.trunc <= mu - n - 1:
         raise CrossCheckFailed(
             f"working precision dropped to {cur.trunc}, below the survivor range"

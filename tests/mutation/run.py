@@ -65,11 +65,11 @@ MUTANTS = {
         "y is added over its own denominator, not over the lcm",
     ),
     "qmove-term-not-rescaled": (
-        ZARISKI, "scale = c.numerator * (common // pden)", "scale = c.numerator",
+        ZARISKI, "c.numerator * (common // pden), shift)", "c.numerator, shift)",
         "c * x**(a-1) * y**b is added over its own denominator, not over the lcm",
     ),
     "qmove-shift-dropped": (
-        ZARISKI, "v = out.get(e + shift, 0) + scale * v", "v = out.get(e, 0) + scale * v",
+        ZARISKI, "(common // pden), shift)", "(common // pden))",
         "the term lands on y's coefficient at e instead of e + n(a-1)",
     ),
     "pmove-unit-one-order-long": (
@@ -86,15 +86,16 @@ MUTANTS = {
     ),
     "below-j-check-one-sided": (
         ZARISKI,
-        "    if {e: v * nden for e, v in num.items() if e < j} != {\n"
-        "        e: v * den for e, v in nnum.items() if e < j\n"
-        "    }:\n",
-        "    if any(nnum.get(e, 0) * den != v * nden for e, v in num.items() if e < j):\n",
+        "    if below != {e: v * den for e, v in nnum.items() if e < j}:\n",
+        "    if any(nnum.get(e, 0) * den != v for e, v in below.items()):\n",
         "a term the move puts below j where y had none goes unseen",
     ),
     "below-j-check-one-short": (
-        ZARISKI, "e: v * den for e, v in nnum.items() if e < j\n",
-        "e: v * den for e, v in nnum.items() if e < j - 1\n",
+        ZARISKI,
+        "    below = {e: v * nden for e, v in num.items() if e < j}\n"
+        "    if below != {e: v * den for e, v in nnum.items() if e < j}:\n",
+        "    below = {e: v * nden for e, v in num.items() if e < j - 1}\n"
+        "    if below != {e: v * den for e, v in nnum.items() if e < j - 1}:\n",
         "a disturbance at j - 1 goes unseen",
     ),
     "route-denominator-not-scaled": (
