@@ -43,6 +43,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+from functools import reduce
 
 from .errors import (
     ConstantTermNotOne,
@@ -408,8 +409,6 @@ def nth_root_unit(s: TSeries, n: int) -> TSeries:
         return TSeries.constant(s.var, 1, s.trunc)
     if s.trunc == EXACT:
         raise NeedsTruncation("root of a non-trivial unit is infinite; truncate first")
-    if n == 1:
-        return s
     return _to_series(s.var, _root(_form(s), n))
 
 
@@ -511,7 +510,9 @@ def _solve(targets: list, w: tuple) -> list:
             rnums[i], rdens[i] = rnum, den
     forms = []
     for out, tb in zip(outs, bounds):
-        den = math.lcm(*(q for _, q in out.values()))
+        # pairwise: math.lcm(*qs) builds a tuple per call, and freed tuples
+        # pile up on the interpreter's free lists
+        den = reduce(math.lcm, (q for _, q in out.values()), 1)
         forms.append(({k: p * (den // q) for k, (p, q) in out.items()}, den, tb))
     return forms
 
