@@ -3,9 +3,9 @@
 Implicitization builds the conjugate product prod (y - p(zeta*t)) over the
 n-th roots of unity from the power sums of the conjugates by Newton's
 identities, all in Q[x]; the inverse direction is a Newton-polygon
-iteration on one primitive integer polynomial, whose edge roots are
-rational.  The intersection multiplicity of a polynomial with a
-parametrization is the order of a substitution; that of two
+iteration on one primitive integer polynomial, held as rows y-degree ->
+{x-exponent: int}, whose edge roots are rational.  The intersection
+multiplicity of a polynomial with a parametrization is the order of a substitution; that of two
 parametrizations is a sum of conjugate orders, read off by comparing
 coefficients, with no equation built.  The contact order is tied to it by
 the classical one-parameter correspondence on each characteristic interval.
@@ -21,7 +21,6 @@ from math import comb, gcd, inf
 from .errors import (
     BranchesEqual,
     CrossCheckFailed,
-    InvalidArgument,
     NonPolynomialInput,
     NonRationalCoefficient,
     NotIrreducible,
@@ -35,10 +34,13 @@ from .series import (
     EXACT,
     BivarPoly,
     TSeries,
+    _addmul,
+    _check_positive,
     _common,
     _convolve,
     _form,
     _powers,
+    _rows,
     exact_root,
     nth_root_unit,
     ratio,
@@ -60,9 +62,12 @@ class Parametrization:
     n: int
     y: TSeries
 
+    def __post_init__(self):
+        _check_positive(self.n, "multiplicity n")
+
     @classmethod
     def from_pairs(cls, n: int, pairs, trunc=EXACT) -> "Parametrization":
-        return cls(int(n), TSeries.from_terms(PARAM_VAR, pairs, trunc))
+        return cls(n, TSeries.from_terms(PARAM_VAR, pairs, trunc))
 
     @property
     def trunc(self):
@@ -225,46 +230,50 @@ def _weierstrass_degree(f: BivarPoly) -> int:
 
 def _np_transform(cur: dict, nu: int, mu: int, root: Fraction) -> dict:
     """q**d * cur(x**nu, x**mu * (p/q + y)), root = p/q, divided by its
-    minimal x-power and its content: a primitive map (i, j) -> int.
+    minimal x-power and its content: primitive integer rows again.
 
-    q**d * (p/q + y)**j = q**(d - j) * (p + q*y)**j expands by one table of
-    C(j, l) * p**(j - l) * q**(d - j + l), d the y-degree of cur.
+    q**d * (p/q + y)**j = q**(d - j) * (p + q*y)**j, d the y-degree of cur,
+    so row j, each x-power i moved to nu*i + mu*j less the minimal one, is
+    added into row l times C(j, l) * p**(j - l) * q**(d - j + l).
     """
     p, q = root.numerator, root.denominator
-    d = max(j for _, j in cur)
-    table = [[comb(j, l) * p ** (j - l) * q ** (d - j + l) for l in range(j + 1)]
-             for j in range(d + 1)]
-    acc: dict = {}
-    shift = min(nu * i + mu * j for (i, j) in cur)
-    for (i, j), c in cur.items():
-        base = nu * i + mu * j - shift
-        for l, b in enumerate(table[j]):
-            key = (base, l)
-            acc[key] = acc.get(key, 0) + c * b
-    acc = {key: c for key, c in acc.items() if c}
-    g = gcd(*acc.values())  # stops at 1
-    return {key: c // g for key, c in acc.items()} if g > 1 else acc
+    d = max(cur)
+    shift = min(nu * min(row) + mu * j for j, row in cur.items())
+    acc: dict = {l: {} for l in range(d + 1)}
+    for j, row in cur.items():
+        moved = {nu * i + mu * j - shift: c for i, c in row.items()}
+        for l in range(j + 1):
+            _addmul(acc[l], moved, comb(j, l) * p ** (j - l) * q ** (d - j + l))
+    acc = {l: row for l, row in acc.items() if row}
+    g = gcd(*(c for row in acc.values() for c in row.values()))  # stops at 1
+    return {l: {i: c // g for i, c in row.items()} for l, row in acc.items()} if g > 1 else acc
 
 
 def _np_edge(cur: dict):
     """Edge data (nu, mu, root) of the unique branch edge of the integer
-    map cur, or None when y | cur."""
-    pts = list(cur)
-    if all(j >= 1 for _, j in pts):
+    rows cur, or None when y | cur."""
+    if 0 not in cur:
         return None
-    ycol = [j for i, j in pts if i == 0]
+    ycol = [j for j, row in cur.items() if 0 in row]
     if not ycol or min(ycol) == 0:
         raise NotIrreducible("no branch through the origin at this stage")
     jstar = min(ycol)
-    # the least i / (jstar - j), compared by cross-multiplication
+    # the least i / (jstar - j), each row at its lowest x-power, compared
+    # by cross-multiplication
     mu, nu = inf, 1
-    for i, j in pts:
-        if j < jstar and i * nu < mu * (jstar - j):
-            mu, nu = i, jstar - j
+    for j, row in cur.items():
+        if j < jstar:
+            i = min(row)
+            if i * nu < mu * (jstar - j):
+                mu, nu = i, jstar - j
     slope = Fraction(mu, nu)
     mu, nu = slope.numerator, slope.denominator
-    weight = mu * jstar
-    edge = {j: c for (i, j), c in cur.items() if i * nu + j * mu == weight}
+    # a point (i, j) on the edge has i * nu = mu * (jstar - j), so j <= jstar
+    edge = {}
+    for j, row in cur.items():
+        i, r = divmod(mu * (jstar - j), nu)
+        if j <= jstar and not r and i in row:
+            edge[j] = row[i]
     if 0 not in edge:
         raise NotIrreducible("Newton polygon has more than one compact edge")
     # in z = root**nu the edge polynomial of a single branch is
@@ -290,16 +299,19 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
     through the lowest point on the y-axis and the unique rational root of
     its edge polynomial, records the term and recenters,
     f <- f(x**nu, x**mu * (root + y)).  Every decision is homogeneous in f,
-    so f is one primitive integer polynomial throughout: its denominators
-    are cleared once, and each recentering is taken times q**deg_y f, root
-    = p/q, and divided by its content.  With ram the product of the nu so
-    far, the stage's term is root * x**e, e = e_prev + mu / ram, at
-    t-exponent n * e; the stages with nu > 1 give the characteristic
+    so f is one primitive integer polynomial throughout, held as rows
+    y-degree j -> {x-exponent: int}: its denominators are cleared once,
+    each recentering is taken times q**deg_y f, root = p/q, row by row,
+    and divided by its content; each edge is read off each row's lowest
+    x-power and the rows up to the y-axis point.  With ram the product of
+    the nu so far, the stage's term is root * x**e, e = e_prev + mu / ram,
+    at t-exponent n * e; the stages with nu > 1 give the characteristic
     exponents.  Aborts with NonRationalCoefficient rather than extending
     the coefficient field.  Default truncation: conductor of the branch plus
     twice its multiplicity, the conductor summed as the stages come,
     sum (e_(i-1) - e_i) * (beta_i - 1) with e_i = n / ram, which needs
-    neither a singular nor a transversal branch.
+    neither a singular nor a transversal branch.  A trunc other than None
+    or a positive int is refused with InvalidArgument.
 
     While ram < n, n / ram >= 2 roots of f, counted with multiplicity,
     share every term so far, so they agree beyond x**e.  Two distinct roots
@@ -309,12 +321,14 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
     (NotIrreducible).  Once ram = n every stage adds at least 1 to the
     t-exponent, so the loop reaches any target.
     """
+    if trunc is not None:
+        _check_positive(trunc, "trunc")
     n = _weierstrass_degree(f)
     separation = Fraction((2 * n - 1) * max(i for i, _ in f.terms), 2)
     terms: dict = {}  # x-exponent -> coefficient
     conductor = 0
     # primitive already: a prime power of the lcm divides some denominator fully
-    cur, _ = _common(f.terms)
+    cur, _ = _rows(f.terms)
     ram, xexp, target = 1, Fraction(0), trunc
     while True:
         edge = _np_edge(cur)
@@ -453,15 +467,10 @@ def _interval_ratio(cd: CharData, q: int, theta: Fraction) -> Fraction:
     return (nq * v[q] + n * theta - beta[q]) / Fraction(prod)
 
 
-def _check_multiplicity(mult) -> None:
-    if not isinstance(mult, int) or mult < 1:
-        raise InvalidArgument(f"multiplicity {mult!r} is not a positive integer")
-
-
 def intersection_from_contact(cd: CharData, theta, mult_other: int) -> Fraction:
     """Intersection multiplicity from the contact order (exact rational)."""
     theta = ratio(theta)
-    _check_multiplicity(mult_other)
+    _check_positive(mult_other, "multiplicity")
     if theta < 1:
         raise ThetaOutOfRange(f"contact order {theta} is below 1")
     for q in range(cd.genus + 1):
@@ -477,7 +486,7 @@ def contact_from_intersection(cd: CharData, inter, mult_other: int) -> ContactOr
     Scans every characteristic interval and demands exactly one consistent
     solution; zero or several hits mean the pair is not realizable.
     """
-    _check_multiplicity(mult_other)
+    _check_positive(mult_other, "multiplicity")
     ratio_val = ratio(inter) / mult_other
     hits = []
     for q in range(cd.genus + 1):
@@ -511,6 +520,8 @@ def swap_parametrization(phi: Parametrization, trunc: int | None = None) -> Para
     the new y-series solves Y(w(t)) = t**n.  Needs the leading coefficient
     of y to have a rational m-th root.
     """
+    if trunc is not None:
+        _check_positive(trunc, "trunc")
     y = phi.y
     m = y.order()
     if m is None:

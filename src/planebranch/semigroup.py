@@ -106,8 +106,6 @@ def char_sequence(phi) -> CharData:
     divisor with n.
     """
     n = phi.n
-    if n < 1:
-        raise InvalidArgument("multiplicity must be positive")
     y = phi.y
     order = y.order()
     if order is None:

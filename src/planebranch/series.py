@@ -77,6 +77,17 @@ def ratio(value) -> Fraction:
     raise InvalidArgument(f"cannot interpret {value!r} as an exact rational")
 
 
+def _check_positive(value, what: str) -> None:
+    """Refuse anything but an int >= 1, a bool included, with InvalidArgument."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InvalidArgument(f"{what} {value!r} is not a positive integer")
+
+
+def _natural(e) -> bool:
+    """Whether e is an int, Fraction or float equal to a natural number."""
+    return isinstance(e, (int, Fraction, float)) and e >= 0 and e % 1 == 0
+
+
 def _common(terms: dict, bound=None) -> tuple[dict, int]:
     """(numerators, den): the Fraction terms below `bound` (all of them at
     None) as integers over their one common denominator, the lcm of theirs."""
@@ -107,6 +118,17 @@ def _convolve(a: dict, b: dict, bound, acc: dict | None = None) -> dict:
             e = e1 + e2
             acc[e] = get(e, 0) + c1 * c2
     return acc
+
+
+def _rows(terms: dict) -> tuple[dict, int]:
+    """(rows, den): a polynomial's Fraction terms (i, j) -> c as integer
+    rows y-degree j -> {x-exponent i: int} over their one common
+    denominator."""
+    num, den = _common(terms)
+    rows: dict = {}
+    for (i, j), c in num.items():
+        rows.setdefault(j, {})[i] = c
+    return rows, den
 
 
 def _addmul(acc: dict, terms: dict, q: int, shift: int = 0, bound=EXACT) -> None:
@@ -229,7 +251,7 @@ class TSeries:
                 raise InvalidArgument(f"trunc must be a positive integer, got {trunc!r}")
         clean = {}
         for e, c in terms.items():
-            if e < 0 or e != int(e):
+            if not _natural(e):
                 raise InvalidArgument(f"exponent {e!r} is not a non-negative integer")
             c = ratio(c)
             if c and e < trunc:
@@ -401,8 +423,7 @@ def nth_root_unit(s: TSeries, n: int) -> TSeries:
     Solves n * s * r' = s' * r term by term, so the whole computation stays
     in Q; the result has constant term 1 and r**n = s below the truncation.
     """
-    if n < 1:
-        raise InvalidArgument("root index must be a positive integer")
+    _check_positive(n, "root index")
     if s.terms.get(0, _ZERO) != 1:
         raise ConstantTermNotOne("n-th root requires constant term exactly 1")
     if len(s.terms) == 1:
@@ -572,14 +593,14 @@ class BivarPoly:
     def __init__(self, terms: dict | None = None):
         clean = {}
         if terms:
-            for (i, j), c in terms.items():
+            for key, c in terms.items():
+                if not (isinstance(key, tuple) and len(key) == 2 and all(map(_natural, key))):
+                    raise InvalidArgument(
+                        f"monomial exponents {key!r} are not non-negative integers"
+                    )
                 c = ratio(c)
                 if c:
-                    if i < 0 or j < 0 or i != int(i) or j != int(j):
-                        raise InvalidArgument(
-                            f"monomial exponents {(i, j)!r} are not non-negative integers"
-                        )
-                    clean[(int(i), int(j))] = c
+                    clean[(int(key[0]), int(key[1]))] = c
         self.terms = clean
 
     @classmethod
@@ -696,10 +717,7 @@ class BivarPoly:
         d = divisor.deg_y()
         if d < 1 or not divisor.is_monic_in_y():
             raise NotMonic("divisor must be monic in y with positive y-degree")
-        num, den = _common(self.terms)
-        rows: dict = {}
-        for (i, j), c in num.items():
-            rows.setdefault(j, {})[i] = c
+        rows, den = _rows(self.terms)
         lower, lden = _common({ij: c for ij, c in divisor.terms.items() if ij[1] < d})
         quotient = {}
         for k in range(max(rows, default=-1), d - 1, -1):

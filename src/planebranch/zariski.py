@@ -40,12 +40,13 @@ from .errors import (
     PrecisionExhausted,
     WrongEquisingularityClass,
 )
-from .geometry import Parametrization, _check_multiplicity, intersection
+from .geometry import Parametrization, intersection
 from .semigroup import CharData, char_sequence, contains, rep_nm
 from .series import (
     EXACT,
     TSeries,
     _addmul,
+    _check_positive,
     _form,
     _powers,
     _reduced,
@@ -496,7 +497,7 @@ def infer_zariski(
     """
     if (contact_order is None) == (intersection_value is None):
         raise AmbiguousEvidence("provide exactly one of contact_order/intersection_value")
-    _check_multiplicity(other_mult)
+    _check_positive(other_mult, "multiplicity")
     defect = _invariant_defect(lambda_f, cd_f)
     if defect:
         raise NotAnInvariant(f"{defect}: not an invariant of K{cd_f.char_exponents}")

@@ -11,7 +11,10 @@ the elimination on those reference moves, where the kernel carries y as
 integers from move to move; it pins the denominators across moves.  The
 reference substitution and division run on the ring operations of `TSeries`
 and `BivarPoly`, one whole series or polynomial per step, where the kernels
-work on integer rows; they pin the kernels' terms and truncations.
+work on integer rows; they pin the kernels' terms and truncations.  The
+reference Newton-Puiseux stage and edge run on maps (i, j) -> c, one term
+at a time, where the library holds integer rows j -> {i: c}; `to_rows`
+and `from_rows` convert between the two.
 """
 
 from fractions import Fraction as F
@@ -20,9 +23,17 @@ from math import comb
 import pytest
 
 from planebranch import zariski
+from planebranch.errors import NonRationalCoefficient, NotIrreducible
 from planebranch.geometry import Parametrization, bareiss_determinant
 from planebranch.semigroup import rep_nm
-from planebranch.series import EXACT, BivarPoly, TSeries, nth_root_unit, solve_composition
+from planebranch.series import (
+    EXACT,
+    BivarPoly,
+    TSeries,
+    exact_root,
+    nth_root_unit,
+    solve_composition,
+)
 
 
 # -- independent oracles -------------------------------------------------------
@@ -118,6 +129,52 @@ def np_transform_oracle(terms: dict, nu: int, mu: int, root: F) -> dict:
             key = (base, l)
             acc[key] = acc.get(key, F(0)) + c * comb(j, l) * root ** (j - l)
     return {key: c for key, c in acc.items() if c}
+
+
+def np_edge_reference(cur: dict):
+    """Edge data (nu, mu, root) of the unique branch edge of an integer map
+    (i, j) -> c, or None when y divides it: the Newton-Puiseux edge read
+    off every term of a tuple-keyed map, where the library reads it off
+    integer rows, each at its lowest x-power and only up to the y-axis
+    point."""
+    pts = list(cur)
+    if all(j >= 1 for _, j in pts):
+        return None
+    ycol = [j for i, j in pts if i == 0]
+    if not ycol or min(ycol) == 0:
+        raise NotIrreducible("no branch through the origin at this stage")
+    jstar = min(ycol)
+    slope = min(F(i, jstar - j) for i, j in pts if j < jstar)
+    mu, nu = slope.numerator, slope.denominator
+    weight = mu * jstar
+    edge = {j: c for (i, j), c in cur.items() if i * nu + j * mu == weight}
+    if 0 not in edge:
+        raise NotIrreducible("Newton polygon has more than one compact edge")
+    k = jstar // nu
+    lead = edge[jstar]
+    c = F(-edge.get(jstar - nu, 0), k * lead)
+    a, b = c.numerator, c.denominator
+    for j in range(k + 1):
+        if edge.get(j * nu, 0) * b ** (k - j) != lead * comb(k, j) * (-a) ** (k - j):
+            raise NotIrreducible("edge polynomial has several distinct roots")
+    root = exact_root(c, nu)
+    if root is None:
+        raise NonRationalCoefficient(f"required {nu}-th root of {c} is irrational")
+    return nu, mu, root
+
+
+def to_rows(terms: dict) -> dict:
+    """A map (i, j) -> c as rows j -> {i: c}, the layout of the library's
+    Newton-Puiseux stage."""
+    rows: dict = {}
+    for (i, j), c in terms.items():
+        rows.setdefault(j, {})[i] = c
+    return rows
+
+
+def from_rows(rows: dict) -> dict:
+    """Rows j -> {i: c} as a map (i, j) -> c."""
+    return {(i, j): c for j, row in rows.items() for i, c in row.items()}
 
 
 def witness_by_all_slots(phi: Parametrization, m: int, below=None) -> Parametrization:

@@ -107,27 +107,51 @@ MUTANTS = {
         ZARISKI, "lead = form[e - shift] * (1 if a else e - shift)", "lead = form[e - shift]",
         "the lead of d(y**b) is k times that of y**b; omega's lead is never cancelled",
     ),
-    # -- the integer Newton-Puiseux stage (recorded in CHANGES.md for PR 10)
+    # -- the Newton-Puiseux stage on integer rows (the faults recorded in
+    # CHANGES.md for PR 10, and the choices the row layout makes)
     "np-no-content-division": (
-        GEOMETRY, "g = gcd(*acc.values())  # stops at 1", "g = 1",
+        GEOMETRY, "g = gcd(*(c for row in acc.values() for c in row.values()))  # stops at 1",
+        "g = 1",
         "the stage polynomial keeps its content and stops being primitive",
     ),
     "np-table-without-q-power": (
         GEOMETRY, "q ** (d - j + l)", "q ** (d - j)",
-        "the recentering table drops q**l and changes the polynomial",
+        "the recentering factor drops q**l and changes the polynomial",
     ),
     "np-edge-check-without-b-power": (
         GEOMETRY, "edge.get(j * nu, 0) * b ** (k - j) !=", "edge.get(j * nu, 0) !=",
         "the binomial edge check compares terms of different scale",
     ),
     "np-zeros-kept": (
-        GEOMETRY, "acc = {key: c for key, c in acc.items() if c}", "acc = dict(acc)",
-        "cancelled terms stay in the map and shift the Newton polygon",
+        GEOMETRY, "acc = {l: row for l, row in acc.items() if row}", "acc = dict(acc)",
+        "rows emptied by cancellation stay in the map and sit on the Newton polygon",
     ),
     "np-largest-slope": (
-        GEOMETRY, "if j < jstar and i * nu < mu * (jstar - j):",
-        "if j < jstar and (mu == inf or i * nu > mu * (jstar - j)):",
+        GEOMETRY, "if i * nu < mu * (jstar - j):",
+        "if mu == inf or i * nu > mu * (jstar - j):",
         "the edge is read at the largest ratio of the polygon, not the least",
+    ),
+    "np-slope-row-maximum": (
+        GEOMETRY, "i = min(row)", "i = max(row)",
+        "each row enters the slope at its highest x-power, not its lowest",
+    ),
+    "np-edge-rows-below-jstar": (
+        GEOMETRY, "        if j <= jstar:\n            i, r = divmod",
+        "        if j < jstar:\n            i, r = divmod",
+        "the edge is read without its y-axis point, the lead of the edge polynomial",
+    ),
+    "np-shift-without-y": (
+        GEOMETRY, "shift = min(nu * min(row) + mu * j for j, row in cur.items())",
+        "shift = min(nu * min(row) for j, row in cur.items())",
+        "the recentered rows keep a power of x, so no point is left on the y-axis",
+    ),
+    "np-target-minus-one": (
+        GEOMETRY, "target = conductor + 2 * n", "target = conductor + 2 * n - 1",
+        "the default truncation falls one short of the conductor plus 2n",
+    ),
+    "np-separation-bound-doubled": (
+        GEOMETRY, "max(i for i, _ in f.terms), 2)", "max(i for i, _ in f.terms), 1)",
+        "a repeated factor is refused only past twice the discriminant bound",
     ),
     # -- series ring operations (recorded for PRs 13 and 14)
     "tseries-add-keeps-zeros": (

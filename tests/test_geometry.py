@@ -35,6 +35,7 @@ from conftest import (
     dict_order,
     eval_poly_on_series,
     resultant_implicitize,
+    to_rows,
 )
 
 
@@ -175,7 +176,7 @@ class TestPuiseux:
         # root, but not the single repeated root of one branch
         f = BivarPoly.from_pairs([((0, 3), 1), ((2, 2), -1), ((4, 1), 1), ((6, 0), -1)])
         with pytest.raises(NotIrreducible):
-            geometry._np_edge(f.terms)
+            geometry._np_edge(to_rows(f.terms))
         with pytest.raises(NotIrreducible):
             puiseux_parametrization(f + BivarPoly.monomial(7, 0))
 

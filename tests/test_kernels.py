@@ -8,7 +8,8 @@ denominators and sparse supports, at exact and truncated bounds.  The
 evaluation of a polynomial on a branch, `substitute`, is checked the same
 way against `eval_poly_on_series`, a change of parameter,
 `reparametrize`, against a sum of dict powers, and the integer
-Newton-Puiseux stage `_np_transform` against `np_transform_oracle`.  The
+Newton-Puiseux stage `_np_transform` against `np_transform_oracle`, and its
+row-wise edge `_np_edge` against the tuple-map `np_edge_reference`.  The
 integer Horner pass of `substitute` must also give the terms and the
 truncation of the ring operations (`substitute_reference`), the row-wise
 division the quotient and remainder of `divmod_reference`, and the integer
@@ -27,6 +28,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
+from planebranch.errors import NonRationalCoefficient, NotIrreducible  # noqa: E402
 from planebranch.geometry import (  # noqa: E402
     Parametrization,
     _np_edge,
@@ -49,9 +51,12 @@ from conftest import (  # noqa: E402
     dict_pow,
     divmod_reference,
     eval_poly_on_series,
+    from_rows,
+    np_edge_reference,
     np_transform_oracle,
     resultant_implicitize,
     substitute_reference,
+    to_rows,
 )
 
 KERNEL_SETTINGS = settings(max_examples=40, deadline=None)
@@ -465,8 +470,59 @@ def polygons(draw):
 def test_edge_slope_is_the_least_ratio_of_the_polygon(case):
     cur, slope = case
     jstar = min(j for i, j in cur if i == 0)
-    nu, mu, _ = _np_edge(cur)
+    nu, mu, _ = _np_edge(to_rows(cur))
     assert F(mu, nu) == min(F(i, jstar - j) for i, j in cur if j < jstar) == slope
+
+
+@st.composite
+def binomials(draw):
+    """y**nu - c * x**mu with mu coprime to nu: an edge whose root c**(1/nu)
+    is rational only when c is a nu-th power."""
+    nu = draw(st.integers(2, 3))
+    mu = draw(st.integers(1, 9).filter(lambda m: gcd(m, nu) == 1))
+    return {(0, nu): 1, (mu, 0): -draw(st.integers(-9, 9).filter(bool))}
+
+
+@st.composite
+def disturbed_polygons(draw):
+    """A map of `polygons` with a few terms added anywhere, on or below its
+    edge too."""
+    cur, _ = draw(polygons())
+    extra = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, 12), st.integers(0, 9)), st.integers(-3, 3), max_size=2
+        )
+    )
+    for key, c in extra.items():
+        cur[key] = cur.get(key, 0) + c
+    return {key: c for key, c in cur.items() if c}
+
+
+def _edge_or_error(edge, cur):
+    try:
+        return edge(cur)
+    except (NonRationalCoefficient, NotIrreducible) as exc:
+        return type(exc), str(exc)
+
+
+@seed(18)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        polygons().map(lambda case: case[0]),
+        disturbed_polygons(),
+        binomials(),
+        st.dictionaries(
+            st.tuples(st.integers(0, 8), st.integers(0, 6)),
+            st.integers(-9, 9).filter(bool),
+            max_size=8,
+        ),
+    )
+)
+def test_np_edge_is_the_reference_edge(cur):
+    # the same (nu, mu, root), or the same exception type and message
+    got = _edge_or_error(lambda terms: _np_edge(to_rows(terms)), cur)
+    assert got == _edge_or_error(np_edge_reference, cur)
 
 
 @st.composite
@@ -510,7 +566,7 @@ def stages(draw):
     stages(),
 )
 def test_np_transform_is_the_oracle_up_to_a_scalar(terms, stage):
-    out = _np_transform(terms, *stage)
+    out = from_rows(_np_transform(to_rows(terms), *stage))
     expected = np_transform_oracle(terms, *stage)
     assert out.keys() == expected.keys()
     assert all(type(c) is int for c in out.values())

@@ -24,6 +24,8 @@ from planebranch.geometry import (
     contact_from_intersection,
     implicitize,
     intersection_from_contact,
+    puiseux_parametrization,
+    swap_parametrization,
 )
 from planebranch.semigroup import CharData, char_sequence, standard_rep
 from planebranch.series import (
@@ -39,6 +41,8 @@ from planebranch.series import (
 from planebranch.zariski import apply_pmove, apply_qmove, eliminate_term, infer_zariski
 
 K467 = CharData.from_char_exponents((4, 6, 7))
+# y**2 - x**3, the implicit equation of the cusp (t**2, t**3)
+CUSP_EQUATION = BivarPoly.from_pairs([((0, 2), 1), ((3, 0), -1)])
 
 BAD_ARGUMENTS = {
     "ratio": lambda: ratio(1.5),
@@ -97,6 +101,22 @@ BAD_ARGUMENTS = {
     "eliminate-term-float-target": lambda: eliminate_term(
         Parametrization.from_pairs(2, [(3, 1)], trunc=8), 5.0
     ),
+    "puiseux-string-trunc": lambda: puiseux_parametrization(CUSP_EQUATION, trunc="10"),
+    "puiseux-float-trunc": lambda: puiseux_parametrization(CUSP_EQUATION, trunc=10.5),
+    "puiseux-bool-trunc": lambda: puiseux_parametrization(CUSP_EQUATION, trunc=True),
+    "swap-string-trunc": lambda: swap_parametrization(
+        Parametrization.from_pairs(2, [(3, 1)], trunc=12), trunc="9"
+    ),
+    "nth-root-string-index": lambda: nth_root_unit(TSeries("t", {0: 1, 1: 1}, 5), "2"),
+    "parametrization-multiplicity-0": lambda: Parametrization(0, TSeries("t", {3: 1}, 10)),
+    "parametrization-string-multiplicity": lambda: Parametrization("4", TSeries("t", {6: 1}, 10)),
+    "parametrization-bool-multiplicity": lambda: Parametrization(True, TSeries("t", {3: 1}, 10)),
+    "parametrization-from-pairs-float-multiplicity": lambda: Parametrization.from_pairs(
+        2.5, [(3, 1)]
+    ),
+    "tseries-string-exponent": lambda: TSeries("t", {"a": 1}, 5),
+    "bivar-string-monomial": lambda: BivarPoly({"ab": 1}),
+    "bivar-three-exponents": lambda: BivarPoly({(1, 2, 3): 1}),
     "char-exponents-not-characteristic": lambda: CharData.from_char_exponents((4, 6, 8)),
     "char-sequence-multiplicity": lambda: char_sequence(
         Parametrization(0, TSeries("t", {3: 1}, 10))
