@@ -85,7 +85,9 @@ def _check_positive(value, what: str) -> None:
 
 def _natural(e) -> bool:
     """Whether e is an int, Fraction or float equal to a natural number."""
-    return isinstance(e, (int, Fraction, float)) and e >= 0 and e % 1 == 0
+    if isinstance(e, int):
+        return e >= 0
+    return isinstance(e, (Fraction, float)) and e >= 0 and e % 1 == 0
 
 
 def _common(terms: dict, bound=None) -> tuple[dict, int]:
@@ -594,7 +596,8 @@ class BivarPoly:
         clean = {}
         if terms:
             for key, c in terms.items():
-                if not (isinstance(key, tuple) and len(key) == 2 and all(map(_natural, key))):
+                if not (isinstance(key, tuple) and len(key) == 2 and _natural(key[0])
+                        and _natural(key[1])):
                     raise InvalidArgument(
                         f"monomial exponents {key!r} are not non-negative integers"
                     )
