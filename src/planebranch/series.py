@@ -249,8 +249,7 @@ class TSeries:
 
     def __init__(self, var: str, terms: dict, trunc):
         if trunc != EXACT:
-            if not isinstance(trunc, int) or trunc < 1:
-                raise InvalidArgument(f"trunc must be a positive integer, got {trunc!r}")
+            _check_positive(trunc, "trunc")
         clean = {}
         for e, c in terms.items():
             if not _natural(e):
@@ -414,8 +413,7 @@ class TSeries:
     def truncated(self, bound) -> "TSeries":
         if bound >= self.trunc:
             return self
-        if not isinstance(bound, int) or bound < 1:
-            raise InvalidArgument(f"trunc must be a positive integer, got {bound!r}")
+        _check_positive(bound, "trunc")
         return TSeries._make(self.var, {e: c for e, c in self.terms.items() if e < bound}, bound)
 
 
@@ -549,8 +547,7 @@ def inverse_parameter(w: TSeries) -> TSeries:
 def exact_root(q: Fraction, k: int):
     """The rational k-th root of q, or None if it does not exist in Q."""
     q = ratio(q)
-    if k < 1:
-        raise InvalidArgument("root index must be positive")
+    _check_positive(k, "root index")
     if k == 1:
         return q
     if q == 0:

@@ -108,6 +108,8 @@ BAD_ARGUMENTS = {
         Parametrization.from_pairs(2, [(3, 1)], trunc=12), trunc="9"
     ),
     "nth-root-string-index": lambda: nth_root_unit(TSeries("t", {0: 1, 1: 1}, 5), "2"),
+    "exact-root-string-index": lambda: exact_root(F(4), "2"),
+    "tseries-bool-trunc": lambda: TSeries("t", {1: 1}, True),
     "parametrization-multiplicity-0": lambda: Parametrization(0, TSeries("t", {3: 1}, 10)),
     "parametrization-string-multiplicity": lambda: Parametrization("4", TSeries("t", {6: 1}, 10)),
     "parametrization-bool-multiplicity": lambda: Parametrization(True, TSeries("t", {3: 1}, 10)),
