@@ -136,8 +136,7 @@ MUTANTS = {
         "each row enters the slope at its highest x-power, not its lowest",
     ),
     "np-edge-rows-below-jstar": (
-        GEOMETRY, "        if j <= jstar:\n            i, r = divmod",
-        "        if j < jstar:\n            i, r = divmod",
+        GEOMETRY, "if j <= jstar and not r and i in row:", "if j < jstar and not r and i in row:",
         "the edge is read without its y-axis point, the lead of the edge polynomial",
     ),
     "np-shift-without-y": (
