@@ -5,10 +5,11 @@ n-th roots of unity from the power sums of the conjugates by Newton's
 identities, all in Q[x]; the inverse direction is a Newton-polygon
 iteration on one primitive integer polynomial, held as rows y-degree ->
 {x-exponent: int}, whose edge roots are rational.  The intersection
-multiplicity of a polynomial with a parametrization is the order of a substitution; that of two
-parametrizations is a sum of conjugate orders, read off by comparing
-coefficients, with no equation built.  The contact order is tied to it by
-the classical one-parameter correspondence on each characteristic interval.
+multiplicity of a polynomial with a parametrization is the order of a
+substitution; that of two parametrizations is a sum of conjugate orders,
+read off by comparing coefficients, with no equation built.  The contact
+order is tied to it by the classical one-parameter correspondence on each
+characteristic interval.
 """
 
 from __future__ import annotations

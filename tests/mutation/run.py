@@ -107,8 +107,8 @@ MUTANTS = {
         ZARISKI, "lead = form[e - shift] * (1 if a else e - shift)", "lead = form[e - shift]",
         "the lead of d(y**b) is k times that of y**b; omega's lead is never cancelled",
     ),
-    # -- the Newton-Puiseux stage on integer rows (the faults recorded in
-    # CHANGES.md for PR 10, and the choices the row layout makes)
+    # -- the Newton-Puiseux stage on integer rows: the faults first planted
+    # in the tuple-map stage, and the choices the row layout makes
     "np-no-content-division": (
         GEOMETRY, "g = gcd(*(c for row in acc.values() for c in row.values()))  # stops at 1",
         "g = 1",
