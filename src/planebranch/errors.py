@@ -84,7 +84,7 @@ class ThetaOutOfRange(PlaneBranchError):
 
 
 class NotRealizable(PlaneBranchError):
-    """No (or more than one) contact interval matches the intersection."""
+    """No contact order gives the intersection: it is below n times the other multiplicity."""
 
 
 class NonIntegralResult(PlaneBranchError):

@@ -7,9 +7,20 @@ iteration on one primitive integer polynomial, held as rows y-degree ->
 {x-exponent: int}, whose edge roots are rational.  The intersection
 multiplicity of a polynomial with a parametrization is the order of a
 substitution; that of two parametrizations is a sum of conjugate orders,
-read off by comparing coefficients, with no equation built.  The contact
-order is tied to it by the classical one-parameter correspondence on each
-characteristic interval.
+read off by comparing coefficients, with no equation built.
+
+Contact order theta >= 1 and intersection multiplicity I with a branch of
+multiplicity n' correspond by a continuous, increasing, piecewise-linear
+map theta -> I / n' with breakpoints beta_q / n (n_0 = 1, v_0 = beta_0 = n):
+
+    theta            1    beta_1 / n    beta_q / n
+    I / n'           n    v_1           v_q / (n_1 ... n_(q-1))
+    slope after it   n    n / n_1       n / (n_1 ... n_q)
+
+On piece q, I / n' = (n_q * v_q - beta_q + n * theta) / (n_1 ... n_q),
+which at beta_(q+1) / n is v_(q+1) / (n_1 ... n_q), as
+v_(q+1) = n_q * v_q + beta_(q+1) - beta_q: the pieces meet, so each
+I / n' >= n has exactly one theta.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ from math import comb, gcd, inf
 from .errors import (
     BranchesEqual,
     CrossCheckFailed,
+    InvalidArgument,
     NonPolynomialInput,
     NonRationalCoefficient,
     NotIrreducible,
@@ -65,6 +77,8 @@ class Parametrization:
 
     def __post_init__(self):
         _check_positive(self.n, "multiplicity n")
+        if not isinstance(self.y, TSeries):
+            raise InvalidArgument(f"y-series {self.y!r} is not a TSeries")
 
     @classmethod
     def from_pairs(cls, n: int, pairs, trunc=EXACT) -> "Parametrization":
@@ -311,8 +325,9 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
     the coefficient field.  Default truncation: conductor of the branch plus
     twice its multiplicity, the conductor summed as the stages come,
     sum (e_(i-1) - e_i) * (beta_i - 1) with e_i = n / ram, which needs
-    neither a singular nor a transversal branch.  A trunc other than None
-    or a positive int is refused with InvalidArgument.
+    neither a singular nor a transversal branch.  An f that is not a
+    BivarPoly, or a trunc other than None or a positive int, is refused
+    with InvalidArgument.
 
     While ram < n, n / ram >= 2 roots of f, counted with multiplicity,
     share every term so far, so they agree beyond x**e.  Two distinct roots
@@ -322,6 +337,8 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
     (NotIrreducible).  Once ram = n every stage adds at least 1 to the
     t-exponent, so the loop reaches any target.
     """
+    if not isinstance(f, BivarPoly):
+        raise InvalidArgument(f"polynomial {f!r} is not a BivarPoly")
     if trunc is not None:
         _check_positive(trunc, "trunc")
     n = _weierstrass_degree(f)
@@ -446,63 +463,45 @@ def intersection(phi1: Parametrization, phi2: Parametrization) -> int:
 
 # -- contact order ----------------------------------------------------------------
 
-def _interval(cd: CharData, q: int):
-    """[beta_q / n, beta_{q+1} / n) as rationals, with beta_0 / n = 1."""
-    n = cd.mult
-    lo = Fraction(cd.char_exponents[q], n) if q else Fraction(1)
-    hi = Fraction(cd.char_exponents[q + 1], n) if q + 1 <= cd.genus else inf
-    return lo, hi
-
-
-def _interval_ratio(cd: CharData, q: int, theta: Fraction) -> Fraction:
-    """I / mult(other) on the q-th contact interval."""
-    n = cd.mult
-    if q == 0:
-        return n * theta
-    v = cd.generators
-    beta = cd.char_exponents
-    nq = cd.quotients[q - 1]
-    prod = 1
-    for i in range(q):
-        prod *= cd.quotients[i]
-    return (nq * v[q] + n * theta - beta[q]) / Fraction(prod)
-
-
 def intersection_from_contact(cd: CharData, theta, mult_other: int) -> Fraction:
-    """Intersection multiplicity from the contact order (exact rational)."""
+    """Intersection multiplicity from the contact order (exact rational):
+    climbs the breakpoints beta_q / n of the module docstring's table while
+    n * theta >= beta_(q+1), on integers, and evaluates the piece it stops
+    on, one Fraction; at a breakpoint both pieces give the same I."""
     theta = ratio(theta)
     _check_positive(mult_other, "multiplicity")
     if theta < 1:
         raise ThetaOutOfRange(f"contact order {theta} is below 1")
-    for q in range(cd.genus + 1):
-        lo, hi = _interval(cd, q)
-        if lo <= theta < hi:
-            return _interval_ratio(cd, q, theta) * mult_other
-    raise NotRealizable(f"no contact interval admits theta = {theta}")
+    n, beta, v = cd.mult, cd.char_exponents, cd.generators
+    a, b = theta.numerator, theta.denominator
+    q, nq, prod = 0, 1, 1
+    while q < cd.genus and n * a >= beta[q + 1] * b:
+        nq = cd.quotients[q]
+        prod *= nq
+        q += 1
+    return Fraction(mult_other * ((nq * v[q] - beta[q]) * b + n * a), prod * b)
 
 
 def contact_from_intersection(cd: CharData, inter, mult_other: int) -> ContactOrder:
-    """Contact order from the intersection multiplicity.
-
-    Scans every characteristic interval and demands exactly one consistent
-    solution; zero or several hits mean the pair is not realizable.
-    """
+    """Contact order from the intersection multiplicity, by the inverse
+    walk: from I / n' >= n, the value at theta = 1, it climbs while
+    I / n' >= v_(q+1) / (n_1 ... n_q), the value at the next breakpoint,
+    and solves the piece it stops on.  The map is increasing, so below n
+    no theta exists (NotRealizable) and from n on exactly one."""
     _check_positive(mult_other, "multiplicity")
-    ratio_val = ratio(inter) / mult_other
-    hits = []
-    for q in range(cd.genus + 1):
-        # the ratio is affine in theta on each interval
-        base = _interval_ratio(cd, q, 0)
-        theta = (ratio_val - base) / (_interval_ratio(cd, q, 1) - base)
-        lo, hi = _interval(cd, q)
-        if theta >= 1 and lo <= theta < hi:
-            hits.append(theta)
-    if len(hits) != 1:
+    value = ratio(inter)
+    c, d = value.numerator, value.denominator * mult_other
+    n, beta, v = cd.mult, cd.char_exponents, cd.generators
+    if c < n * d:
         raise NotRealizable(
-            f"intersection {inter} with multiplicity {mult_other} admits "
-            f"{len(hits)} contact solutions"
+            f"intersection {inter} with multiplicity {mult_other} admits 0 contact solutions"
         )
-    return ContactOrder.finite(hits[0])
+    q, nq, prod = 0, 1, 1
+    while q < cd.genus and c * prod >= v[q + 1] * d:
+        nq = cd.quotients[q]
+        prod *= nq
+        q += 1
+    return ContactOrder(Fraction(c * prod - (nq * v[q] - beta[q]) * d, n * d))
 
 
 def contact(phi1: Parametrization, phi2: Parametrization) -> ContactOrder:

@@ -250,6 +250,8 @@ class TSeries:
     def __init__(self, var: str, terms: dict, trunc):
         if trunc != EXACT:
             _check_positive(trunc, "trunc")
+        if not isinstance(terms, dict):
+            raise InvalidArgument(f"series terms {terms!r} are not a dict")
         clean = {}
         for e, c in terms.items():
             if not _natural(e):
@@ -591,7 +593,9 @@ class BivarPoly:
 
     def __init__(self, terms: dict | None = None):
         clean = {}
-        if terms:
+        if terms is not None:
+            if not isinstance(terms, dict):
+                raise InvalidArgument(f"polynomial terms {terms!r} are not a dict")
             for key, c in terms.items():
                 if not (isinstance(key, tuple) and len(key) == 2 and _natural(key[0])
                         and _natural(key[1])):

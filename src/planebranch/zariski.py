@@ -40,7 +40,7 @@ from .errors import (
     PrecisionExhausted,
     WrongEquisingularityClass,
 )
-from .geometry import Parametrization, intersection
+from .geometry import Parametrization, intersection, intersection_from_contact
 from .semigroup import CharData, char_sequence, contains, rep_nm
 from .series import (
     EXACT,
@@ -415,16 +415,13 @@ def _verify_result(phi, cd: CharData, result: ZariskiResult):
     if not result.finite:
         return
     lam = result.exponent
-    m = cd.char_exponents[1]
     if result.coefficient == 0:
         raise CrossCheckFailed("finite invariant with zero leading coefficient")
     defect = _invariant_defect(lam, cd)
     if defect:
         raise CrossCheckFailed(defect)
-    if cd.genus >= 2 and lam == cd.char_exponents[2]:
-        expected = cd.generators[2]
-    else:
-        expected = (cd.reduced_mult - 1) * m + lam
+    # I at contact lam / n with multiplicity n1, on the first piece (v_2 at lam = beta_2)
+    expected = (cd.reduced_mult - 1) * cd.char_exponents[1] + lam
     observed = intersection(result.witness, phi)
     if observed != expected:
         raise CrossCheckFailed(
@@ -491,9 +488,9 @@ def infer_zariski(
 ) -> int:
     """Invariant of a second branch from contact or intersection evidence.
 
-    Needs contact > lambda/n, or intersection strictly above
-    n' * ((n1 - 1) * m + lambda) / n1; then lambda' = n' * lambda / n.  A
-    lambda that no branch of the class cd_f can have is refused first.
+    Needs contact > lambda/n, or intersection strictly above the one at
+    contact lambda/n; then lambda' = n' * lambda / n.  A lambda that no
+    branch of the class cd_f can have is refused first.
     """
     if (contact_order is None) == (intersection_value is None):
         raise AmbiguousEvidence("provide exactly one of contact_order/intersection_value")
@@ -502,15 +499,13 @@ def infer_zariski(
     if defect:
         raise NotAnInvariant(f"{defect}: not an invariant of K{cd_f.char_exponents}")
     n = cd_f.mult
-    m = cd_f.char_exponents[1]
-    n1 = cd_f.reduced_mult
     if contact_order is not None:
         if not ratio(contact_order) > Fraction(lambda_f, n):
             raise HypothesisNotMet(
                 f"contact {contact_order} does not exceed {Fraction(lambda_f, n)}"
             )
     else:
-        threshold = Fraction(other_mult * ((n1 - 1) * m + lambda_f), n1)
+        threshold = intersection_from_contact(cd_f, Fraction(lambda_f, n), other_mult)
         if not ratio(intersection_value) > threshold:
             raise HypothesisNotMet(
                 f"intersection {intersection_value} does not exceed {threshold} "

@@ -14,24 +14,34 @@ and `BivarPoly`, one whole series or polynomial per step, where the kernels
 work on integer rows; they pin the kernels' terms and truncations.  The
 reference Newton-Puiseux stage and edge run on maps (i, j) -> c, one term
 at a time, where the library holds integer rows j -> {i: c}; `to_rows`
-and `from_rows` convert between the two.
+and `from_rows` convert between the two.  The reference contact and
+intersection scan every characteristic interval with Fractions and count
+the contact solutions, where the library walks up the breakpoints of one
+increasing map on integers.
 """
 
 from fractions import Fraction as F
-from math import comb
+from math import comb, inf
 
 import pytest
 
 from planebranch import zariski
-from planebranch.errors import NonRationalCoefficient, NotIrreducible
-from planebranch.geometry import Parametrization, bareiss_determinant
+from planebranch.errors import (
+    NonRationalCoefficient,
+    NotIrreducible,
+    NotRealizable,
+    ThetaOutOfRange,
+)
+from planebranch.geometry import ContactOrder, Parametrization, bareiss_determinant
 from planebranch.semigroup import rep_nm
 from planebranch.series import (
     EXACT,
     BivarPoly,
     TSeries,
+    _check_positive,
     exact_root,
     nth_root_unit,
+    ratio,
     solve_composition,
 )
 
@@ -299,6 +309,63 @@ def divmod_reference(f: BivarPoly, h: BivarPoly):
         quotient = quotient + lead
         rem = rem - lead * h
     return quotient, rem
+
+
+def _contact_interval(cd, q: int):
+    """[beta_q / n, beta_{q+1} / n) as rationals, with beta_0 / n = 1."""
+    n = cd.mult
+    lo = F(cd.char_exponents[q], n) if q else F(1)
+    hi = F(cd.char_exponents[q + 1], n) if q + 1 <= cd.genus else inf
+    return lo, hi
+
+
+def _interval_ratio(cd, q: int, theta: F) -> F:
+    """I / mult(other) on the q-th contact interval."""
+    n = cd.mult
+    if q == 0:
+        return n * theta
+    v = cd.generators
+    beta = cd.char_exponents
+    nq = cd.quotients[q - 1]
+    prod = 1
+    for i in range(q):
+        prod *= cd.quotients[i]
+    return (nq * v[q] + n * theta - beta[q]) / F(prod)
+
+
+def intersection_from_contact_reference(cd, theta, mult_other: int) -> F:
+    """Intersection multiplicity from the contact order, by finding the
+    characteristic interval that holds theta."""
+    theta = ratio(theta)
+    _check_positive(mult_other, "multiplicity")
+    if theta < 1:
+        raise ThetaOutOfRange(f"contact order {theta} is below 1")
+    for q in range(cd.genus + 1):
+        lo, hi = _contact_interval(cd, q)
+        if lo <= theta < hi:
+            return _interval_ratio(cd, q, theta) * mult_other
+    raise NotRealizable(f"no contact interval admits theta = {theta}")
+
+
+def contact_from_intersection_reference(cd, inter, mult_other: int) -> ContactOrder:
+    """Contact order from the intersection multiplicity: solves the affine
+    map of every characteristic interval and demands exactly one solution
+    inside its own interval."""
+    _check_positive(mult_other, "multiplicity")
+    ratio_val = ratio(inter) / mult_other
+    hits = []
+    for q in range(cd.genus + 1):
+        base = _interval_ratio(cd, q, 0)
+        theta = (ratio_val - base) / (_interval_ratio(cd, q, 1) - base)
+        lo, hi = _contact_interval(cd, q)
+        if theta >= 1 and lo <= theta < hi:
+            hits.append(theta)
+    if len(hits) != 1:
+        raise NotRealizable(
+            f"intersection {inter} with multiplicity {mult_other} admits "
+            f"{len(hits)} contact solutions"
+        )
+    return ContactOrder.finite(hits[0])
 
 
 def binomial_coefficient(alpha: F, k: int) -> F:

@@ -214,6 +214,31 @@ MUTANTS = {
         "rows = rows",
         "what remains is not put over the lower rows' denominator before they come off",
     ),
+    # -- the breakpoint walks between contact order and intersection
+    "contact-theta-one-refused": (
+        GEOMETRY, "if c < n * d:", "if c <= n * d:",
+        "I / n' = n, contact exactly 1, is refused as admitting no contact",
+    ),
+    "intersection-theta-one-refused": (
+        GEOMETRY, "if theta < 1:", "if theta <= 1:",
+        "contact exactly 1 is refused as below 1",
+    ),
+    "contact-walk-product-late": (
+        GEOMETRY,
+        "        nq = cd.quotients[q]\n        prod *= nq\n        q += 1\n"
+        "    return ContactOrder(",
+        "        q += 1\n        nq = cd.quotients[q]\n        prod *= nq\n"
+        "    return ContactOrder(",
+        "the piece climbed to is solved with n_(q+1) for n_q, past the last one out of range",
+    ),
+    "intersection-walk-product-late": (
+        GEOMETRY,
+        "        nq = cd.quotients[q]\n        prod *= nq\n        q += 1\n"
+        "    return Fraction(",
+        "        q += 1\n        nq = cd.quotients[q]\n        prod *= nq\n"
+        "    return Fraction(",
+        "the piece climbed to is evaluated with n_(q+1) for n_q, past the last one out of range",
+    ),
     # -- the comparisons of infer_zariski
     "infer-contact-non-strict": (
         ZARISKI, "if not ratio(contact_order) > Fraction(lambda_f, n):",
@@ -255,6 +280,16 @@ DECLARED = {
         ZARISKI, "        omega, oden, _ = _reduced(omega, oden, None)\n", "",
         "equivalent: omega's rationals are unchanged, and the coefficient returned is one"
         " Fraction of them",
+    ),
+    "contact-walk-strict": (
+        GEOMETRY, "c * prod >= v[q + 1] * d", "c * prod > v[q + 1] * d",
+        "equivalent: an I / n' on a breakpoint then stays on the piece below, whose"
+        " solution there is the same breakpoint, since the pieces meet",
+    ),
+    "intersection-walk-strict": (
+        GEOMETRY, "n * a >= beta[q + 1] * b", "n * a > beta[q + 1] * b",
+        "equivalent: a theta on a breakpoint is then evaluated on the piece below,"
+        " whose value there is the same, since the pieces meet",
     ),
     "pmove-unit-no-content-division": (
         ZARISKI, "_root(_reduced(unit, unit[0], utrunc), n)", "_root((unit, unit[0], utrunc), n)",

@@ -32,8 +32,10 @@ from planebranch.semigroup import CharData, char_sequence
 from planebranch.series import EXACT, BivarPoly, TSeries, substitute
 from conftest import (
     binomial_coefficient,
+    contact_from_intersection_reference,
     dict_order,
     eval_poly_on_series,
+    intersection_from_contact_reference,
     resultant_implicitize,
     to_rows,
 )
@@ -373,6 +375,14 @@ class TestIntersection:
         assert intersection(root, close) == intersection(close, root) == 30
 
 
+def _outcome(call):
+    """repr of what call() returns, or the type and message of what it raises."""
+    try:
+        return repr(call())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestContactCorrespondence:
     def test_intersection_from_contact_values(self):
         cd47 = CharData.from_char_exponents((4, 7))
@@ -408,6 +418,30 @@ class TestContactCorrespondence:
             inter = intersection_from_contact(cd, theta, n)
             assert inter.denominator == 1
             assert contact_from_intersection(cd, int(inter), n).theta == theta
+
+    @pytest.mark.parametrize(
+        "beta", [(2, 5), (4, 7), (3, 5), (6, 14, 17), (4, 6, 13), (8, 12, 14, 15)]
+    )
+    def test_walk_is_the_interval_scan(self, beta):
+        # theta: every beta_q / n, 1 included, exactly and 1/97 either side.
+        # I: halves from 0 to past the last breakpoint's value, and each
+        # breakpoint's value exactly and 1/97 either side; n' from 1 to 12
+        cd = CharData.from_char_exponents(beta)
+        n = cd.mult
+        step = F(1, 97)
+        thetas = [F(b, n) + d for b in beta for d in (-step, 0, step)]
+        for m in range(1, 13):
+            for theta in thetas:
+                assert _outcome(lambda: intersection_from_contact(cd, theta, m)) == _outcome(
+                    lambda: intersection_from_contact_reference(cd, theta, m)
+                )
+            marks = [intersection_from_contact_reference(cd, F(b, n), m) for b in beta]
+            top = 2 * (int(marks[-1]) + 2 * m)
+            halves = [k // 2 if k % 2 == 0 else F(k, 2) for k in range(top)]
+            for inter in halves + [v + d for v in marks for d in (-step, 0, step)]:
+                assert _outcome(lambda: contact_from_intersection(cd, inter, m)) == _outcome(
+                    lambda: contact_from_intersection_reference(cd, inter, m)
+                )
 
 
 class TestContact:

@@ -123,6 +123,10 @@ BAD_ARGUMENTS = {
     "char-sequence-multiplicity": lambda: char_sequence(
         Parametrization(0, TSeries("t", {3: 1}, 10))
     ),
+    "tseries-list-terms": lambda: TSeries("t", [1, 2], 5),
+    "bivar-list-terms": lambda: BivarPoly([((0, 2), 1), ((3, 0), -1)]),
+    "parametrization-dict-y": lambda: char_sequence(Parametrization(2, {3: 1})),
+    "puiseux-dict-polynomial": lambda: puiseux_parametrization({(0, 2): 1, (3, 0): -1}),
 }
 
 TRUNCATED_CUSP = Parametrization.from_pairs(2, [(3, 1)], trunc=8)
