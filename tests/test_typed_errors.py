@@ -17,10 +17,17 @@ from planebranch.errors import (
     InvalidArgument,
     InvalidParameterChange,
     NonPolynomialInput,
+    NotPrimitive,
+    NotRealizable,
+    NotSingular,
+    NotTransversal,
+    PrecisionExhausted,
     WrongEquisingularityClass,
 )
 from planebranch.geometry import (
+    ContactOrder,
     Parametrization,
+    contact,
     contact_from_intersection,
     implicitize,
     intersection_from_contact,
@@ -29,6 +36,7 @@ from planebranch.geometry import (
 )
 from planebranch.semigroup import CharData, char_sequence, standard_rep
 from planebranch.series import (
+    EXACT,
     BivarPoly,
     TSeries,
     exact_root,
@@ -190,3 +198,80 @@ def test_broken_invariant_is_a_cross_check_failure(call):
         call()
     assert cli._exit_code(info.value) == cli.EXIT_INTERNAL == 6
 
+
+
+def _pair(n1, y1, n2, y2, trunc1=EXACT, trunc2=EXACT):
+    return Parametrization.from_pairs(n1, y1, trunc1), Parametrization.from_pairs(n2, y2, trunc2)
+
+
+# contact(a, b): the scan certifies the pair first (equal exact branches are
+# infinite contact, whatever the first branch is), then the first branch is
+# classified, then I / n' is checked against n.  Each row pins the outcome,
+# an error's exact type and message or the ContactOrder
+CONTACT_OUTCOMES = {
+    "smooth-first": (
+        _pair(1, [(2, 1)], 2, [(3, 1)]),
+        (NotSingular, "multiplicity 1: smooth branch, no characteristic sequence"),
+    ),
+    "non-transversal-first": (
+        _pair(2, [(2, 1), (3, 1)], 2, [(3, 1)]),
+        (NotTransversal, "ord(y) = 2 must exceed n = 2; swap the coordinates first"),
+    ),
+    "zero-first": (
+        (Parametrization(2, TSeries.zero("t")), Parametrization.from_pairs(2, [(3, 1)])),
+        (NotTransversal, "y-component is identically zero"),
+    ),
+    "truncated-zero-first": (
+        (Parametrization(2, TSeries("t", {}, 5)), Parametrization.from_pairs(2, [(3, 1)])),
+        (PrecisionExhausted, "y-component vanishes up to truncation 5; cannot classify"),
+    ),
+    "non-primitive-first": (
+        _pair(4, [(6, 1)], 4, [(5, 1)]),
+        (NotPrimitive, "gcd of 4 and the exponents [6] is 2"),
+    ),
+    # the first branch is refused before the second's low y-order is seen
+    "non-primitive-first-low-second": (
+        _pair(4, [(6, 1)], 3, [(2, 1)]),
+        (NotPrimitive, "gcd of 4 and the exponents [6] is 2"),
+    ),
+    "gcd-chain-stuck-first": (
+        _pair(4, [(6, 1)], 4, [(5, 1)], trunc1=7),
+        (PrecisionExhausted, "gcd chain stuck at 2 with exponents known only below 7"),
+    ),
+    # I = 4 against n' = 3: I / n' = 4/3 is below n = 2
+    "low-y-order-second": (
+        _pair(2, [(3, 1)], 3, [(2, 1)]),
+        (NotRealizable, "intersection 4 with multiplicity 3 admits 0 contact solutions"),
+    ),
+    "agree-up-to-truncations": (
+        _pair(2, [(3, 1)], 2, [(3, 1)], trunc1=5, trunc2=6),
+        (
+            PrecisionExhausted,
+            "the branches agree up to their truncations 5 and 6; raise them or the "
+            "branches coincide",
+        ),
+    ),
+    "smooth-first-agree-up-to-truncations": (
+        _pair(1, [(2, 1)], 1, [(2, 1)], trunc1=4, trunc2=3),
+        (
+            PrecisionExhausted,
+            "the branches agree up to their truncations 4 and 3; raise them or the "
+            "branches coincide",
+        ),
+    ),
+    "equal-exact": (_pair(2, [(3, 1), (4, 2)], 4, [(6, 1), (8, 2)]), ContactOrder.infinite()),
+    "conjugate-exact": (_pair(2, [(3, 1), (4, 2)], 2, [(3, -1), (4, 2)]), ContactOrder.infinite()),
+    "smooth-first-equal-exact": (_pair(1, [(2, 1)], 1, [(2, 1)]), ContactOrder.infinite()),
+    "finite": (_pair(4, [(6, 1), (7, 1)], 2, [(3, 1)]), ContactOrder.finite(F(7, 4))),
+}
+
+
+@pytest.mark.parametrize(
+    "pair,expected", CONTACT_OUTCOMES.values(), ids=CONTACT_OUTCOMES.keys()
+)
+def test_contact_outcome(pair, expected):
+    try:
+        got = contact(*pair)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        got = (type(exc), str(exc))
+    assert got == expected
