@@ -7,7 +7,7 @@ iteration on one primitive integer polynomial, held as rows y-degree ->
 {x-exponent: int}, whose edge roots are rational.  The intersection
 multiplicity of a polynomial with a parametrization is the order of a
 substitution; that of two parametrizations is a sum of conjugate orders,
-read off by comparing coefficients, with no equation built.
+read off by comparing coefficients, and the largest gives their contact order.
 
 Contact order theta >= 1 and intersection multiplicity I with a branch of
 multiplicity n' correspond by a continuous, increasing, piecewise-linear
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb, gcd, inf
+from math import comb, gcd, inf, lcm
 
 from .errors import (
     BranchesEqual,
@@ -42,7 +42,7 @@ from .errors import (
     PrecisionExhausted,
     ThetaOutOfRange,
 )
-from .semigroup import CharData, char_sequence
+from .semigroup import CharData, _char_exponents
 from .series import (
     EXACT,
     BivarPoly,
@@ -403,49 +403,39 @@ def _conjugate_orders(phi1: Parametrization, phi2: Parametrization):
 
     Over a common parameter u with x = u**N, N = lcm(n1, n2), the k-th
     conjugate of the first branch multiplies its term at u**E by
-    zeta**(k*E), zeta = exp(2 pi i / N).  With rational coefficients the
-    term cancels against the second branch's only when zeta**(k*E) = 1 and
-    the coefficients are equal, when it is -1 and they are opposite, or when
-    both are zero.  `orders` holds the u-exponent of the first difference of
-    each conjugate that shows one below `bound`, the lower of the two
+    zeta**(k*E), zeta = exp(2 pi i / N).  With nonzero rational terms, it
+    cancels the second branch's term only when zeta**(k*E) = 1 and they are
+    equal, or -1 and they are opposite; every other pending conjugate ends
+    there.  `orders` holds the u-exponent of the first difference of each
+    conjugate that shows one below `bound`, the lower of the two
     truncations in u; `pending` counts the conjugates that show none there.
     """
-    big = phi1.n * phi2.n // gcd(phi1.n, phi2.n)
+    big = lcm(phi1.n, phi2.n)
     r1, r2 = big // phi1.n, big // phi2.n
-    a = {e * r1: c for e, c in phi1.y.terms.items()}
-    b = {e * r2: c for e, c in phi2.y.terms.items()}
+    a = phi1.y.terms if r1 == 1 else {e * r1: c for e, c in phi1.y.terms.items()}
+    b = phi2.y.terms if r2 == 1 else {e * r2: c for e, c in phi2.y.terms.items()}
     bound = min(phi1.trunc * r1, phi2.trunc * r2)
-    pending = set(range(phi1.n))
+    pending = range(phi1.n)
     orders = []
     for e in sorted(a.keys() | b.keys()):
-        if e >= bound or not pending:
+        if e >= bound:
             break
         ae, be = a.get(e, 0), b.get(e, 0)
-        for k in list(pending):
-            twist = k * e % big
-            if twist == 0:
-                same = ae == be
-            elif 2 * twist == big:
-                same = ae == -be
-            else:
-                same = ae == be == 0
-            if not same:
-                orders.append(e)
-                pending.discard(k)
+        if ae == be:
+            kept = [k for k in pending if k * e % big == 0]
+        elif ae == -be:
+            kept = [k for k in pending if 2 * (k * e % big) == big]
+        else:
+            kept = []
+        orders += [e] * (len(pending) - len(kept))
+        pending = kept
+        if not pending:
+            break
     return orders, len(pending), bound
 
 
-def intersection(phi1: Parametrization, phi2: Parametrization) -> int:
-    """Intersection multiplicity of two distinct branches.
-
-    Halphen-Zeuthen: over x = u**N, N = lcm(n1, n2), the sum over the n1
-    conjugates of the first branch of the u-order of their difference with
-    the second is N/n2 times I (Casas-Alvero, Singularities of Plane
-    Curves, 2000).  No equation is built, and the value does not depend on
-    the argument order.  Each order is certified below both truncations; a
-    conjugate that shows no difference there means equal branches when both
-    are exact, and too little precision otherwise.
-    """
+def _certified_orders(phi1: Parametrization, phi2: Parametrization):
+    """(orders, I) of the scan, certified as `intersection` states."""
     orders, pending, bound = _conjugate_orders(phi1, phi2)
     if pending:
         if bound == EXACT:
@@ -458,7 +448,21 @@ def intersection(phi1: Parametrization, phi2: Parametrization) -> int:
     total = sum(orders)
     if total % scale:
         raise CrossCheckFailed(f"conjugate orders sum to {total}, not a multiple of {scale}")
-    return total // scale
+    return orders, total // scale
+
+
+def intersection(phi1: Parametrization, phi2: Parametrization) -> int:
+    """Intersection multiplicity of two distinct branches.
+
+    Halphen-Zeuthen: over x = u**N, N = lcm(n1, n2), the sum over the n1
+    conjugates of the first branch of the u-order of their difference with
+    the second is N/n2 times I (Casas-Alvero, Singularities of Plane
+    Curves, 2000), whatever the argument order; no equation is built.
+    Each order is certified below both truncations.  A conjugate that shows
+    no difference there means equal branches when both are exact, and
+    otherwise too little precision, with no `needed`: they may coincide.
+    """
+    return _certified_orders(phi1, phi2)[1]
 
 
 # -- contact order ----------------------------------------------------------------
@@ -505,12 +509,19 @@ def contact_from_intersection(cd: CharData, inter, mult_other: int) -> ContactOr
 
 
 def contact(phi1: Parametrization, phi2: Parametrization) -> ContactOrder:
-    """Contact order of two branches via their intersection multiplicity."""
+    """Contact order: the largest order of `intersection`'s certified scan,
+    over N; infinite for equal branches, no `needed` when they agree up to both
+    truncations.  Refusals as by `char_sequence`, then `contact_from_intersection`."""
     try:
-        inter = intersection(phi1, phi2)
+        orders, inter = _certified_orders(phi1, phi2)
     except BranchesEqual:
         return ContactOrder.infinite()
-    return contact_from_intersection(char_sequence(phi1), inter, phi2.n)
+    _char_exponents(phi1)
+    if inter < phi1.n * phi2.n:
+        raise NotRealizable(
+            f"intersection {inter} with multiplicity {phi2.n} admits 0 contact solutions"
+        )
+    return ContactOrder(Fraction(max(orders), lcm(phi1.n, phi2.n)))
 
 
 def swap_parametrization(phi: Parametrization, trunc: int | None = None) -> Parametrization:

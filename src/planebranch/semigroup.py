@@ -105,8 +105,12 @@ def char_sequence(phi) -> CharData:
     inexact series, NotPrimitive when an exact series genuinely shares a
     divisor with n.
     """
-    n = phi.n
-    y = phi.y
+    return CharData.from_char_exponents(_char_exponents(phi))
+
+
+def _char_exponents(phi) -> list:
+    """The characteristic exponents of `char_sequence`, with its refusals."""
+    n, y = phi.n, phi.y
     order = y.order()
     if order is None:
         if y.exact:
@@ -138,7 +142,7 @@ def char_sequence(phi) -> CharData:
             f"gcd chain stuck at {e} with exponents known only below {y.trunc}",
             needed=None,
         )
-    return CharData.from_char_exponents(beta)
+    return beta
 
 
 def rep_nm(z: int, n: int, m: int) -> tuple[int, int]:

@@ -17,11 +17,14 @@ at a time, where the library holds integer rows j -> {i: c}; `to_rows`
 and `from_rows` convert between the two.  The reference contact and
 intersection scan every characteristic interval with Fractions and count
 the contact solutions, where the library walks up the breakpoints of one
-increasing map on integers.
+increasing map on integers.  The reference conjugate scan tests every
+pending conjugate against the coefficients at every exponent, where the
+library classifies each exponent once and keeps the conjugates whose twist
+allows the cancellation.
 """
 
 from fractions import Fraction as F
-from math import comb, inf
+from math import comb, gcd, inf
 
 import pytest
 
@@ -366,6 +369,37 @@ def contact_from_intersection_reference(cd, inter, mult_other: int) -> ContactOr
             f"{len(hits)} contact solutions"
         )
     return ContactOrder.finite(hits[0])
+
+
+def conjugate_orders_reference(phi1: Parametrization, phi2: Parametrization):
+    """(orders, pending, bound) of `geometry._conjugate_orders`, one
+    comparison per pending conjugate and exponent: over x = u**N the k-th
+    conjugate's term at u**e carries zeta**(k*e), and it cancels against the
+    second branch's when the twist is 1 and the coefficients are equal, -1
+    and they are opposite, or both coefficients are zero."""
+    big = phi1.n * phi2.n // gcd(phi1.n, phi2.n)
+    r1, r2 = big // phi1.n, big // phi2.n
+    a = {e * r1: c for e, c in phi1.y.terms.items()}
+    b = {e * r2: c for e, c in phi2.y.terms.items()}
+    bound = min(phi1.trunc * r1, phi2.trunc * r2)
+    pending = set(range(phi1.n))
+    orders = []
+    for e in sorted(a.keys() | b.keys()):
+        if e >= bound or not pending:
+            break
+        ae, be = a.get(e, 0), b.get(e, 0)
+        for k in list(pending):
+            twist = k * e % big
+            if twist == 0:
+                same = ae == be
+            elif 2 * twist == big:
+                same = ae == -be
+            else:
+                same = ae == be == 0
+            if not same:
+                orders.append(e)
+                pending.discard(k)
+    return orders, len(pending), bound
 
 
 def binomial_coefficient(alpha: F, k: int) -> F:

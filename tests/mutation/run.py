@@ -214,7 +214,8 @@ MUTANTS = {
         "rows = rows",
         "what remains is not put over the lower rows' denominator before they come off",
     ),
-    # -- the breakpoint walks between contact order and intersection
+    # -- the breakpoint walks between contact order and intersection, which
+    # `contact` no longer calls
     "contact-theta-one-refused": (
         GEOMETRY, "if c < n * d:", "if c <= n * d:",
         "I / n' = n, contact exactly 1, is refused as admitting no contact",
@@ -238,6 +239,19 @@ MUTANTS = {
         "        q += 1\n        nq = cd.quotients[q]\n        prod *= nq\n"
         "    return Fraction(",
         "the piece climbed to is evaluated with n_(q+1) for n_q, past the last one out of range",
+    ),
+    # -- the conjugate scan's decisions and contact's reading of it
+    "scan-equal-keeps-every-twist": (
+        GEOMETRY, "kept = [k for k in pending if k * e % big == 0]", "kept = list(pending)",
+        "equal coefficients cancel only for the conjugates whose twist is 1",
+    ),
+    "scan-opposite-twist-floor-half": (
+        GEOMETRY, "2 * (k * e % big) == big", "k * e % big == big // 2",
+        "at odd N no twist is -1, yet the twist (N - 1) / 2 is kept for opposite coefficients",
+    ),
+    "contact-least-order": (
+        GEOMETRY, "Fraction(max(orders), ", "Fraction(min(orders), ",
+        "the contact order is the largest conjugate order, not the least",
     ),
     # -- the comparisons of infer_zariski
     "infer-contact-non-strict": (
@@ -290,6 +304,12 @@ DECLARED = {
         GEOMETRY, "n * a >= beta[q + 1] * b", "n * a > beta[q + 1] * b",
         "equivalent: a theta on a breakpoint is then evaluated on the piece below,"
         " whose value there is the same, since the pieces meet",
+    ),
+    "scan-no-early-stop": (
+        GEOMETRY, "        pending = kept\n        if not pending:\n            break\n",
+        "        pending = kept\n",
+        "equivalent: with no conjugate pending every later exponent keeps none and adds no"
+        " order, so the stop only ends the scan sooner",
     ),
     "pmove-unit-no-content-division": (
         ZARISKI, "_root(_reduced(unit, unit[0], utrunc), n)", "_root((unit, unit[0], utrunc), n)",
