@@ -49,11 +49,9 @@ from .series import (
     TSeries,
     _addmul,
     _check_positive,
-    _common,
     _convolve,
-    _form,
+    _cut,
     _powers,
-    _rows,
     exact_root,
     nth_root_unit,
     ratio,
@@ -104,7 +102,8 @@ class Parametrization:
         if self.exact:
             if bound == EXACT:
                 return self
-            return Parametrization(self.n, TSeries(self.y.var, self.y.terms, bound))
+            _check_positive(bound, "trunc")
+            return Parametrization(self.n, _cut(self.y, bound))
         if bound > self.trunc:
             raise PrecisionExhausted(
                 f"branch known only below {self.trunc}, need {bound}", needed=bound
@@ -189,25 +188,22 @@ def implicitize(phi: Parametrization) -> BivarPoly:
     Newton's identities k*e_k = sum_{i=1..k} (-1)**(i-1) * e_(k-i) * P_i give
     from the power sums P_r(x) = n * sum_{n | e} [t**e] p**r * x**(e/n); all
     of it stays in Q[x] (Casas-Alvero, Singularities of Plane Curves, 2000).
-    With p = num / den over one common denominator, P_r and e_k are forms of
-    degree r and k in the coefficients of p, e_k with integer coefficients,
-    so both are integer polynomials over den**r and den**k: the loops run on
-    integers, p**r exact from `_powers`, and each coefficient of f becomes a
-    Fraction once.  The input must be exact: truncate an inexact branch
-    deliberately first.
+    With p = num / den, P_r and e_k are forms of degree r and k in the
+    coefficients of p, e_k with integer coefficients, so both are integer
+    polynomials over den**r and den**k: the loops run on integers, p**r
+    exact from `_powers`, and f is put over den**n.  The input must be
+    exact: truncate an inexact branch deliberately first.
     """
     if not phi.exact:
         raise NonPolynomialInput(
             "implicitize needs a polynomial y-series; truncate deliberately first"
         )
-    p = phi.y.terms
-    if not p:
+    if not phi.y.num:
         raise NonPolynomialInput("cannot implicitize the zero branch")
-    n = phi.n
-    _, den = _common(p, EXACT)
+    n, den = phi.n, phi.y.den
     # sums[r] = (-1)**(r-1) * den**r * P_r as a map x-degree -> int
     sums = [None]
-    for r, (power, _, _) in enumerate(islice(_powers(_form(phi.y)), 1, n + 1), 1):
+    for r, (power, _, _) in enumerate(islice(_powers(phi.y), 1, n + 1), 1):
         sign = n if r % 2 else -n
         sums.append({e // n: sign * c for e, c in power.items() if not e % n})
     elementary = [{0: 1}]  # elementary[k] = den**k * e_k
@@ -216,11 +212,10 @@ def implicitize(phi: Parametrization) -> BivarPoly:
         for i in range(1, k + 1):
             _convolve(elementary[k - i], sums[i], EXACT, acc)
         elementary.append({d: c // k for d, c in acc.items() if c})
-    poly = BivarPoly({
-        (d, n - k): Fraction(-c if k % 2 else c, den**k)
+    poly = BivarPoly._make({
+        n - k: {d: (-c if k % 2 else c) * den ** (n - k) for d, c in ek.items()}
         for k, ek in enumerate(elementary)
-        for d, c in ek.items()
-    })
+    }, den**n)
     check = substitute(poly, phi.n, phi.y)
     if not check.is_zero_below_trunc():
         raise CrossCheckFailed("implicit equation does not vanish on the branch")
@@ -342,11 +337,12 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
     if trunc is not None:
         _check_positive(trunc, "trunc")
     n = _weierstrass_degree(f)
-    separation = Fraction((2 * n - 1) * max(i for i, _ in f.terms), 2)
+    separation = Fraction((2 * n - 1) * max(max(row) for row in f.rows.values()), 2)
     terms: dict = {}  # x-exponent -> coefficient
     conductor = 0
-    # primitive already: a prime power of the lcm divides some denominator fully
-    cur, _ = _rows(f.terms)
+    # primitive already: f is monic, so the content of its numerators divides
+    # den, to which it is coprime; no stage writes into the rows it reads
+    cur = f.rows
     ram, xexp, target = 1, Fraction(0), trunc
     while True:
         edge = _np_edge(cur)
@@ -385,7 +381,9 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
 # -- intersection multiplicity ---------------------------------------------------
 
 def intersection_poly_param(f: BivarPoly, phi: Parametrization) -> int:
-    """Intersection multiplicity as the t-order of f on the parametrization."""
+    """Intersection multiplicity as the t-order of f on the parametrization.
+    When f vanishes on the branch up to its truncation, PrecisionExhausted
+    carries no `needed`: that cannot be told from a factor of f."""
     value = substitute(f, phi.n, phi.y)
     order = value.order()
     if order is not None:
@@ -412,15 +410,17 @@ def _conjugate_orders(phi1: Parametrization, phi2: Parametrization):
     """
     big = lcm(phi1.n, phi2.n)
     r1, r2 = big // phi1.n, big // phi2.n
-    a = phi1.y.terms if r1 == 1 else {e * r1: c for e, c in phi1.y.terms.items()}
-    b = phi2.y.terms if r2 == 1 else {e * r2: c for e, c in phi2.y.terms.items()}
+    a = phi1.y.num if r1 == 1 else {e * r1: c for e, c in phi1.y.num.items()}
+    b = phi2.y.num if r2 == 1 else {e * r2: c for e, c in phi2.y.num.items()}
+    da, db = phi1.y.den, phi2.y.den
     bound = min(phi1.trunc * r1, phi2.trunc * r2)
     pending = range(phi1.n)
     orders = []
     for e in sorted(a.keys() | b.keys()):
         if e >= bound:
             break
-        ae, be = a.get(e, 0), b.get(e, 0)
+        # the coefficients a[e] / da and b[e] / db, cross-multiplied
+        ae, be = a.get(e, 0) * db, b.get(e, 0) * da
         if ae == be:
             kept = [k for k in pending if k * e % big == 0]
         elif ae == -be:
@@ -537,7 +537,7 @@ def swap_parametrization(phi: Parametrization, trunc: int | None = None) -> Para
     m = y.order()
     if m is None:
         raise PrecisionExhausted("cannot swap a branch with undetermined y-order")
-    lead = y.terms[m]
+    lead = y.coeff(m)
     root = exact_root(lead, m)
     if root is None:
         raise NonRationalCoefficient(

@@ -124,7 +124,7 @@ def _char_exponents(phi) -> list:
         raise NotTransversal(
             f"ord(y) = {order} must exceed n = {n}; swap the coordinates first"
         )
-    exps = sorted(y.terms)
+    exps = sorted(y.num)
     beta = [n]
     e = n
     for i in exps:

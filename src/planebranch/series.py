@@ -1,49 +1,38 @@
 """Exact truncated power series and bivariate polynomials over Q.
 
-All coefficients are `fractions.Fraction`; nothing is ever rounded.  A
-`TSeries` knows its variable tag, a finite map exponent -> coefficient and a
+Nothing is ever rounded.  A `TSeries` knows its variable tag and a
 truncation bound `trunc`: coefficients at exponents >= trunc are unknown and
 no operation ever reports information there.  Exactly known polynomials
-(user input, implicit equations) carry the infinite truncation `EXACT`, in
-which case the term map is the whole series.  `order()` is the smallest
-exponent with a nonzero term, or None when no term below `trunc` is known.
+(user input, implicit equations) carry the infinite truncation `EXACT`.
+`order()` is the smallest exponent with a nonzero term, or None when no term
+below `trunc` is known.
 
-The hot kernels (`TSeries.__mul__`, `_powers`, `nth_root_unit`,
-`solve_composition`, `substitute`, `BivarPoly.__mul__`, `divmod_monic_y`)
-work on integer numerators over one shared denominator per operand, the
-layout of FLINT's `fmpq_poly`: `_common` clears an operand's denominators
-with one lcm, `_convolve` multiplies in integers, and each output
-coefficient becomes a `Fraction` once, with one gcd.  `.terms` stays a map
-to `Fraction`s everywhere outside the kernels.
+Both classes store one integer form, the layout of FLINT's `fmpq_poly`:
+integer numerators over one denominator `den > 0`, in lowest terms, with no
+zero numerator.  A series holds `num`, exponent -> int, below its trunc; a
+polynomial holds `rows`, y-degree j -> {x-exponent i: int}, with no empty
+row.  The form is canonical, so `==` and `hash` read it, and every ring
+operation and kernel computes on it: `_convolve` multiplies in integers,
+`_addmul` adds a multiple in place, `_reduced` divides out the content, and
+`_powers` yields y**0, y**1, ... of a series, each over its reduced
+denominator, for `substitute`, `solve_composition`, `implicitize`, the moves
+and the route.  `num`, `rows` and `den` are read, never written.
 
-A series in that layout is an integer form (numerators, den, trunc): an
-exponent -> int map with no zeros, below trunc, over one denominator
-den > 0, in lowest terms (`_reduced` divides out the content).  `_form`
-builds one from a `TSeries` and `_to_series` builds the `Fraction`s back;
-between the two, kernels pass forms to each other.  `_powers` yields
-y**0, y**1, ... of one form, each over its reduced denominator; it is the
-one power routine of `substitute`, `solve_composition`, `implicitize`, the
-moves and the route.  `_root` and `_solve` are the form cores of
-`nth_root_unit` and `solve_composition`, so that the genus-one sweep in
-`zariski` runs a p-move from y to its new branch and parameter change with
-no `Fraction` series in between.
-
-The public constructors `TSeries(...)` and `BivarPoly(...)` check and clean
-what they are given.  Kernel outputs whose invariants hold by construction
-(int exponents, below `trunc` for a series, nonzero `Fraction` values, a
-dict of their own) go through the trusted `TSeries._make` and
-`BivarPoly._make` instead: the ring operations of both, `scale`, `shift`,
-`truncated`, `nth_root_unit`, `solve_composition`, `substitute`, `swap_xy`
-and `divmod_monic_y`.
+`.terms` is a read-only view of the same coefficients, exponent (or (i, j))
+-> Fraction, built on first access and cached, for the printers, branch
+files and callers.  The public constructors `TSeries(...)` and
+`BivarPoly(...)` check and clean the maps they are given and keep them as
+the view.  Kernel outputs skip those checks: `TSeries._make` takes a form in
+lowest terms, and `BivarPoly._make` puts its rows in lowest terms.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 from functools import reduce
+from types import MappingProxyType
 
 from .errors import (
     ConstantTermNotOne,
@@ -58,9 +47,6 @@ from .errors import (
 
 #: truncation bound of a series that is exactly known (a polynomial)
 EXACT = math.inf
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def ratio(value) -> Fraction:
@@ -90,20 +76,15 @@ def _natural(e) -> bool:
     return isinstance(e, (Fraction, float)) and e >= 0 and e % 1 == 0
 
 
-def _common(terms: dict, bound=None) -> tuple[dict, int]:
-    """(numerators, den): the Fraction terms below `bound` (all of them at
-    None) as integers over their one common denominator, the lcm of theirs."""
+def _common(terms: dict) -> tuple[dict, int]:
+    """(numerators, den): a map of Fractions as integers over the lcm of
+    their denominators, a form in lowest terms."""
     # pairwise, because math.lcm(*dens) builds a tuple per call, and freed
     # short tuples pile up on the interpreter's free lists
     den = 1
-    for e, c in terms.items():
-        if bound is None or e < bound:
-            den = math.lcm(den, c.denominator)
-    return {
-        e: c.numerator * (den // c.denominator)
-        for e, c in terms.items()
-        if bound is None or e < bound
-    }, den
+    for c in terms.values():
+        den = math.lcm(den, c.denominator)
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
 
 
 def _convolve(a: dict, b: dict, bound, acc: dict | None = None) -> dict:
@@ -122,17 +103,6 @@ def _convolve(a: dict, b: dict, bound, acc: dict | None = None) -> dict:
     return acc
 
 
-def _rows(terms: dict) -> tuple[dict, int]:
-    """(rows, den): a polynomial's Fraction terms (i, j) -> c as integer
-    rows y-degree j -> {x-exponent i: int} over their one common
-    denominator."""
-    num, den = _common(terms)
-    rows: dict = {}
-    for (i, j), c in num.items():
-        rows.setdefault(j, {})[i] = c
-    return rows, den
-
-
 def _addmul(acc: dict, terms: dict, q: int, shift: int = 0, bound=EXACT) -> None:
     """acc += q * terms * var**shift below `bound`, in place; zeros dropped."""
     for e, c in terms.items():
@@ -145,19 +115,6 @@ def _addmul(acc: dict, terms: dict, q: int, shift: int = 0, bound=EXACT) -> None
                 acc.pop(e, None)
 
 
-def _form(s: TSeries, bound=EXACT) -> tuple:
-    """The integer form of s below `bound`: (numerators, den, trunc), the
-    terms as integers over their one reduced denominator den > 0, and the
-    truncation min(s.trunc, bound)."""
-    return (*_common(s.terms, bound), min(s.trunc, bound))
-
-
-def _to_series(var: str, form: tuple) -> TSeries:
-    """The series of an integer form: each term becomes a Fraction here."""
-    num, den, trunc = form
-    return TSeries._make(var, {e: Fraction(c, den) for e, c in num.items()}, trunc)
-
-
 def _reduced(num: dict, den: int, trunc) -> tuple:
     """The integer form num / den below trunc in lowest terms: the content
     shared by the numerators and den divided out, and den made positive."""
@@ -168,18 +125,16 @@ def _reduced(num: dict, den: int, trunc) -> tuple:
     return num, den, trunc
 
 
-def _cut(form: tuple, bound) -> tuple:
-    """An integer form below `bound`, in lowest terms."""
-    num, den, trunc = form
-    if bound >= trunc:
-        return form
-    return _reduced({e: c for e, c in num.items() if e < bound}, den, bound)
+def _cut(s: TSeries, bound) -> TSeries:
+    """s below `bound`, in lowest terms; s itself when bound >= s.trunc."""
+    if bound >= s.trunc:
+        return s
+    return TSeries._make(s.var, *_reduced({e: c for e, c in s.num.items() if e < bound}, s.den, bound))
 
 
-def _powers(y: tuple, below=EXACT):
-    """Yield y**0, y**1, y**2, ... of the integer form y as integer forms
-    (numerators, den, trunc), each in lowest terms and computed only below
-    its trunc.
+def _powers(y: TSeries, below=EXACT):
+    """Yield y**0, y**1, y**2, ... as integer forms (numerators, den, trunc),
+    each in lowest terms and computed only below its trunc.
 
     A term of y**g at or past y's trunc + (g - 1)*ord y meets an unknown
     term of y, so y**g is known exactly below min(below, trunc + (g - 1)*ord y);
@@ -187,9 +142,10 @@ def _powers(y: tuple, below=EXACT):
     divided out after every product, so the numerators grow like the true
     denominators of y**g.  For an exact y, den = yden**g by Gauss's lemma.
     """
-    order = min(y[0]) if y[0] else y[2]
-    ynum, yden, _ = _cut(y, below)
-    num, den, reach = ynum, yden, y[2]
+    order = y._eff_order()
+    cut = _cut(y, below)
+    ynum, yden = cut.num, cut.den
+    num, den, reach = ynum, yden, y.trunc
     yield ({0: 1} if below > 0 else {}), 1, below
     while True:
         yield num, den, min(below, reach)
@@ -202,7 +158,7 @@ def _accumulate(pairs) -> dict:
     """key -> the sum of the coefficients given for it, over (key, c) pairs."""
     acc: dict = {}
     for key, c in pairs:
-        acc[key] = acc.get(key, _ZERO) + ratio(c)
+        acc[key] = acc.get(key, 0) + ratio(c)
     return acc
 
 
@@ -245,7 +201,7 @@ def _render(terms) -> str:
 class TSeries:
     """Truncated univariate power series with exact rational coefficients."""
 
-    __slots__ = ("var", "terms", "trunc")
+    __slots__ = ("var", "num", "den", "trunc", "_terms")
 
     def __init__(self, var: str, terms: dict, trunc):
         if trunc != EXACT:
@@ -260,18 +216,26 @@ class TSeries:
             if c and e < trunc:
                 clean[int(e)] = c
         self.var = var
-        self.terms = clean
+        self.num, self.den = _common(clean)
         self.trunc = trunc
+        self._terms = MappingProxyType(clean)
 
     @classmethod
-    def _make(cls, var: str, terms: dict, trunc) -> "TSeries":
-        """A kernel output, unchecked: `terms` maps int exponents below
-        `trunc` to nonzero Fractions and belongs to no other series."""
+    def _make(cls, var: str, num: dict, den: int, trunc) -> "TSeries":
+        """A kernel output, unchecked: `num` maps int exponents below `trunc`
+        to nonzero ints over den > 0 in lowest terms, and belongs to no other
+        series."""
         s = object.__new__(cls)
-        s.var = var
-        s.terms = terms
-        s.trunc = trunc
+        s.var, s.num, s.den, s.trunc, s._terms = var, num, den, trunc, None
         return s
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """exponent -> Fraction, read-only, built on first access."""
+        if self._terms is None:
+            den = self.den
+            self._terms = MappingProxyType({e: Fraction(c, den) for e, c in self.num.items()})
+        return self._terms
 
     # -- constructors --------------------------------------------------------
 
@@ -301,11 +265,11 @@ class TSeries:
         """The smallest nonzero exponent; None when no term below trunc is
         known to be nonzero (the order is then undetermined, or infinite for
         an exact zero)."""
-        return min(self.terms) if self.terms else None
+        return min(self.num) if self.num else None
 
     def _eff_order(self):
         """Lower bound valid for every term, known or unknown."""
-        return min(self.terms) if self.terms else self.trunc
+        return min(self.num) if self.num else self.trunc
 
     def coeff(self, exponent: int) -> Fraction:
         if exponent >= self.trunc:
@@ -313,40 +277,42 @@ class TSeries:
                 f"coefficient at {exponent} is beyond the truncation {self.trunc}",
                 needed=exponent + 1,
             )
-        return self.terms.get(exponent, _ZERO)
+        return Fraction(self.num.get(exponent, 0), self.den)
 
     def is_zero_below_trunc(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def max_exponent(self) -> int:
-        return max(self.terms) if self.terms else -1
+        return max(self.num) if self.num else -1
 
     def agrees_with(self, other: "TSeries", below=None) -> bool:
         """Exact term-for-term agreement below `below` (default: both truncs)."""
         bound = min(self.trunc, other.trunc)
         if below is not None:
             bound = min(bound, below)
-        for e in set(self.terms) | set(other.terms):
-            if e < bound and self.terms.get(e, _ZERO) != other.terms.get(e, _ZERO):
-                return False
-        return True
+        a, b = self.num, other.num
+        return all(
+            a.get(e, 0) * other.den == b.get(e, 0) * self.den for e in a.keys() | b.keys() if e < bound
+        )
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TSeries)
             and self.var == other.var
             and self.trunc == other.trunc
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.var, self.trunc, tuple(sorted(self.terms.items()))))
+        return hash((self.var, self.trunc, self.den, tuple(sorted(self.num.items()))))
 
     def __repr__(self) -> str:
         return f"TSeries({self})"
 
     def __str__(self) -> str:
-        body = _render((_mono(self.var, e), self.terms[e]) for e in sorted(self.terms))
+        terms = self.terms
+        body = _render((_mono(self.var, e), terms[e]) for e in sorted(terms))
         if self.exact:
             return body
         return f"{body} + O({self.var}^{self.trunc})"
@@ -357,24 +323,23 @@ class TSeries:
         if self.var != other.var:
             raise TagMismatch(f"variable tags differ: {self.var!r} vs {other.var!r}")
 
-    def __add__(self, other: "TSeries") -> "TSeries":
+    def _combine(self, other: "TSeries", sign: int) -> "TSeries":
+        """self + sign * other over the lcm of the two denominators."""
         self._check_tag(other)
         trunc = min(self.trunc, other.trunc)
-        acc = {e: c for e, c in self.terms.items() if e < trunc}
-        for e, c in other.terms.items():
-            if e < trunc:
-                c += acc.get(e, _ZERO)
-                if c:
-                    acc[e] = c
-                else:
-                    del acc[e]
-        return TSeries._make(self.var, acc, trunc)
+        den = math.lcm(self.den, other.den)
+        acc = {e: c * (den // self.den) for e, c in self.num.items() if e < trunc}
+        _addmul(acc, other.num, sign * (den // other.den), 0, trunc)
+        return TSeries._make(self.var, *_reduced(acc, den, trunc))
 
-    def __neg__(self) -> "TSeries":
-        return TSeries._make(self.var, {e: -c for e, c in self.terms.items()}, self.trunc)
+    def __add__(self, other: "TSeries") -> "TSeries":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "TSeries") -> "TSeries":
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "TSeries":
+        return TSeries._make(self.var, {e: -c for e, c in self.num.items()}, self.den, self.trunc)
 
     def __mul__(self, other: "TSeries") -> "TSeries":
         self._check_tag(other)
@@ -384,30 +349,28 @@ class TSeries:
             self.trunc + other._eff_order(),
             other.trunc + self._eff_order(),
         )
-        a, da = _common(self.terms, trunc)
-        b, db = _common(other.terms, trunc)
-        den = da * db
-        acc = _convolve(a, b, trunc)
-        return TSeries._make(
-            self.var, {e: Fraction(c, den) for e, c in acc.items() if c}, trunc
-        )
+        acc = _convolve(self.num, other.num, trunc)
+        num = {e: c for e, c in acc.items() if c}
+        return TSeries._make(self.var, *_reduced(num, self.den * other.den, trunc))
 
     def scale(self, value) -> "TSeries":
         c = ratio(value)
         if not c:
             return TSeries.zero(self.var, self.trunc)
-        return TSeries._make(self.var, {e: c * v for e, v in self.terms.items()}, self.trunc)
+        num = {e: v * c.numerator for e, v in self.num.items()}
+        return TSeries._make(self.var, *_reduced(num, self.den * c.denominator, self.trunc))
 
     def shift(self, offset: int) -> "TSeries":
         """Multiply by var**offset (offset may be negative if all terms allow)."""
         if not isinstance(offset, int):
             raise InvalidArgument(f"shift offset must be an integer, got {offset!r}")
-        if offset < 0 and any(e + offset < 0 for e in self.terms):
+        if offset < 0 and any(e + offset < 0 for e in self.num):
             raise InvalidArgument("shift would create negative exponents")
         trunc = self.trunc + offset
         if trunc < 1:
             raise InvalidArgument(f"trunc must be a positive integer, got {trunc!r}")
-        return TSeries._make(self.var, {e + offset: c for e, c in self.terms.items()}, trunc)
+        num = {e + offset: c for e, c in self.num.items()}
+        return TSeries._make(self.var, num, self.den, trunc)
 
     def __pow__(self, k: int) -> "TSeries":
         return _power(self, k, lambda: TSeries.constant(self.var, 1))
@@ -416,7 +379,7 @@ class TSeries:
         if bound >= self.trunc:
             return self
         _check_positive(bound, "trunc")
-        return TSeries._make(self.var, {e: c for e, c in self.terms.items() if e < bound}, bound)
+        return _cut(self, bound)
 
 
 def nth_root_unit(s: TSeries, n: int) -> TSeries:
@@ -426,25 +389,25 @@ def nth_root_unit(s: TSeries, n: int) -> TSeries:
     in Q; the result has constant term 1 and r**n = s below the truncation.
     """
     _check_positive(n, "root index")
-    if s.terms.get(0, _ZERO) != 1:
+    if s.num.get(0) != s.den:
         raise ConstantTermNotOne("n-th root requires constant term exactly 1")
-    if len(s.terms) == 1:
+    if len(s.num) == 1:
         return TSeries.constant(s.var, 1, s.trunc)
     if s.trunc == EXACT:
         raise NeedsTruncation("root of a non-trivial unit is infinite; truncate first")
-    return _to_series(s.var, _root(_form(s), n))
+    return _root(s, n)
 
 
-def _root(s: tuple, n: int) -> tuple:
-    """The principal n-th root of the integer form s of a unit with constant
-    term 1 and a finite trunc, as an integer form at the same trunc.
+def _root(s: TSeries, n: int) -> TSeries:
+    """The principal n-th root of a unit s with constant term 1 and a
+    finite trunc, at the same trunc.
 
     At order k + 1, n*(k+1)*r[k+1] = sum_{i>=1} s[i]*(i - n*(k+1-i))*r[k+1-i];
     the known r are held as integers over the lcm of their denominators,
     rescaled when a new one widens it.
     """
-    snum, sden, trunc = s
-    support = sorted((i, c) for i, c in snum.items() if i)
+    sden, trunc = s.den, s.trunc
+    support = sorted((i, c) for i, c in s.num.items() if i)
     rnum = [1]  # rnum[j] / rden = r[j]
     rden = 1
     for k1 in range(1, trunc):
@@ -466,7 +429,7 @@ def _root(s: tuple, n: int) -> tuple:
             rden *= widen
             rnum = [r * widen for r in rnum]
         rnum.append(acc * (rden // den))
-    return {k: r for k, r in enumerate(rnum) if r}, rden, trunc
+    return TSeries._make(s.var, {k: r for k, r in enumerate(rnum) if r}, rden, trunc)
 
 
 def reparametrize(s: TSeries, rho: TSeries) -> TSeries:
@@ -474,7 +437,7 @@ def reparametrize(s: TSeries, rho: TSeries) -> TSeries:
     the polynomial sum c_e * y**e on the branch (u, rho(u))."""
     if rho.order() != 1:
         raise InvalidParameterChange("parameter change must have order exactly 1")
-    poly = BivarPoly({(0, e): c for e, c in s.terms.items()})
+    poly = BivarPoly._make({e: {0: c} for e, c in s.num.items()}, s.den)
     return substitute(poly, 1, rho).truncated(s.trunc)
 
 
@@ -491,21 +454,19 @@ def solve_composition(targets, w: TSeries) -> tuple:
         raise InvalidParameterChange("composition solve needs ord(w) = 1")
     if EXACT in (min(target.trunc, w.trunc) for target in targets):
         raise NeedsTruncation("composition solve needs a finite truncation")
-    outs = _solve([_form(target) for target in targets], _form(w))
-    return tuple(_to_series(target.var, out) for target, out in zip(targets, outs))
+    return tuple(_solve(targets, w))
 
 
-def _solve(targets: list, w: tuple) -> list:
-    """`solve_composition` on integer forms: the forms of the Y_i, each at
-    min(target trunc, w trunc), with w**k read from `_powers` below the
-    largest.  The residual of each target is kept as integers over one
-    denominator, and each coefficient of Y_i as a reduced pair, put over
-    their lcm at the end."""
-    bounds = [min(trunc, w[2]) for _, _, trunc in targets]
+def _solve(targets, w: TSeries) -> list:
+    """`solve_composition` unchecked: the Y_i, each at min(target trunc,
+    w trunc), with w**k read from `_powers` below the largest.  The residual
+    of each target is kept as integers over one denominator, and each
+    coefficient of Y_i as a reduced pair, put over their lcm at the end."""
+    bounds = [min(target.trunc, w.trunc) for target in targets]
     bound = max(bounds, default=0)
     # residual i is rnums[i] / rdens[i]; w**k is wpow / pden
     cuts = [_cut(target, tb) for target, tb in zip(targets, bounds)]
-    rnums, rdens = [dict(num) for num, _, _ in cuts], [den for _, den, _ in cuts]
+    rnums, rdens = [dict(cut.num) for cut in cuts], [cut.den for cut in cuts]
     outs = [{} for _ in targets]
     for k, (wpow, pden, _) in zip(range(bound), _powers(w, bound)):
         if not any(rnums):
@@ -531,13 +492,14 @@ def _solve(targets: list, w: tuple) -> list:
                 rnum = {e: c * widen for e, c in rnum.items()}
             _addmul(rnum, wpow, -a, 0, tb)
             rnums[i], rdens[i] = rnum, den
-    forms = []
-    for out, tb in zip(outs, bounds):
+    solved = []
+    for target, out, tb in zip(targets, outs, bounds):
         # pairwise: math.lcm(*qs) builds a tuple per call, and freed tuples
         # pile up on the interpreter's free lists
         den = reduce(math.lcm, (q for _, q in out.values()), 1)
-        forms.append(({k: p * (den // q) for k, (p, q) in out.items()}, den, tb))
-    return forms
+        num = {k: p * (den // q) for k, (p, q) in out.items()}
+        solved.append(TSeries._make(target.var, num, den, tb))
+    return solved
 
 
 def inverse_parameter(w: TSeries) -> TSeries:
@@ -585,11 +547,11 @@ def _int_root(a: int, k: int):
 class BivarPoly:
     """Polynomial in x and y with exact rational coefficients.
 
-    Terms are a map (i, j) -> coefficient for monomials x**i * y**j; zero
-    coefficients are never stored and the y-degree is finite by construction.
+    The coefficient of x**i * y**j is rows[j][i] / den; zero coefficients
+    are never stored and the y-degree is finite by construction.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("rows", "den", "_terms")
 
     def __init__(self, terms: dict | None = None):
         clean = {}
@@ -605,15 +567,38 @@ class BivarPoly:
                 c = ratio(c)
                 if c:
                     clean[(int(key[0]), int(key[1]))] = c
-        self.terms = clean
+        num, self.den = _common(clean)
+        self.rows = {}
+        for (i, j), c in num.items():
+            self.rows.setdefault(j, {})[i] = c
+        self._terms = MappingProxyType(clean)
 
     @classmethod
-    def _make(cls, terms: dict) -> "BivarPoly":
-        """A kernel output, unchecked: `terms` maps pairs of natural ints to
-        nonzero Fractions and belongs to no other polynomial."""
+    def _make(cls, rows: dict, den: int) -> "BivarPoly":
+        """A kernel output, unchecked but for its form: integer rows
+        j -> {i: c} over den != 0, which belong to no other polynomial, put
+        in lowest terms with den > 0, zero entries and empty rows dropped."""
+        rows = {j: {i: c for i, c in row.items() if c} for j, row in rows.items()}
+        rows = {j: row for j, row in rows.items() if row}
+        g = math.gcd(den, *(c for row in rows.values() for c in row.values()))
+        if den < 0:
+            g = -g
+        if g != 1:
+            rows = {j: {i: c // g for i, c in row.items()} for j, row in rows.items()}
+            den //= g
         p = object.__new__(cls)
-        p.terms = terms
+        p.rows, p.den, p._terms = rows, den, None
         return p
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """(i, j) -> Fraction, read-only, built on first access."""
+        if self._terms is None:
+            den = self.den
+            self._terms = MappingProxyType(
+                {(i, j): Fraction(c, den) for j, row in self.rows.items() for i, c in row.items()}
+            )
+        return self._terms
 
     @classmethod
     def zero(cls) -> "BivarPoly":
@@ -621,7 +606,7 @@ class BivarPoly:
 
     @classmethod
     def one(cls) -> "BivarPoly":
-        return cls({(0, 0): _ONE})
+        return cls({(0, 0): 1})
 
     @classmethod
     def monomial(cls, i: int, j: int, c=1) -> "BivarPoly":
@@ -635,119 +620,122 @@ class BivarPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
 
     def coeff(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), _ZERO)
+        return Fraction(self.rows.get(j, {}).get(i, 0), self.den)
 
     def deg_y(self) -> int:
-        return max((j for _, j in self.terms), default=-1)
+        return max(self.rows, default=-1)
 
     def is_monic_in_y(self) -> bool:
         d = self.deg_y()
-        if d < 0:
-            return False
-        top = {i: c for (i, j), c in self.terms.items() if j == d}
-        return top == {0: _ONE}
+        return d >= 0 and self.rows[d] == {0: self.den}
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BivarPoly) and self.terms == other.terms
+        return isinstance(other, BivarPoly) and self.den == other.den and self.rows == other.rows
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+        return hash((self.den, tuple(sorted((j, tuple(sorted(row.items())))
+                                            for j, row in self.rows.items()))))
 
     def __repr__(self) -> str:
         return f"BivarPoly({self})"
 
     def __str__(self) -> str:
+        terms = self.terms
         return _render(
-            ("*".join(filter(None, (_mono("x", i), _mono("y", j)))), self.terms[(i, j)])
-            for i, j in sorted(self.terms, key=lambda ij: (-ij[1], ij[0]))
+            ("*".join(filter(None, (_mono("x", i), _mono("y", j)))), terms[(i, j)])
+            for i, j in sorted(terms, key=lambda ij: (-ij[1], ij[0]))
         )
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _combine(self, other: "BivarPoly", op) -> "BivarPoly":
-        """op(self, other) term by term, for op = operator.add or sub."""
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            c = op(acc.get(k, _ZERO), c)
-            if c:
-                acc[k] = c
-            else:
-                del acc[k]
-        return BivarPoly._make(acc)
+    def _combine(self, other: "BivarPoly", sign: int) -> "BivarPoly":
+        """self + sign * other over the lcm of the two denominators."""
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        acc = {j: {i: c * a for i, c in row.items()} for j, row in self.rows.items()}
+        for j, row in other.rows.items():
+            _addmul(acc.setdefault(j, {}), row, b)
+        return BivarPoly._make(acc, den)
 
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
-        return self._combine(other, operator.add)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        return self._combine(other, operator.sub)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "BivarPoly":
-        return BivarPoly._make({k: -c for k, c in self.terms.items()})
+        return BivarPoly._make(
+            {j: {i: -c for i, c in row.items()} for j, row in self.rows.items()}, self.den
+        )
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
-        a, da = _common(self.terms)
-        b, db = _common(other.terms)
         acc: dict = {}
-        get = acc.get
-        for (i1, j1), c1 in a.items():
-            for (i2, j2), c2 in b.items():
-                k = (i1 + i2, j1 + j2)
-                acc[k] = get(k, 0) + c1 * c2
-        den = da * db
-        return BivarPoly._make({k: Fraction(c, den) for k, c in acc.items() if c})
+        for j1, row1 in self.rows.items():
+            for j2, row2 in other.rows.items():
+                _convolve(row1, row2, EXACT, acc.setdefault(j1 + j2, {}))
+        return BivarPoly._make(acc, self.den * other.den)
 
     def scale(self, value) -> "BivarPoly":
         c = ratio(value)
-        if not c:
-            return BivarPoly()
-        return BivarPoly._make({k: c * v for k, v in self.terms.items()})
+        rows = {j: {i: v * c.numerator for i, v in row.items()} for j, row in self.rows.items()}
+        return BivarPoly._make(rows, self.den * c.denominator)
 
     def __pow__(self, k: int) -> "BivarPoly":
         return _power(self, k, BivarPoly.one)
 
     def swap_xy(self) -> "BivarPoly":
-        return BivarPoly._make({(j, i): c for (i, j), c in self.terms.items()})
+        rows: dict = {}
+        for j, row in self.rows.items():
+            for i, c in row.items():
+                rows.setdefault(i, {})[j] = c
+        return BivarPoly._make(rows, self.den)
 
     def divmod_monic_y(self, divisor: "BivarPoly"):
         """Euclidean division in y by a divisor monic in y; exact in Q[x][y].
         From the top down, row k of what remains is row k - d of the
         quotient, and it times the divisor's lower rows comes off below.
-        What remains is held as integer rows over one denominator, which
-        grows by the lower rows' denominator per row taken off; each output
-        term becomes a Fraction once."""
+        What remains is held over one denominator, which grows by the
+        divisor's per row taken off; each quotient row is put over the last
+        at the end."""
         d = divisor.deg_y()
         if d < 1 or not divisor.is_monic_in_y():
             raise NotMonic("divisor must be monic in y with positive y-degree")
-        rows, den = _rows(self.terms)
-        lower, lden = _common({ij: c for ij, c in divisor.terms.items() if ij[1] < d})
-        quotient = {}
+        # the divisor's top row is 1, so its den is that of its lower rows
+        lower = [(j, row) for j, row in divisor.rows.items() if j < d]
+        lden = divisor.den
+        rows = {j: dict(row) for j, row in self.rows.items()}
+        den = self.den
+        quotient = {}  # row k - d: (numerators, their den)
         for k in range(max(rows, default=-1), d - 1, -1):
             top = rows.pop(k, None)
             if not top:
                 continue
-            quotient.update({(i1, k - d): Fraction(c1, den) for i1, c1 in top.items()})
+            quotient[k - d] = top, den
             if lden != 1:
                 rows = {j: {i: c * lden for i, c in row.items()} for j, row in rows.items()}
                 den *= lden
             for i1, c1 in top.items():
-                for (i2, j), c2 in lower.items():
-                    row = rows.setdefault(k - d + j, {})
-                    c = row.get(i1 + i2, 0) - c1 * c2
-                    if c:
-                        row[i1 + i2] = c
-                    else:
-                        del row[i1 + i2]
-        rem = {(i, j): Fraction(c, den) for j, row in rows.items() for i, c in row.items()}
-        return BivarPoly._make(quotient), BivarPoly._make(rem)
+                for j2, row2 in lower:
+                    row = rows.setdefault(k - d + j2, {})
+                    for i2, c2 in row2.items():
+                        c = row.get(i1 + i2, 0) - c1 * c2
+                        if c:
+                            row[i1 + i2] = c
+                        else:
+                            del row[i1 + i2]
+        quotient = {
+            j: {i: c * (den // qden) for i, c in top.items()} for j, (top, qden) in quotient.items()
+        }
+        return BivarPoly._make(quotient, den), BivarPoly._make(rows, den)
 
     def divexact(self, divisor: "BivarPoly") -> "BivarPoly":
         """Exact division (the divisor is known to divide self)."""
         if divisor.is_zero:
             raise CrossCheckFailed("polynomial division by zero")
-        if divisor.terms == {(0, 0): _ONE}:
+        if divisor == BivarPoly.one():
             return self
         quotient: dict = {}
         rem = self
@@ -768,26 +756,26 @@ def substitute(poly: BivarPoly, n: int, y: TSeries) -> TSeries:
     """poly(t**n, y(t)): a bivariate polynomial on the branch (t**n, y(t)).
 
     x**i is the shift by n*i, so each y-row of poly is an exact series; one
-    Horner pass in y combines the rows on integers, y**g from `_powers` and
-    each row added over the lcm of its denominator and the accumulator's.
+    Horner pass in y combines the rows on integers, y**g from `_powers`, the
+    accumulator over the product of their denominators and every row over
+    poly's one den, which divides the sum at the end.
     The truncation is the ring operations': acc * y**g is known below
     min(T_acc + ord y**g, T_g + ord acc), each order read after cancellation.
     """
     if not isinstance(n, int) or n < 0:
         raise InvalidArgument(f"x-exponent n must be a non-negative integer, got {n!r}")
     rows: dict = {}
-    for (i, j), c in poly.terms.items():
-        row = rows.setdefault(j, {})
-        if n * i in row:  # only at n = 0
-            c += row[n * i]
-        row[n * i] = c
+    for j, xrow in poly.rows.items():
+        rows[j] = row = {}
+        for i, c in xrow.items():
+            row[n * i] = row.get(n * i, 0) + c  # a sum only at n = 0
     if not rows:
         return TSeries.zero(y.var)
     ydegs = sorted(rows, reverse=True)
     steps = [(prev - j, rows[j]) for prev, j in zip(ydegs, ydegs[1:])]
     steps.append((ydegs[-1], None))
-    powers = list(itertools.islice(_powers(_form(y)), max(g for g, _ in steps) + 1))
-    acc, den = _common(rows[ydegs[0]])
+    powers = list(itertools.islice(_powers(y), max(g for g, _ in steps) + 1))
+    acc, den = rows[ydegs[0]], 1
     trunc = EXACT
     for g, row in steps:
         if g:
@@ -797,10 +785,6 @@ def substitute(poly: BivarPoly, n: int, y: TSeries) -> TSeries:
             acc = _convolve(acc, pnum, trunc)
             den *= pden
         if row:
-            rnum, rden = _common(row, trunc)
-            lcm = math.lcm(den, rden)
-            if lcm != den:
-                acc = {e: c * (lcm // den) for e, c in acc.items()}
-            _addmul(acc, rnum, lcm // rden)
-            den = lcm
-    return TSeries._make(y.var, {e: Fraction(c, den) for e, c in acc.items() if c}, trunc)
+            _addmul(acc, row, den, 0, trunc)
+    num = {e: c for e, c in acc.items() if c}
+    return TSeries._make(y.var, *_reduced(num, den * poly.den, trunc))

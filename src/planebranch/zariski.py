@@ -8,15 +8,7 @@ exponents in increasing order is triangular, so the smallest surviving
 exponent with its coefficient is the Zariski invariant.  It is also the
 first value of m*y*dx - n*x*dy outside <n, m>, less n (Hefez-Hernandes):
 that route builds a witness branch of extremal contact, slot by slot.
-
-The sweep carries y as an integer form of `series` (numerators over one
-reduced denominator, with the truncation) from the first move to the last:
-`genus1_reduce` builds it once, the private kernels `_qmove`, `_pmove` and
-`_eliminate` move it and check each move on it, and the normal form's
-`Fraction`s are built once at the end; only a p-move's logged parameter
-change becomes a series on the way.  `apply_qmove`, `apply_pmove` and
-`eliminate_term` are adapters that turn a branch into a form and back.
-The route keeps omega as integers over one denominator.
+The moves, the sweep and the route compute on the integer numerators of y.
 """
 
 from __future__ import annotations
@@ -47,12 +39,11 @@ from .series import (
     TSeries,
     _addmul,
     _check_positive,
-    _form,
+    _cut,
     _powers,
     _reduced,
     _root,
     _solve,
-    _to_series,
     # unused here since the sweep calls _root, but the benchmark's tracer
     # test reads zariski.nth_root_unit
     nth_root_unit,  # noqa: F401
@@ -127,27 +118,22 @@ def _working_bound(n: int, m: int) -> int:
 
 
 def apply_qmove(phi: Parametrization, a: int, b: int, c) -> Parametrization:
-    """Coordinate change y -> y + c * x**(a-1) * y**b along x = t**n."""
+    """Coordinate change y -> y + c * x**(a-1) * y**b along x = t**n.  The
+    sum is known only below T, y's trunc, so y**b is read below T - n(a-1),
+    and the sum keeps trunc T; it is put over the lcm of the two
+    denominators, in lowest terms."""
     if not (isinstance(a, int) and isinstance(b, int) and b >= 0):
         raise InvalidArgument(f"q-move needs integers a and b >= 0, got a = {a!r}, b = {b!r}")
     if a < 1:
         raise DegenerateMove("q-move needs a >= 1")
-    y = _to_series(phi.y.var, _qmove(_form(phi.y), phi.n, a, b, ratio(c)))
-    return Parametrization(phi.n, y)
-
-
-def _qmove(y: tuple, n: int, a: int, b: int, c: Fraction) -> tuple:
-    """The q-move on the integer form of y.  The sum is known only below T,
-    y's trunc, so y**b is read below T - n(a-1), and the sum keeps trunc T;
-    it is put over the lcm of the two denominators, in lowest terms."""
-    num, den, trunc = y
-    shift = n * (a - 1)
-    *_, (pnum, pden, _) = islice(_powers(y, trunc - shift), b + 1)
+    y, c = phi.y, ratio(c)
+    shift = phi.n * (a - 1)
+    *_, (pnum, pden, _) = islice(_powers(y, y.trunc - shift), b + 1)
     pden *= c.denominator
-    common = lcm(den, pden)
-    out = {e: v * (common // den) for e, v in num.items()}
+    common = lcm(y.den, pden)
+    out = {e: v * (common // y.den) for e, v in y.num.items()}
     _addmul(out, pnum, c.numerator * (common // pden), shift)
-    return _reduced(out, common, trunc)
+    return Parametrization(phi.n, TSeries._make(y.var, *_reduced(out, common, y.trunc)))
 
 
 def apply_pmove(phi: Parametrization, b: int, c):
@@ -161,12 +147,12 @@ def apply_pmove(phi: Parametrization, b: int, c):
         raise DegenerateMove("p-move needs b >= 2 (x + c*y**(b-1) with b-1 >= 1)")
     if phi.exact:
         raise NeedsTruncation("p-move needs a finite working truncation; re-truncate first")
-    y, rho = _pmove(_form(phi.y), phi.n, b, ratio(c))
-    return Parametrization(phi.n, _to_series(phi.y.var, y)), _to_series(phi.y.var, rho)
+    y, rho = _pmove(phi.y, phi.n, b, ratio(c))
+    return Parametrization(phi.n, y), rho
 
 
-def _pmove(y: tuple, n: int, b: int, c: Fraction):
-    """The p-move on the integer form of y: the forms of (Y, rho).
+def _pmove(y: TSeries, n: int, b: int, c: Fraction):
+    """The p-move on y, unchecked: (Y, rho).
 
     With w(t) the parameter with w**n = x + c*y**(b-1) along the branch,
     one triangular solve over the powers of w gives both the new y-series
@@ -175,7 +161,7 @@ def _pmove(y: tuple, n: int, b: int, c: Fraction):
     1 + c*y**(b-1)/x is cut at T, y's trunc, so y**(b-1) is read below
     T + n.
     """
-    *_, (pnum, pden, ptrunc) = islice(_powers(y, y[2] + n), b)
+    *_, (pnum, pden, ptrunc) = islice(_powers(y, y.trunc + n), b)
     if c and pnum and min(pnum) <= n:
         raise DegenerateMove("perturbation must have order above n")
     # y**(b-1) is known below ptrunc <= T + n, so the unit below ptrunc - n
@@ -185,27 +171,14 @@ def _pmove(y: tuple, n: int, b: int, c: Fraction):
     # the unit over c.denominator * pden
     unit = {e - n: c.numerator * v for e, v in pnum.items() if c}
     unit[0] = c.denominator * pden
-    rnum, rden, _ = _root(_reduced(unit, unit[0], utrunc), n)
-    w = {e + 1: v for e, v in rnum.items()}, rden, utrunc + 1
-    return _solve([y, ({1: 1}, 1, utrunc + 1)], w)
+    root = _root(TSeries._make(y.var, *_reduced(unit, unit[0], utrunc)), n)
+    w = TSeries._make(y.var, {e + 1: v for e, v in root.num.items()}, root.den, utrunc + 1)
+    return _solve([y, TSeries._make(y.var, {1: 1}, 1, utrunc + 1)], w)
 
 
 def eliminate_term(phi: Parametrization, j: int):
-    """Remove the t**j term of the y-series; returns (new branch, MoveRecord)."""
-    if not isinstance(j, int):
-        raise InvalidArgument(f"target exponent j must be an integer, got {j!r}")
-    m = _first_offgrid_exponent(phi)
-    if gcd(phi.n, m) != 1:
-        raise WrongEquisingularityClass(
-            f"exponent {m} shares a factor with {phi.n}: not genus one"
-        )
-    y, record = _eliminate(_form(phi.y), phi.n, m, j, phi.y.var)
-    return Parametrization(phi.n, _to_series(phi.y.var, y)), record
-
-
-def _eliminate(y: tuple, n: int, m: int, j: int, var: str):
-    """The move that kills the t**j term of the integer form y of a branch
-    of K(n, m): (the new form, its MoveRecord).
+    """Remove the t**j term of the y-series of a branch of K(n, m); returns
+    (new branch, MoveRecord).
 
     With L the coefficient at m, a move of size c changes the coefficient at
     j by c * L**b (q-move) or by -c * (m/n) * L**b (p-move): the first-order
@@ -215,23 +188,28 @@ def _eliminate(y: tuple, n: int, m: int, j: int, var: str):
     new branch and is always logged.  The result is verified to vanish at j
     with everything below j untouched.
     """
+    if not isinstance(j, int):
+        raise InvalidArgument(f"target exponent j must be an integer, got {j!r}")
+    n, m = phi.n, _first_offgrid_exponent(phi)
+    if gcd(n, m) != 1:
+        raise WrongEquisingularityClass(f"exponent {m} shares a factor with {n}: not genus one")
     a, b = rep_nm(j + n, n, m)
     if a < 0:
         raise NotRemovable(f"{j} + {n} is not in <{n}, {m}>")
     if a == 0 and b <= 1:
         raise DegenerateMove(f"no move exists for exponent {j}")
-    num, den, _ = y
+    num, den = phi.y.num, phi.y.den
     # c = -y[j] / L**b, times -n/m for a p-move
     c = Fraction(-num.get(j, 0) * den**b, num[m] ** b * den)
     if a:
-        new, rho = _qmove(y, n, a, b, c), None
+        new, rho = apply_qmove(phi, a, b, c), None
     else:
         c *= Fraction(-n, m)
-        new, rho = _pmove(y, n, b, c)
-        rho = _to_series(var, rho)
-    nnum, nden, ntrunc = new
-    if j >= ntrunc:
-        raise PrecisionExhausted(f"move at {j} leaves the series known only below {ntrunc}")
+        y, rho = _pmove(phi.y, n, b, c)
+        new = Parametrization(n, y)
+    nnum, nden = new.y.num, new.y.den
+    if j >= new.trunc:
+        raise PrecisionExhausted(f"move at {j} leaves the series known only below {new.trunc}")
     if nnum.get(j):
         raise CrossCheckFailed(f"move failed to kill the coefficient at {j}")
     below = {e: v * nden for e, v in num.items() if e < j}
@@ -243,7 +221,7 @@ def _eliminate(y: tuple, n: int, m: int, j: int, var: str):
 def _first_offgrid_exponent(phi: Parametrization) -> int:
     """Smallest y-exponent not divisible by n (= the first characteristic one)."""
     n = phi.n
-    m = min((e for e in phi.y.terms if e % n), default=None)
+    m = min((e for e in phi.y.num if e % n), default=None)
     if m is None:
         if phi.exact:
             raise NotPrimitive("every exponent is divisible by the multiplicity")
@@ -270,8 +248,8 @@ def _route(phi: Parametrization, n: int, m: int):
     content.
     """
     mu = _conductor(n, m)
-    y = _form(phi.with_trunc(_working_bound(n, m)).y, mu)
-    ynum, yden, _ = y
+    y = _cut(phi.with_trunc(_working_bound(n, m)).y, mu)
+    ynum, yden = y.num, y.den
     omega, oden = {}, yden
     for j, c in ynum.items():
         if j != m and j + n - 1 < mu - 1:
@@ -317,25 +295,25 @@ def genus1_reduce(phi: Parametrization) -> ZariskiResult:
     n, m = cd.char_exponents
     mu = cd.conductor
     bound = _working_bound(n, m)
-    num, den, trunc = _form(phi.with_trunc(bound).y)
+    y = phi.with_trunc(bound).y
     # y / L over the numerator of L = y[m]
-    scale = Fraction(den, num[m])
-    cur = _reduced(num, num[m], trunc)
+    scale = Fraction(y.den, y.num[m])
+    cur = Parametrization(n, TSeries._make(y.var, *_reduced(y.num, y.num[m], y.trunc)))
     moves = []
     for j in range(n + 1, bound):
-        if j == m or not cur[0].get(j) or rep_nm(j + n, n, m)[0] < 0:
+        if j == m or not cur.y.num.get(j) or rep_nm(j + n, n, m)[0] < 0:
             continue
-        cur, record = _eliminate(cur, n, m, j, phi.y.var)
+        cur, record = eliminate_term(cur, j)
         moves.append(record)
-    cur = Parametrization(n, _to_series(phi.y.var, cur))
     if cur.trunc <= mu - n - 1:
         raise CrossCheckFailed(
             f"working precision dropped to {cur.trunc}, below the survivor range"
         )
-    survivors = {j: c for j, c in cur.y.terms.items() if j > m}
+    survivors = [j for j in cur.y.num if j > m]
     if any(j > mu - n - 1 for j in survivors):
         raise CrossCheckFailed("a surviving exponent exceeds the certified range")
-    lam, coeff = min(survivors.items(), default=(None, None))
+    lam = min(survivors, default=None)
+    coeff = None if lam is None else Fraction(cur.y.num[lam], cur.y.den)
     if _route(phi, n, m) != (lam, coeff):
         raise CrossCheckFailed(f"the route disagrees with the sweep's invariant {lam}")
     wy, s, c = phi.y, lam, coeff
@@ -372,15 +350,14 @@ def _reduced_branch(phi: Parametrization, cd: CharData) -> Parametrization:
             raise PrecisionExhausted(
                 f"branch known below {phi.trunc}, need {need}", needed=need
             )
-    divisible = {}
-    for e, c in phi.y.terms.items():
-        if e < beta2:
-            if e % e1:
-                raise CrossCheckFailed(
-                    f"exponent {e} below beta_2 = {beta2} is not divisible by {e1}"
-                )
-            divisible[e // e1] = c
-    return Parametrization(n1, TSeries(phi.y.var, divisible, EXACT))
+    y = _cut(phi.y, beta2)
+    for e in y.num:
+        if e % e1:
+            raise CrossCheckFailed(
+                f"exponent {e} below beta_2 = {beta2} is not divisible by {e1}"
+            )
+    divisible = {e // e1: c for e, c in y.num.items()}
+    return Parametrization(n1, TSeries._make(y.var, divisible, y.den, EXACT))
 
 
 def zariski_invariant(phi: Parametrization) -> ZariskiResult:

@@ -16,8 +16,9 @@ division the quotient and remainder of `divmod_reference`, and the integer
 slope of `_np_edge` the least ratio of the Newton polygon.  The one power
 routine, `_powers`, must yield the dict powers of `conftest`, each known
 exactly as far as its truncation says and in lowest terms.  Kernel outputs
-skip the public constructor's checks; each must be what that constructor
-would build, in a dict of its own.
+skip the public constructor's checks; each must hold its integer form in
+lowest terms, be what that constructor builds from its `.terms`, hash alike,
+own its numerators and keep its view read-only.
 """
 
 from fractions import Fraction as F
@@ -39,7 +40,6 @@ from planebranch.series import (  # noqa: E402
     EXACT,
     BivarPoly,
     TSeries,
-    _form,
     _powers,
     nth_root_unit,
     reparametrize,
@@ -215,7 +215,7 @@ def test_powers_are_the_dict_powers_in_lowest_terms(case):
     y, below = case
     order = _eff_order(y)
     yden = lcm(*(c.denominator for c in y.terms.values()))
-    for g, (num, den, trunc) in zip(range(7), _powers(_form(y), below)):
+    for g, (num, den, trunc) in zip(range(7), _powers(y, below)):
         reach = EXACT if g == 0 else y.trunc if g == 1 else y.trunc + (g - 1) * order
         assert trunc == min(below, reach)
         assert all(isinstance(c, int) and c for c in num.values())
@@ -238,8 +238,11 @@ def _trusted_outputs(a, b, unit, n, w, k, c):
         (a.scale(c), (a,)),
         (a.shift(k), (a,)),
         (a.truncated(k + 1), (a,)),
+        (a**2, (a,)),
         (nth_root_unit(unit, n), (unit,)),
         *((y, (a, w)) for y in solve_composition([a], w)),
+        (reparametrize(a, w), (a, w)),
+        (substitute(BivarPoly({(1, 1): c, (0, 2): 1, (k, 0): -1}), n, a), (a,)),
     ]
 
 
@@ -258,18 +261,25 @@ def _trusted_outputs(a, b, unit, n, w, k, c):
 def test_kernel_outputs_are_what_the_public_constructor_builds(a, b, tail, trunc, n, wtail, k, c):
     unit = TSeries("t", {**tail, 0: F(1)}, trunc)
     w = TSeries("t", {**wtail, 1: F(-3, 7)}, trunc + 1)
-    before = {id(s): (s.trunc, dict(s.terms)) for s in (a, b, unit, w)}
+    before = {id(s): (s.trunc, s.den, dict(s.num), dict(s.terms)) for s in (a, b, unit, w)}
     for out, inputs in _trusted_outputs(a, b, unit, n, w, k, c):
-        assert out == TSeries(out.var, dict(out.terms), out.trunc)
+        # the form: den > 0, no zero numerator, content 1 with den, and
+        # every exponent an int below trunc
+        assert type(out.den) is int and out.den > 0
+        assert all(type(e) is int and type(v) is int and v for e, v in out.num.items())
+        assert gcd(out.den, *out.num.values()) == 1
+        assert all(e < out.trunc for e in out.num)
+        rebuilt = TSeries(out.var, dict(out.terms), out.trunc)
+        assert out == rebuilt and hash(out) == hash(rebuilt)
         assert all(type(e) is int and type(v) is F for e, v in out.terms.items())
-        # a kernel may hand back an input unchanged; any other output owns
-        # its dict, so mutating it leaves every input as it was
-        if any(out is s for s in inputs):
-            continue
-        out.terms.clear()
-        out.terms[10**6] = F(1)
-        for s in (a, b, unit, w):
-            assert (s.trunc, s.terms) == before[id(s)]
+        # the view is read-only; a kernel may hand back an input unchanged,
+        # and any other output owns its numerators
+        with pytest.raises(TypeError):
+            out.terms[10**6] = F(1)
+        if all(out is not s for s in inputs):
+            assert all(out.num is not s.num for s in inputs)
+    for s in (a, b, unit, w):
+        assert (s.trunc, s.den, s.num, s.terms) == before[id(s)]
 
 
 @settings(max_examples=15, deadline=None)
@@ -413,6 +423,7 @@ def _trusted_polynomials(p, q, h, c):
         (p + -p, (p,)),
         (-p, (p,)),
         (p * q, (p, q)),
+        (p**2, (p,)),
         (p.scale(c), (p,)),
         (p.swap_xy(), (p,)),
         *((out, (p, h)) for out in p.divmod_monic_y(h)),
@@ -426,15 +437,27 @@ def test_polynomial_outputs_are_what_the_public_constructor_builds(pterms, qterm
     # q is a multiple of h plus terms, so that the division cancels
     p = BivarPoly(pterms)
     q = BivarPoly(qterms) + p * h
-    before = {id(s): dict(s.terms) for s in (p, q, h)}
+    before = {id(s): (s.den, {j: dict(row) for j, row in s.rows.items()}, dict(s.terms))
+              for s in (p, q, h)}
     for out, inputs in _trusted_polynomials(p, q, h, c):
-        assert out == BivarPoly(dict(out.terms))
+        # the form: den > 0, no zero numerator or empty row, content 1 with den
+        assert type(out.den) is int and out.den > 0
+        assert all(row for row in out.rows.values())
+        values = [v for row in out.rows.values() for v in row.values()]
+        assert all(type(v) is int and v for v in values)
+        assert gcd(out.den, *values) == 1
+        rebuilt = BivarPoly(dict(out.terms))
+        assert out == rebuilt and hash(out) == hash(rebuilt)
         assert all(type(i) is int and type(j) is int for i, j in out.terms)
         assert all(type(v) is F and v for v in out.terms.values())
-        out.terms.clear()
-        out.terms[(10**6, 0)] = F(1)
-        for s in (p, q, h):
-            assert s.terms == before[id(s)]
+        # the view is read-only, and each output owns its rows
+        with pytest.raises(TypeError):
+            out.terms[(10**6, 0)] = F(1)
+        assert all(
+            row is not other for s in inputs for row in out.rows.values() for other in s.rows.values()
+        )
+    for s in (p, q, h):
+        assert (s.den, s.rows, s.terms) == before[id(s)]
 
 
 @st.composite
