@@ -129,7 +129,8 @@ def _cut(s: TSeries, bound) -> TSeries:
     """s below `bound`, in lowest terms; s itself when bound >= s.trunc."""
     if bound >= s.trunc:
         return s
-    return TSeries._make(s.var, *_reduced({e: c for e, c in s.num.items() if e < bound}, s.den, bound))
+    num = {e: c for e, c in s.num.items() if e < bound}
+    return TSeries._make(s.var, *_reduced(num, s.den, bound))
 
 
 def _powers(y: TSeries, below=EXACT):
@@ -229,6 +230,10 @@ class TSeries:
         s.var, s.num, s.den, s.trunc, s._terms = var, num, den, trunc, None
         return s
 
+    def __reduce__(self):
+        # the view is a mappingproxy, which does not pickle; the form does
+        return TSeries._make, (self.var, self.num, self.den, self.trunc)
+
     @property
     def terms(self) -> MappingProxyType:
         """exponent -> Fraction, read-only, built on first access."""
@@ -291,9 +296,8 @@ class TSeries:
         if below is not None:
             bound = min(bound, below)
         a, b = self.num, other.num
-        return all(
-            a.get(e, 0) * other.den == b.get(e, 0) * self.den for e in a.keys() | b.keys() if e < bound
-        )
+        return all(a.get(e, 0) * other.den == b.get(e, 0) * self.den
+                   for e in a.keys() | b.keys() if e < bound)
 
     def __eq__(self, other) -> bool:
         return (
@@ -576,19 +580,20 @@ class BivarPoly:
     @classmethod
     def _make(cls, rows: dict, den: int) -> "BivarPoly":
         """A kernel output, unchecked but for its form: integer rows
-        j -> {i: c} over den != 0, which belong to no other polynomial, put
-        in lowest terms with den > 0, zero entries and empty rows dropped."""
+        j -> {i: c} over den > 0, which belong to no other polynomial, put
+        in lowest terms, zero entries and empty rows dropped."""
         rows = {j: {i: c for i, c in row.items() if c} for j, row in rows.items()}
         rows = {j: row for j, row in rows.items() if row}
         g = math.gcd(den, *(c for row in rows.values() for c in row.values()))
-        if den < 0:
-            g = -g
         if g != 1:
             rows = {j: {i: c // g for i, c in row.items()} for j, row in rows.items()}
             den //= g
         p = object.__new__(cls)
         p.rows, p.den, p._terms = rows, den, None
         return p
+
+    def __reduce__(self):
+        return BivarPoly._make, (self.rows, self.den)
 
     @property
     def terms(self) -> MappingProxyType:
@@ -726,9 +731,8 @@ class BivarPoly:
                             row[i1 + i2] = c
                         else:
                             del row[i1 + i2]
-        quotient = {
-            j: {i: c * (den // qden) for i, c in top.items()} for j, (top, qden) in quotient.items()
-        }
+        quotient = {j: {i: c * (den // qden) for i, c in top.items()}
+                    for j, (top, qden) in quotient.items()}
         return BivarPoly._make(quotient, den), BivarPoly._make(rows, den)
 
     def divexact(self, divisor: "BivarPoly") -> "BivarPoly":

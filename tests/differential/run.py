@@ -105,7 +105,9 @@ def poly_of(rng: random.Random, di=4, dj=4, size=6) -> BivarPoly:
 
 def monic(rng: random.Random, d=None) -> BivarPoly:
     d = d or rng.randint(1, 3)
-    lower = {(rng.randint(0, 4), rng.randint(0, d - 1)): rat(rng) for _ in range(rng.randint(0, 4))}
+    lower = {
+        (rng.randint(0, 4), rng.randint(0, d - 1)): rat(rng) for _ in range(rng.randint(0, 4))
+    }
     return BivarPoly({**lower, (0, d): 1})
 
 
@@ -122,9 +124,11 @@ def k_char_sequence(rng):
     elif mode == "short":
         phi = branch(rng, beta, trunc=rng.randint(beta[1], beta[-1]))
     elif mode == "transversal":
-        phi = Parametrization(beta[0], TSeries("t", {rng.randint(1, beta[0]): 1, beta[1]: 1}, EXACT))
+        low = rng.randint(1, beta[0])
+        phi = Parametrization(beta[0], TSeries("t", {low: 1, beta[1]: 1}, EXACT))
     elif mode == "primitive":
-        phi = Parametrization(4, TSeries("t", {6: rat(rng), 10: rat(rng)}, rng.choice([EXACT, 12])))
+        terms = {6: rat(rng), 10: rat(rng)}
+        phi = Parametrization(4, TSeries("t", terms, rng.choice([EXACT, 12])))
     elif mode == "zero":
         phi = Parametrization(3, TSeries("t", {}, rng.choice([EXACT, 9])))
     else:
@@ -162,8 +166,8 @@ def k_puiseux(rng):
         phi = branch(rng, beta, length=beta[-1] + rng.randint(1, 4))
         f = geometry.implicitize(phi)
         if rng.random() < 0.4:
-            f = f + BivarPoly.monomial(rng.randint(beta[-1], 2 * beta[-1]), rng.randint(0, beta[0] - 1),
-                                       rat(rng))
+            i, j = rng.randint(beta[-1], 2 * beta[-1]), rng.randint(0, beta[0] - 1)
+            f = f + BivarPoly.monomial(i, j, rat(rng))
         label = f"from {phi}"
     elif mode < 0.9:
         f = BivarPoly(rng.choice(MALFORMED_POLYS))
@@ -342,7 +346,8 @@ def k_decomposition(rng):
         if shift is not None and res.exponent is None:
             return res
         lam = None if shift is None else res.exponent + shift
-        return zariski_decomposition(geometry.implicitize(phi), res.witness, char_sequence(phi), lam)
+        f = geometry.implicitize(phi)
+        return zariski_decomposition(f, res.witness, char_sequence(phi), lam)
 
     return f"zariski_decomposition {phi} shift={shift}", run
 

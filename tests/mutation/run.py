@@ -45,11 +45,11 @@ MUTANTS = {
         "powers stay over yden**g, not in lowest terms",
     ),
     "qmove-below-minus-one": (
-        ZARISKI, "_powers(y, trunc - shift)", "_powers(y, trunc - shift - 1)",
+        ZARISKI, "_powers(y, y.trunc - shift)", "_powers(y, y.trunc - shift - 1)",
         "the q-move reads y**b below T - n(a-1) - 1 and loses an order",
     ),
     "pmove-below-minus-one": (
-        ZARISKI, "_powers(y, y[2] + n)", "_powers(y, y[2] + n - 1)",
+        ZARISKI, "_powers(y, y.trunc + n)", "_powers(y, y.trunc + n - 1)",
         "the p-move reads y**(b-1) below T + n - 1 and loses an order",
     ),
     "route-below-minus-one": (
@@ -62,7 +62,7 @@ MUTANTS = {
     ),
     # -- the integer move kernels and the checks of each move
     "qmove-no-rescale": (
-        ZARISKI, "out = {e: v * (common // den) for e, v in num.items()}", "out = dict(num)",
+        ZARISKI, "out = {e: v * (common // y.den) for e, v in y.num.items()}", "out = dict(y.num)",
         "y is added over its own denominator, not over the lcm",
     ),
     "qmove-term-not-rescaled": (
@@ -82,7 +82,7 @@ MUTANTS = {
         "the p-move's response is -c*(m/n)*L**b; the wrong sign doubles the term",
     ),
     "move-target-at-trunc-accepted": (
-        ZARISKI, "if j >= ntrunc:", "if j > ntrunc:",
+        ZARISKI, "if j >= new.trunc:", "if j > new.trunc:",
         "a move that leaves its target's coefficient unknown is accepted",
     ),
     "below-j-check-one-sided": (
@@ -106,6 +106,11 @@ MUTANTS = {
     "route-lead-without-factor": (
         ZARISKI, "lead = form[e - shift] * (1 if a else e - shift)", "lead = form[e - shift]",
         "the lead of d(y**b) is k times that of y**b; omega's lead is never cancelled",
+    ),
+    "qmove-no-content-division": (
+        ZARISKI, "TSeries._make(y.var, *_reduced(out, common, y.trunc))",
+        "TSeries._make(y.var, out, common, y.trunc)",
+        "the q-move's form leaves lowest terms, and forms compare by ==",
     ),
     # -- the Newton-Puiseux stage on integer rows: the faults first planted
     # in the tuple-map stage, and the choices the row layout makes
@@ -149,30 +154,78 @@ MUTANTS = {
         "the default truncation falls one short of the conductor plus 2n",
     ),
     "np-separation-bound-doubled": (
-        GEOMETRY, "max(i for i, _ in f.terms), 2)", "max(i for i, _ in f.terms), 1)",
+        GEOMETRY, "max(max(row) for row in f.rows.values()), 2)",
+        "max(max(row) for row in f.rows.values()), 1)",
         "a repeated factor is refused only past twice the discriminant bound",
     ),
-    # -- series ring operations (recorded for PRs 13 and 14)
+    # -- the integer form of series and polynomials, and its ring operations
     "tseries-add-keeps-zeros": (
         SERIES,
-        "                c += acc.get(e, _ZERO)\n"
-        "                if c:\n"
-        "                    acc[e] = c\n"
-        "                else:\n"
-        "                    del acc[e]\n",
-        "                acc[e] = c + acc.get(e, _ZERO)\n",
-        "a cancelled term stays as a zero coefficient",
+        "            c = acc.get(e, 0) + q * c\n"
+        "            if c:\n"
+        "                acc[e] = c\n"
+        "            else:\n"
+        "                acc.pop(e, None)\n",
+        "            acc[e] = acc.get(e, 0) + q * c\n",
+        "a cancelled term of a sum stays as a zero numerator",
     ),
     "tseries-add-writes-into-self": (
-        SERIES, "acc = {e: c for e, c in self.terms.items() if e < trunc}", "acc = self.terms",
-        "the sum is written into its left operand",
+        SERIES, "acc = {e: c * (den // self.den) for e, c in self.num.items() if e < trunc}",
+        "acc = self.num\n"
+        "        acc.update({e: c * (den // self.den) for e, c in acc.items()})",
+        "the sum is written into its left operand's numerators",
     ),
     "tseries-truncated-shares-dict": (
+        SERIES, "num = {e: c for e, c in s.num.items() if e < bound}",
+        "num = s.num if max(s.num, default=-1) < bound"
+        " else {e: c for e, c in s.num.items() if e < bound}",
+        "a truncation that cuts nothing shares its input's numerators",
+    ),
+    "view-cache-shared": (
         SERIES,
-        "return TSeries._make(self.var, {e: c for e, c in self.terms.items() if e < bound}, bound)",
-        "return TSeries._make(self.var, self.terms if max(self.terms, default=-1) < bound"
-        " else {e: c for e, c in self.terms.items() if e < bound}, bound)",
-        "a truncation that cuts nothing shares its input's dict",
+        "    return TSeries._make(s.var, *_reduced(num, s.den, bound))\n",
+        "    out = TSeries._make(s.var, *_reduced(num, s.den, bound))\n"
+        "    out._terms = s._terms\n"
+        "    return out\n",
+        "a truncation shows its input's view, terms past its trunc included",
+    ),
+    "reduced-without-sign-fix": (
+        SERIES, "g = math.gcd(den, *num.values()) * (-1 if den < 0 else 1)",
+        "g = math.gcd(den, *num.values())",
+        "a form over a negative lead keeps den < 0, and equal series compare unequal",
+    ),
+    "eq-without-den": (
+        SERIES, "            and self.den == other.den\n", "",
+        "t/2 and t/3 have the same numerators and compare equal",
+    ),
+    "bivar-add-keeps-zeros": (
+        SERIES, "rows = {j: {i: c for i, c in row.items() if c} for j, row in rows.items()}",
+        "rows = {j: dict(row) for j, row in rows.items()}",
+        "a cancelled monomial stays as a zero numerator",
+    ),
+    "bivar-sub-writes-into-left": (
+        SERIES, "acc = {j: {i: c * a for i, c in row.items()} for j, row in self.rows.items()}",
+        "acc = self.rows\n"
+        "        for row in acc.values():\n"
+        "            row.update({i: c * a for i, c in row.items()})",
+        "the difference is written into its left operand's rows",
+    ),
+    "monic-reads-numerator": (
+        SERIES, "self.rows[d] == {0: self.den}", "self.rows[d] == {0: 1}",
+        "a top row 1 over den > 1 reads as not monic, and a top numerator 1 as monic",
+    ),
+    "root-unit-reads-numerator": (
+        SERIES, "if s.num.get(0) != s.den:", "if s.num.get(0) != 1:",
+        "a unit over den > 1 is refused, and constant 1/den accepted",
+    ),
+    "substitute-without-poly-den": (
+        SERIES, "_reduced(num, den * poly.den, trunc)", "_reduced(num, den, trunc)",
+        "the value of poly on the branch loses poly's common denominator",
+    ),
+    "scan-not-cross-multiplied": (
+        GEOMETRY, "ae, be = a.get(e, 0) * db, b.get(e, 0) * da",
+        "ae, be = a.get(e, 0), b.get(e, 0)",
+        "the scan compares numerators over different denominators",
     ),
     "substitute-order-counts-zeros": (
         SERIES, "order = min((e for e, c in acc.items() if c), default=trunc)",
@@ -183,30 +236,6 @@ MUTANTS = {
         SERIES, "trunc = min(trunc + g * y._eff_order(), ptrunc + order)",
         "trunc = min(trunc + g * y._eff_order(), ptrunc + order + 1)",
         "the Horner pass claims one order more than it knows",
-    ),
-    "bivar-add-keeps-zeros": (
-        SERIES,
-        "            c = op(acc.get(k, _ZERO), c)\n"
-        "            if c:\n"
-        "                acc[k] = c\n"
-        "            else:\n"
-        "                del acc[k]\n",
-        "            acc[k] = op(acc.get(k, _ZERO), c)\n",
-        "a cancelled monomial stays as a zero coefficient",
-    ),
-    "bivar-sub-writes-into-left": (
-        SERIES, "acc = dict(self.terms)", "acc = self.terms",
-        "the difference is written into its left operand",
-    ),
-    "divmod-keeps-zero-rows": (
-        SERIES,
-        "                    c = row.get(i1 + i2, 0) - c1 * c2\n"
-        "                    if c:\n"
-        "                        row[i1 + i2] = c\n"
-        "                    else:\n"
-        "                        del row[i1 + i2]\n",
-        "                    row[i1 + i2] = row.get(i1 + i2, 0) - c1 * c2\n",
-        "the remainder keeps zero coefficients",
     ),
     "divmod-rows-not-rescaled": (
         SERIES,
@@ -259,6 +288,16 @@ MUTANTS = {
         "if not ratio(contact_order) >= Fraction(lambda_f, n):",
         "contact exactly lambda/n is accepted as evidence",
     ),
+    "defect-non-strict": (
+        ZARISKI, "if not lam > beta[1]:", "if not lam >= beta[1]:",
+        "lam = beta_1 is still refused, since beta_1 + n lies in the semigroup, but with"
+        " the semigroup's message, which the differential corpus pins",
+    ),
+    "reduced-branch-need-without-2n": (
+        ZARISKI, "_conductor(n1, m1) * e1 + 2 * cd.mult", "_conductor(n1, m1) * e1",
+        "a genus >= 2 branch is asked for less precision; the corpus pins the parent's"
+        " `needed`, and ROADMAP item 8 decides whether 2n is needed at all",
+    ),
     "infer-intersection-non-strict": (
         ZARISKI, "if not ratio(intersection_value) > threshold:",
         "if not ratio(intersection_value) >= threshold:",
@@ -271,19 +310,6 @@ DECLARED = {
     "lift-non-strict": (
         ZARISKI, "e1 * result.exponent < beta2", "e1 * result.exponent <= beta2",
         "equivalent: e1 never divides beta_2, so e1*k = beta_2 cannot occur",
-    ),
-    "defect-non-strict": (
-        ZARISKI, "if not lam > beta[1]:", "if not lam >= beta[1]:",
-        "equivalent: beta_1 + n lies in the semigroup, so its check refuses lam = beta_1",
-    ),
-    "reduced-branch-need-without-2n": (
-        ZARISKI, "_conductor(n1, m1) * e1 + 2 * cd.mult", "_conductor(n1, m1) * e1",
-        "known survivor: the bound is loose or untested (ROADMAP item 8, the least precision)",
-    ),
-    "qmove-no-content-division": (
-        ZARISKI, "return _reduced(out, common, trunc)", "return out, common, trunc",
-        "equivalent: the form's rationals are unchanged, and every later kernel and each"
-        " Fraction built from it reduces them",
     ),
     "route-lead-not-reduced": (
         ZARISKI, "g = gcd(omega[e], lead)", "g = 1",
@@ -312,13 +338,25 @@ DECLARED = {
         " order, so the stop only ends the scan sooner",
     ),
     "pmove-unit-no-content-division": (
-        ZARISKI, "_root(_reduced(unit, unit[0], utrunc), n)", "_root((unit, unit[0], utrunc), n)",
+        ZARISKI, "_root(TSeries._make(y.var, *_reduced(unit, unit[0], utrunc)), n)",
+        "_root(TSeries._make(y.var, unit, unit[0], utrunc), n)",
         "equivalent: each coefficient of the root is reduced as it is found, so a unit over"
         " a larger denominator gives the same root",
     ),
+    "divmod-keeps-zero-rows": (
+        SERIES,
+        "                        c = row.get(i1 + i2, 0) - c1 * c2\n"
+        "                        if c:\n"
+        "                            row[i1 + i2] = c\n"
+        "                        else:\n"
+        "                            del row[i1 + i2]\n",
+        "                        row[i1 + i2] = row.get(i1 + i2, 0) - c1 * c2\n",
+        "equivalent: BivarPoly._make drops the zeros the rows keep, and a zero entry of a"
+        " row taken off subtracts nothing; the deletion only saves that work",
+    ),
 }
 
-# the unmutated tree takes about 11 s, the slowest killed mutant about 35 s
+# the unmutated tree takes about 15 s, the slowest killed mutant about 50 s
 TIMEOUT = 120
 
 TIER1 = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "tests"]

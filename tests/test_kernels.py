@@ -269,6 +269,7 @@ def test_kernel_outputs_are_what_the_public_constructor_builds(a, b, tail, trunc
         assert all(type(e) is int and type(v) is int and v for e, v in out.num.items())
         assert gcd(out.den, *out.num.values()) == 1
         assert all(e < out.trunc for e in out.num)
+        assert out.terms == {e: F(v, out.den) for e, v in out.num.items()}
         rebuilt = TSeries(out.var, dict(out.terms), out.trunc)
         assert out == rebuilt and hash(out) == hash(rebuilt)
         assert all(type(e) is int and type(v) is F for e, v in out.terms.items())
@@ -446,6 +447,9 @@ def test_polynomial_outputs_are_what_the_public_constructor_builds(pterms, qterm
         values = [v for row in out.rows.values() for v in row.values()]
         assert all(type(v) is int and v for v in values)
         assert gcd(out.den, *values) == 1
+        assert out.terms == {
+            (i, j): F(v, out.den) for j, row in out.rows.items() for i, v in row.items()
+        }
         rebuilt = BivarPoly(dict(out.terms))
         assert out == rebuilt and hash(out) == hash(rebuilt)
         assert all(type(i) is int and type(j) is int for i, j in out.terms)
@@ -453,9 +457,8 @@ def test_polynomial_outputs_are_what_the_public_constructor_builds(pterms, qterm
         # the view is read-only, and each output owns its rows
         with pytest.raises(TypeError):
             out.terms[(10**6, 0)] = F(1)
-        assert all(
-            row is not other for s in inputs for row in out.rows.values() for other in s.rows.values()
-        )
+        assert all(row is not other for s in inputs
+                   for row in out.rows.values() for other in s.rows.values())
     for s in (p, q, h):
         assert (s.den, s.rows, s.terms) == before[id(s)]
 

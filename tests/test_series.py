@@ -1,5 +1,7 @@
 """Truncated series arithmetic: orders, units, roots, substitution."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -13,6 +15,7 @@ from planebranch.errors import (
     PrecisionExhausted,
     TagMismatch,
 )
+from planebranch.geometry import Parametrization
 from planebranch.series import (
     EXACT,
     BivarPoly,
@@ -59,6 +62,18 @@ class TestRingOps:
     def test_add_zero_is_identity(self):
         s = ts([(3, F(2, 5)), (8, -1)], 40)
         assert (s + TSeries.zero("t", 40)).terms == s.terms
+
+    def test_equality_reads_the_denominator(self):
+        # t/2 and t/3 share their numerators; only den tells them apart
+        half, third = ts([(1, F(1, 2))], 5), ts([(1, F(1, 3))], 5)
+        assert half.num == third.num and half != third
+        assert BivarPoly({(1, 0): F(1, 2)}) != BivarPoly({(1, 0): F(1, 3)})
+
+    def test_series_and_polynomials_pickle_and_copy(self):
+        s, p = ts([(1, F(1, 2)), (4, -3)], 9), BivarPoly({(1, 2): F(3, 4), (0, 0): 1})
+        for value in (s, p, Parametrization(2, s)):
+            assert pickle.loads(pickle.dumps(value)) == value == copy.deepcopy(value)
+        assert copy.deepcopy(s).terms == s.terms
 
     def test_mismatched_tags_rejected(self):
         with pytest.raises(TagMismatch):

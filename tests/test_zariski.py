@@ -148,6 +148,13 @@ class TestGenus1Reduce:
         assert not res.finite
         assert res.normal_form.y.terms == {7: F(1)}
 
+    def test_a_negative_lead_with_no_move_leaves_a_form_in_lowest_terms(self):
+        # y / L at L = -2/3 is divided by a negative numerator; with no
+        # removable term no move puts it over a positive denominator again
+        res = genus1_reduce(Parametrization.from_pairs(3, [(4, F(-2, 3))]))
+        assert res.normal_form == Parametrization.from_pairs(3, [(4, 1)], 12)
+        assert res.normal_form.y.den == 1 and res.leading_scale == F(-3, 2)
+
     def test_cubic_branch(self, branch_c1):
         res = genus1_reduce(branch_c1)
         assert res.exponent == 8 and res.coefficient == F(1)
