@@ -580,8 +580,8 @@ class BivarPoly:
     @classmethod
     def _make(cls, rows: dict, den: int) -> "BivarPoly":
         """A kernel output, unchecked but for its form: integer rows
-        j -> {i: c} over den > 0, which belong to no other polynomial, put
-        in lowest terms, zero entries and empty rows dropped."""
+        j -> {i: c} over den > 0, copied into lowest terms with zero entries
+        and empty rows dropped."""
         rows = {j: {i: c for i, c in row.items() if c} for j, row in rows.items()}
         rows = {j: row for j, row in rows.items() if row}
         g = math.gcd(den, *(c for row in rows.values() for c in row.values()))
