@@ -84,10 +84,8 @@ def branch(rng: random.Random, beta=None, length=None, trunc=EXACT) -> Parametri
         beta = rng.choice(GENUS1 * 3 + GENUS2)
     if length is None:
         length = beta[-1] + rng.randint(1, 2 * beta[0])
-    y = terms_of(rng, beta, length)
-    if trunc is not EXACT and trunc is not None:
-        y = {e: c for e, c in y.items() if e < trunc}
-    return Parametrization(beta[0], TSeries("t", y, EXACT if trunc is None else trunc))
+    y = {e: c for e, c in terms_of(rng, beta, length).items() if e < trunc}
+    return Parametrization(beta[0], TSeries("t", y, trunc))
 
 
 def series_of(rng: random.Random, var="t", low=0, high=9, trunc=None) -> TSeries:
@@ -394,7 +392,10 @@ def k_tseries_ops(rng):
     return f"TSeries {a!r} {op} {b!r} k={k!r}", calls[op]
 
 
-BAD_SERIES = [
+# the public constructors on malformed maps, and on well-formed ones in
+# every accepted spelling: float and Fraction exponents, str coefficients,
+# repeated keys and zeros
+CONSTRUCTIONS = [
     lambda: TSeries("t", {1.5: 1}, 5),
     lambda: TSeries("t", {-1: 1}, 5),
     lambda: TSeries("t", {1: "x"}, 5),
@@ -415,8 +416,8 @@ BAD_SERIES = [
 
 
 def k_constructors(rng):
-    i = rng.randrange(len(BAD_SERIES))
-    return f"constructor {i}", BAD_SERIES[i]
+    i = rng.randrange(len(CONSTRUCTIONS))
+    return f"constructor {i}", CONSTRUCTIONS[i]
 
 
 def k_roots(rng):
