@@ -2,7 +2,6 @@
 
 Usage:
     python tests/differential/run.py               check every chunk
-    python tests/differential/run.py --chunks 3-5  check chunks 3, 4 and 5
     python tests/differential/run.py --show 7      print chunk 7's outcomes
     python tests/differential/run.py --write       rewrite digests.json
 
@@ -510,14 +509,6 @@ def digest(k: int) -> str:
     return hashlib.sha256("\n".join(chunk_lines(k)).encode()).hexdigest()
 
 
-def parse_chunks(text: str) -> list:
-    chunks = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        chunks.extend(range(int(lo), int(hi or lo) + 1))
-    return chunks
-
-
 def check(chunks) -> list:
     """The chunks among `chunks` whose outcomes differ from digests.json."""
     stored = json.loads(DIGESTS.read_text(encoding="utf-8"))["digests"]
@@ -526,7 +517,6 @@ def check(chunks) -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--chunks", help="chunks to check, as 0-3,7 (default: all)")
     parser.add_argument("--show", type=int, metavar="CHUNK", help="print one chunk's outcomes")
     parser.add_argument("--write", action="store_true", help="rewrite digests.json")
     args = parser.parse_args(argv)
@@ -539,12 +529,11 @@ def main(argv=None) -> int:
         DIGESTS.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {CHUNKS} digests in {time.monotonic() - start:.1f} s")
         return 0
-    chunks = parse_chunks(args.chunks) if args.chunks else range(CHUNKS)
-    bad = check(chunks)
+    bad = check(range(CHUNKS))
     for k in bad:
         print(f"chunk {k} differs: python tests/differential/run.py --show {k}")
-    print(f"{len(chunks) - len(bad)} of {len(chunks)} chunks match, "
-          f"{len(chunks) * CHUNK} inputs, in {time.monotonic() - start:.1f} s")
+    print(f"{CHUNKS - len(bad)} of {CHUNKS} chunks match, "
+          f"{CHUNKS * CHUNK} inputs, in {time.monotonic() - start:.1f} s")
     return 1 if bad else 0
 
 
