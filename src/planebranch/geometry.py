@@ -50,7 +50,6 @@ from .series import (
     _addmul,
     _check_positive,
     _convolve,
-    _cut,
     _powers,
     exact_root,
     nth_root_unit,
@@ -102,9 +101,9 @@ class Parametrization:
         if self.exact:
             if bound == EXACT:
                 return self
+            # a bound that is not an int is refused before truncated() compares it
             _check_positive(bound, "trunc")
-            return Parametrization(self.n, _cut(self.y, bound))
-        if bound > self.trunc:
+        elif bound > self.trunc:
             raise PrecisionExhausted(
                 f"branch known only below {self.trunc}, need {bound}", needed=bound
             )
@@ -200,7 +199,8 @@ def implicitize(phi: Parametrization) -> BivarPoly:
         )
     if not phi.y.num:
         raise NonPolynomialInput("cannot implicitize the zero branch")
-    n, den = phi.n, phi.y.den
+    n = phi.n
+    den = phi.y.den
     # sums[r] = (-1)**(r-1) * den**r * P_r as a map x-degree -> int
     sums = [None]
     for r, (power, _, _) in enumerate(islice(_powers(phi.y), 1, n + 1), 1):
@@ -228,11 +228,10 @@ def _weierstrass_degree(f: BivarPoly) -> int:
     n = f.deg_y()
     if n < 1:
         raise NotWeierstrass("polynomial has y-degree 0")
-    for (i, j) in f.terms:
-        if j == n and i > 0:
-            raise NotWeierstrass("not monic in y")
-        if i == 0 and j != n:
-            raise NotWeierstrass("f(0, y) is not a pure power of y")
+    if any(0 in row for j, row in f.rows.items() if j != n):
+        raise NotWeierstrass("f(0, y) is not a pure power of y")
+    if f.rows[n].keys() != {0}:
+        raise NotWeierstrass("not monic in y")
     if f.coeff(0, n) != 1:
         raise NotWeierstrass("leading y-coefficient is not 1")
     return n

@@ -22,8 +22,9 @@ and the route.  `num`, `rows` and `den` are read, never written.
 -> Fraction, built on first access and cached, for the printers, branch
 files and callers.  The public constructors `TSeries(...)` and
 `BivarPoly(...)` check and clean the maps they are given and keep them as
-the view.  Kernel outputs skip those checks: `TSeries._make` takes a form in
-lowest terms, and `BivarPoly._make` puts its rows in lowest terms.
+the view.  Kernel outputs skip those checks: `TSeries._make` and
+`BivarPoly._make` take integer numerators over one denominator and put them
+in lowest terms.
 """
 
 from __future__ import annotations
@@ -115,14 +116,14 @@ def _addmul(acc: dict, terms: dict, q: int, shift: int = 0, bound=EXACT) -> None
                 acc.pop(e, None)
 
 
-def _reduced(num: dict, den: int, trunc) -> tuple:
-    """The integer form num / den below trunc in lowest terms: the content
-    shared by the numerators and den divided out, and den made positive."""
+def _reduced(num: dict, den: int) -> tuple:
+    """num / den in lowest terms: the content shared by the numerators and
+    den divided out, and den made positive."""
     g = math.gcd(den, *num.values()) * (-1 if den < 0 else 1)
     if g != 1:
         num = {e: c // g for e, c in num.items()}
         den //= g
-    return num, den, trunc
+    return num, den
 
 
 def _cut(s: TSeries, bound) -> TSeries:
@@ -130,7 +131,7 @@ def _cut(s: TSeries, bound) -> TSeries:
     if bound >= s.trunc:
         return s
     num = {e: c for e, c in s.num.items() if e < bound}
-    return TSeries._make(s.var, *_reduced(num, s.den, bound))
+    return TSeries._make(s.var, num, s.den, bound)
 
 
 def _powers(y: TSeries, below=EXACT):
@@ -152,7 +153,7 @@ def _powers(y: TSeries, below=EXACT):
         yield num, den, min(below, reach)
         reach += order
         num = {e: c for e, c in _convolve(num, ynum, min(below, reach)).items() if c}
-        num, den, _ = _reduced(num, den * yden, None)
+        num, den = _reduced(num, den * yden)
 
 
 def _accumulate(pairs) -> dict:
@@ -223,11 +224,14 @@ class TSeries:
 
     @classmethod
     def _make(cls, var: str, num: dict, den: int, trunc) -> "TSeries":
-        """A kernel output, unchecked: `num` maps int exponents below `trunc`
-        to nonzero ints over den > 0 in lowest terms, and belongs to no other
-        series."""
+        """A kernel output, unchecked but for its form: `num` maps int
+        exponents below `trunc` to nonzero ints over den != 0, belongs to no
+        other series, and is put in lowest terms."""
         s = object.__new__(cls)
-        s.var, s.num, s.den, s.trunc, s._terms = var, num, den, trunc, None
+        s.var = var
+        s.num, s.den = _reduced(num, den)
+        s.trunc = trunc
+        s._terms = None
         return s
 
     def __reduce__(self):
@@ -334,7 +338,7 @@ class TSeries:
         den = math.lcm(self.den, other.den)
         acc = {e: c * (den // self.den) for e, c in self.num.items() if e < trunc}
         _addmul(acc, other.num, sign * (den // other.den), 0, trunc)
-        return TSeries._make(self.var, *_reduced(acc, den, trunc))
+        return TSeries._make(self.var, acc, den, trunc)
 
     def __add__(self, other: "TSeries") -> "TSeries":
         return self._combine(other, 1)
@@ -355,14 +359,12 @@ class TSeries:
         )
         acc = _convolve(self.num, other.num, trunc)
         num = {e: c for e, c in acc.items() if c}
-        return TSeries._make(self.var, *_reduced(num, self.den * other.den, trunc))
+        return TSeries._make(self.var, num, self.den * other.den, trunc)
 
     def scale(self, value) -> "TSeries":
         c = ratio(value)
-        if not c:
-            return TSeries.zero(self.var, self.trunc)
-        num = {e: v * c.numerator for e, v in self.num.items()}
-        return TSeries._make(self.var, *_reduced(num, self.den * c.denominator, self.trunc))
+        num = {e: v * c.numerator for e, v in self.num.items() if c}
+        return TSeries._make(self.var, num, self.den * c.denominator, self.trunc)
 
     def shift(self, offset: int) -> "TSeries":
         """Multiply by var**offset (offset may be negative if all terms allow)."""
@@ -589,7 +591,9 @@ class BivarPoly:
             rows = {j: {i: c // g for i, c in row.items()} for j, row in rows.items()}
             den //= g
         p = object.__new__(cls)
-        p.rows, p.den, p._terms = rows, den, None
+        p.rows = rows
+        p.den = den
+        p._terms = None
         return p
 
     def __reduce__(self):
@@ -791,4 +795,4 @@ def substitute(poly: BivarPoly, n: int, y: TSeries) -> TSeries:
         if row:
             _addmul(acc, row, den, 0, trunc)
     num = {e: c for e, c in acc.items() if c}
-    return TSeries._make(y.var, *_reduced(num, den * poly.den, trunc))
+    return TSeries._make(y.var, num, den * poly.den, trunc)

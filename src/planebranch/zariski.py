@@ -126,14 +126,18 @@ def apply_qmove(phi: Parametrization, a: int, b: int, c) -> Parametrization:
         raise InvalidArgument(f"q-move needs integers a and b >= 0, got a = {a!r}, b = {b!r}")
     if a < 1:
         raise DegenerateMove("q-move needs a >= 1")
-    y, c = phi.y, ratio(c)
-    shift = phi.n * (a - 1)
+    return Parametrization(phi.n, _qmove(phi.y, phi.n, a, b, ratio(c)))
+
+
+def _qmove(y: TSeries, n: int, a: int, b: int, c: Fraction) -> TSeries:
+    """The q-move on y, unchecked: the new y-series."""
+    shift = n * (a - 1)
     *_, (pnum, pden, _) = islice(_powers(y, y.trunc - shift), b + 1)
     pden *= c.denominator
     common = lcm(y.den, pden)
     out = {e: v * (common // y.den) for e, v in y.num.items()}
     _addmul(out, pnum, c.numerator * (common // pden), shift)
-    return Parametrization(phi.n, TSeries._make(y.var, *_reduced(out, common, y.trunc)))
+    return TSeries._make(y.var, out, common, y.trunc)
 
 
 def apply_pmove(phi: Parametrization, b: int, c):
@@ -171,14 +175,27 @@ def _pmove(y: TSeries, n: int, b: int, c: Fraction):
     # the unit over c.denominator * pden
     unit = {e - n: c.numerator * v for e, v in pnum.items() if c}
     unit[0] = c.denominator * pden
-    root = _root(TSeries._make(y.var, *_reduced(unit, unit[0], utrunc)), n)
+    root = _root(TSeries._make(y.var, unit, unit[0], utrunc), n)
     w = TSeries._make(y.var, {e + 1: v for e, v in root.num.items()}, root.den, utrunc + 1)
     return _solve([y, TSeries._make(y.var, {1: 1}, 1, utrunc + 1)], w)
 
 
 def eliminate_term(phi: Parametrization, j: int):
-    """Remove the t**j term of the y-series of a branch of K(n, m); returns
-    (new branch, MoveRecord).
+    """Remove the t**j term of the y-series; returns (new branch, MoveRecord)."""
+    if not isinstance(j, int):
+        raise InvalidArgument(f"target exponent j must be an integer, got {j!r}")
+    m = _first_offgrid_exponent(phi)
+    if gcd(phi.n, m) != 1:
+        raise WrongEquisingularityClass(
+            f"exponent {m} shares a factor with {phi.n}: not genus one"
+        )
+    y, record = _eliminate(phi.y, phi.n, m, j)
+    return Parametrization(phi.n, y), record
+
+
+def _eliminate(y: TSeries, n: int, m: int, j: int):
+    """The move that kills the t**j term of the y-series y of a branch of
+    K(n, m), unchecked: (the new y-series, its MoveRecord).
 
     With L the coefficient at m, a move of size c changes the coefficient at
     j by c * L**b (q-move) or by -c * (m/n) * L**b (p-move): the first-order
@@ -188,26 +205,20 @@ def eliminate_term(phi: Parametrization, j: int):
     new branch and is always logged.  The result is verified to vanish at j
     with everything below j untouched.
     """
-    if not isinstance(j, int):
-        raise InvalidArgument(f"target exponent j must be an integer, got {j!r}")
-    n, m = phi.n, _first_offgrid_exponent(phi)
-    if gcd(n, m) != 1:
-        raise WrongEquisingularityClass(f"exponent {m} shares a factor with {n}: not genus one")
     a, b = rep_nm(j + n, n, m)
     if a < 0:
         raise NotRemovable(f"{j} + {n} is not in <{n}, {m}>")
     if a == 0 and b <= 1:
         raise DegenerateMove(f"no move exists for exponent {j}")
-    num, den = phi.y.num, phi.y.den
+    num, den = y.num, y.den
     # c = -y[j] / L**b, times -n/m for a p-move
     c = Fraction(-num.get(j, 0) * den**b, num[m] ** b * den)
     if a:
-        new, rho = apply_qmove(phi, a, b, c), None
+        new, rho = _qmove(y, n, a, b, c), None
     else:
         c *= Fraction(-n, m)
-        y, rho = _pmove(phi.y, n, b, c)
-        new = Parametrization(n, y)
-    nnum, nden = new.y.num, new.y.den
+        new, rho = _pmove(y, n, b, c)
+    nnum, nden = new.num, new.den
     if j >= new.trunc:
         raise PrecisionExhausted(f"move at {j} leaves the series known only below {new.trunc}")
     if nnum.get(j):
@@ -273,7 +284,7 @@ def _route(phi: Parametrization, n: int, m: int):
             omega = {k: c * lead for k, c in omega.items()}
             oden *= lead
         _addmul(omega, form if a else {k: k * c for k, c in form.items()}, -f, shift, mu - 1)
-        omega, oden, _ = _reduced(omega, oden, None)
+        omega, oden = _reduced(omega, oden)
     return None, None
 
 
@@ -298,13 +309,14 @@ def genus1_reduce(phi: Parametrization) -> ZariskiResult:
     y = phi.with_trunc(bound).y
     # y / L over the numerator of L = y[m]
     scale = Fraction(y.den, y.num[m])
-    cur = Parametrization(n, TSeries._make(y.var, *_reduced(y.num, y.num[m], y.trunc)))
+    cur = TSeries._make(y.var, y.num, y.num[m], y.trunc)
     moves = []
     for j in range(n + 1, bound):
-        if j == m or not cur.y.num.get(j) or rep_nm(j + n, n, m)[0] < 0:
+        if j == m or not cur.num.get(j) or rep_nm(j + n, n, m)[0] < 0:
             continue
-        cur, record = eliminate_term(cur, j)
+        cur, record = _eliminate(cur, n, m, j)
         moves.append(record)
+    cur = Parametrization(n, cur)
     if cur.trunc <= mu - n - 1:
         raise CrossCheckFailed(
             f"working precision dropped to {cur.trunc}, below the survivor range"

@@ -41,7 +41,7 @@ MUTANTS = {
         "y**g claims trunc + (g-1)*order - 1, one order short of what it knows",
     ),
     "powers-no-content-division": (
-        SERIES, "num, den, _ = _reduced(num, den * yden, None)", "den *= yden",
+        SERIES, "num, den = _reduced(num, den * yden)", "den *= yden",
         "powers stay over yden**g, not in lowest terms",
     ),
     "qmove-below-minus-one": (
@@ -108,9 +108,11 @@ MUTANTS = {
         "the lead of d(y**b) is k times that of y**b; omega's lead is never cancelled",
     ),
     "qmove-no-content-division": (
-        ZARISKI, "TSeries._make(y.var, *_reduced(out, common, y.trunc))",
-        "TSeries._make(y.var, out, common, y.trunc)",
-        "the q-move's form leaves lowest terms, and forms compare by ==",
+        ZARISKI, "    return TSeries._make(y.var, out, common, y.trunc)\n",
+        "    s = object.__new__(TSeries)\n"
+        "    s.var, s.num, s.den, s.trunc, s._terms = y.var, out, common, y.trunc, None\n"
+        "    return s\n",
+        "the q-move's form, built past `_make`, leaves lowest terms, and forms compare by ==",
     ),
     # -- the Newton-Puiseux stage on integer rows: the faults first planted
     # in the tuple-map stage, and the choices the row layout makes
@@ -183,8 +185,8 @@ MUTANTS = {
     ),
     "view-cache-shared": (
         SERIES,
-        "    return TSeries._make(s.var, *_reduced(num, s.den, bound))\n",
-        "    out = TSeries._make(s.var, *_reduced(num, s.den, bound))\n"
+        "    return TSeries._make(s.var, num, s.den, bound)\n",
+        "    out = TSeries._make(s.var, num, s.den, bound)\n"
         "    out._terms = s._terms\n"
         "    return out\n",
         "a truncation shows its input's view, terms past its trunc included",
@@ -193,6 +195,10 @@ MUTANTS = {
         SERIES, "g = math.gcd(den, *num.values()) * (-1 if den < 0 else 1)",
         "g = math.gcd(den, *num.values())",
         "a form over a negative lead keeps den < 0, and equal series compare unequal",
+    ),
+    "make-without-reduction": (
+        SERIES, "s.num, s.den = _reduced(num, den)", "s.num, s.den = num, den",
+        "every series kernel's output leaves lowest terms, and forms compare by ==",
     ),
     "eq-without-den": (
         SERIES, "            and self.den == other.den\n", "",
@@ -219,7 +225,8 @@ MUTANTS = {
         "a unit over den > 1 is refused, and constant 1/den accepted",
     ),
     "substitute-without-poly-den": (
-        SERIES, "_reduced(num, den * poly.den, trunc)", "_reduced(num, den, trunc)",
+        SERIES, "TSeries._make(y.var, num, den * poly.den, trunc)",
+        "TSeries._make(y.var, num, den, trunc)",
         "the value of poly on the branch loses poly's common denominator",
     ),
     "scan-not-cross-multiplied": (
@@ -317,7 +324,7 @@ DECLARED = {
         " and the content division of the same step takes g out",
     ),
     "route-no-content-division": (
-        ZARISKI, "        omega, oden, _ = _reduced(omega, oden, None)\n", "",
+        ZARISKI, "        omega, oden = _reduced(omega, oden)\n", "",
         "equivalent: omega's rationals are unchanged, and the coefficient returned is one"
         " Fraction of them",
     ),
@@ -338,8 +345,10 @@ DECLARED = {
         " order, so the stop only ends the scan sooner",
     ),
     "pmove-unit-no-content-division": (
-        ZARISKI, "_root(TSeries._make(y.var, *_reduced(unit, unit[0], utrunc)), n)",
-        "_root(TSeries._make(y.var, unit, unit[0], utrunc), n)",
+        ZARISKI, "    root = _root(TSeries._make(y.var, unit, unit[0], utrunc), n)\n",
+        "    u = object.__new__(TSeries)\n"
+        "    u.var, u.num, u.den, u.trunc, u._terms = y.var, unit, unit[0], utrunc, None\n"
+        "    root = _root(u, n)\n",
         "equivalent: each coefficient of the root is reduced as it is found, so a unit over"
         " a larger denominator gives the same root",
     ),

@@ -21,6 +21,7 @@ from planebranch.errors import (
     NotRealizable,
     NotSingular,
     NotTransversal,
+    NotWeierstrass,
     PrecisionExhausted,
     WrongEquisingularityClass,
 )
@@ -181,6 +182,17 @@ def test_a_float_target_is_blamed_on_the_target():
     # 5.0 once reached the move and was refused as a q-move exponent b
     with pytest.raises(InvalidArgument, match="target exponent j"):
         eliminate_term(Parametrization.from_pairs(2, [(3, 1)], trunc=8), 5.0)
+
+
+def test_a_weierstrass_refusal_does_not_depend_on_term_order():
+    # (y + x*y) * (y + 1) is neither monic in y nor a pure power of y at
+    # x = 0; the refusal names the same fault whichever way its terms run,
+    # as the product lists them or as a caller does, in either order
+    product = BivarPoly({(0, 1): 1, (1, 1): 1}) * BivarPoly({(0, 1): 1, (0, 0): 1})
+    terms = list(product.terms.items())
+    for f in (product, BivarPoly(dict(terms)), BivarPoly(dict(reversed(terms)))):
+        with pytest.raises(NotWeierstrass, match="f\\(0, y\\) is not a pure power of y"):
+            puiseux_parametrization(f)
 
 
 @pytest.mark.parametrize(

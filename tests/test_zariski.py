@@ -301,14 +301,14 @@ class TestZariskiInvariant:
         # below its own truncation; the witness, built by the differential
         # route with no sweep, stays the locked one
         seen = []
-        original = zariski.eliminate_term
+        original = zariski._eliminate
 
-        def logged(phi, j):
-            new, record = original(phi, j)
+        def logged(y, n, m, j):
+            new, record = original(y, n, m, j)
             seen.append((j, new.trunc))
             return new, record
 
-        monkeypatch.setattr(zariski, "eliminate_term", logged)
+        monkeypatch.setattr(zariski, "_eliminate", logged)
         res = zariski_invariant(dense(413, 4, range(14, 44), {13: 1}))
         assert seen and all(j < trunc for j, trunc in seen)
         assert (res.exponent, res.coefficient) == (14, F(3, 2))
