@@ -47,7 +47,6 @@ from .series import (
     EXACT,
     BivarPoly,
     TSeries,
-    _addmul,
     _check_positive,
     _convolve,
     _powers,
@@ -201,11 +200,26 @@ def implicitize(phi: Parametrization) -> BivarPoly:
         raise NonPolynomialInput("cannot implicitize the zero branch")
     n = phi.n
     den = phi.y.den
+    half = (n + 1) // 2
+    powers = [num for num, _, _ in islice(_powers(phi.y), half + 1)]
     # sums[r] = (-1)**(r-1) * den**r * P_r as a map x-degree -> int
     sums = [None]
-    for r, (power, _, _) in enumerate(islice(_powers(phi.y), 1, n + 1), 1):
+    for r in range(1, n + 1):
         sign = n if r % 2 else -n
-        sums.append({e // n: sign * c for e, c in power.items() if not e % n})
+        if r <= half:
+            sums.append({e // n: sign * c for e, c in powers[r].items() if not e % n})
+            continue
+        # p**half * p**(r - half) at the exponents n divides only: the
+        # second factor grouped by exponent mod n
+        classes: dict = {}
+        for e2, c2 in powers[r - half].items():
+            classes.setdefault(e2 % n, []).append((e2, c2))
+        power: dict = {}
+        for e1, c1 in powers[half].items():
+            for e2, c2 in classes.get(-e1 % n, ()):
+                d = (e1 + e2) // n
+                power[d] = power.get(d, 0) + c1 * c2
+        sums.append({d: sign * c for d, c in power.items()})
     elementary = [{0: 1}]  # elementary[k] = den**k * e_k
     for k in range(1, n + 1):
         acc: dict = {}
@@ -250,9 +264,14 @@ def _np_transform(cur: dict, nu: int, mu: int, root: Fraction) -> dict:
     shift = min(nu * min(row) + mu * j for j, row in cur.items())
     acc: dict = {l: {} for l in range(d + 1)}
     for j, row in cur.items():
-        moved = {nu * i + mu * j - shift: c for i, c in row.items()}
+        moved = [(nu * i + mu * j - shift, c) for i, c in row.items()]
         for l in range(j + 1):
-            _addmul(acc[l], moved, comb(j, l) * p ** (j - l) * q ** (d - j + l))
+            factor = comb(j, l) * p ** (j - l) * q ** (d - j + l)
+            out = acc[l]
+            get = out.get
+            for e, c in moved:
+                out[e] = get(e, 0) + factor * c
+    acc = {l: {i: c for i, c in row.items() if c} for l, row in acc.items()}
     acc = {l: row for l, row in acc.items() if row}
     g = gcd(*(c for row in acc.values() for c in row.values()))  # stops at 1
     return {l: {i: c // g for i, c in row.items()} for l, row in acc.items()} if g > 1 else acc

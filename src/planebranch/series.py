@@ -89,10 +89,22 @@ def _common(terms: dict) -> tuple[dict, int]:
 
 
 def _convolve(a: dict, b: dict, bound, acc: dict | None = None) -> dict:
-    """Product of two exponent -> int maps below `bound`, added into `acc`."""
+    """Product of two exponent -> int maps below `bound`, added into `acc`.
+
+    At a finite bound the second factor is read in exponent order, up to
+    the first term past bound - e1.  An exact product (bound EXACT) keeps
+    every term, so it reads the second factor unsorted and tests no bound.
+    """
     if acc is None:
         acc = {}
     get = acc.get
+    if bound == EXACT:
+        b = list(b.items())
+        for e1, c1 in a.items():
+            for e2, c2 in b:
+                e = e1 + e2
+                acc[e] = get(e, 0) + c1 * c2
+        return acc
     b = sorted(b.items())
     for e1, c1 in a.items():
         room = bound - e1
