@@ -15,6 +15,7 @@ from fractions import Fraction
 from .errors import (
     BranchesEqual,
     CrossCheckFailed,
+    InvalidArgument,
     WitnessMismatch,
     ZeroLeadingC,
 )
@@ -76,8 +77,12 @@ def zariski_decomposition(
     Verifies I(f, h_phi) = (n1 - 1) * m + lambda, expands f h-adically,
     reads off (p, q) from the unique weighted representation and the
     coefficient c there, and certifies I(f, h) = I(A_0, h) together with
-    the weight bound on the remaining tail.
+    the weight bound on the remaining tail.  A lam that is not a finite
+    integer, such as the None exponent of an infinite invariant, is
+    refused with InvalidArgument.
     """
+    if isinstance(lam, bool) or not isinstance(lam, int):
+        raise InvalidArgument(f"lambda {lam!r} is not a finite integer invariant")
     n1 = cd_f.reduced_mult
     m1 = cd_f.reduced_first
     e1 = cd_f.gcd_sequence[1]

@@ -215,6 +215,9 @@ def _eliminate(y: TSeries, n: int, m: int, j: int):
     c = Fraction(-num.get(j, 0) * den**b, num[m] ** b * den)
     if a:
         new, rho = _qmove(y, n, a, b, c), None
+    elif y.trunc == EXACT:
+        # the refusal of apply_pmove: the unit's root would be infinite
+        raise NeedsTruncation("p-move needs a finite working truncation; re-truncate first")
     else:
         c *= Fraction(-n, m)
         new, rho = _pmove(y, n, b, c)

@@ -16,6 +16,7 @@ from planebranch.errors import (
     CrossCheckFailed,
     InvalidArgument,
     InvalidParameterChange,
+    NeedsTruncation,
     NonPolynomialInput,
     NotPrimitive,
     NotRealizable,
@@ -47,11 +48,19 @@ from planebranch.series import (
     solve_composition,
     substitute,
 )
-from planebranch.zariski import apply_pmove, apply_qmove, eliminate_term, infer_zariski
+from planebranch.expansion import zariski_decomposition
+from planebranch.zariski import (
+    apply_pmove,
+    apply_qmove,
+    eliminate_term,
+    infer_zariski,
+    zariski_invariant,
+)
 
 K467 = CharData.from_char_exponents((4, 6, 7))
 # y**2 - x**3, the implicit equation of the cusp (t**2, t**3)
 CUSP_EQUATION = BivarPoly.from_pairs([((0, 2), 1), ((3, 0), -1)])
+CUSP_DATA = CharData.from_char_exponents((2, 3))
 
 BAD_ARGUMENTS = {
     "ratio": lambda: ratio(1.5),
@@ -136,6 +145,12 @@ BAD_ARGUMENTS = {
     "bivar-list-terms": lambda: BivarPoly([((0, 2), 1), ((3, 0), -1)]),
     "parametrization-dict-y": lambda: char_sequence(Parametrization(2, {3: 1})),
     "puiseux-dict-polynomial": lambda: puiseux_parametrization({(0, 2): 1, (3, 0): -1}),
+    "decomposition-float-lambda": lambda: zariski_decomposition(
+        CUSP_EQUATION, Parametrization.from_pairs(2, [(3, 1)]), CUSP_DATA, 1.0
+    ),
+    "decomposition-fraction-lambda": lambda: zariski_decomposition(
+        CUSP_EQUATION, Parametrization.from_pairs(2, [(3, 1)]), CUSP_DATA, F(1)
+    ),
 }
 
 TRUNCATED_CUSP = Parametrization.from_pairs(2, [(3, 1)], trunc=8)
@@ -154,6 +169,14 @@ VIOLATED_PRECONDITIONS = {
     ),
     "solve-composition-unknown-order": (
         InvalidParameterChange, lambda: solve_composition([CUSP.y.truncated(5)], UNKNOWN_ORDER)
+    ),
+    # 5 + 3 = 2 * 4 needs a p-move, whose unit has an infinite root on an
+    # exact branch: refused as apply_pmove refuses it
+    "eliminate-term-exact-p-move": (
+        NeedsTruncation,
+        lambda: eliminate_term(
+            Parametrization.from_pairs(3, [(4, 1), (5, F(-2, 3)), (6, F(-7, 2)), (8, -2)]), 5
+        ),
     ),
     # 6, the first exponent off the grid of 4, shares a factor with it
     "eliminate-term-not-genus-one": (
@@ -193,6 +216,16 @@ def test_a_weierstrass_refusal_does_not_depend_on_term_order():
     for f in (product, BivarPoly(dict(terms)), BivarPoly(dict(reversed(terms)))):
         with pytest.raises(NotWeierstrass, match="f\\(0, y\\) is not a pure power of y"):
             puiseux_parametrization(f)
+
+
+def test_an_infinite_invariant_has_no_decomposition():
+    # (t^3, t^4) is y^3 = x^4 itself: its invariant is infinite, and its
+    # exponent None was once added to (n1 - 1) * m
+    phi = Parametrization.from_pairs(3, [(4, 1)])
+    result = zariski_invariant(phi)
+    assert result.exponent is None
+    with pytest.raises(InvalidArgument, match="lambda None is not a finite integer"):
+        zariski_decomposition(implicitize(phi), result.witness, char_sequence(phi), None)
 
 
 @pytest.mark.parametrize(
