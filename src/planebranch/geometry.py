@@ -188,9 +188,16 @@ def implicitize(phi: Parametrization) -> BivarPoly:
     of it stays in Q[x] (Casas-Alvero, Singularities of Plane Curves, 2000).
     With p = num / den, P_r and e_k are forms of degree r and k in the
     coefficients of p, e_k with integer coefficients, so both are integer
-    polynomials over den**r and den**k: the loops run on integers, p**r
-    exact from `_powers`, and f is put over den**n.  The input must be
-    exact: truncate an inexact branch deliberately first.
+    polynomials over den**r and den**k: the loops run on integers, and f is
+    put over den**n.  P_r reads p**r only at the exponents n divides.  So
+    p**1 ... p**h, h = ceil(n/2), come in full from `_powers`, and for
+    r > h only those coefficients of p**r are formed, as p**h * p**(r - h)
+    with the second factor grouped by exponent mod n: 1/n of a full
+    product.  The numerators stay over den**r: by Gauss's lemma the
+    numerators of p**h and p**(r - h) are num**h and num**(r - h) over
+    den**h and den**(r - h), and their product num**r shares no factor
+    with den**r.  The input must be exact: truncate an inexact branch
+    deliberately first.
     """
     if not phi.exact:
         raise NonPolynomialInput(

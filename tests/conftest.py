@@ -14,7 +14,11 @@ and `BivarPoly`, one whole series or polynomial per step, where the kernels
 work on integer rows; they pin the kernels' terms and truncations.  The
 reference Newton-Puiseux stage and edge run on maps (i, j) -> c, one term
 at a time, where the library holds integer rows j -> {i: c}; `to_rows`
-and `from_rows` convert between the two.  The reference contact and
+and `from_rows` convert between the two.  Three references keep a kernel's
+earlier body, for the fast path that replaced it: the sorted, bound-tested
+convolution, which exact products no longer run; implicitization with every
+power of the branch formed in full; and the Newton-Puiseux recentering on
+`_addmul`, zeros dropped term by term.  The reference contact and
 intersection scan every characteristic interval with Fractions and count
 the contact solutions, where the library walks up the breakpoints of one
 increasing map on integers.  The reference conjugate scan tests every
@@ -41,6 +45,7 @@ from planebranch.series import (
     EXACT,
     BivarPoly,
     TSeries,
+    _addmul,
     _check_positive,
     exact_root,
     nth_root_unit,
@@ -142,6 +147,63 @@ def np_transform_oracle(terms: dict, nu: int, mu: int, root: F) -> dict:
             key = (base, l)
             acc[key] = acc.get(key, F(0)) + c * comb(j, l) * root ** (j - l)
     return {key: c for key, c in acc.items() if c}
+
+
+def convolve_sorted_reference(a: dict, b: dict, bound, acc: dict | None = None) -> dict:
+    """Product of two exponent -> int maps below `bound`, added into `acc`,
+    with the second factor sorted and every term tested against the bound:
+    what `series._convolve` runs at a finite bound, and ran at EXACT too."""
+    if acc is None:
+        acc = {}
+    b = sorted(b.items())
+    for e1, c1 in a.items():
+        for e2, c2 in b:
+            if e2 >= bound - e1:
+                break
+            acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    return acc
+
+
+def implicitize_full_powers(phi: Parametrization) -> BivarPoly:
+    """The conjugate product of `geometry.implicitize` with every power
+    num**1 ... num**n of the branch's numerators formed in full, by sorted
+    convolutions, and its power sums read off them; the library forms the
+    powers past ceil(n/2) only at the exponents n divides.  No vanishing
+    check."""
+    n, num, den = phi.n, phi.y.num, phi.y.den
+    sums = [None]
+    power = {0: 1}
+    for r in range(1, n + 1):
+        power = convolve_sorted_reference(power, num, inf)
+        sign = n if r % 2 else -n
+        sums.append({e // n: sign * c for e, c in power.items() if c and not e % n})
+    elementary = [{0: 1}]
+    for k in range(1, n + 1):
+        acc: dict = {}
+        for i in range(1, k + 1):
+            convolve_sorted_reference(elementary[k - i], sums[i], inf, acc)
+        elementary.append({d: c // k for d, c in acc.items() if c})
+    return BivarPoly._make({
+        n - k: {d: (-c if k % 2 else c) * den ** (n - k) for d, c in ek.items()}
+        for k, ek in enumerate(elementary)
+    }, den**n)
+
+
+def np_transform_addmul(cur: dict, nu: int, mu: int, root: F) -> dict:
+    """`geometry._np_transform` with one `series._addmul` call per pair of
+    rows, each dropping zeros term by term, where the library runs one loop
+    per pair and drops the zeros once per output row."""
+    p, q = root.numerator, root.denominator
+    d = max(cur)
+    shift = min(nu * min(row) + mu * j for j, row in cur.items())
+    acc: dict = {l: {} for l in range(d + 1)}
+    for j, row in cur.items():
+        moved = {nu * i + mu * j - shift: c for i, c in row.items()}
+        for l in range(j + 1):
+            _addmul(acc[l], moved, comb(j, l) * p ** (j - l) * q ** (d - j + l))
+    acc = {l: row for l, row in acc.items() if row}
+    g = gcd(*(c for row in acc.values() for c in row.values()))
+    return {l: {i: c // g for i, c in row.items()} for l, row in acc.items()} if g > 1 else acc
 
 
 def np_edge_reference(cur: dict):

@@ -151,6 +151,12 @@ MUTANTS = {
         "shift = min(nu * min(row) for j, row in cur.items())",
         "the recentered rows keep a power of x, so no point is left on the y-axis",
     ),
+    "np-zero-entries-kept": (
+        GEOMETRY,
+        "    acc = {l: {i: c for i, c in row.items() if c} for l, row in acc.items()}\n", "",
+        "terms cancelled by the recentering stay as zero entries; a zero at a row's lowest"
+        " x-power moves the Newton polygon",
+    ),
     "np-target-minus-one": (
         GEOMETRY, "target = conductor + 2 * n", "target = conductor + 2 * n - 1",
         "the default truncation falls one short of the conductor plus 2n",
@@ -159,6 +165,20 @@ MUTANTS = {
         GEOMETRY, "max(max(row) for row in f.rows.values()), 2)",
         "max(max(row) for row in f.rows.values()), 1)",
         "a repeated factor is refused only past twice the discriminant bound",
+    ),
+    # -- the fast paths that compute only what is read: implicitize's half of
+    # the powers and the exact product
+    "implicitize-half-floor": (
+        GEOMETRY, "half = (n + 1) // 2", "half = n // 2",
+        "at odd n, p**n is read as p**h * p**(h + 1), a power that was not formed",
+    ),
+    "implicitize-residue-class": (
+        GEOMETRY, "classes.get(-e1 % n, ())", "classes.get(e1 % n, ())",
+        "for n >= 3 the pairs with e1 + e2 divisible by n are missed and others summed",
+    ),
+    "convolve-exact-skips-last": (
+        SERIES, "b = list(b.items())", "b = list(b.items())[:-1]",
+        "an exact product loses every product with the second factor's last term",
     ),
     # -- the integer form of series and polynomials, and its ring operations
     "tseries-add-keeps-zeros": (

@@ -15,7 +15,12 @@ truncation of the ring operations (`substitute_reference`), the row-wise
 division the quotient and remainder of `divmod_reference`, and the integer
 slope of `_np_edge` the least ratio of the Newton polygon.  The one power
 routine, `_powers`, must yield the dict powers of `conftest`, each known
-exactly as far as its truncation says and in lowest terms.  Kernel outputs
+exactly as far as its truncation says and in lowest terms.  Three fast
+paths must give exactly what the bodies they replaced give: the exact
+product `_convolve` the sorted, bound-tested loop, `implicitize` the rows
+of the loop that forms every power in full, and `_np_transform` the rows of
+the recentering on `_addmul`, on random rows and along real passes, whose
+every stage cancels terms.  Kernel outputs
 skip the public constructor's checks; each must hold its integer form in
 lowest terms, be what that constructor builds from its `.terms`, hash alike,
 own its numerators and keep its view read-only.
@@ -40,6 +45,7 @@ from planebranch.series import (  # noqa: E402
     EXACT,
     BivarPoly,
     TSeries,
+    _convolve,
     _powers,
     nth_root_unit,
     reparametrize,
@@ -47,12 +53,17 @@ from planebranch.series import (  # noqa: E402
     substitute,
 )
 from conftest import (  # noqa: E402
+    DEFORMED37_TERMS,
+    SEXTIC_TERMS,
+    convolve_sorted_reference,
     dict_mul,
     dict_pow,
     divmod_reference,
     eval_poly_on_series,
     from_rows,
+    implicitize_full_powers,
     np_edge_reference,
+    np_transform_addmul,
     np_transform_oracle,
     resultant_implicitize,
     substitute_reference,
@@ -298,6 +309,31 @@ def test_implicitize_matches_the_resultant(n, p):
 def test_implicitize_edge_cases(n, p):
     phi = Parametrization(n, TSeries("t", p, EXACT))
     assert implicitize(phi) == resultant_implicitize(phi)
+
+
+# every n from 1 to 12, so that ceil(n/2) is odd for some and even for others
+@pytest.mark.parametrize("n", range(1, 13))
+@seed(22)
+@settings(max_examples=5, deadline=None)
+@given(supports(1, 24, max_size=4).filter(lambda p: any(p.values())))
+def test_implicitize_is_the_full_power_loop(n, p):
+    phi = Parametrization(n, TSeries("t", p, EXACT))
+    f, expected = implicitize(phi), implicitize_full_powers(phi)
+    assert (f.rows, f.den) == (expected.rows, expected.den)
+
+
+integer_maps = st.dictionaries(
+    st.integers(0, 30), st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30)), max_size=8
+)
+
+
+@seed(23)
+@KERNEL_SETTINGS
+@given(integer_maps, integer_maps, integer_maps, truncations)
+def test_convolve_is_the_sorted_bound_tested_loop(a, b, acc, bound):
+    assert _convolve(a, b, bound) == convolve_sorted_reference(a, b, bound)
+    out = _convolve(a, b, bound, dict(acc))
+    assert out == convolve_sorted_reference(a, b, bound, dict(acc))
 
 
 # gaps in the y-degree, a lowest y-degree above 0, x-only and zero
@@ -599,3 +635,44 @@ def test_np_transform_is_the_oracle_up_to_a_scalar(terms, stage):
     assert gcd(*out.values()) == 1
     scale = {F(c) / expected[key] for key, c in out.items()}
     assert len(scale) == 1 and 0 not in scale
+
+
+integer_rows = st.dictionaries(
+    st.integers(0, 5),
+    st.dictionaries(
+        st.integers(0, 6),
+        st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30)).filter(bool),
+        min_size=1,
+        max_size=4,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@seed(24)
+@KERNEL_SETTINGS
+@given(integer_rows, stages())
+def test_np_transform_is_the_addmul_loop(rows, stage):
+    assert _np_transform(rows, *stage) == np_transform_addmul(rows, *stage)
+
+
+@pytest.mark.parametrize(
+    "equation",
+    [
+        lambda: BivarPoly(dict(SEXTIC_TERMS)),
+        lambda: BivarPoly(dict(DEFORMED37_TERMS)),
+        lambda: implicitize(
+            Parametrization.from_pairs(8, [(12, 1), (14, 1), (15, F(2, 3)), (17, F(-1, 2))])
+        ),
+    ],
+    ids=["sextic", "deformed37", "K(8,12,14,15)"],
+)
+def test_np_transform_is_the_addmul_loop_along_a_pass(equation):
+    # each stage recenters at the edge root, so terms cancel at every stage
+    cur, stages_run = equation().rows, 0
+    while (edge := _np_edge(cur)) is not None and stages_run < 12:
+        out = _np_transform(cur, *edge)
+        assert out == np_transform_addmul(cur, *edge)
+        cur, stages_run = out, stages_run + 1
+    assert stages_run >= 2
