@@ -46,6 +46,18 @@ def _natural(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _term_items(data: dict, shape: str):
+    """The items of data's 'terms', a non-empty list, each checked to be a
+    pair before it is yielded; shape names the pair in the refusals."""
+    terms = data.get("terms")
+    if not isinstance(terms, list) or not terms:
+        raise BranchFileError(f"'terms' must be a non-empty list of {shape}")
+    for item in terms:
+        if not (isinstance(item, list) and len(item) == 2):
+            raise BranchFileError(f"bad term {item!r}; expected {shape}")
+        yield item
+
+
 def parse_branch(data: dict):
     """Validate a branch description; returns (Parametrization | BivarPoly, label)."""
     if not isinstance(data, dict):
@@ -65,15 +77,9 @@ def parse_branch(data: dict):
         n = data.get("n")
         if not _natural(n) or n < 1:
             raise BranchFileError(f"'n' must be a positive integer, got {n!r}")
-        terms = data.get("terms")
-        if not isinstance(terms, list) or not terms:
-            raise BranchFileError("'terms' must be a non-empty list of [exponent, rational]")
         pairs = []
         last = -1
-        for item in terms:
-            if not (isinstance(item, list) and len(item) == 2):
-                raise BranchFileError(f"bad term {item!r}; expected [exponent, rational]")
-            e, c = item
+        for e, c in _term_items(data, "[exponent, rational]"):
             if not _natural(e):
                 raise BranchFileError(f"bad exponent {e!r}")
             if e <= last:
@@ -88,14 +94,8 @@ def parse_branch(data: dict):
         else:
             raise BranchFileError(f"'trunc' must be an integer above every exponent")
         return Parametrization.from_pairs(n, pairs, bound), label
-    terms = data.get("terms")
-    if not isinstance(terms, list) or not terms:
-        raise BranchFileError("'terms' must be a non-empty list of [[i, j], rational]")
     pairs = []
-    for item in terms:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise BranchFileError(f"bad term {item!r}; expected [[i, j], rational]")
-        ij, c = item
+    for ij, c in _term_items(data, "[[i, j], rational]"):
         if not (
             isinstance(ij, list)
             and len(ij) == 2

@@ -35,7 +35,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .expansion import zariski_decomposition
-from .fixtures import FIXTURES, fixture_names, load_fixture
+from .fixtures import fixture_names, load_fixture
 from .geometry import (
     Parametrization,
     contact_from_intersection,
@@ -95,12 +95,7 @@ class _Session:
                 f"(files or --fixture), got {len(paths) + len(names)}"
             )
         loaded = [load_branch(path) for path in paths]
-        for name in names:
-            if name not in FIXTURES:
-                raise BranchFileError(
-                    f"unknown fixture {name!r}; available: {', '.join(fixture_names())}"
-                )
-            loaded.append(load_fixture(name))
+        loaded += [load_fixture(name) for name in names]
         out = []
         for branch, label in loaded:
             if self.args.swap_xy:
@@ -140,13 +135,10 @@ class _Session:
 
 
 def _pair_intersection(session, a, b) -> int:
-    both_param = isinstance(a, Parametrization) and isinstance(b, Parametrization)
-    if both_param:
+    if isinstance(a, Parametrization) and isinstance(b, Parametrization):
         return intersection(a, b)
-    if isinstance(a, BivarPoly) and isinstance(b, BivarPoly):
-        return intersection_poly_param(a, session.to_param(b))
-    poly, param = (a, b) if isinstance(a, BivarPoly) else (b, a)
-    return intersection_poly_param(poly, param)
+    poly, other = (a, b) if isinstance(a, BivarPoly) else (b, a)
+    return intersection_poly_param(poly, session.to_param(other))
 
 
 def _known_or_computed_lambda(session, phi: Parametrization, infinite: str) -> int:

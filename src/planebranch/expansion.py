@@ -119,11 +119,12 @@ def zariski_decomposition(
     if c == 0:
         raise ZeroLeadingC(f"coefficient of x^{p} y^{q} in A_0 vanishes")
     tail = a0 - BivarPoly.monomial(p, q, c)
-    for (i, j) in tail.terms:
-        if i * n1 + j * m1 <= target or j >= n1:
-            raise CrossCheckFailed(
-                f"tail monomial x^{i} y^{j} violates the weight bound"
-            )
+    for j, row in tail.rows.items():
+        for i in row:
+            if i * n1 + j * m1 <= target or j >= n1:
+                raise CrossCheckFailed(
+                    f"tail monomial x^{i} y^{j} violates the weight bound"
+                )
     checks = {
         "intersection_f_h": observed,
         "intersection_a0_h": intersection_poly_param(a0, h_phi),

@@ -8,6 +8,7 @@ y^4 = x^7.
 from __future__ import annotations
 
 from .branchio import parse_branch
+from .errors import BranchFileError
 
 FIXTURES: dict = {
     "k23-cusp": {
@@ -89,5 +90,10 @@ def fixture_names() -> list:
 
 
 def load_fixture(name: str):
-    """Parsed branch for a fixture name; raises KeyError on unknown names."""
+    """(branch, label) parsed from the fixture of that name; an unknown name
+    is refused with BranchFileError, which lists the names there are."""
+    if name not in FIXTURES:
+        raise BranchFileError(
+            f"unknown fixture {name!r}; available: {', '.join(fixture_names())}"
+        )
     return parse_branch(FIXTURES[name])

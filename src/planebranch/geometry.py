@@ -253,7 +253,7 @@ def _weierstrass_degree(f: BivarPoly) -> int:
         raise NotWeierstrass("f(0, y) is not a pure power of y")
     if f.rows[n].keys() != {0}:
         raise NotWeierstrass("not monic in y")
-    if f.coeff(0, n) != 1:
+    if f.rows[n][0] != f.den:
         raise NotWeierstrass("leading y-coefficient is not 1")
     return n
 
@@ -301,8 +301,8 @@ def _np_edge(cur: dict):
             i = min(row)
             if i * nu < mu * (jstar - j):
                 mu, nu = i, jstar - j
-    slope = Fraction(mu, nu)
-    mu, nu = slope.numerator, slope.denominator
+    g = gcd(mu, nu)
+    mu, nu = mu // g, nu // g
     # a point (i, j) on the edge has i * nu = mu * (jstar - j), so j <= jstar
     edge = {}
     for j, row in cur.items():
@@ -339,9 +339,9 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
     each recentering is taken times q**deg_y f, root = p/q, row by row,
     and divided by its content; each edge is read off each row's lowest
     x-power and the rows up to the y-axis point.  With ram the product of
-    the nu so far, the stage's term is root * x**e, e = e_prev + mu / ram,
-    at t-exponent n * e; the stages with nu > 1 give the characteristic
-    exponents.  Aborts with NonRationalCoefficient rather than extending
+    the nu so far, a divisor of n, the stage's term is root * t**k at the
+    integer t-exponent k = k_prev + (n / ram) * mu; the stages with nu > 1
+    give the characteristic exponents.  Aborts with NonRationalCoefficient rather than extending
     the coefficient field.  Default truncation: conductor of the branch plus
     twice its multiplicity, the conductor summed as the stages come,
     sum (e_(i-1) - e_i) * (beta_i - 1) with e_i = n / ram, which needs
@@ -350,25 +350,27 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
     with InvalidArgument.
 
     While ram < n, n / ram >= 2 roots of f, counted with multiplicity,
-    share every term so far, so they agree beyond x**e.  Two distinct roots
+    share every term so far, so they agree beyond t**k.  Two distinct roots
     of a squarefree f differ at x-order at most ord_x(disc_y f) / 2, and the
     discriminant, a Sylvester determinant of size 2n - 1, has x-degree at
-    most (2n - 1) * deg_x f: an e past half of that means a repeated factor
-    (NotIrreducible).  Once ram = n every stage adds at least 1 to the
-    t-exponent, so the loop reaches any target.
+    most (2n - 1) * deg_x f: a k with 2k > n * (2n - 1) * deg_x f, past half
+    of that bound in t-exponents, means a repeated factor (NotIrreducible).
+    Once ram = n every stage adds at least 1 to k, so the loop reaches any
+    target.
     """
     if not isinstance(f, BivarPoly):
         raise InvalidArgument(f"polynomial {f!r} is not a BivarPoly")
     if trunc is not None:
         _check_positive(trunc, "trunc")
     n = _weierstrass_degree(f)
-    separation = Fraction((2 * n - 1) * max(max(row) for row in f.rows.values()), 2)
-    terms: dict = {}  # x-exponent -> coefficient
+    # twice the discriminant bound, in t-exponents
+    separation = n * (2 * n - 1) * max(max(row) for row in f.rows.values())
+    terms: dict = {}  # t-exponent -> coefficient
     conductor = 0
     # primitive already: f is monic, so the content of its numerators divides
     # den, to which it is coprime; no stage writes into the rows it reads
     cur = f.rows
-    ram, xexp, target = 1, Fraction(0), trunc
+    ram, texp, target = 1, 0, trunc
     while True:
         edge = _np_edge(cur)
         if edge is None:
@@ -382,24 +384,24 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
         # nu divides the edge's lowest y-power n / ram, so ram stays a
         # divisor of n and nu is 1 once ram = n
         ram *= nu
-        xexp += Fraction(mu, ram)
-        terms[xexp] = root
+        texp += n // ram * mu
+        terms[texp] = root
         if nu > 1:
             # (e_(i-1) - e_i) * (beta_i - 1), with e_i = n / ram
-            conductor += (nu - 1) * (n // ram) * (int(n * xexp) - 1)
+            conductor += (nu - 1) * (n // ram) * (texp - 1)
         if ram == n:
             if target is None:
                 target = conductor + 2 * n
-            if n * xexp >= target:
+            if texp >= target:
                 bound = target
                 break
-        elif xexp > separation:
+        elif 2 * texp > separation:
             raise NotIrreducible(
-                f"roots still agree at x-order {xexp}, past the discriminant "
-                f"bound {separation}: f has a repeated factor"
+                f"roots still agree at x-order {Fraction(texp, n)}, past the discriminant "
+                f"bound {Fraction(separation, 2 * n)}: f has a repeated factor"
             )
         cur = _np_transform(cur, nu, mu, root)
-    series = {int(n * e): c for e, c in terms.items() if n * e < bound}
+    series = {e: c for e, c in terms.items() if e < bound}
     return Parametrization(n, TSeries(PARAM_VAR, series, bound))
 
 

@@ -740,13 +740,7 @@ class BivarPoly:
                 den *= lden
             for i1, c1 in top.items():
                 for j2, row2 in lower:
-                    row = rows.setdefault(k - d + j2, {})
-                    for i2, c2 in row2.items():
-                        c = row.get(i1 + i2, 0) - c1 * c2
-                        if c:
-                            row[i1 + i2] = c
-                        else:
-                            del row[i1 + i2]
+                    _addmul(rows.setdefault(k - d + j2, {}), row2, -c1, i1)
         quotient = {j: {i: c * (den // qden) for i, c in top.items()}
                     for j, (top, qden) in quotient.items()}
         return BivarPoly._make(quotient, den), BivarPoly._make(rows, den)

@@ -149,14 +149,14 @@ def apply_pmove(phi: Parametrization, b: int, c):
         raise InvalidArgument(f"p-move exponent b must be an integer, got {b!r}")
     if b < 2:
         raise DegenerateMove("p-move needs b >= 2 (x + c*y**(b-1) with b-1 >= 1)")
-    if phi.exact:
-        raise NeedsTruncation("p-move needs a finite working truncation; re-truncate first")
-    y, rho = _pmove(phi.y, phi.n, b, ratio(c))
+    y, rho = _pmove(phi.y, phi.n, b, c)
     return Parametrization(phi.n, y), rho
 
 
-def _pmove(y: TSeries, n: int, b: int, c: Fraction):
-    """The p-move on y, unchecked: (Y, rho).
+def _pmove(y: TSeries, n: int, b: int, c):
+    """The p-move on y, its exponent b unchecked: (Y, rho).  An exact y is
+    refused with NeedsTruncation, since the unit's root would be infinite,
+    and then c is read as a rational.
 
     With w(t) the parameter with w**n = x + c*y**(b-1) along the branch,
     one triangular solve over the powers of w gives both the new y-series
@@ -165,6 +165,9 @@ def _pmove(y: TSeries, n: int, b: int, c: Fraction):
     1 + c*y**(b-1)/x is cut at T, y's trunc, so y**(b-1) is read below
     T + n.
     """
+    if y.exact:
+        raise NeedsTruncation("p-move needs a finite working truncation; re-truncate first")
+    c = ratio(c)
     *_, (pnum, pden, ptrunc) = islice(_powers(y, y.trunc + n), b)
     if c and pnum and min(pnum) <= n:
         raise DegenerateMove("perturbation must have order above n")
@@ -215,9 +218,6 @@ def _eliminate(y: TSeries, n: int, m: int, j: int):
     c = Fraction(-num.get(j, 0) * den**b, num[m] ** b * den)
     if a:
         new, rho = _qmove(y, n, a, b, c), None
-    elif y.trunc == EXACT:
-        # the refusal of apply_pmove: the unit's root would be infinite
-        raise NeedsTruncation("p-move needs a finite working truncation; re-truncate first")
     else:
         c *= Fraction(-n, m)
         new, rho = _pmove(y, n, b, c)
