@@ -42,9 +42,14 @@ class CharData:
 
     @classmethod
     def from_char_exponents(cls, beta) -> "CharData":
-        beta = tuple(int(b) for b in beta)
+        """The data of the class K(beta).  Fewer than two exponents are
+        refused with NotSingular, then an exponent that is not an int, a
+        bool included, with InvalidArgument."""
+        beta = tuple(beta)
         if len(beta) < 2:
             raise NotSingular("a singular branch needs at least two characteristic exponents")
+        if any(isinstance(b, bool) or not isinstance(b, int) for b in beta):
+            raise InvalidArgument(f"characteristic exponents {beta!r} are not all integers")
         n = beta[0]
         if n < 2:
             raise NotSingular("multiplicity must be at least 2")
@@ -156,12 +161,15 @@ def standard_rep(z: int, cd: CharData) -> StandardRep:
     """Unique representation z = s0*v_0 + sum s_i*v_i with 0 <= s_i < n_i.
 
     Computed greedily from the top generator down: at level i the remainder
-    is divisible by e_i and s_i is a residue modulo n_i.
+    is divisible by e_i and s_i is a residue modulo n_i.  A z that is not
+    an int, a bool included, is refused with InvalidArgument.
     """
+    if isinstance(z, bool) or not isinstance(z, int):
+        raise InvalidArgument(f"semigroup element {z!r} is not an integer")
     v = cd.generators
     e = cd.gcd_sequence
     quots = cd.quotients
-    rem = int(z)
+    rem = z
     coords = [0] * cd.genus
     for i in range(cd.genus, 0, -1):
         ni = quots[i - 1]
@@ -178,5 +186,6 @@ def standard_rep(z: int, cd: CharData) -> StandardRep:
 
 
 def contains(z: int, cd: CharData) -> bool:
-    """Membership of z in the semigroup of values (s0 >= 0 criterion)."""
+    """Membership of z in the semigroup of values (s0 >= 0 criterion); a z
+    that is not an int is refused as standard_rep refuses it."""
     return standard_rep(z, cd).s0 >= 0

@@ -481,12 +481,16 @@ def infer_zariski(
     """Invariant of a second branch from contact or intersection evidence.
 
     Needs contact > lambda/n, or intersection strictly above the one at
-    contact lambda/n; then lambda' = n' * lambda / n.  A lambda that no
-    branch of the class cd_f can have is refused first.
+    contact lambda/n; then lambda' = n' * lambda / n.  A lambda that is
+    not an int, a bool included, is refused with InvalidArgument, and one
+    that no branch of the class cd_f can have with NotAnInvariant, before
+    the evidence is read.
     """
     if (contact_order is None) == (intersection_value is None):
         raise AmbiguousEvidence("provide exactly one of contact_order/intersection_value")
     _check_positive(other_mult, "multiplicity")
+    if isinstance(lambda_f, bool) or not isinstance(lambda_f, int):
+        raise InvalidArgument(f"lambda {lambda_f!r} is not a finite integer invariant")
     defect = _invariant_defect(lambda_f, cd_f)
     if defect:
         raise NotAnInvariant(f"{defect}: not an invariant of K{cd_f.char_exponents}")

@@ -36,7 +36,7 @@ from planebranch.geometry import (
     puiseux_parametrization,
     swap_parametrization,
 )
-from planebranch.semigroup import CharData, char_sequence, standard_rep
+from planebranch.semigroup import CharData, char_sequence, contains, standard_rep
 from planebranch.series import (
     EXACT,
     BivarPoly,
@@ -58,6 +58,7 @@ from planebranch.zariski import (
 )
 
 K467 = CharData.from_char_exponents((4, 6, 7))
+K469 = CharData.from_char_exponents((4, 6, 9))
 # y**2 - x**3, the implicit equation of the cusp (t**2, t**3)
 CUSP_EQUATION = BivarPoly.from_pairs([((0, 2), 1), ((3, 0), -1)])
 CUSP_DATA = CharData.from_char_exponents((2, 3))
@@ -151,6 +152,21 @@ BAD_ARGUMENTS = {
     "decomposition-fraction-lambda": lambda: zariski_decomposition(
         CUSP_EQUATION, Parametrization.from_pairs(2, [(3, 1)]), CUSP_DATA, F(1)
     ),
+    # 7 is an invariant of K(4,6,7), and contact 2 exceeds 7/4
+    "infer-float-lambda": lambda: infer_zariski(K467, 7.0, 4, contact_order=2),
+    "infer-missing-lambda": lambda: infer_zariski(K467, None, 4, contact_order=2),
+    "infer-string-lambda": lambda: infer_zariski(K467, "7", 4, contact_order=2),
+    "infer-bool-lambda": lambda: infer_zariski(K467, True, 4, contact_order=2),
+    # 4.5 was read as 4, a generator of K(4,6,9)
+    "contains-float": lambda: contains(4.5, K469),
+    "contains-missing": lambda: contains(None, K469),
+    "contains-bool": lambda: contains(True, K469),
+    "standard-rep-float": lambda: standard_rep(10.0, K469),
+    "standard-rep-string": lambda: standard_rep("10", K469),
+    # (2, 3.7) was read as K(2, 3)
+    "char-exponents-float": lambda: CharData.from_char_exponents((2, 3.7)),
+    "char-exponents-string": lambda: CharData.from_char_exponents(("2", "3")),
+    "char-exponents-bool": lambda: CharData.from_char_exponents((4, 6, True)),
 }
 
 TRUNCATED_CUSP = Parametrization.from_pairs(2, [(3, 1)], trunc=8)
