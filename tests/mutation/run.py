@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parents[2]
 SERIES = "src/planebranch/series.py"
 GEOMETRY = "src/planebranch/geometry.py"
 ZARISKI = "src/planebranch/zariski.py"
+SEMIGROUP = "src/planebranch/semigroup.py"
 
 # name: (file, old text, new text, why it must be killed or why it is declared)
 MUTANTS = {
@@ -162,9 +163,18 @@ MUTANTS = {
         "the default truncation falls one short of the conductor plus 2n",
     ),
     "np-separation-bound-doubled": (
-        GEOMETRY, "max(max(row) for row in f.rows.values()), 2)",
-        "max(max(row) for row in f.rows.values()), 1)",
+        GEOMETRY, "elif 2 * texp > separation:", "elif texp > separation:",
         "a repeated factor is refused only past twice the discriminant bound",
+    ),
+    "np-separation-non-strict": (
+        GEOMETRY, "elif 2 * texp > separation:", "elif 2 * texp >= separation:",
+        "a repeated factor whose roots agree exactly to the bound is refused one stage"
+        " early, at another x-order",
+    ),
+    "np-stage-exponent-old-ram": (
+        GEOMETRY, "        ram *= nu\n        texp += n // ram * mu\n",
+        "        texp += n // ram * mu\n        ram *= nu\n",
+        "a ramified stage's t-exponent is nu times too large",
     ),
     # -- the fast paths that compute only what is read: implicitize's half of
     # the powers and the exact product
@@ -264,6 +274,10 @@ MUTANTS = {
         "trunc = min(trunc + g * y._eff_order(), ptrunc + order + 1)",
         "the Horner pass claims one order more than it knows",
     ),
+    "divmod-adds-quotient-term": (
+        SERIES, "row2, -c1, i1)", "row2, c1, i1)",
+        "each quotient term times the divisor's lower rows is added, not taken off",
+    ),
     "divmod-rows-not-rescaled": (
         SERIES,
         "rows = {j: {i: c * lden for i, c in row.items()} for j, row in rows.items()}",
@@ -325,6 +339,41 @@ MUTANTS = {
         "a genus >= 2 branch is asked for less precision; the corpus pins the parent's"
         " `needed`, and ROADMAP item 8 decides whether 2n is needed at all",
     ),
+    "defect-genus-two-skipped": (
+        ZARISKI, "if cd.genus >= 2 and lam > beta[2]:", "if cd.genus > 2 and lam > beta[2]:",
+        "at genus 2 a lambda above beta_2 is no longer refused",
+    ),
+    "defect-beta2-non-strict": (
+        ZARISKI, "if cd.genus >= 2 and lam > beta[2]:", "if cd.genus >= 2 and lam >= beta[2]:",
+        "lambda = beta_2, the invariant of a genus >= 2 branch with no term to remove, is"
+        " refused",
+    ),
+    "defect-semigroup-without-n": (
+        ZARISKI, "if contains(lam + cd.mult, cd):", "if contains(lam, cd):",
+        "membership is tested for lambda, not lambda + n",
+    ),
+    "pmove-exact-accepted": (
+        ZARISKI,
+        "    if y.exact:\n"
+        "        raise NeedsTruncation(\"p-move needs a finite working truncation;"
+        " re-truncate first\")\n",
+        "",
+        "a p-move on an exact branch asks for a unit root to infinite precision",
+    ),
+    "swap-default-one-short": (
+        GEOMETRY, "2 * (phi.n + top) * max(1, phi.n))", "2 * (phi.n + top) * max(1, phi.n) - 1)",
+        "the swap's default truncation falls one short",
+    ),
+    # -- the semigroup of values
+    "gcd-chain-skips-even": (
+        SEMIGROUP, "        if i % e:\n", "        if i % e and i % 2:\n",
+        "an even exponent off the running gcd is not taken as characteristic",
+    ),
+    "conductor-one-short": (
+        SEMIGROUP, "- (n - 1)", "- n",
+        "the conductor is one below the least element past which every integer lies in"
+        " the semigroup",
+    ),
     "infer-intersection-non-strict": (
         ZARISKI, "if not ratio(intersection_value) > threshold:",
         "if not ratio(intersection_value) >= threshold:",
@@ -372,18 +421,9 @@ DECLARED = {
         "equivalent: each coefficient of the root is reduced as it is found, so a unit over"
         " a larger denominator gives the same root",
     ),
-    "divmod-keeps-zero-rows": (
-        SERIES,
-        "                        c = row.get(i1 + i2, 0) - c1 * c2\n"
-        "                        if c:\n"
-        "                            row[i1 + i2] = c\n"
-        "                        else:\n"
-        "                            del row[i1 + i2]\n",
-        "                        row[i1 + i2] = row.get(i1 + i2, 0) - c1 * c2\n",
-        "equivalent: BivarPoly._make drops the zeros the rows keep, and a zero entry of a"
-        " row taken off subtracts nothing; the deletion only saves that work",
-    ),
 }
+# divmod_monic_y takes each quotient term off with _addmul, so the fault the
+# retired divmod-keeps-zero-rows planted is tseries-add-keeps-zeros
 
 # the unmutated tree takes about 15 s, the slowest killed mutant about 50 s
 TIMEOUT = 120

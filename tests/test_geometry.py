@@ -238,6 +238,18 @@ class TestPuiseux:
         with pytest.raises(NotIrreducible, match="repeated factor"):
             puiseux_parametrization(f * f)
 
+    def test_roots_agreeing_exactly_to_the_bound_are_not_yet_refused(self):
+        # the triple roots of (y^2 - x^2 y - x^3)^3, x^2/2 +- x^(3/2) sqrt(1 + x/4),
+        # have a term at every half-integer x-order from 3/2 on; n = 6 and
+        # deg_x f = 9 put the bound at 11 * 9 / 2 = 99/2, where a stage lands.
+        # The test is strict, as the docstring states it, so the refusal
+        # comes one stage later, at the first x-order past the bound
+        g = BivarPoly.from_pairs([((0, 2), 1), ((2, 1), -1), ((3, 0), -1)])
+        with pytest.raises(
+            NotIrreducible, match=r"x-order 101/2, past the discriminant bound 99/2"
+        ):
+            puiseux_parametrization(g * g * g)
+
     def test_roots_sharing_a_long_prefix_are_separated(self):
         # f = (y - p)^2 - x^15 (1 + x), with p the polynomial part of
         # x^8 sqrt(1 + 1/x), has x-degree 8, and its two roots
