@@ -341,13 +341,13 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
     x-power and the rows up to the y-axis point.  With ram the product of
     the nu so far, a divisor of n, the stage's term is root * t**k at the
     integer t-exponent k = k_prev + (n / ram) * mu; the stages with nu > 1
-    give the characteristic exponents.  Aborts with NonRationalCoefficient rather than extending
-    the coefficient field.  Default truncation: conductor of the branch plus
-    twice its multiplicity, the conductor summed as the stages come,
-    sum (e_(i-1) - e_i) * (beta_i - 1) with e_i = n / ram, which needs
-    neither a singular nor a transversal branch.  An f that is not a
-    BivarPoly, or a trunc other than None or a positive int, is refused
-    with InvalidArgument.
+    give the characteristic exponents.  Aborts with NonRationalCoefficient
+    rather than extending the coefficient field.  Default truncation:
+    conductor of the branch plus twice its multiplicity, the conductor
+    summed as the stages come, sum (e_(i-1) - e_i) * (beta_i - 1) with
+    e_i = n / ram, which needs neither a singular nor a transversal
+    branch.  An f that is not a BivarPoly, or a trunc other than None or a
+    positive int, is refused with InvalidArgument.
 
     While ram < n, n / ram >= 2 roots of f, counted with multiplicity,
     share every term so far, so they agree beyond t**k.  Two distinct roots
