@@ -345,8 +345,7 @@ MUTANTS = {
     ),
     "defect-beta2-non-strict": (
         ZARISKI, "if cd.genus >= 2 and lam > beta[2]:", "if cd.genus >= 2 and lam >= beta[2]:",
-        "lambda = beta_2, the invariant of a genus >= 2 branch with no term to remove, is"
-        " refused",
+        "lambda = beta_2, which a genus >= 2 branch can have, is refused",
     ),
     "defect-semigroup-without-n": (
         ZARISKI, "if contains(lam + cd.mult, cd):", "if contains(lam, cd):",
