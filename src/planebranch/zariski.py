@@ -76,13 +76,6 @@ class MoveRecord:
         ypart = "y" if self.b == 2 else f"y^{self.b - 1}"
         return f"x -> x + ({self.c})*{ypart}  [kills t^{self.target_exponent}]"
 
-    def apply(self, phi: Parametrization):
-        """The move applied to phi: (new branch, rho), where rho is the
-        parameter change of a p-move and None for a q-move."""
-        if self.kind == "q":
-            return apply_qmove(phi, self.a, self.b, self.c), None
-        return apply_pmove(phi, self.b, self.c)
-
 
 @dataclass(frozen=True)
 class ZariskiResult:
@@ -106,15 +99,10 @@ class ZariskiResult:
         return self.exponent is not None
 
 
-def _conductor(n: int, m: int) -> int:
-    """Conductor (n - 1)(m - 1) of <n, m>; no exponent at or above
-    conductor - n survives the sweep."""
-    return (n - 1) * (m - 1)
-
-
 def _working_bound(n: int, m: int) -> int:
-    """Working truncation of a genus-one sweep, 2n above the conductor."""
-    return _conductor(n, m) + 2 * n
+    """Working truncation of a genus-one sweep, 2n above the conductor
+    (n - 1)(m - 1) of <n, m>."""
+    return (n - 1) * (m - 1) + 2 * n
 
 
 def apply_qmove(phi: Parametrization, a: int, b: int, c) -> Parametrization:
@@ -245,34 +233,46 @@ def _first_offgrid_exponent(phi: Parametrization) -> int:
     return m
 
 
-def _route(phi: Parametrization, n: int, m: int):
-    """(s, c) from reducing omega = m*y*dx - n*x*dy along a branch of K(n, m):
-    s = v - n at the first value v of omega outside <n, m>, and c what the
-    sweep leaves at its smallest survivor s; (None, None) once v >= mu, for
-    a branch equivalent to y**n = x**m.
+def _route(y: TSeries, cd: CharData):
+    """(s, c) from reducing omega = m*y*dx - n*x*dy along the branch
+    (t**n, y) of class cd, n = beta_0 and m = beta_1: s = v - n at the first
+    value v of omega outside the semigroup of values, and c what the sweep
+    leaves at its smallest survivor s; at genus one (None, None) once
+    v >= mu, for a branch equivalent to y**n = x**m.
 
     Per n*dt, omega is sum (m - j)*a_j*t**(j+n-1), and a lead of value
     v = a*n + b*m is cancelled by x**(a-1)*y**b*dx = t**(n*a-1)*y**b, or by
     d(y**b) when a = 0: either way the term k of y**b lands at k + n*a - 1,
-    times k when a = 0.  omega is known only below mu - 1, so each y**b is
-    read below mu, as bare numerators: its denominator cancels in the
-    multiple of the form that is subtracted.  omega is one map of integers
-    over one denominator, reduced in place: each step scales it by the
-    form's lead, subtracts the form times omega's lead, and divides out the
-    content.
+    times k when a = 0.  v lies in <n, m> when e1 = gcd(n, m) divides it
+    and v/e1 = a*n1 + b*m1 with a >= 0.  omega is read up to the value
+    top: mu - 1 at genus one; beta_2 + n at genus >= 2, below
+    v_2 = (n1 - 1)*m + beta_2, so that the semigroup is <n, m> up to top.
+    There e1 divides every exponent of y below beta_2, so a term of a form
+    that e1 does not divide holds some a_j, j >= beta_2, and lands past
+    beta_2 + n: only y*dx could land there, and omega never has a lead at
+    n + m.  So the route stops at omega's lead (m - beta_2)*a_beta_2 at
+    beta_2 + n at the latest, with c = a_beta_2 / a_m.  Likewise a term of
+    y at k > top - n lands past top, so only y below mu - n, or below
+    beta_2 + 1 as char_sequence requires, is read.  Each y**b is read below
+    top + 1, as bare numerators: its denominator cancels in the multiple of
+    the form that is subtracted.  omega is one map of integers over one
+    denominator, reduced in place: each step scales it by the form's lead,
+    subtracts the form times omega's lead, and divides out the content.
     """
-    mu = _conductor(n, m)
-    y = _cut(phi.with_trunc(_working_bound(n, m)).y, mu)
+    n, m = cd.char_exponents[:2]
+    e1 = cd.gcd_sequence[1]
+    top = cd.conductor - 1 if cd.genus == 1 else cd.char_exponents[2] + n
+    y = _cut(y, top + 1)
     ynum, yden = y.num, y.den
     omega, oden = {}, yden
     for j, c in ynum.items():
-        if j != m and j + n - 1 < mu - 1:
+        if j != m and j + n - 1 < top:
             omega[j + n - 1] = (m - j) * c
-    forms, powers = [], _powers(y, mu)
+    forms, powers = [], _powers(y, top + 1)
     while omega:
         e = min(omega)
-        a, b = rep_nm(e + 1, n, m)
-        if a < 0:
+        a, b = rep_nm((e + 1) // e1, cd.reduced_mult, cd.reduced_first)
+        if a < 0 or (e + 1) % e1:
             return e + 1 - n, Fraction(omega[e] * yden, oden * (m + n - e - 1) * ynum[m])
         while len(forms) <= b:
             forms.append(next(powers)[0])
@@ -286,8 +286,10 @@ def _route(phi: Parametrization, n: int, m: int):
         if lead != 1:
             omega = {k: c * lead for k, c in omega.items()}
             oden *= lead
-        _addmul(omega, form if a else {k: k * c for k, c in form.items()}, -f, shift, mu - 1)
+        _addmul(omega, form if a else {k: k * c for k, c in form.items()}, -f, shift, top)
         omega, oden = _reduced(omega, oden)
+    if cd.genus > 1:
+        raise CrossCheckFailed(f"the route found no value of omega up to beta_2 + n = {top}")
     return None, None
 
 
@@ -329,12 +331,12 @@ def genus1_reduce(phi: Parametrization) -> ZariskiResult:
         raise CrossCheckFailed("a surviving exponent exceeds the certified range")
     lam = min(survivors, default=None)
     coeff = None if lam is None else Fraction(cur.y.num[lam], cur.y.den)
-    if _route(phi, n, m) != (lam, coeff):
+    if _route(y, cd) != (lam, coeff):
         raise CrossCheckFailed(f"the route disagrees with the sweep's invariant {lam}")
     wy, s, c = phi.y, lam, coeff
     while s is not None:
         wy = wy - TSeries.monomial(wy.var, s, c / scale, wy.trunc)
-        done, (s, c) = s, _route(Parametrization(n, wy), n, m)
+        done, (s, c) = s, _route(wy, cd)
         if s is not None and s <= done:
             raise CrossCheckFailed(f"the route returned slot {s} after clearing {done}")
     return ZariskiResult(lam, coeff, Parametrization(n, wy), cur, tuple(moves), scale)
@@ -347,7 +349,7 @@ def is_in_b(phi: Parametrization, n1: int, m1: int) -> bool:
         raise WrongEquisingularityClass(
             f"branch lies in K{cd.char_exponents}, not K({n1}, {m1})"
         )
-    return _route(phi, n1, m1)[0] is None
+    return _route(phi.with_trunc(_working_bound(n1, m1)).y, cd)[0] is None
 
 
 def _reduced_branch(phi: Parametrization, cd: CharData) -> Parametrization:
@@ -360,7 +362,7 @@ def _reduced_branch(phi: Parametrization, cd: CharData) -> Parametrization:
     e1 = cd.gcd_sequence[1]
     n1, m1 = cd.reduced_mult, cd.reduced_first
     if not phi.exact:
-        need = max(cd.char_exponents[-1] + 1, _conductor(n1, m1) * e1 + 2 * cd.mult)
+        need = max(cd.char_exponents[-1] + 1, (n1 - 1) * (m1 - 1) * e1 + 2 * cd.mult)
         if phi.trunc < need:
             raise PrecisionExhausted(
                 f"branch known below {phi.trunc}, need {need}", needed=need
@@ -378,22 +380,17 @@ def _reduced_branch(phi: Parametrization, cd: CharData) -> Parametrization:
 def zariski_invariant(phi: Parametrization) -> ZariskiResult:
     """The Zariski invariant of a primitive transversal branch, with witness.
 
-    Reduce, then lift: the sweep runs on the genus-one reduced branch; at
-    genus >= 2 its smallest surviving slot k gives lambda = e1*k when e1*k
-    stays below beta_2, and lambda = beta_2 otherwise.  Every finite result
-    is cross-checked by the witness's intersection with the branch, counted
-    independently of the sweep by the conjugate scan of `intersection`.
+    The sweep on the genus-one reduced branch gives the witness, the
+    normal form and the move log; at genus >= 2 lambda and its coefficient
+    come from the route on the branch itself.  Every finite result is
+    cross-checked by the witness's intersection with the branch, counted
+    independently of the sweep and the route by the conjugate scan of
+    `intersection`.
     """
     cd = char_sequence(phi)
     result = genus1_reduce(_reduced_branch(phi, cd))
     if cd.genus >= 2:
-        beta2 = cd.char_exponents[2]
-        e1 = cd.gcd_sequence[1]
-        if result.finite and e1 * result.exponent < beta2:
-            lam, coeff = e1 * result.exponent, result.coefficient
-        else:
-            lam = beta2
-            coeff = phi.y.coeff(beta2) / phi.y.coeff(cd.char_exponents[1])
+        lam, coeff = _route(phi.y, cd)
         result = replace(result, exponent=lam, coefficient=coeff)
     _verify_result(phi, cd, result)
     return result
@@ -450,9 +447,10 @@ def replay_moves(phi: Parametrization, result: ZariskiResult) -> Parametrization
     cur = Parametrization(n, work.y.scale(result.leading_scale))
     for record in result.moves:
         before = cur
-        cur, _ = record.apply(cur)
         if record.kind == "q":
+            cur = apply_qmove(cur, record.a, record.b, record.c)
             continue
+        cur, _ = apply_pmove(cur, record.b, record.c)
         rho = record.reparametrization
         if rho is None:
             raise CrossCheckFailed(

@@ -24,7 +24,9 @@ the contact solutions, where the library walks up the breakpoints of one
 increasing map on integers.  The reference conjugate scan tests every
 pending conjugate against the coefficients at every exponent, where the
 library classifies each exponent once and keeps the conjugates whose twist
-allows the cancellation.
+allows the cancellation.  The reference lift keeps the body that gave lambda
+at genus >= 2 before the route ran on the branch itself: the sweep on the
+reduced branch and two cases.
 """
 
 from fractions import Fraction as F
@@ -40,7 +42,7 @@ from planebranch.errors import (
     ThetaOutOfRange,
 )
 from planebranch.geometry import ContactOrder, Parametrization, bareiss_determinant
-from planebranch.semigroup import rep_nm
+from planebranch.semigroup import char_sequence, rep_nm
 from planebranch.series import (
     EXACT,
     BivarPoly,
@@ -320,6 +322,20 @@ def sweep_reference(phi: Parametrization):
         moves.append(zariski.MoveRecord("q" if a else "p", a, b, c, j, rho))
     survivors = {j: c for j, c in cur.y.terms.items() if j > m}
     return cur, scale, tuple(moves), min(survivors.items(), default=(None, None))
+
+
+def lift_reference(phi: Parametrization):
+    """(lambda, c) of a branch of genus >= 2, lifted from the sweep on its
+    reduced branch: the smallest survivor k there gives lambda = e1*k when
+    e1*k stays below beta_2, and lambda = beta_2 with c = a_beta2 / a_beta1
+    otherwise."""
+    cd = char_sequence(phi)
+    result = zariski.genus1_reduce(zariski._reduced_branch(phi, cd))
+    beta2 = cd.char_exponents[2]
+    e1 = cd.gcd_sequence[1]
+    if result.finite and e1 * result.exponent < beta2:
+        return e1 * result.exponent, result.coefficient
+    return beta2, phi.y.coeff(beta2) / phi.y.coeff(cd.char_exponents[1])
 
 
 def route_reference(phi: Parametrization, n: int, m: int):

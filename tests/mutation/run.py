@@ -54,11 +54,11 @@ MUTANTS = {
         "the p-move reads y**(b-1) below T + n - 1 and loses an order",
     ),
     "route-below-minus-one": (
-        ZARISKI, "_powers(y, mu)", "_powers(y, mu - 1)",
-        "d(y**b) loses its term at mu - 2, where omega is still known",
+        ZARISKI, "_powers(y, top + 1)", "_powers(y, top)",
+        "d(y**b) loses its term at top - 1, where omega is still known",
     ),
     "working-bound-minus-one": (
-        ZARISKI, "return _conductor(n, m) + 2 * n", "return _conductor(n, m) + 2 * n - 1",
+        ZARISKI, "return (n - 1) * (m - 1) + 2 * n", "return (n - 1) * (m - 1) + 2 * n - 1",
         "the sweep runs one order short and the normal form's truncation moves",
     ),
     # -- the integer move kernels and the checks of each move
@@ -335,7 +335,7 @@ MUTANTS = {
         " the semigroup's message, which the differential corpus pins",
     ),
     "reduced-branch-need-without-2n": (
-        ZARISKI, "_conductor(n1, m1) * e1 + 2 * cd.mult", "_conductor(n1, m1) * e1",
+        ZARISKI, "(n1 - 1) * (m1 - 1) * e1 + 2 * cd.mult", "(n1 - 1) * (m1 - 1) * e1",
         "a genus >= 2 branch is asked for less precision; the corpus pins the parent's"
         " `needed`, and ROADMAP item 8 decides whether 2n is needed at all",
     ),
@@ -382,10 +382,6 @@ MUTANTS = {
 
 # name: (file, old text, new text, why it survives)
 DECLARED = {
-    "lift-non-strict": (
-        ZARISKI, "e1 * result.exponent < beta2", "e1 * result.exponent <= beta2",
-        "equivalent: e1 never divides beta_2, so e1*k = beta_2 cannot occur",
-    ),
     "route-lead-not-reduced": (
         ZARISKI, "g = gcd(omega[e], lead)", "g = 1",
         "equivalent: omega is then g times its reduced form over g times its denominator,"

@@ -17,6 +17,7 @@ from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
 from planebranch import zariski  # noqa: E402
 from planebranch.geometry import Parametrization  # noqa: E402
+from planebranch.semigroup import CharData  # noqa: E402
 from planebranch.series import TSeries  # noqa: E402
 from planebranch.zariski import apply_pmove, apply_qmove  # noqa: E402
 from conftest import pmove_reference, qmove_reference, route_reference  # noqa: E402
@@ -69,8 +70,9 @@ def test_the_route_matches_its_uncut_reference(branch, data):
     # a dense branch stops at its first slot; a member of B plus one term
     # runs the route up to that term
     n, m, phi = branch
+    cd = CharData.from_char_exponents((n, m))
     member = planted(n, m)[None]
     k = data.draw(st.integers(m + 1, phi.trunc - 1))
     moved = Parametrization(n, member.y + TSeries.monomial("t", k, data.draw(nonzero)))
     for b in (phi, moved):
-        assert zariski._route(b, n, m) == route_reference(b, n, m)
+        assert zariski._route(b.y, cd) == route_reference(b, n, m)

@@ -31,7 +31,7 @@ from planebranch.geometry import (
 )
 from planebranch import zariski
 from planebranch.semigroup import CharData, char_sequence, contains, rep_nm
-from planebranch.series import TSeries
+from planebranch.series import BivarPoly, TSeries
 from planebranch.zariski import (
     apply_pmove,
     apply_qmove,
@@ -42,7 +42,7 @@ from planebranch.zariski import (
     replay_moves,
     zariski_invariant,
 )
-from conftest import witness_by_all_slots
+from conftest import SEXTIC_TERMS, lift_reference, witness_by_all_slots
 from test_golden import GOLDEN, SPECIAL_56, dense
 
 
@@ -367,7 +367,8 @@ class TestRoute:
     @staticmethod
     def check(phi, n, m, oracle):
         res = genus1_reduce(phi)
-        assert zariski._route(phi, n, m) == (res.exponent, res.coefficient)
+        cd = CharData.from_char_exponents((n, m))
+        assert zariski._route(phi.y, cd) == (res.exponent, res.coefficient)
         assert res.witness == oracle
         assert is_in_b(res.witness, n, m)
         return res
@@ -385,15 +386,16 @@ class TestRoute:
         # omega's cut at mu - 1.  At k = mu - n - 1 it lands on mu - 2, whose
         # value mu - 1 is the largest gap of <n, m>: the last slot
         mu = (n - 1) * (m - 1)
+        cd = CharData.from_char_exponents((n, m))
         branches = planted(n, m)
         plain = Parametrization.from_pairs(n, [(m, 1)])
         for phi in [plain, *branches.values()]:
-            route = zariski._route(phi, n, m)
+            route = zariski._route(phi.y, cd)
             for k in range(mu - n, mu + 2 * n):
-                assert zariski._route(plus_term(phi, k), n, m) == route
+                assert zariski._route(plus_term(phi, k).y, cd) == route
         for member in (plain, branches[None]):
-            assert zariski._route(member, n, m) == (None, None)
-            assert zariski._route(plus_term(member, mu - n - 1), n, m)[0] == mu - n - 1
+            assert zariski._route(member.y, cd) == (None, None)
+            assert zariski._route(plus_term(member, mu - n - 1).y, cd)[0] == mu - n - 1
 
     @pytest.mark.parametrize("name", list(GOLDEN))
     def test_golden_reduced_branches(self, name):
@@ -411,9 +413,69 @@ class TestRoute:
     def test_a_slot_the_route_returns_twice_is_a_cross_check_failure(self, monkeypatch):
         phi = Parametrization.from_pairs(4, [(7, 1), (9, 1), (10, 1)])
         route = zariski._route
-        monkeypatch.setattr(zariski, "_route", lambda _, n, m: route(phi, n, m))
+        monkeypatch.setattr(zariski, "_route", lambda _, cd: route(phi.y, cd))
         with pytest.raises(CrossCheckFailed, match="slot 9 after clearing 9"):
             genus1_reduce(phi)
+
+
+# name -> (branch of genus 2 or 3, lambda): e1*k below beta_2, or beta_2
+GENUS_2_AND_3 = {
+    "sextic K(6,14,17)": (lambda: puiseux_parametrization(BivarPoly(dict(SEXTIC_TERMS))), 16),
+    "K(6,14,17) at beta_2": (lambda: dense(617, 6, range(18, 30), {14: 2, 17: F(1, 3)}), 17),
+    "golden K(8,14,27)": (GOLDEN["genus 2 K(8,14,27)"][0], 18),
+    "K(8,14,27) at beta_2": (lambda: dense(827, 8, range(28, 40), {14: 1, 27: F(-3, 2)}), 27),
+    "K(12,28,34,37) at 4k": (
+        lambda: dense(1237, 12, [32, 36, 38, 40, 41, 42], {28: 1, 34: 1, 37: -1}), 32
+    ),
+    "K(12,28,34,37) at beta_2": (
+        lambda: dense(1234, 12, [36, 38, 39, 40, 41], {28: 1, 34: 2, 37: 1}), 34
+    ),
+}
+
+
+def least_precision(phi, cd):
+    """The least truncation at which `_reduced_branch` accepts phi."""
+    top = cd.char_exponents[-1] + 1
+    try:
+        zariski._reduced_branch(phi.with_trunc(top), cd)
+    except PrecisionExhausted as exc:
+        return exc.needed
+    return top
+
+
+class TestRouteAtGenusTwoAndThree:
+    """The route on a branch of genus >= 2 itself, against the lift from its
+    reduced branch that it replaced."""
+
+    @pytest.mark.parametrize("name", list(GENUS_2_AND_3))
+    def test_zariski_invariant_matches_the_lift(self, name):
+        build, lam = GENUS_2_AND_3[name]
+        phi = build()
+        short = phi.with_trunc(least_precision(phi, char_sequence(phi)))
+        for branch in (phi, short):
+            res = zariski_invariant(branch)
+            assert (res.exponent, res.coefficient) == lift_reference(branch)
+            assert res.exponent == lam
+
+    @pytest.mark.parametrize("name", list(GENUS_2_AND_3))
+    def test_the_route_reads_y_only_below_beta_2_plus_one(self, name):
+        # a term at t**k, k > beta_2, enters omega and every form at value
+        # k + n or above, past omega's cut at beta_2 + n; one at beta_2
+        # moves c when lambda = beta_2
+        phi = GENUS_2_AND_3[name][0]()
+        cd = char_sequence(phi)
+        n, beta2 = cd.mult, cd.char_exponents[2]
+        route = zariski._route(phi.y, cd)
+        for k in range(beta2 + 1, beta2 + 2 * n):
+            assert zariski._route(plus_term(phi, k).y, cd) == route
+        moved = zariski._route(plus_term(phi, beta2).y, cd)
+        assert (moved != route) == (route[0] == beta2)
+        assert moved[0] == route[0]
+
+    def test_a_route_that_finds_no_value_is_a_cross_check_failure(self):
+        cd = CharData.from_char_exponents((4, 6, 7))
+        with pytest.raises(CrossCheckFailed, match="found no value"):
+            zariski._route(Parametrization.from_pairs(4, [(6, 1)]).y, cd)
 
 
 def _random_coordinate_change(rng, phi, bound):
