@@ -257,7 +257,8 @@ def _route(y: TSeries, cd: CharData):
     top + 1, as bare numerators: its denominator cancels in the multiple of
     the form that is subtracted.  omega is one map of integers over one
     denominator, reduced in place: each step scales it by the form's lead,
-    subtracts the form times omega's lead, and divides out the content.
+    subtracts the form times omega's lead, and divides out the content.  A
+    lead that survives its step is a CrossCheckFailed, not an endless loop.
     """
     n, m = cd.char_exponents[:2]
     e1 = cd.gcd_sequence[1]
@@ -287,6 +288,8 @@ def _route(y: TSeries, cd: CharData):
             omega = {k: c * lead for k, c in omega.items()}
             oden *= lead
         _addmul(omega, form if a else {k: k * c for k, c in form.items()}, -f, shift, top)
+        if e in omega:
+            raise CrossCheckFailed(f"the route left omega's lead at t^{e}")
         omega, oden = _reduced(omega, oden)
     if cd.genus > 1:
         raise CrossCheckFailed(f"the route found no value of omega up to beta_2 + n = {top}")
