@@ -42,10 +42,15 @@ class CharData:
 
     @classmethod
     def from_char_exponents(cls, beta) -> "CharData":
-        """The data of the class K(beta).  Fewer than two exponents are
-        refused with NotSingular, then an exponent that is not an int, a
-        bool included, with InvalidArgument."""
-        beta = tuple(beta)
+        """The data of the class K(beta).  A beta that is not a sequence is
+        refused with InvalidArgument, fewer than two exponents with
+        NotSingular, then an exponent that is not an int, a bool included,
+        with InvalidArgument; last, after the class's own refusals,
+        exponents that do not increase with InvalidArgument."""
+        try:
+            beta = tuple(beta)
+        except TypeError:
+            raise InvalidArgument(f"characteristic exponents {beta!r}: not a sequence") from None
         if len(beta) < 2:
             raise NotSingular("a singular branch needs at least two characteristic exponents")
         if any(isinstance(b, bool) or not isinstance(b, int) for b in beta):
@@ -62,6 +67,8 @@ class CharData:
             e.append(gcd(e[-1], b))
         if e[-1] != 1:
             raise NotPrimitive(f"characteristic exponents {beta} have gcd {e[-1]} > 1")
+        if any(b <= a for a, b in zip(beta[1:], beta[2:])):
+            raise InvalidArgument(f"characteristic exponents {beta} do not increase")
         quots = tuple(e[i - 1] // e[i] for i in range(1, len(e)))
         v = [n, beta[1]]
         for j in range(2, len(beta)):

@@ -167,6 +167,12 @@ BAD_ARGUMENTS = {
     "char-exponents-float": lambda: CharData.from_char_exponents((2, 3.7)),
     "char-exponents-string": lambda: CharData.from_char_exponents(("2", "3")),
     "char-exponents-bool": lambda: CharData.from_char_exponents((4, 6, True)),
+    # (4, 6, 5) and (4, 6, 3) were read as classes with a decreasing sequence
+    "char-exponents-decreasing": lambda: CharData.from_char_exponents((4, 6, 5)),
+    "char-exponents-below-beta-1": lambda: CharData.from_char_exponents((4, 6, 3)),
+    # tuple(beta) raised an untyped TypeError
+    "char-exponents-missing": lambda: CharData.from_char_exponents(None),
+    "char-exponents-int": lambda: CharData.from_char_exponents(7),
 }
 
 TRUNCATED_CUSP = Parametrization.from_pairs(2, [(3, 1)], trunc=8)
