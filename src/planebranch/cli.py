@@ -47,7 +47,7 @@ from .geometry import (
 )
 from .semigroup import char_sequence
 from .series import EXACT, BivarPoly, substitute
-from .zariski import _invariant_defect, infer_zariski, zariski_invariant
+from .zariski import _refuse_non_invariant, infer_zariski, zariski_invariant
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -147,10 +147,7 @@ def _known_or_computed_lambda(session, phi: Parametrization, infinite: str) -> i
     raises HypothesisNotMet with the command's message."""
     known = session.args.known_lambda
     if known is not None:
-        cd = char_sequence(phi)
-        defect = _invariant_defect(known, cd)
-        if defect:
-            raise NotAnInvariant(f"{defect}: not an invariant of K{cd.char_exponents}")
+        _refuse_non_invariant(known, char_sequence(phi))
     res = zariski_invariant(phi)
     if known is not None and known != res.exponent:
         computed = res.exponent if res.finite else "infinite"

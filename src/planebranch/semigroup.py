@@ -42,11 +42,10 @@ class CharData:
 
     @classmethod
     def from_char_exponents(cls, beta) -> "CharData":
-        """The data of the class K(beta).  A beta that is not a sequence is
-        refused with InvalidArgument, fewer than two exponents with
-        NotSingular, then an exponent that is not an int, a bool included,
-        with InvalidArgument; last, after the class's own refusals,
-        exponents that do not increase with InvalidArgument."""
+        """The data of the class K(beta).  Refused in order, InvalidArgument
+        unless named: a beta that is not a sequence; fewer than two exponents
+        (NotSingular); an exponent that is not an int, a bool included; the
+        class's own refusals; last, exponents that do not increase."""
         try:
             beta = tuple(beta)
         except TypeError:

@@ -6,9 +6,10 @@ by c*x**(a-1)*y**b (a >= 1) or x by c*y**(b-1) (a = 0), the latter followed
 by the exact parameter change that restores x = t**n.  Sweeping the removable
 exponents in increasing order is triangular, so the smallest surviving
 exponent with its coefficient is the Zariski invariant.  It is also the
-first value of m*y*dx - n*x*dy outside <n, m>, less n (Hefez-Hernandes):
-that route builds a witness branch of extremal contact, slot by slot.
-The moves, the sweep and the route compute on the integer numerators of y.
+first value of m*y*dx - n*x*dy outside the semigroup, less n
+(Hefez-Hernandes): that route gives lambda at every genus and builds a
+witness of extremal contact, slot by slot.  The moves, the sweep and the
+route compute on the integer numerators of y.
 """
 
 from __future__ import annotations
@@ -100,8 +101,7 @@ class ZariskiResult:
 
 
 def _working_bound(n: int, m: int) -> int:
-    """Working truncation of a genus-one sweep, 2n above the conductor
-    (n - 1)(m - 1) of <n, m>."""
+    """Working truncation of a genus-one sweep, 2n above the conductor."""
     return (n - 1) * (m - 1) + 2 * n
 
 
@@ -235,30 +235,29 @@ def _first_offgrid_exponent(phi: Parametrization) -> int:
 
 def _route(y: TSeries, cd: CharData):
     """(s, c) from reducing omega = m*y*dx - n*x*dy along the branch
-    (t**n, y) of class cd, n = beta_0 and m = beta_1: s = v - n at the first
-    value v of omega outside the semigroup of values, and c what the sweep
-    leaves at its smallest survivor s; at genus one (None, None) once
-    v >= mu, for a branch equivalent to y**n = x**m.
+    (t**n, y) of class cd, n = beta_0, m = beta_1: s = v - n at the first
+    value v of omega outside the semigroup, c what the sweep leaves at its
+    smallest survivor s; (None, None) at genus one once v >= mu.
 
     Per n*dt, omega is sum (m - j)*a_j*t**(j+n-1), and a lead of value
     v = a*n + b*m is cancelled by x**(a-1)*y**b*dx = t**(n*a-1)*y**b, or by
     d(y**b) when a = 0: either way the term k of y**b lands at k + n*a - 1,
     times k when a = 0.  v lies in <n, m> when e1 = gcd(n, m) divides it
-    and v/e1 = a*n1 + b*m1 with a >= 0.  omega is read up to the value
-    top: mu - 1 at genus one; beta_2 + n at genus >= 2, below
-    v_2 = (n1 - 1)*m + beta_2, so that the semigroup is <n, m> up to top.
-    There e1 divides every exponent of y below beta_2, so a term of a form
-    that e1 does not divide holds some a_j, j >= beta_2, and lands past
-    beta_2 + n: only y*dx could land there, and omega never has a lead at
-    n + m.  So the route stops at omega's lead (m - beta_2)*a_beta_2 at
-    beta_2 + n at the latest, with c = a_beta_2 / a_m.  Likewise a term of
-    y at k > top - n lands past top, so only y below mu - n, or below
-    beta_2 + 1 as char_sequence requires, is read.  Each y**b is read below
-    top + 1, as bare numerators: its denominator cancels in the multiple of
-    the form that is subtracted.  omega is one map of integers over one
-    denominator, reduced in place: each step scales it by the form's lead,
-    subtracts the form times omega's lead, and divides out the content.  A
-    lead that survives its step is a CrossCheckFailed, not an endless loop.
+    and v/e1 = a*n1 + b*m1 with a >= 0.  omega is read up to the value top:
+    mu - 1 at genus one; beta_2 + n at genus >= 2, where the semigroup is
+    <n, m> up to top since v_2 = (n1 - 1)*m + beta_2 > top.  e1 divides
+    every exponent of y below beta_2, so a term of a form that e1 does not
+    divide lands past beta_2 + n (only y*dx could reach it, and omega never
+    has a lead at n + m): the route stops at omega's lead
+    (m - beta_2)*a_beta_2 at beta_2 + n at the latest, with
+    c = a_beta_2 / a_m.  Likewise a term of y at k > top - n lands past
+    top, so only y below mu - n, or below beta_2 + 1 as char_sequence
+    requires, is read.  Each y**b is read below top + 1, as bare
+    numerators: its denominator cancels in the multiple of the form that is
+    subtracted.  omega is one map of integers over one denominator, reduced
+    in place: each step scales it by the form's lead, subtracts the form
+    times omega's lead, and divides out the content; a lead that survives
+    its step is a CrossCheckFailed, not an endless loop.
     """
     n, m = cd.char_exponents[:2]
     e1 = cd.gcd_sequence[1]
@@ -386,9 +385,8 @@ def zariski_invariant(phi: Parametrization) -> ZariskiResult:
     The sweep on the genus-one reduced branch gives the witness, the
     normal form and the move log; at genus >= 2 lambda and its coefficient
     come from the route on the branch itself.  Every finite result is
-    cross-checked by the witness's intersection with the branch, counted
-    independently of the sweep and the route by the conjugate scan of
-    `intersection`.
+    cross-checked by the witness's intersection with the branch, which the
+    conjugate scan of `intersection` counts apart from sweep and route.
     """
     cd = char_sequence(phi)
     result = genus1_reduce(_reduced_branch(phi, cd))
@@ -409,9 +407,7 @@ def _verify_result(phi, cd: CharData, result: ZariskiResult):
     lam = result.exponent
     if result.coefficient == 0:
         raise CrossCheckFailed("finite invariant with zero leading coefficient")
-    defect = _invariant_defect(lam, cd)
-    if defect:
-        raise CrossCheckFailed(defect)
+    _refuse_non_invariant(lam, cd, CrossCheckFailed)
     # I at contact lam / n with multiplicity n1, on the first piece (v_2 at lam = beta_2)
     expected = (cd.reduced_mult - 1) * cd.char_exponents[1] + lam
     observed = intersection(result.witness, phi)
@@ -421,18 +417,20 @@ def _verify_result(phi, cd: CharData, result: ZariskiResult):
         )
 
 
-def _invariant_defect(lam: int, cd: CharData):
-    """Why lam cannot be the Zariski invariant of a branch of class cd, or
-    None: it must exceed beta_1, stay at or below beta_2 at genus >= 2, and
-    lam + n must lie outside the semigroup of values."""
+def _refuse_non_invariant(lam: int, cd: CharData, error=NotAnInvariant) -> None:
+    """Refuse with `error` a lam that cannot be the Zariski invariant of a
+    branch of class cd: it must exceed beta_1, stay at or below beta_2 at
+    genus >= 2, and lam + n must lie outside the semigroup of values."""
     beta = cd.char_exponents
     if not lam > beta[1]:
-        return f"invariant {lam} does not exceed beta_1 = {beta[1]}"
-    if cd.genus >= 2 and lam > beta[2]:
-        return f"invariant {lam} exceeds beta_2 = {beta[2]}"
-    if contains(lam + cd.mult, cd):
-        return f"{lam} + {cd.mult} lies in the semigroup of values"
-    return None
+        defect = f"invariant {lam} does not exceed beta_1 = {beta[1]}"
+    elif cd.genus >= 2 and lam > beta[2]:
+        defect = f"invariant {lam} exceeds beta_2 = {beta[2]}"
+    elif contains(lam + cd.mult, cd):
+        defect = f"{lam} + {cd.mult} lies in the semigroup of values"
+    else:
+        return
+    raise error(f"{defect}: not an invariant of K{beta}")
 
 
 def replay_moves(phi: Parametrization, result: ZariskiResult) -> Parametrization:
@@ -492,9 +490,7 @@ def infer_zariski(
     _check_positive(other_mult, "multiplicity")
     if isinstance(lambda_f, bool) or not isinstance(lambda_f, int):
         raise InvalidArgument(f"lambda {lambda_f!r} is not a finite integer invariant")
-    defect = _invariant_defect(lambda_f, cd_f)
-    if defect:
-        raise NotAnInvariant(f"{defect}: not an invariant of K{cd_f.char_exponents}")
+    _refuse_non_invariant(lambda_f, cd_f)
     n = cd_f.mult
     if contact_order is not None:
         if not ratio(contact_order) > Fraction(lambda_f, n):
