@@ -276,11 +276,11 @@ def _route(y: TSeries, cd: CharData):
             return e + 1 - n, Fraction(omega[e] * yden, oden * (m + n - e - 1) * ynum[m])
         while len(forms) <= b:
             forms.append(next(powers)[0])
-        shift = n * a - 1
+        shift = e - b * m
         form = forms[b]
         # omega * lead - f * form over oden * lead, where f / lead is
         # omega's lead over the form's, in lowest terms
-        lead = form[e - shift] * (1 if a else e - shift)
+        lead = form[b * m] * (1 if a else b * m)
         g = gcd(omega[e], lead)
         f, lead = omega[e] // g, lead // g
         if lead != 1:

@@ -3,7 +3,8 @@
 Usage:  python tests/mutation/run.py
 
 Each mutant in MUTANTS replaces one exact text of one file under src/ by
-another.  For each mutant the tree (src/, tests/, pyproject.toml) is copied
+another.  For each mutant the tree (src/, tests/, pyproject.toml, and
+perfbench/, whose seeded branches the census test reads) is copied
 to a temporary directory, the mutant applied there, and tier-1 run with
 `-x -p no:cacheprovider --hypothesis-seed=0`, two mutants at a time.  The
 mutant is killed when the run fails or outlasts TIMEOUT seconds (a mutant
@@ -105,8 +106,24 @@ MUTANTS = {
         "omega is scaled by the form's lead but its denominator is not",
     ),
     "route-lead-without-factor": (
-        ZARISKI, "lead = form[e - shift] * (1 if a else e - shift)", "lead = form[e - shift]",
-        "the lead of d(y**b) is k times that of y**b; omega's lead is never cancelled",
+        ZARISKI, "lead = form[b * m] * (1 if a else b * m)", "lead = form[b * m]",
+        "the lead of d(y**b) is k times that of y**b; omega's lead survives its step",
+    ),
+    "route-genus2-stop-one-short": (
+        ZARISKI, "else cd.char_exponents[2] + n\n", "else cd.char_exponents[2] + n - 1\n",
+        "omega is read only below beta_2 + n, so a lambda = beta_2 is never found",
+    ),
+    "route-membership-without-e1": (
+        ZARISKI, "if a < 0 or (e + 1) % e1:", "if a < 0:",
+        "a value e1 does not divide is taken for the element of <n, m> at its floor",
+    ),
+    "route-no-value-guard-dropped": (
+        ZARISKI,
+        "    if cd.genus > 1:\n"
+        "        raise CrossCheckFailed(f\"the route found no value of omega up to"
+        " beta_2 + n = {top}\")\n",
+        "",
+        "a genus >= 2 route that finds no value reports an infinite invariant",
     ),
     "qmove-no-content-division": (
         ZARISKI, "    return TSeries._make(y.var, out, common, y.trunc)\n",
@@ -382,6 +399,15 @@ MUTANTS = {
 
 # name: (file, old text, new text, why it survives)
 DECLARED = {
+    "route-lead-guard-dropped": (
+        ZARISKI,
+        "        if e in omega:\n"
+        "            raise CrossCheckFailed(f\"the route left omega's lead at t^{e}\")\n",
+        "",
+        "equivalent: f / lead is omega's lead over the form's, so each step cancels the"
+        " lead exactly and the guard never fires; it turns route-lead-without-factor's"
+        " endless loop into a refusal",
+    ),
     "route-lead-not-reduced": (
         ZARISKI, "g = gcd(omega[e], lead)", "g = 1",
         "equivalent: omega is then g times its reduced form over g times its denominator,"
@@ -428,7 +454,7 @@ TIER1 = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-see
 
 def _copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-    for part in ("src", "tests"):
+    for part in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
