@@ -1,22 +1,22 @@
 """A census of the paper's theorem on seeded disguised branches.
 
-Usage:  python tests/census.py [--max-n N] [--psi K]
+Usage:  python tests/census.py
 
 The Zariski invariant lambda of a branch phi of K(n, m) is read off its
 intersection with B, the family of branches equivalent to y**n = x**m:
 I(psi, phi) <= (n - 1)*m + lambda for every psi in B, with equality for the
-witness.  Per genus-one class of `CLASSES` with n <= N (default 7), per slot
-and the infinite case, the census takes a disguised `gen.genus1_item`
-branch and checks that
+witness.  Per genus-one class of `CLASSES` with n <= 7, per slot and the
+infinite case, the census takes a disguised `gen.genus1_item` branch and
+checks that
 
 - the sweep, the route and the planted (lambda, c) agree;
-- K members psi of B near phi (default 4), each phi plus one seeded term
+- four members psi of B near phi, each phi plus one seeded term
   projected into B by the witness loop, meet phi at most
   (n - 1)*m + lambda, either way round, and the witness meets it at
   exactly that.
 
 At genus 2 and 3, on `gen.pair_item` branches of `PAIR_CLASSES` with
-n <= 2N, every reduced slot and the infinite case, the route on the branch
+n <= 14, every reduced slot and the infinite case, the route on the branch
 itself, `lift_reference` and the planted (lambda, c) agree.  The branches
 are disguised by the dict arithmetic of perfbench's `gen`, never by the
 library.  Prints the counts; exits 1 on a violation, naming it.
@@ -24,7 +24,6 @@ library.  Prints the counts; exits 1 on a violation, naming it.
 
 from __future__ import annotations
 
-import argparse
 import random
 import sys
 from dataclasses import dataclass, field
@@ -110,8 +109,11 @@ def genus_two_and_three(counts: Counts, beta: tuple, rng: random.Random) -> None
                          f"{name}: route {route}, lift {lift}, planted {(item.lam, item.coeff)}")
 
 
-def census(max_n: int, projected: int, seed: int = 0) -> Counts:
-    rng = random.Random(f"census/{seed}")
+def census(max_n: int, projected: int) -> Counts:
+    """The census of the genus-one classes with n <= max_n, `projected`
+    members of B per finite branch, and the genus-2 and genus-3 classes
+    with n <= 2*max_n."""
+    rng = random.Random("census/0")
     counts = Counts()
     for n, m in CLASSES:
         if n <= max_n:
@@ -123,12 +125,8 @@ def census(max_n: int, projected: int, seed: int = 0) -> Counts:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-n", type=int, default=7)
-    parser.add_argument("--psi", type=int, default=4)
-    args = parser.parse_args()
-    counts = census(args.max_n, args.psi)
-    print(f"census n <= {args.max_n}: {counts.branches} genus-one branches, "
+    counts = census(7, 4)
+    print(f"census n <= 7: {counts.branches} genus-one branches, "
           f"{counts.projected} projected psi ({counts.at_maximum} at the maximum), "
           f"{counts.pair_branches} genus-2/3 branches, {len(counts.violations)} violations")
     for what in counts.violations:
