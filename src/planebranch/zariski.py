@@ -239,11 +239,14 @@ def _route(y: TSeries, cd: CharData):
     value v of omega outside the semigroup, c what the sweep leaves at its
     smallest survivor s; (None, None) at genus one once v >= mu.
 
-    Per n*dt, omega is sum (m - j)*a_j*t**(j+n-1), and a lead of value
-    v = a*n + b*m is cancelled by x**(a-1)*y**b*dx = t**(n*a-1)*y**b, or by
-    d(y**b) when a = 0: either way the term k of y**b lands at k + n*a - 1,
-    times k when a = 0.  v lies in <n, m> when e1 = gcd(n, m) divides it
-    and v/e1 = a*n1 + b*m1 with a >= 0.  omega is read up to the value top:
+    The terms a_kn*t**(k*n) of y below m are dropped: the sweep's first
+    moves y -> y - a_kn*x**k remove them and keep (lambda, c).  Then y**b
+    leads at b*m, and per n*dt omega is sum (m - j)*a_j*t**(j+n-1), j > m.
+    A lead of value v = a*n + b*m is cancelled by
+    x**(a-1)*y**b*dx = t**(n*a-1)*y**b, or by d(y**b) when a = 0: the term
+    k of y**b lands at k + n*a - 1 >= v - 1, times k when a = 0, so omega's
+    leads rise.  v lies in <n, m> when e1 = gcd(n, m) divides it and
+    v/e1 = a*n1 + b*m1 with a >= 0.  omega is read up to the value top:
     mu - 1 at genus one; beta_2 + n at genus >= 2, where the semigroup is
     <n, m> up to top since v_2 = (n1 - 1)*m + beta_2 > top.  e1 divides
     every exponent of y below beta_2, so a term of a form that e1 does not
@@ -252,31 +255,30 @@ def _route(y: TSeries, cd: CharData):
     (m - beta_2)*a_beta_2 at beta_2 + n at the latest, with
     c = a_beta_2 / a_m.  Likewise a term of y at k > top - n lands past
     top, so only y below mu - n, or below beta_2 + 1 as char_sequence
-    requires, is read.  Each y**b is read below top + 1, as bare
-    numerators: its denominator cancels in the multiple of the form that is
-    subtracted.  omega is one map of integers over one denominator, reduced
-    in place: each step scales it by the form's lead, subtracts the form
-    times omega's lead, and divides out the content; a lead that survives
-    its step is a CrossCheckFailed, not an endless loop.
+    requires, is read.  omega is one map of integers over one denominator,
+    and each y**b is read below top + 1 as bare numerators, whose
+    denominator cancels in the multiple subtracted; a lead that does not
+    rise is a CrossCheckFailed, not an endless loop.
     """
     n, m = cd.char_exponents[:2]
     e1 = cd.gcd_sequence[1]
     top = cd.conductor - 1 if cd.genus == 1 else cd.char_exponents[2] + n
     y = _cut(y, top + 1)
+    y = TSeries._make(y.var, {j: c for j, c in y.num.items() if j % n or j > m}, y.den, y.trunc)
     ynum, yden = y.num, y.den
-    omega, oden = {}, yden
-    for j, c in ynum.items():
-        if j != m and j + n - 1 < top:
-            omega[j + n - 1] = (m - j) * c
+    omega = {j + n - 1: (m - j) * c for j, c in ynum.items() if j != m and j + n - 1 < top}
+    oden = yden
     forms, powers = [], _powers(y, top + 1)
+    e = 0
     while omega:
-        e = min(omega)
+        e, last = min(omega), e
+        if e <= last:
+            raise CrossCheckFailed(f"omega's lead went back to t^{e} from t^{last}")
         a, b = rep_nm((e + 1) // e1, cd.reduced_mult, cd.reduced_first)
         if a < 0 or (e + 1) % e1:
             return e + 1 - n, Fraction(omega[e] * yden, oden * (m + n - e - 1) * ynum[m])
         while len(forms) <= b:
             forms.append(next(powers)[0])
-        shift = e - b * m
         form = forms[b]
         # omega * lead - f * form over oden * lead, where f / lead is
         # omega's lead over the form's, in lowest terms
@@ -286,9 +288,7 @@ def _route(y: TSeries, cd: CharData):
         if lead != 1:
             omega = {k: c * lead for k, c in omega.items()}
             oden *= lead
-        _addmul(omega, form if a else {k: k * c for k, c in form.items()}, -f, shift, top)
-        if e in omega:
-            raise CrossCheckFailed(f"the route left omega's lead at t^{e}")
+        _addmul(omega, form if a else {k: k * c for k, c in form.items()}, -f, e - b * m, top)
         omega, oden = _reduced(omega, oden)
     if cd.genus > 1:
         raise CrossCheckFailed(f"the route found no value of omega up to beta_2 + n = {top}")

@@ -117,6 +117,14 @@ MUTANTS = {
         ZARISKI, "if a < 0 or (e + 1) % e1:", "if a < 0:",
         "a value e1 does not divide is taken for the element of <n, m> at its floor",
     ),
+    "route-keeps-x-powers": (
+        ZARISKI,
+        "    y = TSeries._make(y.var, {j: c for j, c in y.num.items() if j % n or j > m},"
+        " y.den, y.trunc)\n",
+        "",
+        "a term of y at k*n below m gives y**b terms below b*m, and omega's lead walks"
+        " back down",
+    ),
     "route-no-value-guard-dropped": (
         ZARISKI,
         "    if cd.genus > 1:\n"
@@ -399,14 +407,15 @@ MUTANTS = {
 
 # name: (file, old text, new text, why it survives)
 DECLARED = {
-    "route-lead-guard-dropped": (
+    "route-rise-guard-dropped": (
         ZARISKI,
-        "        if e in omega:\n"
-        "            raise CrossCheckFailed(f\"the route left omega's lead at t^{e}\")\n",
+        "        if e <= last:\n"
+        "            raise CrossCheckFailed(f\"omega's lead went back to t^{e} from t^{last}\")\n",
         "",
-        "equivalent: f / lead is omega's lead over the form's, so each step cancels the"
-        " lead exactly and the guard never fires; it turns route-lead-without-factor's"
-        " endless loop into a refusal",
+        "equivalent: with y's x-powers below m dropped every form leads at its b*m, and"
+        " f / lead is omega's lead over the form's, so each step cancels the lead and adds"
+        " terms above it only; the guard turns route-lead-without-factor's endless loop"
+        " and route-keeps-x-powers's walk back down into refusals",
     ),
     "route-lead-not-reduced": (
         ZARISKI, "g = gcd(omega[e], lead)", "g = 1",

@@ -410,6 +410,15 @@ class TestRoute:
         phi = dense(seed, 8, range(12, 70 + 2 * 8), {11: 1})
         assert self.check(phi, 8, 11, witness_by_all_slots(phi, 11)).finite
 
+    @pytest.mark.parametrize("n,m,seed", [(3, 7, 37), (4, 9, 49), (5, 11, 511)])
+    def test_x_powers_below_m(self, n, m, seed):
+        # terms at multiples of n below m make y**b lead below b*m; the
+        # route drops them, as the sweep's first moves do, and keeps its
+        # walk triangular (kept, K(4,9) and K(5,11) walk back down)
+        mu = (n - 1) * (m - 1)
+        phi = dense(seed, n, [*range(2 * n, m, n), *range(m + 1, mu)], {m: 1})
+        self.check(phi, n, m, witness_by_all_slots(phi, m))
+
     def test_a_slot_the_route_returns_twice_is_a_cross_check_failure(self, monkeypatch):
         phi = Parametrization.from_pairs(4, [(7, 1), (9, 1), (10, 1)])
         route = zariski._route
@@ -429,6 +438,23 @@ GENUS_2_AND_3 = {
     ),
     "K(12,28,34,37) at beta_2": (
         lambda: dense(1234, 12, [36, 38, 39, 40, 41], {28: 1, 34: 2, 37: 1}), 34
+    ),
+    # with x-powers below beta_1, which the route drops
+    "sextic after y -> y + (2/3)*x**2": (
+        lambda: apply_qmove(puiseux_parametrization(BivarPoly(dict(SEXTIC_TERMS))), 3, 0, F(2, 3)),
+        16,
+    ),
+    "K(6,16,41) with x**2 at 2k": (
+        lambda: dense(641, 6, [12, *range(18, 41, 2), *range(41, 50)], {16: 1, 41: 1}), 20
+    ),
+    "K(6,16,41) with x**2 at beta_2": (
+        lambda: dense(642, 6, [12, 18, *range(22, 41, 2), *range(41, 50)], {16: 1, 41: 1}), 41
+    ),
+    "K(9,21,25) with x**2 at 3k": (
+        lambda: dense(925, 9, [18, 24, *range(25, 40)], {21: 1, 25: 1}), 24
+    ),
+    "K(9,21,25) with x**2 at beta_2": (
+        lambda: dense(926, 9, [18, *range(25, 40)], {21: 1, 25: 1}), 25
     ),
 }
 
