@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import BranchFileError
 from .geometry import Parametrization
-from .series import EXACT, BivarPoly
+from .series import EXACT, BivarPoly, _is_int
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -34,7 +34,7 @@ def _rational(text) -> Fraction:
                 f"bad rational {text!r}; expected 'p/q' or an integer string"
             )
         return Fraction(text.strip())
-    if isinstance(text, bool) or not isinstance(text, int):
+    if not _is_int(text):
         raise BranchFileError(
             f"rationals must be strings like '17/14' or integers, got {text!r}"
         )
@@ -43,7 +43,7 @@ def _rational(text) -> Fraction:
 
 def _natural(value) -> bool:
     """A non-negative JSON integer; true and false are not integers here."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return _is_int(value) and value >= 0
 
 
 def _term_items(data: dict, shape: str):

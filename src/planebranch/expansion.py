@@ -21,7 +21,7 @@ from .errors import (
 )
 from .geometry import Parametrization, implicitize, intersection_poly_param
 from .semigroup import CharData, rep_nm
-from .series import BivarPoly
+from .series import BivarPoly, _is_int
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def zariski_decomposition(
     integer, such as the None exponent of an infinite invariant, is
     refused with InvalidArgument.
     """
-    if isinstance(lam, bool) or not isinstance(lam, int):
+    if not _is_int(lam):
         raise InvalidArgument(f"lambda {lam!r} is not a finite integer invariant")
     n1 = cd_f.reduced_mult
     m1 = cd_f.reduced_first

@@ -6,7 +6,8 @@ identities, all in Q[x]; the inverse direction is a Newton-polygon
 iteration on one primitive integer polynomial, held as rows y-degree ->
 {x-exponent: int}, whose edge roots are rational.  The intersection
 multiplicity of a polynomial with a parametrization is the order of a
-substitution; that of two parametrizations is a sum of conjugate orders,
+substitution, read on an exact branch off one big-integer evaluation;
+that of two parametrizations is a sum of conjugate orders,
 read off by comparing coefficients, and the largest gives their contact order.
 
 Contact order theta >= 1 and intersection multiplicity I with a branch of
@@ -47,6 +48,7 @@ from .series import (
     EXACT,
     BivarPoly,
     TSeries,
+    _at_two_power,
     _check_positive,
     _convolve,
     _powers,
@@ -198,6 +200,11 @@ def implicitize(phi: Parametrization) -> BivarPoly:
     den**h and den**(r - h), and their product num**r shares no factor
     with den**r.  The input must be exact: truncate an inexact branch
     deliberately first.
+
+    The result is checked on the branch by one big-integer evaluation,
+    `_at_two_power`, which is zero exactly when f(t**n, p(t)) = 0; any
+    other value raises CrossCheckFailed.  No series of f on the branch
+    is built.
     """
     if not phi.exact:
         raise NonPolynomialInput(
@@ -237,8 +244,7 @@ def implicitize(phi: Parametrization) -> BivarPoly:
         n - k: {d: (-c if k % 2 else c) * den ** (n - k) for d, c in ek.items()}
         for k, ek in enumerate(elementary)
     }, den**n)
-    check = substitute(poly, phi.n, phi.y)
-    if not check.is_zero_below_trunc():
+    if _at_two_power(poly, n, phi.y)[0]:
         raise CrossCheckFailed("implicit equation does not vanish on the branch")
     return poly
 
@@ -408,19 +414,28 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
 # -- intersection multiplicity ---------------------------------------------------
 
 def intersection_poly_param(f: BivarPoly, phi: Parametrization) -> int:
-    """Intersection multiplicity as the t-order of f on the parametrization.
-    When f vanishes on the branch up to its truncation, PrecisionExhausted
-    carries no `needed`: that cannot be told from a factor of f."""
-    value = substitute(f, phi.n, phi.y)
-    order = value.order()
-    if order is not None:
-        return order
-    if value.exact:
-        raise BranchesEqual("polynomial vanishes identically on the branch")
-    raise PrecisionExhausted(
-        f"substitution vanishes below {value.trunc}; raise the truncation "
-        "or the branches coincide"
-    )
+    """Intersection multiplicity as the t-order of f on the parametrization
+    (Casas-Alvero, Singularities of Plane Curves, 2000).  On an exact branch
+    it is read off one big-integer evaluation, `_at_two_power`; on a
+    truncated one off the series `substitute` builds, whose truncation,
+    read after cancellation, certifies it.  When f vanishes on the branch
+    up to its truncation, PrecisionExhausted carries no `needed`: that
+    cannot be told from a factor of f."""
+    if phi.exact:
+        v, k = _at_two_power(f, phi.n, phi.y)
+        if v:
+            return ((v & -v).bit_length() - 1) // k
+    else:
+        value = substitute(f, phi.n, phi.y)
+        order = value.order()
+        if order is not None:
+            return order
+        if not value.exact:
+            raise PrecisionExhausted(
+                f"substitution vanishes below {value.trunc}; raise the truncation "
+                "or the branches coincide"
+            )
+    raise BranchesEqual("polynomial vanishes identically on the branch")
 
 
 def _conjugate_orders(phi1: Parametrization, phi2: Parametrization):

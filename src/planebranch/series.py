@@ -16,7 +16,11 @@ operation and kernel computes on it: `_convolve` multiplies in integers,
 `_addmul` adds a multiple in place, `_reduced` divides out the content, and
 `_powers` yields y**0, y**1, ... of a series, each over its reduced
 denominator, for `substitute`, `solve_composition`, `implicitize`, the moves
-and the route.  `num`, `rows` and `den` are read, never written.
+and the route.  `_at_two_power` evaluates a polynomial on an exact branch
+at t = 2**k as one Python int, which tells whether it vanishes there and
+at which t-order, with no series built, for `implicitize`'s check and
+`intersection_poly_param`.  `num`, `rows` and `den` are read, never
+written.
 
 `.terms` is a read-only view of the same coefficients, exponent (or (i, j))
 -> Fraction, built on first access and cached, for the printers, branch
@@ -64,9 +68,14 @@ def ratio(value) -> Fraction:
     raise InvalidArgument(f"cannot interpret {value!r} as an exact rational")
 
 
+def _is_int(value) -> bool:
+    """Whether value is an int and not a bool, which Python counts as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_positive(value, what: str) -> None:
     """Refuse anything but an int >= 1, a bool included, with InvalidArgument."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if not _is_int(value) or value < 1:
         raise InvalidArgument(f"{what} {value!r} is not a positive integer")
 
 
@@ -178,7 +187,7 @@ def _accumulate(pairs) -> dict:
 
 def _power(base, k: int, one):
     """base**k by repeated squaring; `one()` builds the result at k = 0."""
-    if not isinstance(k, int) or k < 0:
+    if not _is_int(k) or k < 0:
         raise InvalidArgument("exponent must be a non-negative integer")
     result = None
     while k:
@@ -380,7 +389,7 @@ class TSeries:
 
     def shift(self, offset: int) -> "TSeries":
         """Multiply by var**offset (offset may be negative if all terms allow)."""
-        if not isinstance(offset, int):
+        if not _is_int(offset):
             raise InvalidArgument(f"shift offset must be an integer, got {offset!r}")
         if offset < 0 and any(e + offset < 0 for e in self.num):
             raise InvalidArgument("shift would create negative exponents")
@@ -776,7 +785,7 @@ def substitute(poly: BivarPoly, n: int, y: TSeries) -> TSeries:
     The truncation is the ring operations': acc * y**g is known below
     min(T_acc + ord y**g, T_g + ord acc), each order read after cancellation.
     """
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise InvalidArgument(f"x-exponent n must be a non-negative integer, got {n!r}")
     rows: dict = {}
     for j, xrow in poly.rows.items():
@@ -802,3 +811,42 @@ def substitute(poly: BivarPoly, n: int, y: TSeries) -> TSeries:
             _addmul(acc, row, den, 0, trunc)
     num = {e: c for e, c in acc.items() if c}
     return TSeries._make(y.var, num, den * poly.den, trunc)
+
+
+def _at_two_power(poly: BivarPoly, n: int, y: TSeries) -> tuple[int, int]:
+    """(v, k) with v = G(2**k), for an exact y = Num(t) / den, poly of
+    y-degree d with integer rows F_j and n >= 0 unchecked, and
+    G(t) = sum_j F_j(t**n) * Num(t)**j * den**(d - j)
+    = den**d * poly.den * poly(t**n, y(t)) in Z[t]: whether poly vanishes on
+    the branch (t**n, y), and at which t-order, by one evaluation.
+
+    Proof (Kronecker substitution).  The l1-norm of a product is at most the
+    product of the norms, so every coefficient c of G has
+    |c| <= beta = sum_j ||F_j||_1 * ||Num||_1**j * den**(d - j), and
+    k = beta.bit_length() + 1 gives |c| < 2**(k - 1).  Digits in base 2**k
+    with |digit| < 2**(k - 1) are unique, so G = 0 exactly when v = 0.
+    Otherwise, with e = ord_t G, v = 2**(k*e) * (G_e + 2**k * w) for an
+    integer w, and v_2(G_e) <= k - 2 because 0 < |G_e| < 2**(k - 1); so
+    v_2(v) = k*e + v_2(G_e) and e = v_2(v) // k.  Each F_j(2**(k*n)) and
+    Num(2**k) is packed by shifts, and one Horner pass in y runs on Python
+    ints; no digit of v is ever unpacked.
+    """
+    rows, den = poly.rows, y.den
+    d = max(rows, default=0)
+    norm = sum(map(abs, y.num.values()))
+    beta, scale = 0, 1
+    for j in range(d, -1, -1):
+        beta *= norm
+        if j in rows:
+            beta += sum(map(abs, rows[j].values())) * scale
+        scale *= den
+    k = beta.bit_length() + 1
+    point = sum(c << (k * e) for e, c in y.num.items())
+    shift = k * n
+    v, scale = 0, 1
+    for j in range(d, -1, -1):
+        v *= point
+        if j in rows:
+            v += sum(c << (shift * i) for i, c in rows[j].items()) * scale
+        scale *= den
+    return v, k

@@ -41,6 +41,7 @@ from .series import (
     _addmul,
     _check_positive,
     _cut,
+    _is_int,
     _powers,
     _reduced,
     _root,
@@ -110,7 +111,7 @@ def apply_qmove(phi: Parametrization, a: int, b: int, c) -> Parametrization:
     sum is known only below T, y's trunc, so y**b is read below T - n(a-1),
     and the sum keeps trunc T; it is put over the lcm of the two
     denominators, in lowest terms."""
-    if not (isinstance(a, int) and isinstance(b, int) and b >= 0):
+    if not (_is_int(a) and _is_int(b) and b >= 0):
         raise InvalidArgument(f"q-move needs integers a and b >= 0, got a = {a!r}, b = {b!r}")
     if a < 1:
         raise DegenerateMove("q-move needs a >= 1")
@@ -133,7 +134,7 @@ def apply_pmove(phi: Parametrization, b: int, c):
 
     Returns (new branch, rho), rho the parameter change with rho(w(t)) = t.
     """
-    if not isinstance(b, int):
+    if not _is_int(b):
         raise InvalidArgument(f"p-move exponent b must be an integer, got {b!r}")
     if b < 2:
         raise DegenerateMove("p-move needs b >= 2 (x + c*y**(b-1) with b-1 >= 1)")
@@ -173,7 +174,7 @@ def _pmove(y: TSeries, n: int, b: int, c):
 
 def eliminate_term(phi: Parametrization, j: int):
     """Remove the t**j term of the y-series; returns (new branch, MoveRecord)."""
-    if not isinstance(j, int):
+    if not _is_int(j):
         raise InvalidArgument(f"target exponent j must be an integer, got {j!r}")
     m = _first_offgrid_exponent(phi)
     if gcd(phi.n, m) != 1:
@@ -488,7 +489,7 @@ def infer_zariski(
     if (contact_order is None) == (intersection_value is None):
         raise AmbiguousEvidence("provide exactly one of contact_order/intersection_value")
     _check_positive(other_mult, "multiplicity")
-    if isinstance(lambda_f, bool) or not isinstance(lambda_f, int):
+    if not _is_int(lambda_f):
         raise InvalidArgument(f"lambda {lambda_f!r} is not a finite integer invariant")
     _refuse_non_invariant(lambda_f, cd_f)
     n = cd_f.mult

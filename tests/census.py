@@ -13,7 +13,12 @@ checks that
 - four members psi of B near phi, each phi plus one seeded term
   projected into B by the witness loop, meet phi at most
   (n - 1)*m + lambda, either way round, and the witness meets it at
-  exactly that.
+  exactly that;
+- each such I(psi, phi), counted by the conjugate scan, is also the
+  intersection of the curve psi = 0 with phi,
+  `intersection_poly_param(implicitize(psi), phi)`, and what
+  `intersection_from_contact` makes of `contact(psi, phi)`, which
+  `contact_from_intersection` turns back into that contact.
 
 At genus 2 and 3, on `gen.pair_item` branches of `PAIR_CLASSES` with
 n <= 14, every reduced slot and the infinite case, the route on the branch
@@ -38,7 +43,15 @@ for part in ("src", "tests", "perfbench"):
 import gen  # noqa: E402
 from conftest import lift_reference  # noqa: E402
 from planebranch import zariski  # noqa: E402
-from planebranch.geometry import Parametrization, intersection  # noqa: E402
+from planebranch.geometry import (  # noqa: E402
+    Parametrization,
+    contact,
+    contact_from_intersection,
+    implicitize,
+    intersection,
+    intersection_from_contact,
+    intersection_poly_param,
+)
 from planebranch.semigroup import char_sequence  # noqa: E402
 from planebranch.series import TSeries  # noqa: E402
 
@@ -92,6 +105,13 @@ def genus_one(counts: Counts, n: int, m: int, rng: random.Random, projected: int
             counts.at_maximum += meet == bound
             counts.check(meet <= bound, f"{name}: psi (t^{k} by {c}) meets phi at {meet}")
             counts.check(intersection(phi, psi) == meet, f"{name}: I(phi, psi) != I(psi, phi)")
+            curve = intersection_poly_param(implicitize(psi), phi)
+            counts.check(curve == meet, f"{name}: the curve psi = 0 meets phi at {curve}")
+            theta = contact(psi, phi)
+            via = intersection_from_contact(cd, theta.theta, n)
+            counts.check(via == meet, f"{name}: contact {theta} gives I = {via}")
+            back = contact_from_intersection(cd, meet, n)
+            counts.check(back == theta, f"{name}: I = {meet} gives contact {back}")
 
 
 def genus_two_and_three(counts: Counts, beta: tuple, rng: random.Random) -> None:

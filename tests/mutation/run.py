@@ -284,6 +284,30 @@ MUTANTS = {
         "TSeries._make(y.var, num, den, trunc)",
         "the value of poly on the branch loses poly's common denominator",
     ),
+    # -- the evaluation at t = 2**k that decides vanishing and reads orders on
+    # an exact branch, and the refusal of a bool where an int is read
+    "two-power-no-margin": (
+        SERIES, "k = beta.bit_length() + 1\n", "k = beta.bit_length() - 1\n",
+        "a coefficient can reach 2**k: beta = 2**k attained at the lowest term reads one"
+        " order up",
+    ),
+    "two-power-not-homogenized": (
+        SERIES, "rows[j].items()) * scale", "rows[j].items())",
+        "row j is not multiplied by den**(d - j), so y's denominator is not cleared",
+    ),
+    "two-power-x-shift-without-n": (
+        SERIES, "shift = k * n", "shift = k",
+        "x**i lands on t**i instead of t**(n*i)",
+    ),
+    "poly-param-order-from-top-bit": (
+        GEOMETRY, "return ((v & -v).bit_length() - 1) // k", "return (v.bit_length() - 1) // k",
+        "the intersection reads the degree of G, not its order",
+    ),
+    "is-int-accepts-bool": (
+        SERIES, "return isinstance(value, int) and not isinstance(value, bool)",
+        "return isinstance(value, int)",
+        "True is read as the exponent 1",
+    ),
     "scan-not-cross-multiplied": (
         GEOMETRY, "ae, be = a.get(e, 0) * db, b.get(e, 0) * da",
         "ae, be = a.get(e, 0), b.get(e, 0)",
@@ -407,6 +431,11 @@ MUTANTS = {
 
 # name: (file, old text, new text, why it survives)
 DECLARED = {
+    "poly-param-order-without-minus-one": (
+        GEOMETRY, "return ((v & -v).bit_length() - 1) // k", "return (v & -v).bit_length() // k",
+        "equivalent: with k = beta.bit_length() + 1 the lowest digit has v_2 <= k - 2, so"
+        " v_2(v) + 1 < k*(e + 1) and the floor is still e",
+    ),
     "route-rise-guard-dropped": (
         ZARISKI,
         "        if e <= last:\n"

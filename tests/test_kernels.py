@@ -20,7 +20,12 @@ paths must give exactly what the bodies they replaced give: the exact
 product `_convolve` the sorted, bound-tested loop, `implicitize` the rows
 of the loop that forms every power in full, and `_np_transform` the rows of
 the recentering on `_addmul`, on random rows and along real passes, whose
-every stage cancels terms.  Kernel outputs
+every stage cancels terms.  The one big-integer evaluation `_at_two_power`
+must be `substitute`'s series, cleared of denominators, at t = 2**k: zero
+exactly when that series is, and with its order in the lowest set bit,
+also where the coefficient bound is attained; on an exact branch
+`intersection_poly_param` must read what the same branch truncated far
+past the order reads off the series.  Kernel outputs
 skip the public constructor's checks; each must hold its integer form in
 lowest terms, be what that constructor builds from its `.terms`, hash alike,
 own its numerators and keep its view read-only.
@@ -34,17 +39,24 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
-from planebranch.errors import NonRationalCoefficient, NotIrreducible  # noqa: E402
+from planebranch.errors import (  # noqa: E402
+    BranchesEqual,
+    NonRationalCoefficient,
+    NotIrreducible,
+    PrecisionExhausted,
+)
 from planebranch.geometry import (  # noqa: E402
     Parametrization,
     _np_edge,
     _np_transform,
     implicitize,
+    intersection_poly_param,
 )
 from planebranch.series import (  # noqa: E402
     EXACT,
     BivarPoly,
     TSeries,
+    _at_two_power,
     _convolve,
     _powers,
     nth_root_unit,
@@ -416,6 +428,115 @@ def test_substitute_at_n_0_sums_each_row():
     poly = BivarPoly({(1, 1): 2, (0, 1): F(1, 3), (2, 0): 5})
     value = substitute(poly, 0, TSeries.monomial("t", 1))
     assert value == TSeries("t", {0: 5, 1: F(7, 3)}, EXACT)
+
+
+# exact branches: dense with a constant term, sparse with exponents in the
+# thousands, and the zero branch
+exact_branches = st.one_of(
+    series(high=12, trunc=st.just(EXACT)),
+    st.dictionaries(st.integers(0, 2500), coefficients, max_size=3).map(
+        lambda terms: TSeries("t", terms, EXACT)
+    ),
+    st.just(TSeries.zero("t")),
+)
+# y-rows that may be missing in the middle, x-exponents in the hundreds
+sparse_polynomials = st.dictionaries(
+    st.tuples(st.integers(0, 400), st.sampled_from([0, 1, 3, 4])), coefficients, max_size=4
+)
+
+
+@st.composite
+def vanishing(draw):
+    """(terms, n, y): (y - q(x)) * r + s on the exact branch y = q(t**n),
+    which vanishes there exactly when s does, and cancels terms otherwise."""
+    n = draw(st.integers(0, 6))
+    q = draw(supports(0, 6, max_size=3))
+    y = TSeries("t", {n * i: c for i, c in q.items()} if n else {0: sum(q.values())}, EXACT)
+    factor = BivarPoly({(0, 1): 1, **{(i, 0): -c for i, c in q.items()}})
+    r = BivarPoly(draw(polynomials))
+    s = BivarPoly(draw(st.one_of(st.just({}), polynomials)))
+    return dict((factor * r + s).terms), n, y
+
+
+def _read_order(v, k):
+    return ((v & -v).bit_length() - 1) // k
+
+
+@seed(25)
+@KERNEL_SETTINGS
+@given(
+    st.one_of(
+        st.tuples(st.one_of(polynomials, sparse_polynomials), st.integers(0, 6), exact_branches),
+        vanishing(),
+    )
+)
+def test_the_evaluation_at_a_power_of_two_is_the_substituted_series(case):
+    """v is the series substitute builds, cleared of denominators, at 2**k:
+    every coefficient below 2**(k - 1) in size, v = 0 exactly when the
+    series is zero, and the lowest set bit of v gives its order."""
+    terms, n, y = case
+    poly = BivarPoly(terms)
+    v, k = _at_two_power(poly, n, y)
+    value = substitute(poly, n, y)
+    assert value.exact
+    scale = y.den ** max(poly.deg_y(), 0) * poly.den
+    digits = {e: c * scale for e, c in value.terms.items()}
+    assert all(c.denominator == 1 and abs(c) < 2 ** (k - 1) for c in digits.values())
+    assert v == sum(int(c) << (k * e) for e, c in digits.items())
+    assert (v == 0) == value.is_zero_below_trunc()
+    if v:
+        assert _read_order(v, k) == value.order()
+
+
+# all terms positive, and beta = sum_j ||F_j||_1 * ||Num||_1**j * den**(d - j),
+# the bound on the coefficients of G, attained at its lowest term: where
+# beta is a power of two, a k of beta.bit_length() - 1 puts that term's
+# digit one place up
+@pytest.mark.parametrize(
+    "terms, n, y, beta, order",
+    [
+        ({(1, 0): 1, (0, 1): 1}, 1, {1: 1}, 2, 1),
+        ({(2, 0): 1, (1, 1): 2, (0, 2): 1}, 1, {1: 1}, 4, 2),
+        ({(3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1}, 1, {1: 1}, 8, 3),
+        ({(1, 0): 1, (0, 2): 1}, 2, {1: 1}, 2, 2),
+        # den**(d - j) attains it too: 3*x + 9*y**2 at y = t/3, x = t**2
+        ({(1, 0): 3, (0, 2): 9}, 2, {1: F(1, 3)}, 36, 2),
+        ({(0, 1): 1}, 3, {7: 8}, 8, 7),
+    ],
+    ids=["x+y", "(x+y)^2", "(x+y)^3", "x+y^2", "homogenized", "y-alone"],
+)
+def test_an_attained_bound_keeps_its_margin(terms, n, y, beta, order):
+    poly, y = BivarPoly(terms), TSeries("t", y, EXACT)
+    v, k = _at_two_power(poly, n, y)
+    value = substitute(poly, n, y)
+    assert max(abs(c) * y.den ** poly.deg_y() * poly.den for c in value.terms.values()) == beta
+    assert k >= beta.bit_length() + 1
+    assert _read_order(v, k) == value.order() == order
+    assert intersection_poly_param(poly, Parametrization(n, y)) == order
+
+
+@seed(26)
+@KERNEL_SETTINGS
+@given(
+    st.one_of(
+        st.tuples(polynomials, st.integers(1, 6), exact_branches),
+        vanishing().filter(lambda case: case[1] > 0),
+    )
+)
+def test_an_exact_intersection_is_the_truncated_one(case):
+    """The exact branch's one evaluation and the same branch truncated far
+    past the order, read off the series, give one intersection."""
+    terms, n, y = case
+    f, phi = BivarPoly(terms), Parametrization(n, y)
+    try:
+        order = intersection_poly_param(f, phi)
+    except BranchesEqual:
+        # only the zero polynomial is known to vanish on a truncated branch
+        with pytest.raises(BranchesEqual if f.is_zero else PrecisionExhausted):
+            intersection_poly_param(f, phi.with_trunc(200))
+        assert substitute(f, n, y).is_zero_below_trunc()
+        return
+    assert intersection_poly_param(f, phi.with_trunc(2 * order + 40)) == order
 
 
 @st.composite

@@ -173,6 +173,26 @@ BAD_ARGUMENTS = {
     # tuple(beta) raised an untyped TypeError
     "char-exponents-missing": lambda: CharData.from_char_exponents(None),
     "char-exponents-int": lambda: CharData.from_char_exponents(7),
+    # True was read as the integer 1 at each of these exponents
+    "substitute-bool-n": lambda: substitute(
+        BivarPoly.monomial(1, 1), True, TSeries.monomial("t", 2)
+    ),
+    "shift-bool": lambda: TSeries("t", {1: 1}, 5).shift(True),
+    "tseries-bool-pow": lambda: TSeries("t", {1: 1}, 5) ** True,
+    "bivar-bool-pow": lambda: BivarPoly.monomial(1, 1) ** True,
+    "qmove-bool-a": lambda: apply_qmove(
+        Parametrization.from_pairs(2, [(3, 1)], trunc=8), True, 1, 1
+    ),
+    "qmove-bool-exponent": lambda: apply_qmove(
+        Parametrization.from_pairs(2, [(3, 1)], trunc=8), 2, True, 1
+    ),
+    # these two raised DegenerateMove, reading True as 1
+    "pmove-bool-exponent": lambda: apply_pmove(
+        Parametrization.from_pairs(2, [(3, 1)], trunc=8), True, 1
+    ),
+    "eliminate-term-bool-target": lambda: eliminate_term(
+        Parametrization.from_pairs(2, [(3, 1)], trunc=8), True
+    ),
 }
 
 TRUNCATED_CUSP = Parametrization.from_pairs(2, [(3, 1)], trunc=8)
