@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import BranchFileError
 from .geometry import Parametrization
-from .series import EXACT, BivarPoly, _is_int
+from .series import EXACT, BivarPoly, _is_int, _is_natural
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -39,11 +39,6 @@ def _rational(text) -> Fraction:
             f"rationals must be strings like '17/14' or integers, got {text!r}"
         )
     return Fraction(text)
-
-
-def _natural(value) -> bool:
-    """A non-negative JSON integer; true and false are not integers here."""
-    return _is_int(value) and value >= 0
 
 
 def _term_items(data: dict, shape: str):
@@ -75,12 +70,12 @@ def parse_branch(data: dict):
         raise BranchFileError(f"'label' must be a string, got {label!r}")
     if kind == "parametrization":
         n = data.get("n")
-        if not _natural(n) or n < 1:
+        if not _is_natural(n) or n < 1:
             raise BranchFileError(f"'n' must be a positive integer, got {n!r}")
         pairs = []
         last = -1
         for e, c in _term_items(data, "[exponent, rational]"):
-            if not _natural(e):
+            if not _is_natural(e):
                 raise BranchFileError(f"bad exponent {e!r}")
             if e <= last:
                 raise BranchFileError("exponents must be strictly increasing")
@@ -89,7 +84,7 @@ def parse_branch(data: dict):
         trunc = data.get("trunc", None)
         if trunc is None:
             bound = EXACT
-        elif _natural(trunc) and trunc > last:
+        elif _is_natural(trunc) and trunc > last:
             bound = trunc
         else:
             raise BranchFileError(f"'trunc' must be an integer above every exponent")
@@ -99,7 +94,7 @@ def parse_branch(data: dict):
         if not (
             isinstance(ij, list)
             and len(ij) == 2
-            and all(_natural(k) for k in ij)
+            and all(_is_natural(k) for k in ij)
         ):
             raise BranchFileError(f"bad monomial exponents {ij!r}")
         pairs.append(((ij[0], ij[1]), _rational(c)))

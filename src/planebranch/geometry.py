@@ -99,12 +99,10 @@ class Parametrization:
         Exact branches extend to any bound (the tail is known to vanish);
         inexact ones can only shrink.
         """
-        if self.exact:
-            if bound == EXACT:
-                return self
-            # a bound that is not an int is refused before truncated() compares it
+        # a bound that is not an int is refused before it is compared
+        if bound != EXACT:
             _check_positive(bound, "trunc")
-        elif bound > self.trunc:
+        if bound > self.trunc:
             raise PrecisionExhausted(
                 f"branch known only below {self.trunc}, need {bound}", needed=bound
             )
@@ -129,7 +127,12 @@ class ContactOrder:
 
     @classmethod
     def finite(cls, theta) -> "ContactOrder":
-        return cls(ratio(theta))
+        """A finite contact order theta, read by `ratio`; one below 1 is
+        refused with ThetaOutOfRange."""
+        theta = ratio(theta)
+        if theta < 1:
+            raise ThetaOutOfRange(f"contact order {theta} is below 1")
+        return cls(theta)
 
     @classmethod
     def infinite(cls) -> "ContactOrder":
@@ -514,10 +517,10 @@ def intersection_from_contact(cd: CharData, theta, mult_other: int) -> Fraction:
     climbs the breakpoints beta_q / n of the module docstring's table while
     n * theta >= beta_(q+1), on integers, and evaluates the piece it stops
     on, one Fraction; at a breakpoint both pieces give the same I."""
+    # theta's spelling is refused before the multiplicity, its range after
     theta = ratio(theta)
     _check_positive(mult_other, "multiplicity")
-    if theta < 1:
-        raise ThetaOutOfRange(f"contact order {theta} is below 1")
+    theta = ContactOrder.finite(theta).theta
     n, beta, v = cd.mult, cd.char_exponents, cd.generators
     a, b = theta.numerator, theta.denominator
     q, nq, prod = 0, 1, 1

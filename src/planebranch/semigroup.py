@@ -19,6 +19,7 @@ from .errors import (
     NotTransversal,
     PrecisionExhausted,
 )
+from .series import _is_int
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class CharData:
             raise InvalidArgument(f"characteristic exponents {beta!r}: not a sequence") from None
         if len(beta) < 2:
             raise NotSingular("a singular branch needs at least two characteristic exponents")
-        if any(isinstance(b, bool) or not isinstance(b, int) for b in beta):
+        if not all(map(_is_int, beta)):
             raise InvalidArgument(f"characteristic exponents {beta!r} are not all integers")
         n = beta[0]
         if n < 2:
@@ -170,7 +171,7 @@ def standard_rep(z: int, cd: CharData) -> StandardRep:
     is divisible by e_i and s_i is a residue modulo n_i.  A z that is not
     an int, a bool included, is refused with InvalidArgument.
     """
-    if isinstance(z, bool) or not isinstance(z, int):
+    if not _is_int(z):
         raise InvalidArgument(f"semigroup element {z!r} is not an integer")
     v = cd.generators
     e = cd.gcd_sequence

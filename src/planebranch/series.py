@@ -54,11 +54,32 @@ from .errors import (
 EXACT = math.inf
 
 
+# -- the argument contract: one predicate per kind of scalar argument.  Each
+# refuses a bool, which Python counts as an int, through _is_int
+
+def _is_int(value) -> bool:
+    """int: an int, never a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_natural(value) -> bool:
+    """natural: an int >= 0."""
+    return _is_int(value) and value >= 0
+
+
+def _check_positive(value, what: str) -> None:
+    """positive int: an int >= 1; anything else is refused with InvalidArgument."""
+    if not _is_int(value) or value < 1:
+        raise InvalidArgument(f"{what} {value!r} is not a positive integer")
+
+
 def ratio(value) -> Fraction:
-    """Coerce ints, strings like '17/14' and Fractions to an exact rational."""
+    """rational: an int, a Fraction or a string Fraction reads, such as
+    '17/14', as a Fraction; anything else, a float included, is refused with
+    InvalidArgument."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -68,22 +89,17 @@ def ratio(value) -> Fraction:
     raise InvalidArgument(f"cannot interpret {value!r} as an exact rational")
 
 
-def _is_int(value) -> bool:
-    """Whether value is an int and not a bool, which Python counts as one."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_positive(value, what: str) -> None:
-    """Refuse anything but an int >= 1, a bool included, with InvalidArgument."""
-    if not _is_int(value) or value < 1:
-        raise InvalidArgument(f"{what} {value!r} is not a positive integer")
-
-
-def _natural(e) -> bool:
-    """Whether e is an int, Fraction or float equal to a natural number."""
-    if isinstance(e, int):
+def _is_exponent(e) -> bool:
+    """constructor exponent, read by TSeries(...), BivarPoly(...) and their
+    monomials alone: an int >= 0, or a Fraction or float equal to one."""
+    if _is_int(e):
         return e >= 0
     return isinstance(e, (Fraction, float)) and e >= 0 and e % 1 == 0
+
+
+def _is_tag(var) -> bool:
+    """variable tag: a non-empty str."""
+    return isinstance(var, str) and var != ""
 
 
 def _common(terms: dict) -> tuple[dict, int]:
@@ -187,7 +203,7 @@ def _accumulate(pairs) -> dict:
 
 def _power(base, k: int, one):
     """base**k by repeated squaring; `one()` builds the result at k = 0."""
-    if not _is_int(k) or k < 0:
+    if not _is_natural(k):
         raise InvalidArgument("exponent must be a non-negative integer")
     result = None
     while k:
@@ -227,13 +243,15 @@ class TSeries:
     __slots__ = ("var", "num", "den", "trunc", "_terms")
 
     def __init__(self, var: str, terms: dict, trunc):
+        if not _is_tag(var):
+            raise InvalidArgument(f"variable tag {var!r} is not a non-empty string")
         if trunc != EXACT:
             _check_positive(trunc, "trunc")
         if not isinstance(terms, dict):
             raise InvalidArgument(f"series terms {terms!r} are not a dict")
         clean = {}
         for e, c in terms.items():
-            if not _natural(e):
+            if not _is_exponent(e):
                 raise InvalidArgument(f"exponent {e!r} is not a non-negative integer")
             c = ratio(c)
             if c and e < trunc:
@@ -279,6 +297,9 @@ class TSeries:
 
     @classmethod
     def monomial(cls, var: str, exponent: int, value=1, trunc=EXACT) -> "TSeries":
+        # checked before it is a key: a list is not hashable
+        if not _is_exponent(exponent):
+            raise InvalidArgument(f"exponent {exponent!r} is not a non-negative integer")
         return cls(var, {exponent: ratio(value)}, trunc)
 
     @classmethod
@@ -302,6 +323,8 @@ class TSeries:
         return min(self.num) if self.num else self.trunc
 
     def coeff(self, exponent: int) -> Fraction:
+        if not _is_natural(exponent):
+            raise InvalidArgument(f"exponent {exponent!r} is not a non-negative integer")
         if exponent >= self.trunc:
             raise PrecisionExhausted(
                 f"coefficient at {exponent} is beyond the truncation {self.trunc}",
@@ -403,9 +426,8 @@ class TSeries:
         return _power(self, k, lambda: TSeries.constant(self.var, 1))
 
     def truncated(self, bound) -> "TSeries":
-        if bound >= self.trunc:
-            return self
-        _check_positive(bound, "trunc")
+        if bound != EXACT:
+            _check_positive(bound, "trunc")
         return _cut(self, bound)
 
 
@@ -586,8 +608,8 @@ class BivarPoly:
             if not isinstance(terms, dict):
                 raise InvalidArgument(f"polynomial terms {terms!r} are not a dict")
             for key, c in terms.items():
-                if not (isinstance(key, tuple) and len(key) == 2 and _natural(key[0])
-                        and _natural(key[1])):
+                if not (isinstance(key, tuple) and len(key) == 2 and _is_exponent(key[0])
+                        and _is_exponent(key[1])):
                     raise InvalidArgument(
                         f"monomial exponents {key!r} are not non-negative integers"
                     )
@@ -640,6 +662,9 @@ class BivarPoly:
 
     @classmethod
     def monomial(cls, i: int, j: int, c=1) -> "BivarPoly":
+        # checked before they are a key: a list is not hashable
+        if not (_is_exponent(i) and _is_exponent(j)):
+            raise InvalidArgument(f"monomial exponents {(i, j)!r} are not non-negative integers")
         return cls({(i, j): ratio(c)})
 
     @classmethod
@@ -653,6 +678,8 @@ class BivarPoly:
         return not self.rows
 
     def coeff(self, i: int, j: int) -> Fraction:
+        if not (_is_natural(i) and _is_natural(j)):
+            raise InvalidArgument(f"monomial exponents {(i, j)!r} are not non-negative integers")
         return Fraction(self.rows.get(j, {}).get(i, 0), self.den)
 
     def deg_y(self) -> int:
@@ -785,7 +812,7 @@ def substitute(poly: BivarPoly, n: int, y: TSeries) -> TSeries:
     The truncation is the ring operations': acc * y**g is known below
     min(T_acc + ord y**g, T_g + ord acc), each order read after cancellation.
     """
-    if not _is_int(n) or n < 0:
+    if not _is_natural(n):
         raise InvalidArgument(f"x-exponent n must be a non-negative integer, got {n!r}")
     rows: dict = {}
     for j, xrow in poly.rows.items():

@@ -42,6 +42,7 @@ from .series import (
     _check_positive,
     _cut,
     _is_int,
+    _is_natural,
     _powers,
     _reduced,
     _root,
@@ -111,7 +112,7 @@ def apply_qmove(phi: Parametrization, a: int, b: int, c) -> Parametrization:
     sum is known only below T, y's trunc, so y**b is read below T - n(a-1),
     and the sum keeps trunc T; it is put over the lcm of the two
     denominators, in lowest terms."""
-    if not (_is_int(a) and _is_int(b) and b >= 0):
+    if not (_is_int(a) and _is_natural(b)):
         raise InvalidArgument(f"q-move needs integers a and b >= 0, got a = {a!r}, b = {b!r}")
     if a < 1:
         raise DegenerateMove("q-move needs a >= 1")

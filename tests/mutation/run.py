@@ -308,6 +308,32 @@ MUTANTS = {
         "return isinstance(value, int)",
         "True is read as the exponent 1",
     ),
+    # -- the argument contract: each kind decided once in `series`
+    "ratio-accepts-bool": (
+        SERIES, "    if _is_int(value):\n        return Fraction(value)\n",
+        "    if isinstance(value, int):\n        return Fraction(value)\n",
+        "True is read as the rational 1",
+    ),
+    "exponent-accepts-bool": (
+        SERIES, "    if _is_int(e):\n        return e >= 0\n",
+        "    if isinstance(e, int):\n        return e >= 0\n",
+        "True is read as the constructor exponent 1",
+    ),
+    "coeff-without-refusal": (
+        SERIES,
+        "        if not _is_natural(exponent):\n"
+        "            raise InvalidArgument(f\"exponent {exponent!r} is not a non-negative"
+        " integer\")\n",
+        "",
+        "coeff(-1) and coeff(1.5) read 0, and coeff(True) the coefficient at 1",
+    ),
+    "contact-order-without-range": (
+        GEOMETRY,
+        "        if theta < 1:\n"
+        "            raise ThetaOutOfRange(f\"contact order {theta} is below 1\")\n",
+        "",
+        "a contact order below 1, which no two branches have, is accepted",
+    ),
     "scan-not-cross-multiplied": (
         GEOMETRY, "ae, be = a.get(e, 0) * db, b.get(e, 0) * da",
         "ae, be = a.get(e, 0), b.get(e, 0)",

@@ -2,14 +2,17 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from planebranch import cli
 from planebranch.cli import main
+from planebranch.fixtures import fixture_names
 
 
 def run(capsys, *argv):
@@ -535,3 +538,55 @@ class TestJsonStability:
                     no_floats(v)
 
         no_floats(doc)
+
+
+# the commands and the number of branch inputs each reads
+CENSUS_COMMANDS = (
+    (["invariants"], 1), (["zariski"], 1), (["pair", "intersect"], 2), (["pair", "contact"], 2),
+    (["pair", "infer"], 2), (["expand"], 2), (["convert", "implicitize"], 1),
+    (["convert", "puiseux"], 1),
+)
+
+CENSUS_OPTIONS = (
+    ["--json"], ["--swap-xy"], ["--precision", "0"], ["--precision", "30"],
+    ["--precision", "x"], ["--known-lambda", "8"], ["--known-lambda", "x"], ["--frobnicate"],
+)
+
+# (y^2 - x^3)^2, a repeated factor
+SQUARE_POLY = {"kind": "polynomial", "terms": [[[0, 4], "1"], [[3, 2], "-2"], [[6, 0], "1"]]}
+
+
+def test_exit_code_census(capsys, tmp_path):
+    """Seeded command lines over every subcommand, input kind and option,
+    with the right number of inputs in most draws: each call exits with a
+    documented code, and none ends in a traceback or an internal error."""
+    docs = {
+        "good": QUARTIC, "truncated": CUSP_PARAM, "polynomial": CUSP_POLY, "square": SQUARE_POLY,
+        "non-transversal": {"kind": "parametrization", "n": 4, "terms": [[3, "1"]]},
+    }
+    inputs = [[write_branch(tmp_path, f"{name}.json", doc)] for name, doc in docs.items()]
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"kind": "parametrization", "n": 4', encoding="utf-8")
+    inputs += [[str(malformed)], [str(tmp_path / "missing.json")]]
+    inputs += [["--fixture", name] for name in fixture_names()]
+    rng = random.Random(0)
+    codes = Counter()
+    for _ in range(150):
+        command, count = rng.choice(CENSUS_COMMANDS)
+        if rng.random() < 0.2:
+            count = rng.randint(0, 3)
+        argv = list(command)
+        for _ in range(count):
+            argv += rng.choice(inputs)
+        for option in rng.sample(CENSUS_OPTIONS, rng.choice((0, 0, 0, 1, 1, 2))):
+            argv += option
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in {0, 2, 3, 4, 5, 6}, (argv, code, err)
+        assert "Traceback" not in err and "error: internal" not in err, (argv, err)
+        codes[code] += 1
+    # past argument parsing: results, refusals and unmet hypotheses
+    assert {0, 3, 5} <= set(codes), codes
