@@ -34,7 +34,6 @@ from math import comb, gcd, inf, lcm
 from .errors import (
     BranchesEqual,
     CrossCheckFailed,
-    InvalidArgument,
     NonPolynomialInput,
     NonRationalCoefficient,
     NotIrreducible,
@@ -49,6 +48,7 @@ from .series import (
     BivarPoly,
     TSeries,
     _at_two_power,
+    _check_instance,
     _check_positive,
     _convolve,
     _powers,
@@ -75,8 +75,7 @@ class Parametrization:
 
     def __post_init__(self):
         _check_positive(self.n, "multiplicity n")
-        if not isinstance(self.y, TSeries):
-            raise InvalidArgument(f"y-series {self.y!r} is not a TSeries")
+        _check_instance(self.y, TSeries, "y-series")
 
     @classmethod
     def from_pairs(cls, n: int, pairs, trunc=EXACT) -> "Parametrization":
@@ -207,8 +206,10 @@ def implicitize(phi: Parametrization) -> BivarPoly:
     The result is checked on the branch by one big-integer evaluation,
     `_at_two_power`, which is zero exactly when f(t**n, p(t)) = 0; any
     other value raises CrossCheckFailed.  No series of f on the branch
-    is built.
+    is built.  A phi that is not a Parametrization is refused with
+    InvalidArgument.
     """
+    _check_instance(phi, Parametrization, "branch")
     if not phi.exact:
         raise NonPolynomialInput(
             "implicitize needs a polynomial y-series; truncate deliberately first"
@@ -336,14 +337,77 @@ def _np_edge(cur: dict):
     return nu, mu, root
 
 
+def _np_tail(f: BivarPoly, n: int, cur: dict, terms: dict, texp: int, target: int,
+             conductor: int) -> TSeries:
+    """The y-series of f's branch once ram = n, from its terms up to t**texp
+    and the recentered rows cur, by the solve of `puiseux_parametrization`:
+    y1 below K = target - texp, one coefficient at a time, each row read
+    below K, and `_at_two_power` at the first zero after a nonzero term,
+    whose order skips the zeros that follow, and once after the last k.
+    At K < 1 nothing is solved, and the terms past the target are cut."""
+    K = target - texp
+    b0 = cur[1][0]
+    d = max(cur)
+    # each row below K by x-power; row 1 at x**0 meets N[k] while it is 0
+    rows = {j: sorted((i, c) for i, c in row.items() if i < K) for j, row in cur.items() if j}
+    # y1 = N / den below k, den the lcm of its denominators, and
+    # Q[j][m] = [t**m] N**j, N = Q[1] nonzero only at the m in `support`
+    den = 1
+    Q = [None] + [[0] for _ in range(d)]
+    support = []
+    fresh = True  # terms hold a polynomial that no evaluation has checked
+    skip = 1  # y1[k] = 0 for k < skip, read off f(t**n, terms)
+    for k in range(1, K + 1):
+        acc = 0
+        if k < K:
+            Q[1].append(0)
+            for j in range(2, d + 1):
+                Q[j].append(sum(Q[1][i] * Q[j - 1][k - i] for i in support))
+            if k >= skip:
+                # the sum of cur_j[i] * Q[j][k - i] * den**(d - j), by Horner in den
+                acc = cur.get(0, {}).get(k, 0)
+                for j in range(1, d + 1):
+                    acc *= den
+                    q = Q[j]
+                    for i, c in rows.get(j, ()):
+                        if i > k - j:
+                            break
+                        acc += c * q[k - i]
+        if acc:
+            u = Fraction(-acc, b0 * den**d)
+            r = u.denominator // gcd(den, u.denominator)
+            if r > 1:
+                den *= r
+                scale = 1
+                for j in range(1, d + 1):
+                    scale *= r
+                    Q[j][:] = [c * scale for c in Q[j]]
+            Q[1][k] = u.numerator * (den // u.denominator)
+            support.append(k)
+            terms[texp + k] = u
+            fresh = True
+        elif fresh:
+            candidate = TSeries(PARAM_VAR, terms, EXACT)
+            v, bits = _at_two_power(f, n, candidate)
+            if not v:
+                return candidate
+            fresh = False
+            # f(t**n, candidate) has t-order ord(y - candidate) + conductor + n - 1
+            skip = ((v & -v).bit_length() - 1) // bits - conductor - n + 1 - texp
+            if skip >= K:
+                break
+    return TSeries(PARAM_VAR, terms, target)
+
+
 def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametrization:
     """A rational Puiseux parametrization (t**n, y(t)) of an irreducible branch.
 
-    Newton-polygon iteration in one pass: each stage takes the unique edge
-    through the lowest point on the y-axis and the unique rational root of
-    its edge polynomial, records the term and recenters,
-    f <- f(x**nu, x**mu * (root + y)).  Every decision is homogeneous in f,
-    so f is one primitive integer polynomial throughout, held as rows
+    Newton-polygon iteration until the branch is fully ramified: each stage
+    takes the unique edge through the lowest point on the y-axis and the
+    unique rational root of its edge polynomial, records the term and
+    recenters, f <- f(x**nu, x**mu * (root + y)).  Every decision is
+    homogeneous in f, so f is one primitive integer polynomial throughout,
+    held as rows
     y-degree j -> {x-exponent: int}: its denominators are cleared once,
     each recentering is taken times q**deg_y f, root = p/q, row by row,
     and divided by its content; each edge is read off each row's lowest
@@ -364,11 +428,45 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
     discriminant, a Sylvester determinant of size 2n - 1, has x-degree at
     most (2n - 1) * deg_x f: a k with 2k > n * (2n - 1) * deg_x f, past half
     of that bound in t-exponents, means a repeated factor (NotIrreducible).
-    Once ram = n every stage adds at least 1 to k, so the loop reaches any
-    target.
+
+    Once ram = n the rest is solved term by term (Kung-Traub, "All
+    algebraic functions can be computed fast", JACM 1978), in `_np_tail`.
+    The stage that reached ram = n left rows cur in x = t, as the nu
+    multiply to n, with cur(t, y1(t)) = 0 for y = (terms so far) +
+    t**k * y1(t), y1(0) = 0.  Each stage leaves its y-axis point at
+    j* = n / ram, the multiplicity of its root: the edge polynomial is
+    lead * (y**nu - c)**(j* / nu), and (root + y)**nu - c has a simple zero
+    at y = 0.  So now j* = 1: row 0 has no constant and b0 = cur_y(0, 0)
+    != 0, as the n conjugates of the root are distinct and only this one
+    passes through the origin of cur.  Coefficient k >= 1 of cur(t, y1) is
+    b0 * y1[k] plus a polynomial in y1[1] ... y1[k-1], so y1 is unique and
+    y1[k] = -(1/b0) * sum over (j, i) != (1, 0) of cur_j[i] * [t**(k-i)] y1**j.
+    By induction the denominator of y1[k] divides b0**(2k - 1), but the
+    solve keeps the actual one, often far smaller: y1 = N / den below k,
+    den the lcm of the denominators so far, and Q[j][m] = [t**m] N**j =
+    sum_i N[i] * Q[j-1][m-i], all integers, so that y1[k] is the one
+    Fraction -acc / (b0 * den**d), with acc the sum of
+    cur_j[i] * Q[j][k-i] * den**(d - j); when den grows by a factor r, Q[j]
+    is scaled by r**j.  A term below the target reads cur_j[i] only at
+    i < K = target - k.
+
+    The stages closed the branch exactly when y divided the recentered
+    rows, that is when the polynomial P of the terms so far is a root of f.
+    A root of f is a conjugate y(zeta*t), zeta**n = 1, and P agrees with
+    the branch on every term that tells the conjugates apart, so then
+    P = y; `_at_two_power(f, n, P)` reads zero exactly then.  It runs at
+    the first zero coefficient after a nonzero term, and once after the
+    last k, where a root whose last term sits at target - 1 is seen.
+    Otherwise it reads the t-order of f(t**n, P), the product of
+    P - y(zeta*t) over the conjugates.  For zeta != 1 that factor has the
+    order of y - y(zeta*t), as P agrees with y past every characteristic
+    exponent, and e_(i-1) - e_i of those orders are beta_i, which sum to
+    conductor + n - 1; so ord(y - P) is the order less conductor + n - 1,
+    and the zero coefficients below it need no solve.  The stage that
+    reaches ram = n at or past the target closes at the target unchecked,
+    as the stages did.
     """
-    if not isinstance(f, BivarPoly):
-        raise InvalidArgument(f"polynomial {f!r} is not a BivarPoly")
+    _check_instance(f, BivarPoly, "polynomial")
     if trunc is not None:
         _check_positive(trunc, "trunc")
     n = _weierstrass_degree(f)
@@ -379,39 +477,30 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
     # primitive already: f is monic, so the content of its numerators divides
     # den, to which it is coprime; no stage writes into the rows it reads
     cur = f.rows
-    ram, texp, target = 1, 0, trunc
-    while True:
+    ram, texp = 1, 0
+    while ram < n:
         edge = _np_edge(cur)
         if edge is None:
-            if ram != n:
-                raise NotIrreducible(
-                    f"branch closed with ramification {ram}, but the y-degree is {n}"
-                )
-            bound = EXACT
-            break
+            raise NotIrreducible(
+                f"branch closed with ramification {ram}, but the y-degree is {n}"
+            )
         nu, mu, root = edge
         # nu divides the edge's lowest y-power n / ram, so ram stays a
-        # divisor of n and nu is 1 once ram = n
+        # divisor of n
         ram *= nu
         texp += n // ram * mu
         terms[texp] = root
         if nu > 1:
             # (e_(i-1) - e_i) * (beta_i - 1), with e_i = n / ram
             conductor += (nu - 1) * (n // ram) * (texp - 1)
-        if ram == n:
-            if target is None:
-                target = conductor + 2 * n
-            if texp >= target:
-                bound = target
-                break
-        elif 2 * texp > separation:
+        if ram < n and 2 * texp > separation:
             raise NotIrreducible(
                 f"roots still agree at x-order {Fraction(texp, n)}, past the discriminant "
                 f"bound {Fraction(separation, 2 * n)}: f has a repeated factor"
             )
         cur = _np_transform(cur, nu, mu, root)
-    series = {e: c for e, c in terms.items() if e < bound}
-    return Parametrization(n, TSeries(PARAM_VAR, series, bound))
+    target = conductor + 2 * n if trunc is None else trunc
+    return Parametrization(n, _np_tail(f, n, cur, terms, texp, target, conductor))
 
 
 # -- intersection multiplicity ---------------------------------------------------
@@ -423,7 +512,10 @@ def intersection_poly_param(f: BivarPoly, phi: Parametrization) -> int:
     truncated one off the series `substitute` builds, whose truncation,
     read after cancellation, certifies it.  When f vanishes on the branch
     up to its truncation, PrecisionExhausted carries no `needed`: that
-    cannot be told from a factor of f."""
+    cannot be told from a factor of f.  An f that is not a BivarPoly, or a
+    phi that is not a Parametrization, is refused with InvalidArgument."""
+    _check_instance(f, BivarPoly, "polynomial")
+    _check_instance(phi, Parametrization, "branch")
     if phi.exact:
         v, k = _at_two_power(f, phi.n, phi.y)
         if v:
@@ -574,8 +666,10 @@ def swap_parametrization(phi: Parametrization, trunc: int | None = None) -> Para
 
     The y-component becomes the new s**m with s = w(t), w = y(t)**(1/m);
     the new y-series solves Y(w(t)) = t**n.  Needs the leading coefficient
-    of y to have a rational m-th root.
+    of y to have a rational m-th root.  A phi that is not a Parametrization
+    is refused with InvalidArgument.
     """
+    _check_instance(phi, Parametrization, "branch")
     if trunc is not None:
         _check_positive(trunc, "trunc")
     y = phi.y

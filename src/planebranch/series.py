@@ -97,9 +97,28 @@ def _is_exponent(e) -> bool:
     return isinstance(e, (Fraction, float)) and e >= 0 and e % 1 == 0
 
 
+# the refusals of a constructor exponent and of a monomial key
+_EXPONENT = "exponent {!r} is not a non-negative integer"
+_MONOMIAL = "monomial exponents {!r} are not non-negative integers"
+
+
+def _is_monomial(key) -> bool:
+    """monomial key, read by BivarPoly(...) and BivarPoly.from_pairs: a
+    tuple (i, j) of constructor exponents."""
+    return (isinstance(key, tuple) and len(key) == 2
+            and _is_exponent(key[0]) and _is_exponent(key[1]))
+
+
 def _is_tag(var) -> bool:
     """variable tag: a non-empty str."""
     return isinstance(var, str) and var != ""
+
+
+def _check_instance(value, kind: type, what: str) -> None:
+    """An argument that must be a `kind`, a branch or a polynomial, say;
+    anything else is refused with InvalidArgument."""
+    if not isinstance(value, kind):
+        raise InvalidArgument(f"{what} {value!r} is not a {kind.__name__}")
 
 
 def _common(terms: dict) -> tuple[dict, int]:
@@ -193,10 +212,14 @@ def _powers(y: TSeries, below=EXACT):
         num, den = _reduced(num, den * yden)
 
 
-def _accumulate(pairs) -> dict:
-    """key -> the sum of the coefficients given for it, over (key, c) pairs."""
+def _accumulate(pairs, is_key, message: str) -> dict:
+    """key -> the sum of the coefficients given for it, over (key, c) pairs;
+    a key that `is_key` refuses is refused with InvalidArgument, `message`
+    formatted with it, before it is hashed."""
     acc: dict = {}
     for key, c in pairs:
+        if not is_key(key):
+            raise InvalidArgument(message.format(key))
         acc[key] = acc.get(key, 0) + ratio(c)
     return acc
 
@@ -252,7 +275,7 @@ class TSeries:
         clean = {}
         for e, c in terms.items():
             if not _is_exponent(e):
-                raise InvalidArgument(f"exponent {e!r} is not a non-negative integer")
+                raise InvalidArgument(_EXPONENT.format(e))
             c = ratio(c)
             if c and e < trunc:
                 clean[int(e)] = c
@@ -299,12 +322,12 @@ class TSeries:
     def monomial(cls, var: str, exponent: int, value=1, trunc=EXACT) -> "TSeries":
         # checked before it is a key: a list is not hashable
         if not _is_exponent(exponent):
-            raise InvalidArgument(f"exponent {exponent!r} is not a non-negative integer")
+            raise InvalidArgument(_EXPONENT.format(exponent))
         return cls(var, {exponent: ratio(value)}, trunc)
 
     @classmethod
     def from_terms(cls, var: str, pairs, trunc=EXACT) -> "TSeries":
-        return cls(var, _accumulate(pairs), trunc)
+        return cls(var, _accumulate(pairs, _is_exponent, _EXPONENT), trunc)
 
     # -- inspection ----------------------------------------------------------
 
@@ -608,11 +631,8 @@ class BivarPoly:
             if not isinstance(terms, dict):
                 raise InvalidArgument(f"polynomial terms {terms!r} are not a dict")
             for key, c in terms.items():
-                if not (isinstance(key, tuple) and len(key) == 2 and _is_exponent(key[0])
-                        and _is_exponent(key[1])):
-                    raise InvalidArgument(
-                        f"monomial exponents {key!r} are not non-negative integers"
-                    )
+                if not _is_monomial(key):
+                    raise InvalidArgument(_MONOMIAL.format(key))
                 c = ratio(c)
                 if c:
                     clean[(int(key[0]), int(key[1]))] = c
@@ -663,13 +683,13 @@ class BivarPoly:
     @classmethod
     def monomial(cls, i: int, j: int, c=1) -> "BivarPoly":
         # checked before they are a key: a list is not hashable
-        if not (_is_exponent(i) and _is_exponent(j)):
-            raise InvalidArgument(f"monomial exponents {(i, j)!r} are not non-negative integers")
+        if not _is_monomial((i, j)):
+            raise InvalidArgument(_MONOMIAL.format((i, j)))
         return cls({(i, j): ratio(c)})
 
     @classmethod
     def from_pairs(cls, pairs) -> "BivarPoly":
-        return cls(_accumulate(((i, j), c) for (i, j), c in pairs))
+        return cls(_accumulate(pairs, _is_monomial, _MONOMIAL))
 
     # -- inspection ----------------------------------------------------------
 

@@ -26,7 +26,9 @@ pending conjugate against the coefficients at every exponent, where the
 library classifies each exponent once and keeps the conjugates whose twist
 allows the cancellation.  The reference lift keeps the body that gave lambda
 at genus >= 2 before the route ran on the branch itself: the sweep on the
-reduced branch and two cases.
+reduced branch and two cases.  The reference Newton-Puiseux keeps the stage
+loop that ran to the end, one recentering per coefficient past full
+ramification, where the library solves those coefficients one at a time.
 """
 
 from fractions import Fraction as F
@@ -36,12 +38,21 @@ import pytest
 
 from planebranch import zariski
 from planebranch.errors import (
+    InvalidArgument,
     NonRationalCoefficient,
     NotIrreducible,
     NotRealizable,
     ThetaOutOfRange,
 )
-from planebranch.geometry import ContactOrder, Parametrization, bareiss_determinant
+from planebranch.geometry import (
+    PARAM_VAR,
+    ContactOrder,
+    Parametrization,
+    _np_edge,
+    _np_transform,
+    _weierstrass_degree,
+    bareiss_determinant,
+)
 from planebranch.semigroup import char_sequence, rep_nm
 from planebranch.series import (
     EXACT,
@@ -336,6 +347,60 @@ def lift_reference(phi: Parametrization):
     if result.finite and e1 * result.exponent < beta2:
         return e1 * result.exponent, result.coefficient
     return beta2, phi.y.coeff(beta2) / phi.y.coeff(cd.char_exponents[1])
+
+
+def puiseux_reference(f: BivarPoly, trunc: int | None = None) -> Parametrization:
+    """`geometry.puiseux_parametrization` as one stage loop to the end: past
+    ram = n each stage recenters the rows to learn one coefficient, and the
+    branch closes exactly when y divides the recentered rows.  The library
+    solves the coefficients past ram = n one at a time on integers and reads
+    the closure off an evaluation of f; the terms, trunc and refusals must
+    agree."""
+    if not isinstance(f, BivarPoly):
+        raise InvalidArgument(f"polynomial {f!r} is not a BivarPoly")
+    if trunc is not None:
+        _check_positive(trunc, "trunc")
+    n = _weierstrass_degree(f)
+    # twice the discriminant bound, in t-exponents
+    separation = n * (2 * n - 1) * max(max(row) for row in f.rows.values())
+    terms: dict = {}  # t-exponent -> coefficient
+    conductor = 0
+    # primitive already: f is monic, so the content of its numerators divides
+    # den, to which it is coprime; no stage writes into the rows it reads
+    cur = f.rows
+    ram, texp, target = 1, 0, trunc
+    while True:
+        edge = _np_edge(cur)
+        if edge is None:
+            if ram != n:
+                raise NotIrreducible(
+                    f"branch closed with ramification {ram}, but the y-degree is {n}"
+                )
+            bound = EXACT
+            break
+        nu, mu, root = edge
+        # nu divides the edge's lowest y-power n / ram, so ram stays a
+        # divisor of n and nu is 1 once ram = n
+        ram *= nu
+        texp += n // ram * mu
+        terms[texp] = root
+        if nu > 1:
+            # (e_(i-1) - e_i) * (beta_i - 1), with e_i = n / ram
+            conductor += (nu - 1) * (n // ram) * (texp - 1)
+        if ram == n:
+            if target is None:
+                target = conductor + 2 * n
+            if texp >= target:
+                bound = target
+                break
+        elif 2 * texp > separation:
+            raise NotIrreducible(
+                f"roots still agree at x-order {F(texp, n)}, past the discriminant "
+                f"bound {F(separation, 2 * n)}: f has a repeated factor"
+            )
+        cur = _np_transform(cur, nu, mu, root)
+    series = {e: c for e, c in terms.items() if e < bound}
+    return Parametrization(n, TSeries(PARAM_VAR, series, bound))
 
 
 def route_reference(phi: Parametrization, n: int, m: int):

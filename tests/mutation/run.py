@@ -188,11 +188,12 @@ MUTANTS = {
         "the default truncation falls one short of the conductor plus 2n",
     ),
     "np-separation-bound-doubled": (
-        GEOMETRY, "elif 2 * texp > separation:", "elif texp > separation:",
+        GEOMETRY, "if ram < n and 2 * texp > separation:", "if ram < n and texp > separation:",
         "a repeated factor is refused only past twice the discriminant bound",
     ),
     "np-separation-non-strict": (
-        GEOMETRY, "elif 2 * texp > separation:", "elif 2 * texp >= separation:",
+        GEOMETRY, "if ram < n and 2 * texp > separation:",
+        "if ram < n and 2 * texp >= separation:",
         "a repeated factor whose roots agree exactly to the bound is refused one stage"
         " early, at another x-order",
     ),
@@ -200,6 +201,30 @@ MUTANTS = {
         GEOMETRY, "        ram *= nu\n        texp += n // ram * mu\n",
         "        texp += n // ram * mu\n        ram *= nu\n",
         "a ramified stage's t-exponent is nu times too large",
+    ),
+    # -- the solve past full ramification: its entry, its integer form, the
+    # rows it reads and the evaluations that close it or skip zeros
+    "np-solve-one-stage-early": (
+        GEOMETRY, "    while ram < n:\n        edge = _np_edge(cur)\n",
+        "    while ram < n:\n        edge = _np_edge(cur)\n"
+        "        if edge and ram * edge[0] == n:\n            break\n",
+        "the solve starts on rows whose y-axis point is not at j* = 1, one stage early",
+    ),
+    "np-solve-den-power-off-by-one": (
+        GEOMETRY, "u = Fraction(-acc, b0 * den**d)", "u = Fraction(-acc, b0 * den ** (d + 1))",
+        "each coefficient is divided by one power of the running denominator too many",
+    ),
+    "np-solve-den-growth-not-rescaled": (
+        GEOMETRY, "                    Q[j][:] = [c * scale for c in Q[j]]\n", "",
+        "N and its powers stay over the old denominator when it grows",
+    ),
+    "np-final-closure-check-skipped": (
+        GEOMETRY, "for k in range(1, K + 1):", "for k in range(1, K):",
+        "a root whose last term sits at target - 1 is returned truncated, not exact",
+    ),
+    "np-skip-one-late": (
+        GEOMETRY, "- conductor - n + 1 - texp", "- conductor - n + 2 - texp",
+        "the evaluation's order skips the first nonzero coefficient after a run of zeros",
     ),
     # -- the fast paths that compute only what is read: implicitize's half of
     # the powers and the exact product
@@ -457,6 +482,11 @@ MUTANTS = {
 
 # name: (file, old text, new text, why it survives)
 DECLARED = {
+    "np-rows-read-through-K": (
+        GEOMETRY, "for i, c in row.items() if i < K)", "for i, c in row.items() if i <= K)",
+        "equivalent: an entry of row j at x-power K is read for coefficient k only when"
+        " k - j >= K, past the last k < K that the solve computes",
+    ),
     "poly-param-order-without-minus-one": (
         GEOMETRY, "return ((v & -v).bit_length() - 1) // k", "return (v & -v).bit_length() // k",
         "equivalent: with k = beta.bit_length() + 1 the lowest digit has v_2 <= k - 2, so"

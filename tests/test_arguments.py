@@ -1,5 +1,6 @@
 """The argument contract: every scalar slot of every public callable refuses
-every wrong value of its kind.
+every wrong value of its kind, and so do the key of a sequence of pairs and
+the branch and polynomial slots of the Newton-Puiseux neighbours.
 
 TABLE is the one place that says which scalar slot of which public
 callable takes which kind; `series` is the one place that decides what
@@ -25,6 +26,7 @@ from planebranch.geometry import (
     contact_from_intersection,
     implicitize,
     intersection_from_contact,
+    intersection_poly_param,
     puiseux_parametrization,
     swap_parametrization,
 )
@@ -54,9 +56,15 @@ ACCEPTS = {
     "rational": ("2", -1, 0, F(1, 2)),
     # a contact order: a rational >= 1
     "contact": ("2",),
-    # an exponent of TSeries(...), BivarPoly(...) or their monomials
+    # an exponent of TSeries(...), BivarPoly(...), their monomials and
+    # their sequences of pairs
     "exponent": (2.0, 0),
     "tag": ("2", "x", "1/0", "nan"),
+    # a key (i, j) of BivarPoly.from_pairs, a branch, a polynomial: no
+    # scalar at all
+    "monomial": (),
+    "branch": (),
+    "polynomial": (),
 }
 
 K23 = CharData.from_char_exponents((2, 3))
@@ -90,6 +98,11 @@ TABLE = {
         lambda var, c, trunc: TSeries.constant(var, c, trunc),
         {"var": ("tag", "t"), "c": ("rational", 3), "trunc": ("positive", 5)},
     ),
+    "TSeries.from_terms": (
+        lambda var, e, c, trunc: TSeries.from_terms(var, [(e, c)], trunc),
+        {"var": ("tag", "t"), "e": ("exponent", 1), "c": ("rational", 3),
+         "trunc": ("positive", 5)},
+    ),
     "TSeries.monomial": (
         lambda var, e, c, trunc: TSeries.monomial(var, e, c, trunc),
         {"var": ("tag", "t"), "e": ("exponent", 2), "c": ("rational", 3),
@@ -108,6 +121,13 @@ TABLE = {
         lambda i, j, c: BivarPoly.monomial(i, j, c),
         {"i": ("exponent", 1), "j": ("exponent", 2), "c": ("rational", 3)},
     ),
+    "BivarPoly.from_pairs": (
+        lambda i, j, c: BivarPoly.from_pairs([((i, j), c)]),
+        {"i": ("exponent", 1), "j": ("exponent", 2), "c": ("rational", 3)},
+    ),
+    "BivarPoly.from_pairs/key": (
+        lambda key: BivarPoly.from_pairs([(key, 1)]), {"key": ("monomial", (1, 2))},
+    ),
     "BivarPoly.coeff": (lambda i, j: POLY.coeff(i, j), {"i": ("natural", 3), "j": ("natural", 0)}),
     "BivarPoly.scale": (lambda c: POLY.scale(c), {"c": ("rational", 2)}),
     "BivarPoly.__pow__": (lambda k: POLY ** k, {"k": ("natural", 2)}),
@@ -115,8 +135,9 @@ TABLE = {
         lambda n: Parametrization(n, TSeries("t", {3: 1}, 10)), {"n": ("positive", 2)},
     ),
     "Parametrization.from_pairs": (
-        lambda n, trunc: Parametrization.from_pairs(n, [(3, 1)], trunc),
-        {"n": ("positive", 2), "trunc": ("positive", 8)},
+        lambda n, e, c, trunc: Parametrization.from_pairs(n, [(e, c)], trunc),
+        {"n": ("positive", 2), "e": ("exponent", 3), "c": ("rational", 1),
+         "trunc": ("positive", 8)},
     ),
     "Parametrization.with_trunc": (
         lambda bound: TRUNCATED_CUSP.with_trunc(bound), {"bound": ("positive", 5)},
@@ -165,24 +186,31 @@ TABLE = {
         lambda n: nth_root_unit(TSeries("t", {0: 1, 1: 1}, 5), n), {"n": ("positive", 2)},
     ),
     "puiseux_parametrization": (
-        lambda trunc: puiseux_parametrization(POLY, trunc), {"trunc": ("positive?", 10)},
+        lambda f, trunc: puiseux_parametrization(f, trunc),
+        {"f": ("polynomial", POLY), "trunc": ("positive?", 10)},
     ),
     "swap_parametrization": (
-        lambda trunc: swap_parametrization(Parametrization.from_pairs(2, [(3, 1)], 12), trunc),
-        {"trunc": ("positive?", 9)},
+        lambda phi, trunc: swap_parametrization(phi, trunc),
+        {"phi": ("branch", Parametrization.from_pairs(2, [(3, 1)], 12)),
+         "trunc": ("positive?", 9)},
+    ),
+    "implicitize": (lambda phi: implicitize(phi), {"phi": ("branch", CUSP)}),
+    "intersection_poly_param": (
+        lambda f, phi: intersection_poly_param(f, phi),
+        {"f": ("polynomial", POLY), "phi": ("branch", QUARTIC)},
     ),
     "substitute": (lambda n: substitute(POLY, n, TSeries("t", {1: 1}, 5)), {"n": ("natural", 2)}),
     "zariski_decomposition": (_decompose, {"lam": ("int", 13)}),
 }
 
-# the names of planebranch.__all__ that take no scalar argument: the
-# constant EXACT, the error class, the records the kernel returns, and the
-# functions of branches, series, polynomials and CharData alone
+# the names of planebranch.__all__ that have no row: the constant EXACT,
+# the error class, the records the kernel returns, and the functions of
+# branches, series, polynomials and CharData alone whose refusal of a
+# non-branch is still to come
 NO_SCALAR = {
     "EXACT", "PlaneBranchError", "ExpansionResult", "MoveRecord", "StandardRep",
     "ZariskiResult", "char_sequence", "contact", "genus1_reduce", "h_adic_expansion",
-    "implicitize", "intersection", "intersection_poly_param", "replay_moves",
-    "reparametrize", "zariski_invariant",
+    "intersection", "replay_moves", "reparametrize", "zariski_invariant",
 }
 
 
