@@ -337,15 +337,16 @@ def _np_edge(cur: dict):
     return nu, mu, root
 
 
-def _np_tail(f: BivarPoly, n: int, cur: dict, terms: dict, texp: int, target: int,
-             conductor: int) -> TSeries:
+def _np_tail(f: BivarPoly, n: int, cur: dict, terms: dict, texp: int, target: int) -> TSeries:
     """The y-series of f's branch once ram = n, from its terms up to t**texp
     and the recentered rows cur, by the solve of `puiseux_parametrization`:
     y1 below K = target - texp, one coefficient at a time, each row read
-    below K, and `_at_two_power` at the first zero after a nonzero term,
-    whose order skips the zeros that follow, and once after the last k.
-    At K < 1 nothing is solved, and the terms past the target are cut."""
+    below K, and `_at_two_power` once, when the terms end at t**D,
+    D = deg_x f(x, 0), the only degree a polynomial root can have.  At
+    K < 1 nothing is solved, and the terms past the target are cut."""
     K = target - texp
+    # f = y, the one f without row 0 that gets here, has the root 0
+    D = max(f.rows.get(0, ()), default=0)
     b0 = cur[1][0]
     d = max(cur)
     # each row below K by x-power; row 1 at x**0 meets N[k] while it is 0
@@ -355,25 +356,22 @@ def _np_tail(f: BivarPoly, n: int, cur: dict, terms: dict, texp: int, target: in
     den = 1
     Q = [None] + [[0] for _ in range(d)]
     support = []
-    fresh = True  # terms hold a polynomial that no evaluation has checked
-    skip = 1  # y1[k] = 0 for k < skip, read off f(t**n, terms)
-    for k in range(1, K + 1):
-        acc = 0
-        if k < K:
+    for k in range(K):
+        if k:
             Q[1].append(0)
             for j in range(2, d + 1):
                 Q[j].append(sum(Q[1][i] * Q[j - 1][k - i] for i in support))
-            if k >= skip:
-                # the sum of cur_j[i] * Q[j][k - i] * den**(d - j), by Horner in den
-                acc = cur.get(0, {}).get(k, 0)
-                for j in range(1, d + 1):
-                    acc *= den
-                    q = Q[j]
-                    for i, c in rows.get(j, ()):
-                        if i > k - j:
-                            break
-                        acc += c * q[k - i]
-        if acc:
+            # the sum of cur_j[i] * Q[j][k - i] * den**(d - j), by Horner in den
+            acc = cur.get(0, {}).get(k, 0)
+            for j in range(1, d + 1):
+                acc *= den
+                q = Q[j]
+                for i, c in rows.get(j, ()):
+                    if i > k - j:
+                        break
+                    acc += c * q[k - i]
+            if not acc:
+                continue
             u = Fraction(-acc, b0 * den**d)
             r = u.denominator // gcd(den, u.denominator)
             if r > 1:
@@ -385,17 +383,10 @@ def _np_tail(f: BivarPoly, n: int, cur: dict, terms: dict, texp: int, target: in
             Q[1][k] = u.numerator * (den // u.denominator)
             support.append(k)
             terms[texp + k] = u
-            fresh = True
-        elif fresh:
+        if texp + k == D:
             candidate = TSeries(PARAM_VAR, terms, EXACT)
-            v, bits = _at_two_power(f, n, candidate)
-            if not v:
+            if not _at_two_power(f, n, candidate)[0]:
                 return candidate
-            fresh = False
-            # f(t**n, candidate) has t-order ord(y - candidate) + conductor + n - 1
-            skip = ((v & -v).bit_length() - 1) // bits - conductor - n + 1 - texp
-            if skip >= K:
-                break
     return TSeries(PARAM_VAR, terms, target)
 
 
@@ -454,17 +445,15 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
     rows, that is when the polynomial P of the terms so far is a root of f.
     A root of f is a conjugate y(zeta*t), zeta**n = 1, and P agrees with
     the branch on every term that tells the conjugates apart, so then
-    P = y; `_at_two_power(f, n, P)` reads zero exactly then.  It runs at
-    the first zero coefficient after a nonzero term, and once after the
-    last k, where a root whose last term sits at target - 1 is seen.
-    Otherwise it reads the t-order of f(t**n, P), the product of
-    P - y(zeta*t) over the conjugates.  For zeta != 1 that factor has the
-    order of y - y(zeta*t), as P agrees with y past every characteristic
-    exponent, and e_(i-1) - e_i of those orders are beta_i, which sum to
-    conductor + n - 1; so ord(y - P) is the order less conductor + n - 1,
-    and the zero coefficients below it need no solve.  The stage that
-    reaches ram = n at or past the target closes at the target unchecked,
-    as the stages did.
+    P = y; `_at_two_power(f, n, P)` reads zero exactly then.  A polynomial
+    root has one possible degree: f = prod (y - y(zeta*t)) over the n
+    distinct conjugates, so f(t**n, 0) = +-prod y(zeta*t), and if y has
+    t-degree D with top coefficient c, each factor has t-degree D with top
+    coefficient c * zeta**D != 0, so D = deg_x f(x, 0).  So the evaluation
+    runs at most once, when the terms end at t**D < t**target: on entry
+    when the stages ended there, or where the coefficient at D is solved
+    nonzero.  Otherwise the root is no polynomial below the target, and the
+    terms below it come back at trunc = target, as the stages did.
     """
     _check_instance(f, BivarPoly, "polynomial")
     if trunc is not None:
@@ -500,7 +489,7 @@ def puiseux_parametrization(f: BivarPoly, trunc: int | None = None) -> Parametri
             )
         cur = _np_transform(cur, nu, mu, root)
     target = conductor + 2 * n if trunc is None else trunc
-    return Parametrization(n, _np_tail(f, n, cur, terms, texp, target, conductor))
+    return Parametrization(n, _np_tail(f, n, cur, terms, texp, target))
 
 
 # -- intersection multiplicity ---------------------------------------------------
@@ -573,6 +562,8 @@ def _conjugate_orders(phi1: Parametrization, phi2: Parametrization):
 
 def _certified_orders(phi1: Parametrization, phi2: Parametrization):
     """(orders, I) of the scan, certified as `intersection` states."""
+    _check_instance(phi1, Parametrization, "branch")
+    _check_instance(phi2, Parametrization, "branch")
     orders, pending, bound = _conjugate_orders(phi1, phi2)
     if pending:
         if bound == EXACT:
@@ -598,6 +589,8 @@ def intersection(phi1: Parametrization, phi2: Parametrization) -> int:
     Each order is certified below both truncations.  A conjugate that shows
     no difference there means equal branches when both are exact, and
     otherwise too little precision, with no `needed`: they may coincide.
+    A phi1 or phi2 that is not a Parametrization is refused with
+    InvalidArgument.
     """
     return _certified_orders(phi1, phi2)[1]
 
@@ -648,7 +641,8 @@ def contact_from_intersection(cd: CharData, inter, mult_other: int) -> ContactOr
 def contact(phi1: Parametrization, phi2: Parametrization) -> ContactOrder:
     """Contact order: the largest order of `intersection`'s certified scan,
     over N; infinite for equal branches, no `needed` when they agree up to both
-    truncations.  Refusals as by `char_sequence`, then `contact_from_intersection`."""
+    truncations.  Refusals as by `intersection`'s arguments, then `char_sequence`,
+    then `contact_from_intersection`."""
     try:
         orders, inter = _certified_orders(phi1, phi2)
     except BranchesEqual:

@@ -203,7 +203,7 @@ MUTANTS = {
         "a ramified stage's t-exponent is nu times too large",
     ),
     # -- the solve past full ramification: its entry, its integer form, the
-    # rows it reads and the evaluations that close it or skip zeros
+    # rows it reads and the one evaluation that closes it
     "np-solve-one-stage-early": (
         GEOMETRY, "    while ram < n:\n        edge = _np_edge(cur)\n",
         "    while ram < n:\n        edge = _np_edge(cur)\n"
@@ -219,12 +219,17 @@ MUTANTS = {
         "N and its powers stay over the old denominator when it grows",
     ),
     "np-final-closure-check-skipped": (
-        GEOMETRY, "for k in range(1, K + 1):", "for k in range(1, K):",
+        GEOMETRY, "if texp + k == D:", "if texp + k == D < target - 1:",
         "a root whose last term sits at target - 1 is returned truncated, not exact",
     ),
-    "np-skip-one-late": (
-        GEOMETRY, "- conductor - n + 1 - texp", "- conductor - n + 2 - texp",
-        "the evaluation's order skips the first nonzero coefficient after a run of zeros",
+    "np-closure-degree-off-by-one": (
+        GEOMETRY, "if texp + k == D:", "if texp + k == D + 1:",
+        "the evaluation runs one past the only degree a polynomial root can have, so no"
+        " root closes",
+    ),
+    "np-entry-check-dropped": (
+        GEOMETRY, "if texp + k == D:", "if k and texp + k == D:",
+        "a root the stages closed, y**2 - x**3 say, is returned truncated, not exact",
     ),
     # -- the fast paths that compute only what is read: implicitize's half of
     # the powers and the exact product

@@ -1,6 +1,7 @@
 """The argument contract: every scalar slot of every public callable refuses
 every wrong value of its kind, and so do the key of a sequence of pairs and
-the branch and polynomial slots of the Newton-Puiseux neighbours.
+the branch and polynomial slots of the Newton-Puiseux neighbours and of
+`intersection` and `contact`.
 
 TABLE is the one place that says which scalar slot of which public
 callable takes which kind; `series` is the one place that decides what
@@ -23,8 +24,10 @@ from planebranch.expansion import zariski_decomposition
 from planebranch.geometry import (
     ContactOrder,
     Parametrization,
+    contact,
     contact_from_intersection,
     implicitize,
+    intersection,
     intersection_from_contact,
     intersection_poly_param,
     puiseux_parametrization,
@@ -199,6 +202,14 @@ TABLE = {
         lambda f, phi: intersection_poly_param(f, phi),
         {"f": ("polynomial", POLY), "phi": ("branch", QUARTIC)},
     ),
+    "intersection": (
+        lambda phi1, phi2: intersection(phi1, phi2),
+        {"phi1": ("branch", CUSP), "phi2": ("branch", QUARTIC)},
+    ),
+    "contact": (
+        lambda phi1, phi2: contact(phi1, phi2),
+        {"phi1": ("branch", CUSP), "phi2": ("branch", QUARTIC)},
+    ),
     "substitute": (lambda n: substitute(POLY, n, TSeries("t", {1: 1}, 5)), {"n": ("natural", 2)}),
     "zariski_decomposition": (_decompose, {"lam": ("int", 13)}),
 }
@@ -209,8 +220,8 @@ TABLE = {
 # non-branch is still to come
 NO_SCALAR = {
     "EXACT", "PlaneBranchError", "ExpansionResult", "MoveRecord", "StandardRep",
-    "ZariskiResult", "char_sequence", "contact", "genus1_reduce", "h_adic_expansion",
-    "intersection", "replay_moves", "reparametrize", "zariski_invariant",
+    "ZariskiResult", "char_sequence", "genus1_reduce", "h_adic_expansion", "replay_moves",
+    "reparametrize", "zariski_invariant",
 }
 
 

@@ -2,7 +2,8 @@
 
 `puiseux_reference` keeps the stage loop that recentered the rows once per
 coefficient to the end; the library solves the coefficients past ram = n
-one at a time and reads the closure off one evaluation of f.  Both must
+one at a time and reads the closure off at most one evaluation of f, when
+the terms end at t**D, D = deg_x f(x, 0).  Both must
 give the same terms and trunc, or the same exception type and message, on
 seeded inputs: implicitized `gen.genus1_item` and `gen.pair_item`
 branches, sparse branches of multiplicity 1 to 4, each equation plus
@@ -103,7 +104,7 @@ def test_the_solve_matches_the_stage_loop(family):
         ([((0, 1), 1), ((2, 0), -1), ((9, 0), -3)], 10, {2: F(1), 9: F(3)}, EXACT),
         ([((0, 1), 1)], 1, {}, EXACT),
         # n = 2: the stage that reaches ram = n at the target closes there
-        # unchecked; one past it, the check after the last k runs alone
+        # unchecked; a root whose stages end at D = 3 closes on entry
         ([((0, 2), 1), ((3, 0), -1), ((4, 0), -1)], None, {3: F(1), 5: F(1, 2)}, 6),
         ([((0, 2), 1), ((3, 0), -1), ((4, 0), -1)], 3, {}, 3),
         ([((0, 2), 1), ((3, 0), -1), ((4, 0), -1)], 4, {3: F(1)}, 4),
@@ -119,8 +120,8 @@ def test_small_multiplicities(pairs, trunc, terms, bound):
 
 
 def test_a_root_whose_last_term_sits_at_trunc_minus_one_closes():
-    # no zero coefficient follows the last term below the target, so only
-    # the check after the last k sees the closure; the root found is the
+    # the last term sits at D = 8 = trunc - 1, the last k the solve reaches,
+    # and the evaluation there closes the root; the root found is the
     # conjugate t -> -t
     phi = Parametrization.from_pairs(4, [(5, -2), (6, F(-3, 4)), (7, F(2, 7)), (8, -2)])
     f = implicitize(phi)
@@ -129,14 +130,10 @@ def test_a_root_whose_last_term_sits_at_trunc_minus_one_closes():
     assert _outcome(puiseux_reference, f, 9) == (4, dict(psi.y.terms), EXACT)
 
 
-def test_no_recentering_past_full_ramification(monkeypatch):
-    # K(6, 14, 17): stages at t**14 (ram 3), t**16 and t**17 (ram 6); past
-    # them every coefficient comes from the solve, with one evaluation per
-    # run of zeros, after t**17, t**20 and t**23.  The last reads
-    # f(t**6, y) at t-order 6 * 30, so the next term, at
-    # 180 - (conductor 68 + 5), lies past the truncation
-    phi = Parametrization.from_pairs(6, [(14, 1), (16, 1), (17, 1), (19, 2), (20, -1), (23, 1)])
-    f = implicitize(phi) + BivarPoly.monomial(30, 0)
+@pytest.fixture
+def counts(monkeypatch):
+    """The calls of `_np_transform` and `_at_two_power` from geometry,
+    `implicitize`'s among them."""
     counts = {"_np_transform": 0, "_at_two_power": 0}
     for name in counts:
         def counted(*args, _name=name, _call=getattr(geometry, name)):
@@ -144,14 +141,69 @@ def test_no_recentering_past_full_ramification(monkeypatch):
             return _call(*args)
 
         monkeypatch.setattr(geometry, name, counted)
+    return counts
+
+
+def test_no_recentering_past_full_ramification(counts):
+    # K(6, 14, 17): stages at t**14 (ram 3), t**16 and t**17 (ram 6); past
+    # them every coefficient comes from the solve.  Plus x**30, the root
+    # agrees with the branch up to t**(180 - conductor 68 - 5), past the
+    # truncation, so its coefficient at D = 30 is 0: no evaluation
+    phi = Parametrization.from_pairs(6, [(14, 1), (16, 1), (17, 1), (19, 2), (20, -1), (23, 1)])
+    f = implicitize(phi) + BivarPoly.monomial(30, 0)
+    counts.update(dict.fromkeys(counts, 0))
     psi = puiseux_parametrization(f, trunc=60)
     assert dict(psi.y.terms) == _outcome(puiseux_reference, f, 60)[1]
-    assert counts == {"_np_transform": 3, "_at_two_power": 3}
+    assert counts == {"_np_transform": 3, "_at_two_power": 0}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_at_most_one_evaluation_at_the_degree_of_a_polynomial_root(family, counts):
+    # once per exact root, none when D = deg_x f(x, 0) is at or past the
+    # target, and never more than one
+    seen = set()
+    for phi in FAMILIES[family](0):
+        for f, trunc in _inputs(phi):
+            counts["_at_two_power"] = 0
+            try:
+                psi = puiseux_parametrization(f, trunc)
+            except PlaneBranchError:
+                continue
+            D = max(f.rows[0])
+            if psi.exact:
+                expected = 1
+            elif D >= psi.trunc:
+                expected = 0
+            else:
+                assert counts["_at_two_power"] <= 1, (str(phi), trunc)
+                continue
+            assert counts["_at_two_power"] == expected, (str(phi), trunc)
+            seen.add(expected)
+    assert seen == {0, 1}
+
+
+@pytest.mark.parametrize(
+    "pairs, trunc, evaluations, bound",
+    [
+        # y**2 - x**3: the stages close the root at t**3 = t**D, checked on entry
+        ([((0, 2), 1), ((3, 0), -1)], None, 1, EXACT),
+        ([((0, 2), 1), ((3, 0), -1)], 4, 1, EXACT),
+        # D = 3 at the target: returned unchecked
+        ([((0, 2), 1), ((3, 0), -1)], 3, 0, 3),
+        # f = y, whose root 0 has no terms
+        ([((0, 1), 1)], None, 1, EXACT),
+    ],
+)
+def test_a_root_closed_by_the_stages_is_checked_on_entry(pairs, trunc, evaluations, bound, counts):
+    f = BivarPoly.from_pairs(pairs)
+    psi = puiseux_parametrization(f, trunc)
+    assert (counts["_at_two_power"], psi.trunc) == (evaluations, bound)
+    assert _outcome(puiseux_reference, f, trunc) == (psi.n, dict(psi.y.terms), bound)
 
 
 def test_the_skip_lands_on_the_next_nonzero_coefficient():
     # a branch plus x**40 agrees with it up to t**(3 * 40 - conductor - 2):
-    # the evaluation after its last term skips the zeros up to there
+    # every coefficient between its last term and there is solved as 0
     phi = Parametrization.from_pairs(3, [(4, 1), (5, 2)])
     f = implicitize(phi) + BivarPoly.monomial(40, 0)
     psi = puiseux_parametrization(f, trunc=130)
