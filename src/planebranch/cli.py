@@ -32,7 +32,6 @@ from .errors import (
     NotAnInvariant,
     NotTransversal,
     PlaneBranchError,
-    PrecisionExhausted,
 )
 from .expansion import zariski_decomposition
 from .fixtures import fixture_names, load_fixture
@@ -50,23 +49,6 @@ from .series import EXACT, BivarPoly, substitute
 from .zariski import _refuse_non_invariant, infer_zariski, zariski_invariant
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_PRECONDITION = 3
-EXIT_PRECISION = 4
-EXIT_HYPOTHESIS = 5
-EXIT_INTERNAL = 6
-
-
-def _exit_code(exc: Exception) -> int:
-    if isinstance(exc, BranchFileError):
-        return EXIT_PARSE
-    if isinstance(exc, PrecisionExhausted):
-        return EXIT_PRECISION
-    if isinstance(exc, HypothesisNotMet):
-        return EXIT_HYPOTHESIS
-    if isinstance(exc, CrossCheckFailed):
-        return EXIT_INTERNAL
-    return EXIT_PRECONDITION
 
 
 class _Session:
@@ -410,18 +392,18 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
     except PlaneBranchError as exc:
-        code = _exit_code(exc)
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, NotTransversal):
             print(
                 "hint: pass --swap-xy to exchange the coordinates first",
                 file=sys.stderr,
             )
-        return code
+        return exc.exit_code
     except Exception as exc:
-        # a defect, not a domain failure: report it without a traceback
+        # a defect, not a domain failure: report it without a traceback,
+        # and exit as an internal cross-check failure does
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return CrossCheckFailed.exit_code
     return EXIT_OK
 
 

@@ -1,17 +1,17 @@
 """Exception hierarchy for the planebranch kernel and CLI.
 
-Every failure mode has its own class so the CLI can map them to stable
-exit codes: parse errors (2), violated preconditions (3), insufficient
-working precision (4), unmet inference hypotheses (5) and internal
-cross-check failures (6).
+Every failure mode has its own class, and each family carries, as
+`exit_code`, the code the CLI exits with for it: a violated precondition
+takes the base class's; a malformed branch file, exhausted precision, an
+unmet inference hypothesis and a failed internal cross-check override it.
 """
 
 
 class PlaneBranchError(Exception):
     """Base class for all domain errors raised by this package."""
 
+    exit_code = 3
 
-# -- precondition violations (CLI exit code 3) -------------------------------
 
 class InvalidArgument(PlaneBranchError, ValueError):
     """An argument outside a function's domain, such as a negative exponent
@@ -112,26 +112,28 @@ class ZeroLeadingC(PlaneBranchError):
 
 
 class BranchFileError(PlaneBranchError):
-    """Malformed branch description file (CLI exit code 2)."""
+    """Malformed branch description file."""
 
+    exit_code = 2
 
-# -- insufficient precision (CLI exit code 4) --------------------------------
 
 class PrecisionExhausted(PlaneBranchError):
     """Truncation bound reached before the result could be certified."""
+
+    exit_code = 4
 
     def __init__(self, message: str, needed: int | None = None):
         super().__init__(message)
         self.needed = needed
 
 
-# -- unmet hypothesis (CLI exit code 5) --------------------------------------
-
 class HypothesisNotMet(PlaneBranchError):
     """Strict inequality required by an inference rule does not hold."""
 
+    exit_code = 5
 
-# -- internal consistency (CLI exit code 6) ----------------------------------
 
 class CrossCheckFailed(PlaneBranchError):
     """An internal consistency verification failed; must never happen."""
+
+    exit_code = 6

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .geometry import Parametrization, implicitize, intersection_poly_param
 from .semigroup import CharData, rep_nm
-from .series import BivarPoly, _is_int
+from .series import BivarPoly, _check_instance, _is_int
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,8 @@ class ExpansionResult:
 
 def h_adic_expansion(f: BivarPoly, h: BivarPoly) -> list:
     """Coefficients [A_0, ..., A_d] with f = sum A_k h**k, deg_y A_k < deg_y h."""
+    _check_instance(f, BivarPoly, "polynomial")
+    _check_instance(h, BivarPoly, "polynomial")
     blocks = []
     cur = f
     d = h.deg_y()
@@ -83,6 +85,7 @@ def zariski_decomposition(
     """
     if not _is_int(lam):
         raise InvalidArgument(f"lambda {lam!r} is not a finite integer invariant")
+    _check_instance(cd_f, CharData, "class")
     n1 = cd_f.reduced_mult
     m1 = cd_f.reduced_first
     e1 = cd_f.gcd_sequence[1]

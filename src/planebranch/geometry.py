@@ -110,6 +110,7 @@ class Parametrization:
     def same_branch(self, other: "Parametrization") -> bool:
         """Exact test that two exact parametrizations describe one branch:
         the same n, and a conjugate of one that equals the other."""
+        _check_instance(other, Parametrization, "branch")
         if not (self.exact and other.exact):
             raise NonPolynomialInput("same_branch needs exact parametrizations")
         return self.n == other.n and _conjugate_orders(self, other)[1] > 0
@@ -606,6 +607,7 @@ def intersection_from_contact(cd: CharData, theta, mult_other: int) -> Fraction:
     theta = ratio(theta)
     _check_positive(mult_other, "multiplicity")
     theta = ContactOrder.finite(theta).theta
+    _check_instance(cd, CharData, "class")
     n, beta, v = cd.mult, cd.char_exponents, cd.generators
     a, b = theta.numerator, theta.denominator
     q, nq, prod = 0, 1, 1
@@ -625,6 +627,7 @@ def contact_from_intersection(cd: CharData, inter, mult_other: int) -> ContactOr
     _check_positive(mult_other, "multiplicity")
     value = ratio(inter)
     c, d = value.numerator, value.denominator * mult_other
+    _check_instance(cd, CharData, "class")
     n, beta, v = cd.mult, cd.char_exponents, cd.generators
     if c < n * d:
         raise NotRealizable(

@@ -19,7 +19,7 @@ from .errors import (
     NotTransversal,
     PrecisionExhausted,
 )
-from .series import _is_int
+from .series import TSeries, _check_instance, _is_int
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,9 @@ def char_sequence(phi) -> CharData:
 
 def _char_exponents(phi) -> list:
     """The characteristic exponents of `char_sequence`, with its refusals."""
+    # geometry imports this module, so a branch is known by its y-series
+    if not isinstance(getattr(phi, "y", None), TSeries):
+        raise InvalidArgument(f"branch {phi!r} is not a Parametrization")
     n, y = phi.n, phi.y
     order = y.order()
     if order is None:
@@ -173,6 +176,7 @@ def standard_rep(z: int, cd: CharData) -> StandardRep:
     """
     if not _is_int(z):
         raise InvalidArgument(f"semigroup element {z!r} is not an integer")
+    _check_instance(cd, CharData, "class")
     v = cd.generators
     e = cd.gcd_sequence
     quots = cd.quotients

@@ -461,6 +461,7 @@ def nth_root_unit(s: TSeries, n: int) -> TSeries:
     in Q; the result has constant term 1 and r**n = s below the truncation.
     """
     _check_positive(n, "root index")
+    _check_instance(s, TSeries, "series")
     if s.num.get(0) != s.den:
         raise ConstantTermNotOne("n-th root requires constant term exactly 1")
     if len(s.num) == 1:
@@ -507,6 +508,8 @@ def _root(s: TSeries, n: int) -> TSeries:
 def reparametrize(s: TSeries, rho: TSeries) -> TSeries:
     """Composition s(rho(u)) for a parameter change rho of order exactly 1:
     the polynomial sum c_e * y**e on the branch (u, rho(u))."""
+    _check_instance(s, TSeries, "series")
+    _check_instance(rho, TSeries, "series")
     if rho.order() != 1:
         raise InvalidParameterChange("parameter change must have order exactly 1")
     poly = BivarPoly._make({e: {0: c} for e, c in s.num.items()}, s.den)
@@ -834,6 +837,8 @@ def substitute(poly: BivarPoly, n: int, y: TSeries) -> TSeries:
     """
     if not _is_natural(n):
         raise InvalidArgument(f"x-exponent n must be a non-negative integer, got {n!r}")
+    _check_instance(poly, BivarPoly, "polynomial")
+    _check_instance(y, TSeries, "series")
     rows: dict = {}
     for j, xrow in poly.rows.items():
         rows[j] = row = {}

@@ -39,6 +39,7 @@ from .series import (
     EXACT,
     TSeries,
     _addmul,
+    _check_instance,
     _check_positive,
     _cut,
     _is_int,
@@ -116,6 +117,7 @@ def apply_qmove(phi: Parametrization, a: int, b: int, c) -> Parametrization:
         raise InvalidArgument(f"q-move needs integers a and b >= 0, got a = {a!r}, b = {b!r}")
     if a < 1:
         raise DegenerateMove("q-move needs a >= 1")
+    _check_instance(phi, Parametrization, "branch")
     return Parametrization(phi.n, _qmove(phi.y, phi.n, a, b, ratio(c)))
 
 
@@ -139,6 +141,7 @@ def apply_pmove(phi: Parametrization, b: int, c):
         raise InvalidArgument(f"p-move exponent b must be an integer, got {b!r}")
     if b < 2:
         raise DegenerateMove("p-move needs b >= 2 (x + c*y**(b-1) with b-1 >= 1)")
+    _check_instance(phi, Parametrization, "branch")
     y, rho = _pmove(phi.y, phi.n, b, c)
     return Parametrization(phi.n, y), rho
 
@@ -177,6 +180,7 @@ def eliminate_term(phi: Parametrization, j: int):
     """Remove the t**j term of the y-series; returns (new branch, MoveRecord)."""
     if not _is_int(j):
         raise InvalidArgument(f"target exponent j must be an integer, got {j!r}")
+    _check_instance(phi, Parametrization, "branch")
     m = _first_offgrid_exponent(phi)
     if gcd(phi.n, m) != 1:
         raise WrongEquisingularityClass(
@@ -366,7 +370,7 @@ def _reduced_branch(phi: Parametrization, cd: CharData) -> Parametrization:
     e1 = cd.gcd_sequence[1]
     n1, m1 = cd.reduced_mult, cd.reduced_first
     if not phi.exact:
-        need = max(cd.char_exponents[-1] + 1, (n1 - 1) * (m1 - 1) * e1 + 2 * cd.mult)
+        need = max(cd.char_exponents[-1] + 1, e1 * _working_bound(n1, m1))
         if phi.trunc < need:
             raise PrecisionExhausted(
                 f"branch known below {phi.trunc}, need {need}", needed=need
@@ -445,6 +449,7 @@ def replay_moves(phi: Parametrization, result: ZariskiResult) -> Parametrization
     the branch before the move, at t = rho(u), is exactly u**n.
     """
     cd = char_sequence(phi)
+    _check_instance(result, ZariskiResult, "result")
     n = cd.reduced_mult
     work = _reduced_branch(phi, cd).with_trunc(_working_bound(n, cd.reduced_first))
     cur = Parametrization(n, work.y.scale(result.leading_scale))
@@ -492,6 +497,7 @@ def infer_zariski(
     _check_positive(other_mult, "multiplicity")
     if not _is_int(lambda_f):
         raise InvalidArgument(f"lambda {lambda_f!r} is not a finite integer invariant")
+    _check_instance(cd_f, CharData, "class")
     _refuse_non_invariant(lambda_f, cd_f)
     n = cd_f.mult
     if contact_order is not None:

@@ -34,6 +34,7 @@ SERIES = "src/planebranch/series.py"
 GEOMETRY = "src/planebranch/geometry.py"
 ZARISKI = "src/planebranch/zariski.py"
 SEMIGROUP = "src/planebranch/semigroup.py"
+ERRORS = "src/planebranch/errors.py"
 
 # name: (file, old text, new text, why it must be killed or why it is declared)
 MUTANTS = {
@@ -440,7 +441,7 @@ MUTANTS = {
         " the semigroup's message, which the differential corpus pins",
     ),
     "reduced-branch-need-without-2n": (
-        ZARISKI, "(n1 - 1) * (m1 - 1) * e1 + 2 * cd.mult", "(n1 - 1) * (m1 - 1) * e1",
+        ZARISKI, "e1 * _working_bound(n1, m1))", "e1 * (_working_bound(n1, m1) - 2 * n1))",
         "a genus >= 2 branch is asked for less precision; the corpus pins the parent's"
         " `needed`, and ROADMAP item 8 decides whether 2n is needed at all",
     ),
@@ -482,6 +483,22 @@ MUTANTS = {
         ZARISKI, "if not ratio(intersection_value) > threshold:",
         "if not ratio(intersection_value) >= threshold:",
         "an intersection on the boundary is accepted as evidence",
+    ),
+    # -- the refusal contract: object slots and exit codes
+    "char-exponents-branch-check-dropped": (
+        SEMIGROUP,
+        "    if not isinstance(getattr(phi, \"y\", None), TSeries):\n"
+        "        raise InvalidArgument(f\"branch {phi!r} is not a Parametrization\")\n",
+        "",
+        "char_sequence and the sweep's entry points read phi.n of a non-branch untyped",
+    ),
+    "standard-rep-class-check-dropped": (
+        SEMIGROUP, "    _check_instance(cd, CharData, \"class\")\n", "",
+        "standard_rep and contains read cd.generators of a non-CharData untyped",
+    ),
+    "precision-exhausted-exits-3": (
+        ERRORS, "    exit_code = 4\n", "    exit_code = 3\n",
+        "an exhausted truncation exits as a violated precondition",
     ),
 }
 
@@ -532,6 +549,12 @@ DECLARED = {
         "        pending = kept\n",
         "equivalent: with no conjugate pending every later exponent keeps none and adds no"
         " order, so the stop only ends the scan sooner",
+    ),
+    "reduced-branch-need-without-beta-g": (
+        ZARISKI, "max(cd.char_exponents[-1] + 1, e1 * _working_bound(n1, m1))",
+        "e1 * _working_bound(n1, m1)",
+        "equivalent: both callers first run char_sequence, which has read y's term at"
+        " beta_g, so the trunc already exceeds beta_g and only the other term can refuse",
     ),
     "pmove-unit-no-content-division": (
         ZARISKI, "    root = _root(TSeries._make(y.var, unit, unit[0], utrunc), n)\n",

@@ -381,7 +381,7 @@ class TestErrors:
 
         monkeypatch.setattr(cli, "cmd_invariants", broken)
         code, out, err = run(capsys, "invariants", "--fixture", "k37-branch")
-        assert code == cli.EXIT_INTERNAL == 6
+        assert code == 6
         assert out == ""
         assert err == "error: internal: ValueError: planted defect\n"
 

@@ -1,9 +1,9 @@
 """Every kernel precondition and internal check raises a typed error.
 
-A bad argument raises `InvalidArgument`, which the CLI maps to exit code 3
-and which stays a `ValueError`; other violated preconditions have their own
-classes, also exit code 3; a broken internal invariant raises
-`CrossCheckFailed` (exit code 6).
+A bad argument raises `InvalidArgument`, whose exit code is 3 and which
+stays a `ValueError`; other violated preconditions have their own classes,
+also exit code 3; a broken internal invariant raises `CrossCheckFailed`
+(exit code 6).  Each class carries the exit code of its family.
 """
 
 from dataclasses import replace
@@ -11,9 +11,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from planebranch import cli
 from planebranch.errors import (
+    BranchFileError,
     CrossCheckFailed,
+    HypothesisNotMet,
     InvalidArgument,
     InvalidParameterChange,
     NeedsTruncation,
@@ -23,6 +24,7 @@ from planebranch.errors import (
     NotSingular,
     NotTransversal,
     NotWeierstrass,
+    PlaneBranchError,
     PrecisionExhausted,
     WrongEquisingularityClass,
 )
@@ -30,170 +32,111 @@ from planebranch.geometry import (
     ContactOrder,
     Parametrization,
     contact,
-    contact_from_intersection,
     implicitize,
-    intersection_from_contact,
     puiseux_parametrization,
-    swap_parametrization,
 )
-from planebranch.semigroup import CharData, char_sequence, contains, standard_rep
+from planebranch.semigroup import CharData, char_sequence, standard_rep
 from planebranch.series import (
     EXACT,
     BivarPoly,
     TSeries,
     exact_root,
-    nth_root_unit,
     ratio,
     reparametrize,
     solve_composition,
-    substitute,
 )
 from planebranch.expansion import zariski_decomposition
-from planebranch.zariski import (
-    apply_pmove,
-    apply_qmove,
-    eliminate_term,
-    infer_zariski,
-    zariski_invariant,
-)
+from planebranch.zariski import eliminate_term, zariski_invariant
+from test_arguments import K467, TABLE
 
-K467 = CharData.from_char_exponents((4, 6, 7))
-K469 = CharData.from_char_exponents((4, 6, 9))
-# y**2 - x**3, the implicit equation of the cusp (t**2, t**3)
-CUSP_EQUATION = BivarPoly.from_pairs([((0, 2), 1), ((3, 0), -1)])
-CUSP_DATA = CharData.from_char_exponents((2, 3))
-
+# calls the generated table of tests/test_arguments.py cannot make: ratio and
+# exact_root are not public, shift(-2) is refused for its result, a key of
+# BivarPoly is refused whole, CharData.from_char_exponents refuses a whole
+# sequence, and TSeries and BivarPoly refuse a list for their map of terms
 BAD_ARGUMENTS = {
     "ratio": lambda: ratio(1.5),
     "ratio-bad-string": lambda: ratio("x"),
     "ratio-zero-denominator": lambda: ratio("1/0"),
-    "tseries-trunc": lambda: TSeries("t", {1: 1}, 0),
-    "tseries-exponent": lambda: TSeries("t", {-1: 1}, 5),
-    "tseries-fractional-exponent": lambda: TSeries("t", {F(1, 2): 1}, 5),
     "shift": lambda: TSeries("t", {1: 1}, 5).shift(-2),
-    "tseries-pow": lambda: TSeries("t", {1: 1}, 5) ** -1,
-    "tseries-float-pow": lambda: TSeries("t", {1: 1}, 5) ** 2.0,
-    "nth-root-index": lambda: nth_root_unit(TSeries("t", {0: 1, 1: 1}, 5), 0),
     "exact-root-index": lambda: exact_root(F(4), 0),
-    "bivar-exponent": lambda: BivarPoly({(-1, 0): 1}),
-    "bivar-fractional-exponent": lambda: BivarPoly({(1.5, 0): 1}),
-    "bivar-fractional-y-exponent": lambda: BivarPoly({(0, F(27, 10)): 1}),
-    "bivar-pow": lambda: BivarPoly.monomial(1, 1) ** -1,
-    "bivar-fractional-pow": lambda: BivarPoly.monomial(1, 1) ** F(1, 2),
-    "bivar-scale-bad-string": lambda: BivarPoly.monomial(1, 1).scale("nan"),
-    "substitute-negative-n": lambda: substitute(
-        BivarPoly.monomial(1, 1), -1, TSeries.monomial("t", 2)
-    ),
-    "substitute-fractional-n": lambda: substitute(
-        BivarPoly.monomial(1, 1), 1.5, TSeries.monomial("t", 2)
-    ),
-    "contact-from-intersection-bad-string": lambda: contact_from_intersection(K467, "x", 2),
-    "infer-bad-contact-string": lambda: infer_zariski(K467, 7, 4, contact_order="x"),
-    "infer-bad-intersection-string": lambda: infer_zariski(K467, 7, 4, intersection_value="x"),
-    "contact-from-intersection-multiplicity-0": lambda: contact_from_intersection(K467, 10, 0),
-    "infer-multiplicity-0": lambda: infer_zariski(K467, 7, 0, intersection_value=100),
-    "intersection-from-contact-multiplicity-0": lambda: intersection_from_contact(K467, 2, 0),
-    "qmove-negative-exponent": lambda: apply_qmove(
-        Parametrization.from_pairs(2, [(3, 1)], trunc=8), 1, -1, 1
-    ),
-    "qmove-fractional-exponent": lambda: apply_qmove(
-        Parametrization.from_pairs(2, [(3, 1)], trunc=8), 1, 1.5, 1
-    ),
-    "pmove-fractional-exponent": lambda: apply_pmove(
-        Parametrization.from_pairs(2, [(3, 1)], trunc=8), 2.5, 1
-    ),
-    "qmove-fractional-a": lambda: apply_qmove(
-        Parametrization.from_pairs(2, [(3, 1)], trunc=8), 1.5, 1, 1
-    ),
-    "qmove-missing-a": lambda: apply_qmove(
-        Parametrization.from_pairs(2, [(3, 1)], trunc=8), None, 1, 1
-    ),
-    "pmove-string-exponent": lambda: apply_pmove(
-        Parametrization.from_pairs(2, [(3, 1)], trunc=8), "3", 1
-    ),
-    "pmove-missing-exponent": lambda: apply_pmove(
-        Parametrization.from_pairs(2, [(3, 1)], trunc=8), None, 1
-    ),
-    "eliminate-term-string-target": lambda: eliminate_term(
-        Parametrization.from_pairs(2, [(3, 1)], trunc=8), "5"
-    ),
-    "eliminate-term-float-target": lambda: eliminate_term(
-        Parametrization.from_pairs(2, [(3, 1)], trunc=8), 5.0
-    ),
-    "puiseux-string-trunc": lambda: puiseux_parametrization(CUSP_EQUATION, trunc="10"),
-    "puiseux-float-trunc": lambda: puiseux_parametrization(CUSP_EQUATION, trunc=10.5),
-    "puiseux-bool-trunc": lambda: puiseux_parametrization(CUSP_EQUATION, trunc=True),
-    "swap-string-trunc": lambda: swap_parametrization(
-        Parametrization.from_pairs(2, [(3, 1)], trunc=12), trunc="9"
-    ),
-    "nth-root-string-index": lambda: nth_root_unit(TSeries("t", {0: 1, 1: 1}, 5), "2"),
     "exact-root-string-index": lambda: exact_root(F(4), "2"),
-    "tseries-bool-trunc": lambda: TSeries("t", {1: 1}, True),
-    "parametrization-multiplicity-0": lambda: Parametrization(0, TSeries("t", {3: 1}, 10)),
-    "parametrization-string-multiplicity": lambda: Parametrization("4", TSeries("t", {6: 1}, 10)),
-    "parametrization-bool-multiplicity": lambda: Parametrization(True, TSeries("t", {3: 1}, 10)),
-    "parametrization-from-pairs-float-multiplicity": lambda: Parametrization.from_pairs(
-        2.5, [(3, 1)]
-    ),
-    "tseries-string-exponent": lambda: TSeries("t", {"a": 1}, 5),
     "bivar-string-monomial": lambda: BivarPoly({"ab": 1}),
     "bivar-three-exponents": lambda: BivarPoly({(1, 2, 3): 1}),
     "char-exponents-not-characteristic": lambda: CharData.from_char_exponents((4, 6, 8)),
-    "char-sequence-multiplicity": lambda: char_sequence(
-        Parametrization(0, TSeries("t", {3: 1}, 10))
-    ),
-    "tseries-list-terms": lambda: TSeries("t", [1, 2], 5),
-    "bivar-list-terms": lambda: BivarPoly([((0, 2), 1), ((3, 0), -1)]),
-    "parametrization-dict-y": lambda: char_sequence(Parametrization(2, {3: 1})),
-    "puiseux-dict-polynomial": lambda: puiseux_parametrization({(0, 2): 1, (3, 0): -1}),
-    "decomposition-float-lambda": lambda: zariski_decomposition(
-        CUSP_EQUATION, Parametrization.from_pairs(2, [(3, 1)]), CUSP_DATA, 1.0
-    ),
-    "decomposition-fraction-lambda": lambda: zariski_decomposition(
-        CUSP_EQUATION, Parametrization.from_pairs(2, [(3, 1)]), CUSP_DATA, F(1)
-    ),
-    # 7 is an invariant of K(4,6,7), and contact 2 exceeds 7/4
-    "infer-float-lambda": lambda: infer_zariski(K467, 7.0, 4, contact_order=2),
-    "infer-missing-lambda": lambda: infer_zariski(K467, None, 4, contact_order=2),
-    "infer-string-lambda": lambda: infer_zariski(K467, "7", 4, contact_order=2),
-    "infer-bool-lambda": lambda: infer_zariski(K467, True, 4, contact_order=2),
-    # 4.5 was read as 4, a generator of K(4,6,9)
-    "contains-float": lambda: contains(4.5, K469),
-    "contains-missing": lambda: contains(None, K469),
-    "contains-bool": lambda: contains(True, K469),
-    "standard-rep-float": lambda: standard_rep(10.0, K469),
-    "standard-rep-string": lambda: standard_rep("10", K469),
-    # (2, 3.7) was read as K(2, 3)
-    "char-exponents-float": lambda: CharData.from_char_exponents((2, 3.7)),
-    "char-exponents-string": lambda: CharData.from_char_exponents(("2", "3")),
-    "char-exponents-bool": lambda: CharData.from_char_exponents((4, 6, True)),
     # (4, 6, 5) and (4, 6, 3) were read as classes with a decreasing sequence
     "char-exponents-decreasing": lambda: CharData.from_char_exponents((4, 6, 5)),
     "char-exponents-below-beta-1": lambda: CharData.from_char_exponents((4, 6, 3)),
     # tuple(beta) raised an untyped TypeError
     "char-exponents-missing": lambda: CharData.from_char_exponents(None),
     "char-exponents-int": lambda: CharData.from_char_exponents(7),
-    # True was read as the integer 1 at each of these exponents
-    "substitute-bool-n": lambda: substitute(
-        BivarPoly.monomial(1, 1), True, TSeries.monomial("t", 2)
-    ),
-    "shift-bool": lambda: TSeries("t", {1: 1}, 5).shift(True),
-    "tseries-bool-pow": lambda: TSeries("t", {1: 1}, 5) ** True,
-    "bivar-bool-pow": lambda: BivarPoly.monomial(1, 1) ** True,
-    "qmove-bool-a": lambda: apply_qmove(
-        Parametrization.from_pairs(2, [(3, 1)], trunc=8), True, 1, 1
-    ),
-    "qmove-bool-exponent": lambda: apply_qmove(
-        Parametrization.from_pairs(2, [(3, 1)], trunc=8), 2, True, 1
-    ),
-    # these two raised DegenerateMove, reading True as 1
-    "pmove-bool-exponent": lambda: apply_pmove(
-        Parametrization.from_pairs(2, [(3, 1)], trunc=8), True, 1
-    ),
-    "eliminate-term-bool-target": lambda: eliminate_term(
-        Parametrization.from_pairs(2, [(3, 1)], trunc=8), True
-    ),
+    "tseries-list-terms": lambda: TSeries("t", [1, 2], 5),
+    "bivar-list-terms": lambda: BivarPoly([((0, 2), 1), ((3, 0), -1)]),
 }
+
+# the older rows whose calls the table makes, under their names, by the row
+# and slot of TABLE that they fill: {(row, slot): {name: wrong value}}
+GENERATED = {
+    ("TSeries", "trunc"): {"tseries-trunc": 0, "tseries-bool-trunc": True},
+    ("TSeries", "e"): {"tseries-exponent": -1, "tseries-fractional-exponent": F(1, 2),
+                       "tseries-string-exponent": "a"},
+    ("TSeries.shift", "offset"): {"shift-bool": True},
+    ("TSeries.__pow__", "k"): {"tseries-pow": -1, "tseries-float-pow": 2.0,
+                               "tseries-bool-pow": True},
+    ("BivarPoly", "i"): {"bivar-exponent": -1, "bivar-fractional-exponent": 1.5},
+    ("BivarPoly", "j"): {"bivar-fractional-y-exponent": F(27, 10)},
+    ("BivarPoly.__pow__", "k"): {"bivar-pow": -1, "bivar-fractional-pow": F(1, 2),
+                                 "bivar-bool-pow": True},
+    ("BivarPoly.scale", "value"): {"bivar-scale-bad-string": "nan"},
+    ("Parametrization", "n"): {"parametrization-multiplicity-0": 0,
+                               "char-sequence-multiplicity": 0,
+                               "parametrization-string-multiplicity": "4",
+                               "parametrization-bool-multiplicity": True},
+    ("Parametrization", "y"): {"parametrization-dict-y": {3: 1}},
+    ("Parametrization.from_pairs", "n"): {"parametrization-from-pairs-float-multiplicity": 2.5},
+    # (2, 3.7) was read as K(2, 3)
+    ("CharData.from_char_exponents", "b"): {"char-exponents-float": 3.7,
+                                            "char-exponents-string": "7",
+                                            "char-exponents-bool": True},
+    ("nth_root_unit", "n"): {"nth-root-index": 0, "nth-root-string-index": "2"},
+    ("substitute", "n"): {"substitute-negative-n": -1, "substitute-fractional-n": 1.5,
+                          "substitute-bool-n": True},
+    ("contact_from_intersection", "inter"): {"contact-from-intersection-bad-string": "x"},
+    ("contact_from_intersection", "mult_other"): {"contact-from-intersection-multiplicity-0": 0},
+    ("intersection_from_contact", "mult_other"): {"intersection-from-contact-multiplicity-0": 0},
+    ("infer_zariski", "contact_order"): {"infer-bad-contact-string": "x"},
+    ("infer_zariski/intersection", "inter"): {"infer-bad-intersection-string": "x"},
+    ("infer_zariski", "other_mult"): {"infer-multiplicity-0": 0},
+    ("infer_zariski", "lambda_f"): {"infer-float-lambda": 7.0, "infer-missing-lambda": None,
+                                    "infer-string-lambda": "7", "infer-bool-lambda": True},
+    ("apply_qmove", "b"): {"qmove-negative-exponent": -1, "qmove-fractional-exponent": 1.5,
+                           "qmove-bool-exponent": True},
+    ("apply_qmove", "a"): {"qmove-fractional-a": 1.5, "qmove-missing-a": None,
+                           "qmove-bool-a": True},
+    # True, read as 1 here and as eliminate_term's j, raised DegenerateMove
+    ("apply_pmove", "b"): {"pmove-fractional-exponent": 2.5, "pmove-string-exponent": "3",
+                           "pmove-missing-exponent": None, "pmove-bool-exponent": True},
+    ("eliminate_term", "j"): {"eliminate-term-bool-target": True,
+                              "eliminate-term-string-target": "5",
+                              "eliminate-term-float-target": 5.0},
+    ("puiseux_parametrization", "trunc"): {"puiseux-string-trunc": "10",
+                                           "puiseux-float-trunc": 10.5,
+                                           "puiseux-bool-trunc": True},
+    ("puiseux_parametrization", "f"): {"puiseux-dict-polynomial": {(0, 2): 1, (3, 0): -1}},
+    ("swap_parametrization", "trunc"): {"swap-string-trunc": "9"},
+    ("zariski_decomposition", "lam"): {"decomposition-float-lambda": 1.0,
+                                       "decomposition-fraction-lambda": F(1)},
+    # 4.5 was read as 4, a generator of K(4,6,9)
+    ("contains", "z"): {"contains-float": 4.5, "contains-missing": None, "contains-bool": True},
+    ("standard_rep", "z"): {"standard-rep-float": 10.0, "standard-rep-string": "10"},
+}
+
+
+def _generated(row: str, slot: str, value):
+    """The call the table makes with `value` in `slot` of `row`."""
+    call, slots = TABLE[row]
+    valid = {name: v for name, (_, v) in slots.items()}
+    return lambda: call(**{**valid, slot: value})
+
 
 TRUNCATED_CUSP = Parametrization.from_pairs(2, [(3, 1)], trunc=8)
 CUSP = Parametrization.from_pairs(2, [(3, 1)])
@@ -235,12 +178,17 @@ BROKEN_INVARIANTS = {
 }
 
 
-@pytest.mark.parametrize("call", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+CALLS = {**BAD_ARGUMENTS, **{name: _generated(row, slot, value)
+                             for (row, slot), named in GENERATED.items()
+                             for name, value in named.items()}}
+
+
+@pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
 def test_bad_argument_is_a_typed_precondition(call):
     with pytest.raises(InvalidArgument) as info:
         call()
     assert isinstance(info.value, ValueError)
-    assert cli._exit_code(info.value) == cli.EXIT_PRECONDITION == 3
+    assert info.value.exit_code == 3
 
 
 def test_a_float_target_is_blamed_on_the_target():
@@ -276,15 +224,30 @@ def test_an_infinite_invariant_has_no_decomposition():
 def test_violated_precondition_exits_3(error, call):
     with pytest.raises(error) as info:
         call()
-    assert cli._exit_code(info.value) == cli.EXIT_PRECONDITION == 3
+    assert info.value.exit_code == 3
 
 
 @pytest.mark.parametrize("call", BROKEN_INVARIANTS.values(), ids=BROKEN_INVARIANTS.keys())
 def test_broken_invariant_is_a_cross_check_failure(call):
     with pytest.raises(CrossCheckFailed) as info:
         call()
-    assert cli._exit_code(info.value) == cli.EXIT_INTERNAL == 6
+    assert info.value.exit_code == 6
 
+
+# the families whose exit code is not the base class's 3
+FAMILY_EXIT_CODES = {BranchFileError: 2, PrecisionExhausted: 4, HypothesisNotMet: 5,
+                     CrossCheckFailed: 6}
+
+
+def test_every_error_class_carries_its_family_exit_code():
+    classes, stack = [], [PlaneBranchError]
+    while stack:
+        classes.append(stack.pop())
+        stack.extend(classes[-1].__subclasses__())
+    assert len(classes) == 29
+    for cls in classes:
+        family = [code for base, code in FAMILY_EXIT_CODES.items() if issubclass(cls, base)]
+        assert cls.exit_code == (family or [3])[0], cls.__name__
 
 
 def _pair(n1, y1, n2, y2, trunc1=EXACT, trunc2=EXACT):
