@@ -283,8 +283,7 @@ def cmd_convert(session) -> None:
         return
     if not isinstance(branch, BivarPoly):
         raise BranchFileError("puiseux expects a polynomial input")
-    phi = puiseux_parametrization(branch, trunc=session.args.precision)
-    session.note_precision(phi.trunc)
+    phi = session.to_param(branch)
     # vanishing check: the defining property of the output
     value = substitute(branch, phi.n, phi.y)
     if not value.is_zero_below_trunc():

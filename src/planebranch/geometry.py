@@ -51,6 +51,7 @@ from .series import (
     _check_instance,
     _check_positive,
     _convolve,
+    _cut,
     _powers,
     exact_root,
     nth_root_unit,
@@ -105,7 +106,7 @@ class Parametrization:
             raise PrecisionExhausted(
                 f"branch known only below {self.trunc}, need {bound}", needed=bound
             )
-        return Parametrization(self.n, self.y.truncated(bound))
+        return Parametrization(self.n, _cut(self.y, bound))
 
     def same_branch(self, other: "Parametrization") -> bool:
         """Exact test that two exact parametrizations describe one branch:
@@ -681,12 +682,12 @@ def swap_parametrization(phi: Parametrization, trunc: int | None = None) -> Para
         )
     if trunc is None:
         top = y.max_exponent()
-        trunc = min(y.trunc, 2 * (phi.n + top) * max(1, phi.n))
+        trunc = min(y.trunc, 2 * (phi.n + top) * phi.n)
     elif trunc > y.trunc:
         raise PrecisionExhausted(
             f"swap at precision {trunc} needs the branch below {trunc}", needed=trunc
         )
-    unit = y.shift(-m).scale(1 / lead).truncated(trunc)
+    unit = _cut(y.shift(-m).scale(1 / lead), trunc)
     w = nth_root_unit(unit, m).scale(root).shift(1)
     (ynew,) = solve_composition([TSeries.monomial(y.var, phi.n, 1, w.trunc)], w)
     return Parametrization(m, ynew)

@@ -347,7 +347,7 @@ class TSeries:
 
     def coeff(self, exponent: int) -> Fraction:
         if not _is_natural(exponent):
-            raise InvalidArgument(f"exponent {exponent!r} is not a non-negative integer")
+            raise InvalidArgument(_EXPONENT.format(exponent))
         if exponent >= self.trunc:
             raise PrecisionExhausted(
                 f"coefficient at {exponent} is beyond the truncation {self.trunc}",
@@ -363,6 +363,7 @@ class TSeries:
 
     def agrees_with(self, other: "TSeries", below=None) -> bool:
         """Exact term-for-term agreement below `below` (default: both truncs)."""
+        _check_instance(other, TSeries, "series")
         bound = min(self.trunc, other.trunc)
         if below is not None:
             bound = min(bound, below)
@@ -395,6 +396,7 @@ class TSeries:
     # -- ring operations -----------------------------------------------------
 
     def _check_tag(self, other: "TSeries") -> None:
+        _check_instance(other, TSeries, "series")
         if self.var != other.var:
             raise TagMismatch(f"variable tags differ: {self.var!r} vs {other.var!r}")
 
@@ -513,7 +515,7 @@ def reparametrize(s: TSeries, rho: TSeries) -> TSeries:
     if rho.order() != 1:
         raise InvalidParameterChange("parameter change must have order exactly 1")
     poly = BivarPoly._make({e: {0: c} for e, c in s.num.items()}, s.den)
-    return substitute(poly, 1, rho).truncated(s.trunc)
+    return _cut(substitute(poly, 1, rho), s.trunc)
 
 
 def solve_composition(targets, w: TSeries) -> tuple:
@@ -702,7 +704,7 @@ class BivarPoly:
 
     def coeff(self, i: int, j: int) -> Fraction:
         if not (_is_natural(i) and _is_natural(j)):
-            raise InvalidArgument(f"monomial exponents {(i, j)!r} are not non-negative integers")
+            raise InvalidArgument(_MONOMIAL.format((i, j)))
         return Fraction(self.rows.get(j, {}).get(i, 0), self.den)
 
     def deg_y(self) -> int:
@@ -733,6 +735,7 @@ class BivarPoly:
 
     def _combine(self, other: "BivarPoly", sign: int) -> "BivarPoly":
         """self + sign * other over the lcm of the two denominators."""
+        _check_instance(other, BivarPoly, "polynomial")
         den = math.lcm(self.den, other.den)
         a, b = den // self.den, sign * (den // other.den)
         acc = {j: {i: c * a for i, c in row.items()} for j, row in self.rows.items()}
@@ -752,6 +755,7 @@ class BivarPoly:
         )
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
+        _check_instance(other, BivarPoly, "polynomial")
         acc: dict = {}
         for j1, row1 in self.rows.items():
             for j2, row2 in other.rows.items():
@@ -780,6 +784,7 @@ class BivarPoly:
         What remains is held over one denominator, which grows by the
         divisor's per row taken off; each quotient row is put over the last
         at the end."""
+        _check_instance(divisor, BivarPoly, "divisor")
         d = divisor.deg_y()
         if d < 1 or not divisor.is_monic_in_y():
             raise NotMonic("divisor must be monic in y with positive y-degree")

@@ -363,18 +363,12 @@ def is_in_b(phi: Parametrization, n1: int, m1: int) -> bool:
 def _reduced_branch(phi: Parametrization, cd: CharData) -> Parametrization:
     """The genus-one branch the sweep runs on: phi itself at genus one,
     else the exact branch (t**n1, sum c_e * t**(e/e1)) of K(n1, m1) over the
-    exponents e < beta_2, all of which e1 divides."""
+    exponents e < beta_2, all of which e1 divides.  It asks phi for no
+    precision of its own: cd = char_sequence(phi) has read y past beta_g."""
     if cd.genus == 1:
         return phi
     beta2 = cd.char_exponents[2]
     e1 = cd.gcd_sequence[1]
-    n1, m1 = cd.reduced_mult, cd.reduced_first
-    if not phi.exact:
-        need = max(cd.char_exponents[-1] + 1, e1 * _working_bound(n1, m1))
-        if phi.trunc < need:
-            raise PrecisionExhausted(
-                f"branch known below {phi.trunc}, need {need}", needed=need
-            )
     y = _cut(phi.y, beta2)
     for e in y.num:
         if e % e1:
@@ -382,7 +376,7 @@ def _reduced_branch(phi: Parametrization, cd: CharData) -> Parametrization:
                 f"exponent {e} below beta_2 = {beta2} is not divisible by {e1}"
             )
     divisible = {e // e1: c for e, c in y.num.items()}
-    return Parametrization(n1, TSeries._make(y.var, divisible, y.den, EXACT))
+    return Parametrization(cd.reduced_mult, TSeries._make(y.var, divisible, y.den, EXACT))
 
 
 def zariski_invariant(phi: Parametrization) -> ZariskiResult:

@@ -21,10 +21,19 @@ checks that
   `contact_from_intersection` turns back into that contact.
 
 At genus 2 and 3, on `gen.pair_item` branches of `PAIR_CLASSES` with
-n <= 14, every reduced slot and the infinite case, the route on the branch
-itself, `lift_reference` and the planted (lambda, c) agree.  The branches
-are disguised by the dict arithmetic of perfbench's `gen`, never by the
-library.  Prints the counts; exits 1 on a violation, naming it.
+n <= 14, every reduced slot and the infinite case, the census checks that
+
+- the route on the branch itself, `lift_reference` and the planted
+  (lambda, c) agree;
+- the witness of `zariski_invariant` meets phi at exactly
+  (n1 - 1)*beta_1 + lambda, and members psi of B of the reduced class
+  K(n1, m1) never meet it above: each psi is the reduced branch, y's terms
+  below beta_2 at exponents divided by e1, plus one seeded term, projected
+  into B by the witness loop, where K(n1, m1) has a slot for that term.
+
+The branches are disguised by the dict arithmetic of perfbench's `gen`,
+never by the library.  Prints the counts; exits 1 on a violation, naming
+it.
 """
 
 from __future__ import annotations
@@ -53,7 +62,6 @@ from planebranch.geometry import (  # noqa: E402
     intersection_poly_param,
 )
 from planebranch.semigroup import char_sequence  # noqa: E402
-from planebranch.series import TSeries  # noqa: E402
 
 CLASSES = [(3, 4), (3, 7), (4, 5), (4, 7), (5, 6), (5, 7), (5, 8), (6, 7), (7, 9)]
 PAIR_CLASSES = [(4, 6, 7), (6, 14, 17), (8, 14, 19), (8, 12, 14, 15), (12, 28, 35),
@@ -68,11 +76,22 @@ class Counts:
     projected: int = 0
     at_maximum: int = 0
     pair_branches: int = 0
+    pair_projected: int = 0
+    pair_at_maximum: int = 0
     violations: list = field(default_factory=list)
 
     def check(self, ok: bool, what: str) -> None:
         if not ok:
             self.violations.append(what)
+
+
+def project(rng: random.Random, n: int, m: int, terms: dict):
+    """(psi, k, c): a member psi of B of K(n, m), the branch (t^n, terms)
+    plus c*t^k at a seeded m < k < mu, projected into B by the witness loop."""
+    k = rng.randrange(m + 1, (n - 1) * (m - 1))
+    c = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    near = {**terms, k: terms.get(k, 0) + c}
+    return zariski.genus1_reduce(Parametrization.from_pairs(n, sorted(near.items()))).witness, k, c
 
 
 def genus_one(counts: Counts, n: int, m: int, rng: random.Random, projected: int) -> None:
@@ -93,12 +112,8 @@ def genus_one(counts: Counts, n: int, m: int, rng: random.Random, projected: int
         bound = (n - 1) * m + lam
         attained = intersection(res.witness, phi)
         counts.check(attained == bound, f"{name}: the witness meets phi at {attained}")
-        mu = (n - 1) * (m - 1)
         for _ in range(projected):
-            k = rng.randrange(m + 1, mu)
-            c = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
-            near = Parametrization(n, phi.y + TSeries.monomial(phi.y.var, k, c))
-            psi = zariski.genus1_reduce(near).witness
+            psi, k, c = project(rng, n, m, item.y)
             counts.projected += 1
             counts.check(zariski.is_in_b(psi, n, m), f"{name}: projected psi not in B")
             meet = intersection(psi, phi)
@@ -114,7 +129,7 @@ def genus_one(counts: Counts, n: int, m: int, rng: random.Random, projected: int
             counts.check(back == theta, f"{name}: I = {meet} gives contact {back}")
 
 
-def genus_two_and_three(counts: Counts, beta: tuple, rng: random.Random) -> None:
+def genus_two_and_three(counts: Counts, beta: tuple, rng: random.Random, projected: int) -> None:
     e1 = gen.gcd_chain(beta)[1]
     n1, m1 = beta[0] // e1, beta[1] // e1
     for red_lam in gen.slots(n1, m1) + [None]:
@@ -127,12 +142,25 @@ def genus_two_and_three(counts: Counts, beta: tuple, rng: random.Random) -> None
             lift = lift_reference(phi)
             counts.check(route == lift == (item.lam, item.coeff),
                          f"{name}: route {route}, lift {lift}, planted {(item.lam, item.coeff)}")
+            bound = (n1 - 1) * beta[1] + item.lam
+            attained = intersection(zariski.zariski_invariant(phi).witness, phi)
+            counts.check(attained == bound, f"{name}: the witness meets phi at {attained}")
+            reduced = {e // e1: c for e, c in item.y.items() if e < beta[2]}
+            # K(n1, m1) has a slot for the term when m1 + 1 < mu_1
+            for _ in range(projected if m1 + 1 < (n1 - 1) * (m1 - 1) else 0):
+                psi, k, c = project(rng, n1, m1, reduced)
+                counts.pair_projected += 1
+                counts.check(zariski.is_in_b(psi, n1, m1), f"{name}: projected psi not in B")
+                meet = intersection(psi, phi)
+                counts.pair_at_maximum += meet == bound
+                counts.check(meet <= bound, f"{name}: psi (t^{k} by {c}) meets phi at {meet}")
 
 
 def census(max_n: int, projected: int) -> Counts:
-    """The census of the genus-one classes with n <= max_n, `projected`
-    members of B per finite branch, and the genus-2 and genus-3 classes
-    with n <= 2*max_n."""
+    """The census of the genus-one classes with n <= max_n and the
+    genus-2 and genus-3 classes with n <= 2*max_n, `projected` members of
+    B per finite genus-one branch and per genus-2/3 branch whose reduced
+    class has a slot."""
     rng = random.Random("census/0")
     counts = Counts()
     for n, m in CLASSES:
@@ -140,7 +168,7 @@ def census(max_n: int, projected: int) -> Counts:
             genus_one(counts, n, m, rng, projected)
     for beta in PAIR_CLASSES:
         if beta[0] <= 2 * max_n:
-            genus_two_and_three(counts, beta, rng)
+            genus_two_and_three(counts, beta, rng, projected)
     return counts
 
 
@@ -148,7 +176,8 @@ def main() -> int:
     counts = census(7, 4)
     print(f"census n <= 7: {counts.branches} genus-one branches, "
           f"{counts.projected} projected psi ({counts.at_maximum} at the maximum), "
-          f"{counts.pair_branches} genus-2/3 branches, {len(counts.violations)} violations")
+          f"{counts.pair_branches} genus-2/3 branches, {counts.pair_projected} projected psi "
+          f"({counts.pair_at_maximum} at the maximum), {len(counts.violations)} violations")
     for what in counts.violations:
         print(f"violation: {what}")
     return 1 if counts.violations else 0

@@ -353,8 +353,7 @@ MUTANTS = {
     "coeff-without-refusal": (
         SERIES,
         "        if not _is_natural(exponent):\n"
-        "            raise InvalidArgument(f\"exponent {exponent!r} is not a non-negative"
-        " integer\")\n",
+        "            raise InvalidArgument(_EXPONENT.format(exponent))\n",
         "",
         "coeff(-1) and coeff(1.5) read 0, and coeff(True) the coefficient at 1",
     ),
@@ -440,10 +439,11 @@ MUTANTS = {
         "lam = beta_1 is still refused, since beta_1 + n lies in the semigroup, but with"
         " the semigroup's message, which the differential corpus pins",
     ),
-    "reduced-branch-need-without-2n": (
-        ZARISKI, "e1 * _working_bound(n1, m1))", "e1 * (_working_bound(n1, m1) - 2 * n1))",
-        "a genus >= 2 branch is asked for less precision; the corpus pins the parent's"
-        " `needed`, and ROADMAP item 8 decides whether 2n is needed at all",
+    "reduced-branch-inherits-trunc": (
+        ZARISKI, "divisible, y.den, EXACT))",
+        "divisible, y.den, EXACT if phi.exact else -(-phi.trunc // e1)))",
+        "the reduced branch is known only below phi's trunc over e1, and a genus >= 2"
+        " branch known past beta_g but below e1 * (mu_1 + 2n_1) is refused",
     ),
     "defect-genus-two-skipped": (
         ZARISKI, "if cd.genus >= 2 and lam > beta[2]:", "if cd.genus > 2 and lam > beta[2]:",
@@ -466,7 +466,7 @@ MUTANTS = {
         "a p-move on an exact branch asks for a unit root to infinite precision",
     ),
     "swap-default-one-short": (
-        GEOMETRY, "2 * (phi.n + top) * max(1, phi.n))", "2 * (phi.n + top) * max(1, phi.n) - 1)",
+        GEOMETRY, "2 * (phi.n + top) * phi.n)", "2 * (phi.n + top) * phi.n - 1)",
         "the swap's default truncation falls one short",
     ),
     # -- the semigroup of values
@@ -499,6 +499,31 @@ MUTANTS = {
     "precision-exhausted-exits-3": (
         ERRORS, "    exit_code = 4\n", "    exit_code = 3\n",
         "an exhausted truncation exits as a violated precondition",
+    ),
+    # -- the operand of each operator of TSeries and BivarPoly
+    "tseries-operand-check-dropped": (
+        SERIES, "        _check_instance(other, TSeries, \"series\")\n        if self.var",
+        "        if self.var",
+        "s + 3, s - 3 and s * None read .var of a non-series untyped",
+    ),
+    "agrees-with-operand-check-dropped": (
+        SERIES, "        _check_instance(other, TSeries, \"series\")\n        bound =",
+        "        bound =",
+        "s.agrees_with(3) reads .trunc of a non-series untyped",
+    ),
+    "bivar-sum-operand-check-dropped": (
+        SERIES, "        _check_instance(other, BivarPoly, \"polynomial\")\n        den =",
+        "        den =",
+        "p + 3 and p - 3 read .den of a non-polynomial untyped",
+    ),
+    "bivar-product-operand-check-dropped": (
+        SERIES, "        _check_instance(other, BivarPoly, \"polynomial\")\n        acc: dict",
+        "        acc: dict",
+        "p * 3 reads .rows of a non-polynomial untyped",
+    ),
+    "divmod-operand-check-dropped": (
+        SERIES, "        _check_instance(divisor, BivarPoly, \"divisor\")\n", "",
+        "p.divmod_monic_y(None) reads .deg_y of a non-polynomial untyped",
     ),
 }
 
@@ -549,12 +574,6 @@ DECLARED = {
         "        pending = kept\n",
         "equivalent: with no conjugate pending every later exponent keeps none and adds no"
         " order, so the stop only ends the scan sooner",
-    ),
-    "reduced-branch-need-without-beta-g": (
-        ZARISKI, "max(cd.char_exponents[-1] + 1, e1 * _working_bound(n1, m1))",
-        "e1 * _working_bound(n1, m1)",
-        "equivalent: both callers first run char_sequence, which has read y's term at"
-        " beta_g, so the trunc already exceeds beta_g and only the other term can refuse",
     ),
     "pmove-unit-no-content-division": (
         ZARISKI, "    root = _root(TSeries._make(y.var, unit, unit[0], utrunc), n)\n",

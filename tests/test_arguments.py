@@ -117,6 +117,10 @@ TABLE = {
     "TSeries.truncated": (SERIES.truncated, {"bound": ("positive", 3)}),
     "TSeries.scale": (SERIES.scale, {"value": ("rational", 2)}),
     "TSeries.__pow__": (SERIES.__pow__, {"k": ("natural", 2)}),
+    "TSeries.__add__": (SERIES.__add__, {"other": ("series", UNIT)}),
+    "TSeries.__sub__": (SERIES.__sub__, {"other": ("series", UNIT)}),
+    "TSeries.__mul__": (SERIES.__mul__, {"other": ("series", UNIT)}),
+    "TSeries.agrees_with": (SERIES.agrees_with, {"other": ("series", UNIT)}),
     "BivarPoly": (
         lambda i, j, c: BivarPoly({(i, j): c}),
         {"i": ("exponent key", 1), "j": ("exponent key", 2), "c": ("rational", 3)},
@@ -134,6 +138,10 @@ TABLE = {
     "BivarPoly.coeff": (POLY.coeff, {"i": ("natural", 3), "j": ("natural", 0)}),
     "BivarPoly.scale": (POLY.scale, {"value": ("rational", 2)}),
     "BivarPoly.__pow__": (POLY.__pow__, {"k": ("natural", 2)}),
+    "BivarPoly.__add__": (POLY.__add__, {"other": ("polynomial", K37_EQUATION)}),
+    "BivarPoly.__sub__": (POLY.__sub__, {"other": ("polynomial", K37_EQUATION)}),
+    "BivarPoly.__mul__": (POLY.__mul__, {"other": ("polynomial", K37_EQUATION)}),
+    "BivarPoly.divmod_monic_y": (K37_EQUATION.divmod_monic_y, {"divisor": ("polynomial", POLY)}),
     "Parametrization": (
         Parametrization, {"n": ("positive", 2), "y": ("series", TSeries("t", {3: 1}, 10))},
     ),

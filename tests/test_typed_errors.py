@@ -6,6 +6,7 @@ also exit code 3; a broken internal invariant raises `CrossCheckFailed`
 (exit code 6).  Each class carries the exit code of its family.
 """
 
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -14,6 +15,7 @@ import pytest
 from planebranch.errors import (
     BranchFileError,
     CrossCheckFailed,
+    DegenerateMove,
     HypothesisNotMet,
     InvalidArgument,
     InvalidParameterChange,
@@ -26,7 +28,9 @@ from planebranch.errors import (
     NotWeierstrass,
     PlaneBranchError,
     PrecisionExhausted,
+    WitnessMismatch,
     WrongEquisingularityClass,
+    ZeroLeadingC,
 )
 from planebranch.geometry import (
     ContactOrder,
@@ -46,8 +50,8 @@ from planebranch.series import (
     solve_composition,
 )
 from planebranch.expansion import zariski_decomposition
-from planebranch.zariski import eliminate_term, zariski_invariant
-from test_arguments import K467, TABLE
+from planebranch.zariski import apply_pmove, eliminate_term, zariski_invariant
+from test_arguments import K23, K467, POLY as CUSP_EQUATION, TABLE
 
 # calls the generated table of tests/test_arguments.py cannot make: ratio and
 # exact_root are not public, shift(-2) is refused for its result, a key of
@@ -169,6 +173,90 @@ VIOLATED_PRECONDITIONS = {
         lambda: eliminate_term(Parametrization.from_pairs(4, [(6, 1), (7, 1), (9, 1)], 20), 8),
     ),
 }
+
+# refusals that no other test reaches: (error, exit code, message fragment,
+# call).  The decomposition's inputs agree on I(f, h_phi) = (n1 - 1)*m + lam
+# and on nothing else: the witness's multiplicity, the class of f or the
+# witness's first exponent is off
+UNREACHED_REFUSALS = {
+    "char-exponents-one": (
+        NotSingular, 3, "at least two characteristic exponents",
+        lambda: CharData.from_char_exponents((4,)),
+    ),
+    "char-exponents-smooth": (
+        NotSingular, 3, "multiplicity must be at least 2",
+        lambda: CharData.from_char_exponents((1, 3)),
+    ),
+    "char-exponents-not-transversal": (
+        NotTransversal, 3, "must exceed the multiplicity",
+        lambda: CharData.from_char_exponents((4, 3)),
+    ),
+    "char-exponents-gcd-above-1": (
+        NotPrimitive, 3, "have gcd 2 > 1", lambda: CharData.from_char_exponents((4, 6)),
+    ),
+    "shift-past-the-origin": (
+        InvalidArgument, 3, "got 0", lambda: TSeries("t", {}, 3).shift(-3),
+    ),
+    # ord y = 3 does not exceed n = 4
+    "pmove-low-perturbation": (
+        DegenerateMove, 3, "order above n",
+        lambda: apply_pmove(Parametrization.from_pairs(4, [(3, 1)], trunc=10), 2, 1),
+    ),
+    # y is known below 1 only, so the unit is known below no order
+    "pmove-unit-unknown": (
+        InvalidArgument, 3, "got -1",
+        lambda: apply_pmove(Parametrization(2, TSeries("t", {}, 1)), 2, 1),
+    ),
+    "eliminate-term-every-exponent-on-the-grid": (
+        NotPrimitive, 3, "divisible by the multiplicity",
+        lambda: eliminate_term(Parametrization.from_pairs(2, [(4, 1)]), 5),
+    ),
+    "eliminate-term-every-known-exponent-on-the-grid": (
+        PrecisionExhausted, 4, "no exponent coprime to 2 below the truncation 7",
+        lambda: eliminate_term(Parametrization.from_pairs(2, [(4, 1)], trunc=7), 5),
+    ),
+    # y**2 - x**3 meets (t^3, t^4) at 8 = 3 + 5, but (t^3, t^4) has multiplicity 3
+    "decomposition-witness-multiplicity": (
+        WitnessMismatch, 3, "expected monic of degree 2",
+        lambda: zariski_decomposition(
+            CUSP_EQUATION, Parametrization.from_pairs(3, [(4, 1)]), K23, 5
+        ),
+    ),
+    # y meets (t^3, t^5) at 5 = 2*4 - 3, a gap of <3, 4>
+    "decomposition-target-a-gap": (
+        WitnessMismatch, 3, "5 has no representation",
+        lambda: zariski_decomposition(
+            BivarPoly({(0, 1): 1}), Parametrization.from_pairs(3, [(5, 1)]),
+            CharData.from_char_exponents((3, 4)), -3,
+        ),
+    ),
+    # y**4 + x meets the cusp at 2 = 3 - 1, and is h**2 plus lower blocks
+    "decomposition-expansion-degree": (
+        WitnessMismatch, 3, "h-adic expansion has degree 2",
+        lambda: zariski_decomposition(
+            BivarPoly({(0, 4): 1, (1, 0): 1}), CUSP, K23, -1
+        ),
+    ),
+    # y**2 - x**5 + y meets (t^2, t^5) at 5 = 3 + 2, whose monomial x*y
+    # for <2, 3> is not in A_0 = y
+    "decomposition-zero-lead": (
+        ZeroLeadingC, 3, "coefficient of x^1 y^1 in A_0 vanishes",
+        lambda: zariski_decomposition(
+            BivarPoly({(0, 2): 1, (5, 0): -1, (0, 1): 1}),
+            Parametrization.from_pairs(2, [(5, 1)]), K23, 2,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "error,code,fragment,call", UNREACHED_REFUSALS.values(), ids=UNREACHED_REFUSALS.keys()
+)
+def test_a_refusal_no_other_test_reaches(error, code, fragment, call):
+    with pytest.raises(error, match=re.escape(fragment)) as info:
+        call()
+    assert info.value.exit_code == code
+
 
 BROKEN_INVARIANTS = {
     # quotients that do not match the gcd chain leave an odd remainder at e_1 = 2

@@ -4,7 +4,9 @@ import dataclasses
 import functools
 import hashlib
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +46,11 @@ from planebranch.zariski import (
 )
 from conftest import SEXTIC_TERMS, lift_reference, witness_by_all_slots
 from test_golden import GOLDEN, SPECIAL_56, dense
+
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+import gen  # noqa: E402
 
 
 class TestNormalizeLeading:
@@ -459,16 +466,6 @@ GENUS_2_AND_3 = {
 }
 
 
-def least_precision(phi, cd):
-    """The least truncation at which `_reduced_branch` accepts phi."""
-    top = cd.char_exponents[-1] + 1
-    try:
-        zariski._reduced_branch(phi.with_trunc(top), cd)
-    except PrecisionExhausted as exc:
-        return exc.needed
-    return top
-
-
 class TestRouteAtGenusTwoAndThree:
     """The route on a branch of genus >= 2 itself, against the lift from its
     reduced branch that it replaced."""
@@ -477,7 +474,7 @@ class TestRouteAtGenusTwoAndThree:
     def test_zariski_invariant_matches_the_lift(self, name):
         build, lam = GENUS_2_AND_3[name]
         phi = build()
-        short = phi.with_trunc(least_precision(phi, char_sequence(phi)))
+        short = phi.with_trunc(char_sequence(phi).char_exponents[-1] + 1)
         for branch in (phi, short):
             res = zariski_invariant(branch)
             assert (res.exponent, res.coefficient) == lift_reference(branch)
@@ -502,6 +499,38 @@ class TestRouteAtGenusTwoAndThree:
         cd = CharData.from_char_exponents((4, 6, 7))
         with pytest.raises(CrossCheckFailed, match="found no value"):
             zariski._route(Parametrization.from_pairs(4, [(6, 1)]).y, cd)
+
+
+# (class, planted survivor of the reduced branch): the ten classes of the
+# geometry-pairs workload, and K(4,6,7) and K(8,14,19), the smallest and the
+# largest gap between beta_g + 1 and e1 * (mu_1 + 2n_1)
+KNOWN_PAST_BETA_G = [
+    ((4, 6, 7), None), ((4, 6, 9), None), ((4, 10, 11), None), ((6, 8, 11), None),
+    ((6, 9, 10), None), ((6, 10, 13), None), ((6, 14, 17), 8), ((8, 10, 17), 7),
+    ((8, 12, 13), None), ((8, 14, 19), 9), ((8, 12, 14, 15), None), ((8, 12, 18, 19), None),
+]
+
+
+@pytest.mark.parametrize(
+    "beta,red_lam", KNOWN_PAST_BETA_G, ids=[str(beta) for beta, _ in KNOWN_PAST_BETA_G]
+)
+def test_a_branch_known_past_beta_g_gives_the_exact_result(beta, red_lam):
+    # the reduced branch is exact, built from y below beta_2, and the route
+    # reads y below beta_2 + 1, so every cut past beta_g gives the exact
+    # branch's result, up to e1 * (mu_1 + 2n_1), the precision once asked for
+    cd = CharData.from_char_exponents(beta)
+    n1, m1 = cd.reduced_mult, cd.reduced_first
+    old_need = cd.gcd_sequence[1] * ((n1 - 1) * (m1 - 1) + 2 * n1)
+    item = gen.pair_item(random.Random(f"known past beta_g {beta}"), beta, old_need + 2, red_lam)
+    phi = Parametrization.from_pairs(item.n, sorted(item.y.items()))
+    exact = zariski_invariant(phi)
+    assert (exact.exponent, exact.coefficient) == (item.lam, item.coeff)
+    replayed = replay_moves(phi, exact)
+    for trunc in range(beta[-1] + 1, old_need + 1):
+        cut = phi.with_trunc(trunc)
+        result = zariski_invariant(cut)
+        assert result == exact, trunc
+        assert replay_moves(cut, result) == replayed, trunc
 
 
 def _random_coordinate_change(rng, phi, bound):
