@@ -20,21 +20,8 @@ from .geometry import (
     puiseux_parametrization,
     swap_parametrization,
 )
-from .semigroup import (
-    CharData,
-    StandardRep,
-    char_sequence,
-    contains,
-    standard_rep,
-)
-from .series import (
-    EXACT,
-    BivarPoly,
-    TSeries,
-    nth_root_unit,
-    reparametrize,
-    substitute,
-)
+from .semigroup import CharData, char_sequence, contains
+from .series import EXACT, BivarPoly, TSeries, nth_root_unit, substitute
 from .zariski import (
     MoveRecord,
     ZariskiResult,
@@ -59,7 +46,6 @@ __all__ = [
     "MoveRecord",
     "Parametrization",
     "PlaneBranchError",
-    "StandardRep",
     "TSeries",
     "ZariskiResult",
     "apply_pmove",
@@ -80,8 +66,6 @@ __all__ = [
     "nth_root_unit",
     "puiseux_parametrization",
     "replay_moves",
-    "reparametrize",
-    "standard_rep",
     "substitute",
     "swap_parametrization",
     "zariski_decomposition",

@@ -108,14 +108,6 @@ class Parametrization:
             )
         return Parametrization(self.n, _cut(self.y, bound))
 
-    def same_branch(self, other: "Parametrization") -> bool:
-        """Exact test that two exact parametrizations describe one branch:
-        the same n, and a conjugate of one that equals the other."""
-        _check_instance(other, Parametrization, "branch")
-        if not (self.exact and other.exact):
-            raise NonPolynomialInput("same_branch needs exact parametrizations")
-        return self.n == other.n and _conjugate_orders(self, other)[1] > 0
-
     def __str__(self) -> str:
         return f"(t^{self.n}, {self.y})"
 

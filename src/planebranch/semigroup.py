@@ -91,22 +91,6 @@ class CharData:
         """m_1 = beta_1 / e_1."""
         return self.char_exponents[1] // self.gcd_sequence[1]
 
-    def __str__(self) -> str:
-        gens = ", ".join(str(v) for v in self.generators)
-        return f"K{self.char_exponents} with semigroup <{gens}>, conductor {self.conductor}"
-
-
-@dataclass(frozen=True)
-class StandardRep:
-    """Unique writing z = s0 * v_0 + sum(s_i * v_i) with 0 <= s_i < n_i."""
-
-    s0: int
-    coords: tuple[int, ...]
-
-    def value(self, cd: CharData) -> int:
-        v = cd.generators
-        return self.s0 * v[0] + sum(s * v[i + 1] for i, s in enumerate(self.coords))
-
 
 def char_sequence(phi) -> CharData:
     """Characteristic data of a parametrization (t**n, y(t)).
@@ -167,36 +151,25 @@ def rep_nm(z: int, n: int, m: int) -> tuple[int, int]:
     return (z - b * m) // n, b
 
 
-def standard_rep(z: int, cd: CharData) -> StandardRep:
-    """Unique representation z = s0*v_0 + sum s_i*v_i with 0 <= s_i < n_i.
+def contains(z: int, cd: CharData) -> bool:
+    """Membership of z in the semigroup of values, through its unique
+    standard representation z = s0*v_0 + sum s_i*v_i with 0 <= s_i < n_i:
+    z lies in the semigroup exactly when s0 >= 0.
 
-    Computed greedily from the top generator down: at level i the remainder
-    is divisible by e_i and s_i is a residue modulo n_i.  A z that is not
-    an int, a bool included, is refused with InvalidArgument.
+    The s_i are found greedily from the top generator down: at level i the
+    remainder is divisible by e_i and s_i is a residue modulo n_i.  A z
+    that is not an int, a bool included, is refused with InvalidArgument.
     """
     if not _is_int(z):
         raise InvalidArgument(f"semigroup element {z!r} is not an integer")
     _check_instance(cd, CharData, "class")
     v = cd.generators
     e = cd.gcd_sequence
-    quots = cd.quotients
     rem = z
-    coords = [0] * cd.genus
     for i in range(cd.genus, 0, -1):
-        ni = quots[i - 1]
-        wi = v[i] // e[i]
-        ri = rem // e[i]
         if rem % e[i]:
             raise CrossCheckFailed("remainder not divisible by the gcd level")
-        si = rep_nm(ri, ni, wi)[1]
-        coords[i - 1] = si
-        rem -= si * v[i]
+        rem -= rep_nm(rem // e[i], cd.quotients[i - 1], v[i] // e[i])[1] * v[i]
     if rem % v[0]:
         raise CrossCheckFailed("standard representation failed to close")
-    return StandardRep(rem // v[0], tuple(coords))
-
-
-def contains(z: int, cd: CharData) -> bool:
-    """Membership of z in the semigroup of values (s0 >= 0 criterion); a z
-    that is not an int is refused as standard_rep refuses it."""
-    return standard_rep(z, cd).s0 >= 0
+    return rem >= 0

@@ -507,13 +507,9 @@ def _root(s: TSeries, n: int) -> TSeries:
     return TSeries._make(s.var, {k: r for k, r in enumerate(rnum) if r}, rden, trunc)
 
 
-def reparametrize(s: TSeries, rho: TSeries) -> TSeries:
-    """Composition s(rho(u)) for a parameter change rho of order exactly 1:
-    the polynomial sum c_e * y**e on the branch (u, rho(u))."""
-    _check_instance(s, TSeries, "series")
-    _check_instance(rho, TSeries, "series")
-    if rho.order() != 1:
-        raise InvalidParameterChange("parameter change must have order exactly 1")
+def _reparametrize(s: TSeries, rho: TSeries) -> TSeries:
+    """Composition s(rho(u)), unchecked: rho must have order exactly 1.
+    It is the polynomial sum c_e * y**e on the branch (u, rho(u))."""
     poly = BivarPoly._make({e: {0: c} for e, c in s.num.items()}, s.den)
     return _cut(substitute(poly, 1, rho), s.trunc)
 

@@ -28,7 +28,6 @@ from .errors import (
     NeedsTruncation,
     NonIntegralResult,
     NotAnInvariant,
-    NotPrimitive,
     NotRemovable,
     PrecisionExhausted,
     WrongEquisingularityClass,
@@ -46,13 +45,13 @@ from .series import (
     _is_natural,
     _powers,
     _reduced,
+    _reparametrize,
     _root,
     _solve,
     # unused here since the sweep calls _root, but the benchmark's tracer
     # test reads zariski.nth_root_unit
     nth_root_unit,  # noqa: F401
     ratio,
-    reparametrize,
 )
 
 @dataclass(frozen=True)
@@ -180,13 +179,12 @@ def eliminate_term(phi: Parametrization, j: int):
     """Remove the t**j term of the y-series; returns (new branch, MoveRecord)."""
     if not _is_int(j):
         raise InvalidArgument(f"target exponent j must be an integer, got {j!r}")
-    _check_instance(phi, Parametrization, "branch")
-    m = _first_offgrid_exponent(phi)
-    if gcd(phi.n, m) != 1:
+    cd = char_sequence(phi)
+    if cd.genus != 1:
         raise WrongEquisingularityClass(
-            f"exponent {m} shares a factor with {phi.n}: not genus one"
+            f"branch lies in K{cd.char_exponents}, not a genus-one class"
         )
-    y, record = _eliminate(phi.y, phi.n, m, j)
+    y, record = _eliminate(phi.y, phi.n, cd.char_exponents[1], j)
     return Parametrization(phi.n, y), record
 
 
@@ -224,19 +222,6 @@ def _eliminate(y: TSeries, n: int, m: int, j: int):
     if below != {e: v * den for e, v in nnum.items() if e < j}:
         raise CrossCheckFailed(f"move at {j} disturbed lower-order coefficients")
     return new, MoveRecord("q" if a else "p", a, b, c, j, rho)
-
-
-def _first_offgrid_exponent(phi: Parametrization) -> int:
-    """Smallest y-exponent not divisible by n (= the first characteristic one)."""
-    n = phi.n
-    m = min((e for e in phi.y.num if e % n), default=None)
-    if m is None:
-        if phi.exact:
-            raise NotPrimitive("every exponent is divisible by the multiplicity")
-        raise PrecisionExhausted(
-            f"no exponent coprime to {n} below the truncation {phi.trunc}"
-        )
-    return m
 
 
 def _route(y: TSeries, cd: CharData):
@@ -440,7 +425,9 @@ def replay_moves(phi: Parametrization, result: ZariskiResult) -> Parametrization
     Applies the recorded scale and moves.  Each logged parameter change rho
     is checked against the definition of its move, without the composition
     solve that produced it: rho(u) = u + O(u**2), and x + c*y**(b-1) along
-    the branch before the move, at t = rho(u), is exactly u**n.
+    the branch before the move, at t = rho(u), is exactly u**n.  A log
+    entry that is not a MoveRecord, a kind other than 'q' and 'p', and a
+    p-move's rho that is not a TSeries are refused with InvalidArgument.
     """
     cd = char_sequence(phi)
     _check_instance(result, ZariskiResult, "result")
@@ -448,21 +435,21 @@ def replay_moves(phi: Parametrization, result: ZariskiResult) -> Parametrization
     work = _reduced_branch(phi, cd).with_trunc(_working_bound(n, cd.reduced_first))
     cur = Parametrization(n, work.y.scale(result.leading_scale))
     for record in result.moves:
-        before = cur
+        _check_instance(record, MoveRecord, "move")
         if record.kind == "q":
             cur = apply_qmove(cur, record.a, record.b, record.c)
             continue
-        cur, _ = apply_pmove(cur, record.b, record.c)
+        if record.kind != "p":
+            raise InvalidArgument(f"move kind {record.kind!r} is neither 'q' nor 'p'")
         rho = record.reparametrization
-        if rho is None:
-            raise CrossCheckFailed(
-                f"move at {record.target_exponent} carries no parameter change log"
-            )
+        _check_instance(rho, TSeries, "parameter change")
+        before = cur
+        cur, _ = apply_pmove(cur, record.b, record.c)
         moved_x = before.x_series() + (before.y ** (record.b - 1)).scale(record.c)
         if not (
             min(rho.terms, default=0) == 1
             and rho.terms[1] == 1
-            and reparametrize(moved_x, rho).agrees_with(before.x_series())
+            and _reparametrize(moved_x, rho).agrees_with(before.x_series())
         ):
             raise CrossCheckFailed(
                 f"logged parameter change at {record.target_exponent} "

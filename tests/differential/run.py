@@ -439,7 +439,7 @@ def k_roots(rng):
     if op == "inverse":
         return f"inverse_parameter {w!r}", lambda: series.inverse_parameter(w)
     s = series_of(rng)
-    return f"reparametrize {s!r} {w!r}", lambda: series.reparametrize(s, w)
+    return f"reparametrize {s!r} {w!r}", lambda: series._reparametrize(s, w)
 
 
 def k_substitute(rng):

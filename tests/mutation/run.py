@@ -492,9 +492,9 @@ MUTANTS = {
         "",
         "char_sequence and the sweep's entry points read phi.n of a non-branch untyped",
     ),
-    "standard-rep-class-check-dropped": (
+    "contains-class-check-dropped": (
         SEMIGROUP, "    _check_instance(cd, CharData, \"class\")\n", "",
-        "standard_rep and contains read cd.generators of a non-CharData untyped",
+        "contains reads cd.generators of a non-CharData untyped",
     ),
     "precision-exhausted-exits-3": (
         ERRORS, "    exit_code = 4\n", "    exit_code = 3\n",

@@ -229,11 +229,10 @@ def test_criterion_08_triangular_inequalities():
     done = 0
     while done < 20:
         a, b, c = (_random_branch(rng) for _ in range(3))
-        if not (
-            not a.same_branch(b) and not a.same_branch(c) and not b.same_branch(c)
-        ):
+        orders = [contact(a, b), contact(a, c), contact(b, c)]
+        if any(order.is_infinite for order in orders):
             continue
-        thetas = sorted([contact(a, b).theta, contact(a, c).theta, contact(b, c).theta])
+        thetas = sorted(order.theta for order in orders)
         assert thetas[0] == thetas[1] <= thetas[2]
         normalized = sorted(
             [

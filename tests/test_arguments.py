@@ -1,6 +1,7 @@
 """The argument contract: every slot of every public callable, a scalar, the
-key of a sequence of pairs, a branch, a series, a polynomial, a `CharData`
-or a `ZariskiResult`, refuses every wrong value of its kind.
+key of a sequence of pairs, a branch, a series, a polynomial, a `CharData`,
+a `ZariskiResult` or an entry of its move log, refuses every wrong value of
+its kind.
 
 TABLE is the one place that says which slot of which public callable takes
 which kind; `series` is the one place that decides what each scalar kind
@@ -11,6 +12,7 @@ enumeration: one test per row, looping over its slots and values.
 """
 
 from collections.abc import Hashable
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -30,9 +32,10 @@ from planebranch.geometry import (
     puiseux_parametrization,
     swap_parametrization,
 )
-from planebranch.semigroup import CharData, char_sequence, contains, standard_rep
-from planebranch.series import BivarPoly, TSeries, nth_root_unit, reparametrize, substitute
+from planebranch.semigroup import CharData, char_sequence, contains
+from planebranch.series import BivarPoly, TSeries, nth_root_unit, substitute
 from planebranch.zariski import (
+    MoveRecord,
     ZariskiResult,
     apply_pmove,
     apply_qmove,
@@ -64,13 +67,16 @@ ACCEPTS = {
     "exponent": (2.0, 0),
     "tag": ("2", "x", "1/0", "nan"),
     # a key (i, j) of BivarPoly.from_pairs, a branch, a series, a
-    # polynomial, a CharData, a ZariskiResult: no scalar at all
+    # polynomial, a CharData, a ZariskiResult, a MoveRecord and its kind,
+    # 'q' or 'p': no scalar at all
     "monomial": (),
     "branch": (),
     "series": (),
     "polynomial": (),
     "chardata": (),
     "result": (),
+    "move": (),
+    "move kind": (),
 }
 
 K23 = CharData.from_char_exponents((2, 3))
@@ -86,6 +92,14 @@ QUARTIC = Parametrization.from_pairs(4, [(7, 1), (10, 1), (12, 1)])
 # out, so that importing the table runs no kernel
 K37_EQUATION = BivarPoly({(0, 3): 1, (5, 1): -3, (7, 0): -1, (8, 0): -1})
 CUSP_RESULT = ZariskiResult(None, None, CUSP, CUSP, (), F(1))
+# x -> x + 0*y, whose parameter change is the identity: a p-move that
+# replays on the cusp
+IDENTITY_PMOVE = MoveRecord("p", 0, 2, F(0), 5, TSeries("t", {1: 1}, 7))
+
+
+def _replay_one(move):
+    """replay_moves on the cusp with a log of the one entry `move`."""
+    return replay_moves(CUSP, ZariskiResult(None, None, CUSP, CUSP, (move,), F(1)))
 
 
 # name: (call, {slot: (kind, valid value)}); the call takes its slots as
@@ -152,7 +166,6 @@ TABLE = {
     ),
     "Parametrization.with_trunc": (TRUNCATED_CUSP.with_trunc, {"bound": ("positive", 5)}),
     "Parametrization.with_trunc/exact": (CUSP.with_trunc, {"bound": ("positive", 5)}),
-    "Parametrization.same_branch": (CUSP.same_branch, {"other": ("branch", CUSP)}),
     "ContactOrder.finite": (ContactOrder.finite, {"theta": ("contact", 2)}),
     "CharData.from_char_exponents": (
         lambda b: CharData.from_char_exponents((4, 6, b)), {"b": ("int", 7)},
@@ -189,7 +202,6 @@ TABLE = {
         {"inter": ("rational", 100)},
     ),
     "contains": (contains, {"z": ("int", 10), "cd": ("chardata", K467)}),
-    "standard_rep": (standard_rep, {"z": ("int", 10), "cd": ("chardata", K467)}),
     "char_sequence": (char_sequence, {"phi": ("branch", CUSP)}),
     "genus1_reduce": (genus1_reduce, {"phi": ("branch", CUSP)}),
     "zariski_invariant": (zariski_invariant, {"phi": ("branch", CUSP)}),
@@ -197,11 +209,16 @@ TABLE = {
         is_in_b, {"phi": ("branch", CUSP), "n1": ("positive", 2), "m1": ("positive", 3)},
     ),
     "replay_moves": (replay_moves, {"phi": ("branch", CUSP), "result": ("result", CUSP_RESULT)}),
-    "nth_root_unit": (nth_root_unit, {"s": ("series", UNIT), "n": ("positive", 2)}),
-    "reparametrize": (
-        reparametrize,
-        {"s": ("series", SERIES), "rho": ("series", TSeries("t", {1: 1, 2: 1}, 5))},
+    "replay_moves/move": (_replay_one, {"move": ("move", IDENTITY_PMOVE)}),
+    "replay_moves/kind": (
+        lambda kind: _replay_one(replace(IDENTITY_PMOVE, kind=kind)),
+        {"kind": ("move kind", "p")},
     ),
+    "replay_moves/rho": (
+        lambda rho: _replay_one(replace(IDENTITY_PMOVE, reparametrization=rho)),
+        {"rho": ("series", IDENTITY_PMOVE.reparametrization)},
+    ),
+    "nth_root_unit": (nth_root_unit, {"s": ("series", UNIT), "n": ("positive", 2)}),
     "puiseux_parametrization": (
         puiseux_parametrization, {"f": ("polynomial", POLY), "trunc": ("positive?", 10)},
     ),
@@ -233,7 +250,7 @@ TABLE = {
 # functions: the constant EXACT, the error class and the records the kernel
 # returns
 NO_SCALAR = {
-    "EXACT", "PlaneBranchError", "ExpansionResult", "MoveRecord", "StandardRep", "ZariskiResult",
+    "EXACT", "PlaneBranchError", "ExpansionResult", "MoveRecord", "ZariskiResult",
 }
 
 

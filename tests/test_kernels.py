@@ -7,7 +7,7 @@ multiply Fractions one term at a time.  Inputs mix signs, large and coprime
 denominators and sparse supports, at exact and truncated bounds.  The
 evaluation of a polynomial on a branch, `substitute`, is checked the same
 way against `eval_poly_on_series`, a change of parameter,
-`reparametrize`, against a sum of dict powers, and the integer
+`_reparametrize`, against a sum of dict powers, and the integer
 Newton-Puiseux stage `_np_transform` against `np_transform_oracle`, and its
 row-wise edge `_np_edge` against the tuple-map `np_edge_reference`.  The
 integer Horner pass of `substitute` must also give the terms and the
@@ -59,8 +59,8 @@ from planebranch.series import (  # noqa: E402
     _at_two_power,
     _convolve,
     _powers,
+    _reparametrize,
     nth_root_unit,
-    reparametrize,
     solve_composition,
     substitute,
 )
@@ -264,7 +264,7 @@ def _trusted_outputs(a, b, unit, n, w, k, c):
         (a**2, (a,)),
         (nth_root_unit(unit, n), (unit,)),
         *((y, (a, w)) for y in solve_composition([a], w)),
-        (reparametrize(a, w), (a, w)),
+        (_reparametrize(a, w), (a, w)),
         (substitute(BivarPoly({(1, 1): c, (0, 2): 1, (k, 0): -1}), n, a), (a,)),
     ]
 
@@ -720,7 +720,7 @@ def parameters(draw):
 @settings(max_examples=30, deadline=None)
 @given(series(high=10), parameters())
 def test_reparametrize_matches_a_sum_of_dict_powers(s, rho):
-    out = reparametrize(s, rho)
+    out = _reparametrize(s, rho)
     assert out.trunc <= s.trunc
     if s.exact and rho.exact:
         assert out.exact

@@ -1,5 +1,7 @@
 """Characteristic data, semigroup generators, conductor and membership."""
 
+from itertools import product
+
 import pytest
 
 from planebranch.errors import (
@@ -9,12 +11,7 @@ from planebranch.errors import (
     PrecisionExhausted,
 )
 from planebranch.geometry import Parametrization
-from planebranch.semigroup import (
-    CharData,
-    char_sequence,
-    contains,
-    standard_rep,
-)
+from planebranch.semigroup import CharData, char_sequence, contains
 from conftest import enumerate_semigroup
 
 
@@ -103,31 +100,32 @@ class TestConductor:
 
 
 class TestStandardRep:
+    """`contains` reads membership off the standard representation
+    z = s0*v_0 + sum s_i*v_i, 0 <= s_i < n_i: z lies in the semigroup
+    exactly when s0 >= 0."""
+
     def test_thirteen_is_a_gap_of_4_7(self):
-        cd = CharData.from_char_exponents((4, 7))
-        rep = standard_rep(13, cd)
-        assert rep.s0 == -2 and rep.coords == (3,)
-        assert not contains(13, cd)
+        # 13 = -2*4 + 3*7
+        assert not contains(13, CharData.from_char_exponents((4, 7)))
 
     def test_sixteen_lies_in_4_7(self):
-        cd = CharData.from_char_exponents((4, 7))
-        rep = standard_rep(16, cd)
-        assert rep.s0 == 4 and rep.coords == (0,)
-        assert contains(16, cd)
+        # 16 = 4*4 + 0*7
+        assert contains(16, CharData.from_char_exponents((4, 7)))
 
     def test_zero(self):
-        cd = CharData.from_char_exponents((6, 14, 17))
-        rep = standard_rep(0, cd)
-        assert rep.s0 == 0 and rep.coords == (0, 0)
+        assert contains(0, CharData.from_char_exponents((6, 14, 17)))
 
     @pytest.mark.parametrize("beta", [(4, 7), (6, 14, 17), (3, 7), (4, 6, 13)])
     def test_round_trip_and_bounds(self, beta):
+        # every z has exactly one (s_1, ..., s_g) in the bounds that leaves
+        # a multiple s0 of v_0, and contains(z) reads its sign
         cd = CharData.from_char_exponents(beta)
+        v0, v = cd.generators[0], cd.generators[1:]
         for z in range(-200, 201):
-            rep = standard_rep(z, cd)
-            assert rep.value(cd) == z
-            for s, ni in zip(rep.coords, cd.quotients):
-                assert 0 <= s < ni
+            rests = [z - sum(s * vi for s, vi in zip(coords, v))
+                     for coords in product(*map(range, cd.quotients))]
+            (rest,) = [r for r in rests if r % v0 == 0]
+            assert contains(z, cd) == (rest >= 0)
 
 
 class TestMembership:

@@ -10,20 +10,20 @@ import pytest
 from planebranch.errors import (
     ConstantTermNotOne,
     CrossCheckFailed,
-    InvalidParameterChange,
     NeedsTruncation,
     PrecisionExhausted,
     TagMismatch,
 )
 from planebranch.geometry import Parametrization
+from planebranch.zariski import MoveRecord, ZariskiResult, replay_moves
 from planebranch.series import (
     EXACT,
     BivarPoly,
     TSeries,
     exact_root,
     inverse_parameter,
+    _reparametrize,
     nth_root_unit,
-    reparametrize,
     solve_composition,
     substitute,
 )
@@ -208,16 +208,20 @@ class TestDivexact:
 
 class TestReparametrize:
     def test_identity_parameter(self):
-        out = reparametrize(ts([(2, 1)], 20), TSeries.monomial("u", 1, 1, 20))
+        out = _reparametrize(ts([(2, 1)], 20), TSeries.monomial("u", 1, 1, 20))
         assert out.terms == {2: F(1)} and out.var == "u"
 
     def test_scaling_parameter(self):
-        out = reparametrize(ts([(1, 1)], 20), TSeries.monomial("u", 1, 2, 20))
+        out = _reparametrize(ts([(1, 1)], 20), TSeries.monomial("u", 1, 2, 20))
         assert out.terms == {1: F(2)}
 
     def test_rejects_wrong_order(self):
-        with pytest.raises(InvalidParameterChange):
-            reparametrize(ts([(1, 1)], 10), TSeries.from_terms("u", [(2, 1)], 10))
+        # the kernel checks nothing: replay_moves, its one caller, refuses a
+        # logged parameter change of order 2 before composing with it
+        cusp = Parametrization.from_pairs(2, [(3, 1)])
+        move = MoveRecord("p", 0, 2, F(0), 5, ts([(2, 1)], 10))
+        with pytest.raises(CrossCheckFailed, match="does not restore"):
+            replay_moves(cusp, ZariskiResult(None, None, cusp, cusp, (move,), F(1)))
 
     def test_inverse_of_perturbed_power_restores_monomial(self):
         # x(t) = t^4 (1 + t^3); w = x^(1/4); x(w^{-1}(u)) must be u^4
@@ -226,7 +230,7 @@ class TestReparametrize:
         w = nth_root_unit(unit, n).shift(1)
         rho = inverse_parameter(w)
         x_full = ts([(4, 1), (7, 1)], 28)
-        back = reparametrize(x_full, rho)
+        back = _reparametrize(x_full, rho)
         expected = TSeries.monomial("t", 4, 1, back.trunc)
         assert back.agrees_with(expected)
 
@@ -234,7 +238,7 @@ class TestReparametrize:
         w = ts([(1, 1), (2, F(1, 3)), (4, -1)], 18)
         s = ts([(2, 1), (3, 5), (7, F(2, 7))], 18)
         (y,) = solve_composition([s], w)
-        assert reparametrize(y, w).agrees_with(s)
+        assert _reparametrize(y, w).agrees_with(s)
 
 
 class TestSolveComposition:

@@ -39,14 +39,13 @@ from planebranch.geometry import (
     implicitize,
     puiseux_parametrization,
 )
-from planebranch.semigroup import CharData, char_sequence, standard_rep
+from planebranch.semigroup import CharData, char_sequence, contains
 from planebranch.series import (
     EXACT,
     BivarPoly,
     TSeries,
     exact_root,
     ratio,
-    reparametrize,
     solve_composition,
 )
 from planebranch.expansion import zariski_decomposition
@@ -131,7 +130,6 @@ GENERATED = {
                                        "decomposition-fraction-lambda": F(1)},
     # 4.5 was read as 4, a generator of K(4,6,9)
     ("contains", "z"): {"contains-float": 4.5, "contains-missing": None, "contains-bool": True},
-    ("standard_rep", "z"): {"standard-rep-float": 10.0, "standard-rep-string": "10"},
 }
 
 
@@ -152,10 +150,6 @@ VIOLATED_PRECONDITIONS = {
     "implicitize-zero": (
         NonPolynomialInput, lambda: implicitize(Parametrization(2, TSeries.zero("t")))
     ),
-    "same-branch-truncated": (NonPolynomialInput, lambda: CUSP.same_branch(TRUNCATED_CUSP)),
-    "reparametrize-unknown-order": (
-        InvalidParameterChange, lambda: reparametrize(TSeries.monomial("t", 2), UNKNOWN_ORDER)
-    ),
     "solve-composition-unknown-order": (
         InvalidParameterChange, lambda: solve_composition([CUSP.y.truncated(5)], UNKNOWN_ORDER)
     ),
@@ -166,6 +160,11 @@ VIOLATED_PRECONDITIONS = {
         lambda: eliminate_term(
             Parametrization.from_pairs(3, [(4, 1), (5, F(-2, 3)), (6, F(-7, 2)), (8, -2)]), 5
         ),
+    ),
+    # (t^2, t + t^3) is smooth: ord y = 1 does not exceed n = 2
+    "eliminate-term-not-transversal": (
+        NotTransversal,
+        lambda: eliminate_term(Parametrization.from_pairs(2, [(1, 1), (3, 1)], 20), 3),
     ),
     # 6, the first exponent off the grid of 4, shares a factor with it
     "eliminate-term-not-genus-one": (
@@ -207,12 +206,14 @@ UNREACHED_REFUSALS = {
         InvalidArgument, 3, "got -1",
         lambda: apply_pmove(Parametrization(2, TSeries("t", {}, 1)), 2, 1),
     ),
+    # eliminate_term classifies its branch with char_sequence, whose
+    # refusals these are
     "eliminate-term-every-exponent-on-the-grid": (
-        NotPrimitive, 3, "divisible by the multiplicity",
+        NotPrimitive, 3, "gcd of 2 and the exponents [4] is 2",
         lambda: eliminate_term(Parametrization.from_pairs(2, [(4, 1)]), 5),
     ),
     "eliminate-term-every-known-exponent-on-the-grid": (
-        PrecisionExhausted, 4, "no exponent coprime to 2 below the truncation 7",
+        PrecisionExhausted, 4, "gcd chain stuck at 2 with exponents known only below 7",
         lambda: eliminate_term(Parametrization.from_pairs(2, [(4, 1)], trunc=7), 5),
     ),
     # y**2 - x**3 meets (t^3, t^4) at 8 = 3 + 5, but (t^3, t^4) has multiplicity 3
@@ -258,11 +259,12 @@ def test_a_refusal_no_other_test_reaches(error, code, fragment, call):
     assert info.value.exit_code == code
 
 
+# the two checks of the standard representation that contains builds
 BROKEN_INVARIANTS = {
     # quotients that do not match the gcd chain leave an odd remainder at e_1 = 2
-    "standard-rep-gcd-level": lambda: standard_rep(3, replace(K467, quotients=(2, 3))),
+    "standard-rep-gcd-level": lambda: contains(3, replace(K467, quotients=(2, 3))),
     # a wrong v_0 leaves a remainder that v_0 does not divide
-    "standard-rep-close": lambda: standard_rep(1, replace(K467, generators=(5, 6, 13))),
+    "standard-rep-close": lambda: contains(1, replace(K467, generators=(5, 6, 13))),
 }
 
 

@@ -15,6 +15,7 @@ from planebranch.errors import (
     CrossCheckFailed,
     DegenerateMove,
     HypothesisNotMet,
+    InvalidArgument,
     NeedsTruncation,
     NonIntegralResult,
     NotAnInvariant,
@@ -621,7 +622,7 @@ class TestReplayRefusesATamperedLog:
 
     def test_dropped_parameter_change(self, logged):
         phi, res, k = logged
-        with pytest.raises(CrossCheckFailed, match="no parameter change"):
+        with pytest.raises(InvalidArgument, match="parameter change None is not a TSeries"):
             replay_moves(phi, self.tampered(res, k, None))
 
     @pytest.mark.parametrize("where", ["lead", "second", "last"])
